@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .bounds import ceil_div, distance_bound_udlrc, pivot_class
+from .bounds import ceil_div, distance_bound_measured, distance_bound_udlrc, pivot_class
 from .construction import (
     CodeInstance,
     ErasurePattern,
@@ -22,7 +22,7 @@ from .construction import (
 )
 from .linalg import Matrix
 
-DEFAULT_ORACLE_BUDGET = 24
+DEFAULT_ORACLE_BUDGET = 20
 
 
 class TooLarge(ValueError):
@@ -251,17 +251,11 @@ def rank_deficiency_witness(inst: CodeInstance) -> tuple[int, ...]:
     so it lower-bounds how far the distance sits below Singleton.
     """
     granks_ = [grank(inst.gen, class_symbols(inst, j)) for j in range(1, inst.spec.s + 1)]
-    total = 0
-    sigma = None
-    for j, g in enumerate(granks_, 1):
-        total += g
-        if total >= inst.k:
-            sigma = j
-            break
-    assert sigma is not None, "a full-rank generator reaches k over all classes"
-    head_rank = sum(granks_[: sigma - 1])
+    assert sum(granks_) >= inst.k, "a full-rank generator reaches k over all classes"
+    bound = distance_bound_measured(inst.spec, granks_)
+    sigma = bound.pivot
     piv = inst.spec.classes[sigma - 1]
-    l = ceil_div(inst.k - head_rank, piv.r) - 1
+    l = ceil_div(inst.k - sum(granks_[: sigma - 1]), piv.r) - 1
     trace = class_cover_trace(inst, sigma)
     assert 0 <= l < trace.steps, "the chain always runs one step past the stop index"
     witness: set[int] = set()
@@ -271,8 +265,8 @@ def rank_deficiency_witness(inst: CodeInstance) -> tuple[int, ...]:
     out = tuple(sorted(witness))
     got = grank(inst.gen, out)
     assert got <= inst.k - 1, "witness construction must stay rank deficient"
-    slack = sum(c.n - g for c, g in zip(inst.spec.classes[: sigma - 1], granks_))
-    assert len(out) - got >= slack + l * (piv.delta - 1), "witness redundancy below its floor"
+    # The bound's terms are the head slack and the pivot's l * (delta - 1).
+    assert len(out) - got >= sum(bound.per_class_terms), "witness redundancy below its floor"
     return out
 
 

@@ -53,18 +53,12 @@ def dimension_bound(spec: LocalitySpec) -> int:
 
 def pivot_class(spec: LocalitySpec) -> int:
     """1-based index of the first class whose cumulative caps reach k."""
-    total = 0
-    for j, cap in enumerate(spec.k_caps, 1):
-        total += cap
-        if total >= spec.k:
-            return j
-    raise DimensionInfeasible(
-        f"k={spec.k} exceeds the dimension cap {total} of the locality classes"
-    )
+    return distance_bound_udlrc(spec).pivot
 
 
 def distance_bound_udlrc(spec: LocalitySpec) -> BoundReport:
-    """Distance ceiling for unequal disjoint localities.
+    """Distance ceiling for unequal disjoint localities: distance_bound_measured
+    with every class at its dimension cap,
 
     d <= n - k + 1 - sum_{j < pivot} (n_j - k_cap_j)
                   - (ceil((k - sum_{j < pivot} k_cap_j) / r_pivot) - 1) * (delta_pivot - 1)
@@ -72,27 +66,22 @@ def distance_bound_udlrc(spec: LocalitySpec) -> BoundReport:
     No ordering of the classes is assumed, so permuting them yields a family
     of valid ceilings (see permuted_tightest_bound).
     """
-    sp = pivot_class(spec)
-    head = spec.classes[: sp - 1]
-    head_caps = sum(c.k_cap for c in head)
-    head_terms = [c.n - c.k_cap for c in head]
-    piv = spec.classes[sp - 1]
-    tail_term = (ceil_div(spec.k - head_caps, piv.r) - 1) * (piv.delta - 1)
-    value = spec.n - spec.k + 1 - sum(head_terms) - tail_term
-    return BoundReport(
-        name="dist-cap",
-        value=value,
-        pivot=sp,
-        per_class_terms=tuple(head_terms) + (tail_term,),
-    )
+    try:
+        report = distance_bound_measured(spec, spec.k_caps)
+    except RankInfeasible:
+        raise DimensionInfeasible(
+            f"k={spec.k} exceeds the dimension cap {dimension_bound(spec)} of the locality classes"
+        ) from None
+    return BoundReport("dist-cap", report.value, report.pivot, report.per_class_terms)
 
 
 def distance_bound_measured(spec: LocalitySpec, granks: tuple[int, ...] | list[int]) -> BoundReport:
-    """Distance ceiling phrased in measured per-class generator ranks.
+    """Distance ceiling phrased in per-class generator ranks.
 
-    Same shape as distance_bound_udlrc but with the measured rank of each
-    class in place of its cap; the pivot is the first class whose cumulative
-    measured ranks reach k.
+    d <= n - k + 1 - sum_{j < pivot} (n_j - rank_j)
+                  - (ceil((k - sum_{j < pivot} rank_j) / r_pivot) - 1) * (delta_pivot - 1)
+
+    where the pivot is the first class whose cumulative ranks reach k.
     """
     if len(granks) != spec.s:
         raise ValueError(f"need one rank per class: got {len(granks)} for s={spec.s}")

@@ -99,10 +99,6 @@ class LocalityClass:
         return self.n % self.width
 
     @property
-    def m_floor(self) -> int:
-        return self.p
-
-    @property
     def m_ceil(self) -> int:
         return self.p + (1 if self.rem else 0)
 
@@ -123,7 +119,7 @@ class LocalityClass:
     def k_cap(self) -> int:
         """Largest dimension this class can carry."""
         if self.rem <= self.delta - 2:
-            return self.m_floor * self.r
+            return self.p * self.r
         return self.n - self.m_ceil * (self.delta - 1)
 
 

@@ -1,9 +1,14 @@
 """Dense exact linear algebra over a tagged field context.
 
 Matrix works with any context exposing zero/one/add/sub/mul/inv, so the
-same elimination code serves both the prime field and its extensions.
-Pivoting always takes the first nonzero candidate: exact arithmetic has no
-stability concerns, and a fixed rule keeps every run identical.
+same code serves both the prime field and its extensions.  Every
+elimination is one step, `_reduce`: it clears the pivot columns of an
+echelon basis from one row.  Rows join the basis in the order they arrive,
+each pivoting on its first nonzero column, so the length of the basis is
+the rank (Matrix.rank, RankTracker).  A backward pass of the same step
+brings the basis to reduced form (solve, inverse, row_space_basis).  A fixed
+pivot rule keeps every run identical; exact arithmetic has no stability
+concerns.
 """
 
 from __future__ import annotations
@@ -11,9 +16,58 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .fields import PrimeField
+
 
 class SingularMatrix(ValueError):
     """Square system whose rank is below its dimension."""
+
+
+def _reduce(field, row: list, basis: Sequence[tuple]) -> list:
+    """Clear from row the pivot column of each basis entry, in basis order.
+
+    An entry is (pivot column, inverse of the pivot, row).  Returns a new
+    list when anything changes and never writes to its inputs.
+    """
+    zero, mul, sub = field.zero, field.mul, field.sub
+    for col, pinv, prow in basis:
+        v = row[col]
+        if v != zero:
+            fac = mul(v, pinv)
+            row = [sub(a, mul(fac, p)) for a, p in zip(row, prow)]
+    return row
+
+
+def _extend(field, basis: list[tuple], row: list, width: int) -> bool:
+    """Reduce row against the basis and append it if a pivot is left in its
+    first width columns; report whether it was appended."""
+    row = _reduce(field, row, basis)
+    zero = field.zero
+    for col in range(width):
+        if row[col] != zero:
+            basis.append((col, field.inv(row[col]), row))
+            return True
+    return False
+
+
+def _echelon(field, rows: Iterable[list], width: int) -> list[tuple]:
+    """Echelon basis of the rows, pivots taken in the first width columns."""
+    basis: list[tuple] = []
+    for row in rows:
+        _extend(field, basis, row, width)
+    return basis
+
+
+def _reduced_echelon(field, rows: Iterable[list], width: int) -> list[tuple]:
+    """The echelon basis with every pivot column cleared from the other
+    rows, sorted by pivot column.  Rows keep their pivots unscaled."""
+    basis = _echelon(field, rows, width)
+    # The entries after i are already clear of every pivot but their own,
+    # so reducing entry i against them leaves its own pivot as it was.
+    for i in range(len(basis) - 1, -1, -1):
+        col, pinv, row = basis[i]
+        basis[i] = (col, pinv, _reduce(field, row, basis[i + 1 :]))
+    return sorted(basis, key=lambda entry: entry[0])
 
 
 @dataclass
@@ -42,9 +96,6 @@ class Matrix:
         zero, one = field.zero, field.one
         return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
-    def copy(self) -> "Matrix":
-        return Matrix(self.field, [list(r) for r in self.rows])
-
     def take_columns(self, cols: Iterable[int]) -> "Matrix":
         sel = list(cols)
         for c in sel:
@@ -58,19 +109,7 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        f = self.field
-        add, mul, zero = f.add, f.mul, f.zero
-        out = []
-        for row in self.rows:
-            new = []
-            for j in range(other.ncols):
-                acc = zero
-                for l, v in enumerate(row):
-                    if v != zero:
-                        acc = add(acc, mul(v, other.rows[l][j]))
-                new.append(acc)
-            out.append(new)
-        return Matrix(f, out)
+        return Matrix(self.field, [other.left_multiply(row) for row in self.rows])
 
     def left_multiply(self, vector: Sequence) -> list:
         """Row vector times matrix."""
@@ -88,96 +127,34 @@ class Matrix:
         return out
 
     def rank(self) -> int:
-        f = self.field
-        zero = f.zero
-        mul, sub, inv = f.mul, f.sub, f.inv
-        rows = [list(r) for r in self.rows]
-        m = len(rows)
-        pr = 0
-        for c in range(self.ncols):
-            piv = None
-            for i in range(pr, m):
-                if rows[i][c] != zero:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            rows[pr], rows[piv] = rows[piv], rows[pr]
-            prow = rows[pr]
-            pinv = inv(prow[c])
-            for i in range(pr + 1, m):
-                v = rows[i][c]
-                if v != zero:
-                    fac = mul(v, pinv)
-                    rows[i] = [sub(a, mul(fac, p)) for a, p in zip(rows[i], prow)]
-            pr += 1
-            if pr == m:
-                break
-        return pr
+        return len(_echelon(self.field, self.rows, self.ncols))
 
-    def _rref(self, rows: list[list], pivot_width: int) -> list[int]:
-        """Full in-place reduction; pivots searched in the first pivot_width
-        columns only.  Returns the pivot column list."""
-        f = self.field
-        zero = f.zero
-        mul, sub, inv = f.mul, f.sub, f.inv
-        m = len(rows)
-        pivots: list[int] = []
-        pr = 0
-        for c in range(pivot_width):
-            piv = None
-            for i in range(pr, m):
-                if rows[i][c] != zero:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            rows[pr], rows[piv] = rows[piv], rows[pr]
-            pinv = inv(rows[pr][c])
-            rows[pr] = [mul(pinv, v) for v in rows[pr]]
-            prow = rows[pr]
-            for i in range(m):
-                if i != pr:
-                    fac = rows[i][c]
-                    if fac != zero:
-                        rows[i] = [sub(a, mul(fac, p)) for a, p in zip(rows[i], prow)]
-            pivots.append(c)
-            pr += 1
-            if pr == m:
-                break
-        return pivots
+    def _solve_block(self, right: Sequence[list]) -> list[list]:
+        """X with self @ X = right, for a square invertible self."""
+        n = self.nrows
+        if n != self.ncols:
+            raise ValueError(f"need a square matrix, got {n}x{self.ncols}")
+        if len(right) != n:
+            raise ValueError(f"right-hand side length {len(right)} does not match {n}")
+        aug = [list(r) + list(b) for r, b in zip(self.rows, right)]
+        basis = _reduced_echelon(self.field, aug, n)
+        if len(basis) < n:
+            raise SingularMatrix(f"matrix rank {len(basis)} < {n}")
+        mul = self.field.mul
+        return [[mul(pinv, v) for v in row[n:]] for _, pinv, row in basis]
 
     def solve(self, rhs: Sequence) -> list:
         """Solution of self @ x = rhs for a square invertible matrix."""
-        n = self.nrows
-        if n != self.ncols:
-            raise ValueError(f"solve needs a square matrix, got {n}x{self.ncols}")
-        if len(rhs) != n:
-            raise ValueError(f"right-hand side length {len(rhs)} does not match {n}")
-        aug = [list(r) + [v] for r, v in zip(self.rows, rhs)]
-        pivots = self._rref(aug, n)
-        if len(pivots) < n:
-            raise SingularMatrix(f"matrix rank {len(pivots)} < {n}")
-        return [row[n] for row in aug]
+        return [x for (x,) in self._solve_block([[v] for v in rhs])]
 
     def inverse(self) -> "Matrix":
-        n = self.nrows
-        if n != self.ncols:
-            raise ValueError(f"inverse needs a square matrix, got {n}x{self.ncols}")
-        zero, one = self.field.zero, self.field.one
-        aug = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(self.rows)]
-        pivots = self._rref(aug, n)
-        if len(pivots) < n:
-            raise SingularMatrix(f"matrix rank {len(pivots)} < {n}")
-        return Matrix(self.field, [row[n:] for row in aug])
+        return Matrix(self.field, self._solve_block(Matrix.identity(self.field, self.nrows).rows))
 
     def row_space_basis(self) -> "Matrix":
-        """Reduced basis of the row space (possibly with zero rows dropped)."""
-        rows = [list(r) for r in self.rows]
-        self._rref(rows, self.ncols)
-        zero = self.field.zero
-        basis = [r for r in rows if any(v != zero for v in r)]
-        return Matrix(self.field, basis)
+        """Reduced row echelon basis of the row space, zero rows dropped."""
+        mul = self.field.mul
+        basis = _reduced_echelon(self.field, self.rows, self.ncols)
+        return Matrix(self.field, [[mul(pinv, v) for v in row] for _, pinv, row in basis])
 
 
 class RankTracker:
@@ -185,26 +162,16 @@ class RankTracker:
 
     def __init__(self, q: int) -> None:
         self.q = q
-        self._rows: list[tuple[int, list[int]]] = []
+        self._field = PrimeField(q)
+        self._basis: list[tuple] = []
 
     @property
     def rank(self) -> int:
-        return len(self._rows)
+        return len(self._basis)
 
     def add(self, coords: Sequence[int]) -> bool:
         """Reduce coords against the basis; keep and report True if independent."""
-        q = self.q
-        v = [c % q for c in coords]
-        for piv, row in self._rows:
-            c = v[piv]
-            if c:
-                v = [(a - c * b) % q for a, b in zip(v, row)]
-        piv = next((i for i, a in enumerate(v) if a), None)
-        if piv is None:
-            return False
-        inv = pow(v[piv], -1, q)
-        self._rows.append((piv, [(a * inv) % q for a in v]))
-        return True
+        return _extend(self._field, self._basis, [c % self.q for c in coords], len(coords))
 
 
 def base_rank(field, points: Iterable) -> int:

@@ -1,8 +1,23 @@
+import os
 import random
+from pathlib import Path
 
 import pytest
 
 from udlrc import LocalityClass, LocalitySpec, build_code, validate_spec
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def cli_env(extra=None) -> dict:
+    """Environment for a `python -m udlrc` child process: this checkout's
+    src directory heads PYTHONPATH, so the child imports the package under
+    test from any working directory."""
+    env = dict(os.environ)
+    env.update(extra or {})
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
+
 
 # The [8, 4] two-class workhorse over GF(5^5): one (r=2, delta=3) group and
 # one (r=3, delta=2) group, precode length 5.

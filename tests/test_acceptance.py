@@ -33,7 +33,7 @@ from udlrc import (
     validate_spec,
     worst_case_pattern,
 )
-from conftest import REF_SPEC
+from conftest import REF_SPEC, cli_env
 
 
 def test_acceptance_1_distance_cap_tight_on_reference(ref_instance):
@@ -209,8 +209,8 @@ def test_acceptance_9_delta2_comparison_sweep_reported(tmp_path):
         "--format",
         "machine",
     ]
-    first = subprocess.run(args, cwd=tmp_path, capture_output=True, text=True)
-    second = subprocess.run(args, cwd=tmp_path, capture_output=True, text=True)
+    first = subprocess.run(args, cwd=tmp_path, env=cli_env(), capture_output=True, text=True)
+    second = subprocess.run(args, cwd=tmp_path, env=cli_env(), capture_output=True, text=True)
     assert first.returncode == 0
     assert first.stdout == second.stdout
     rows = [line.split("\t") for line in first.stdout.splitlines() if line.startswith("row\t(")]

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from conftest import cli_env
+
 REF_TEXT = """\
 q: 5
 t: 5
@@ -16,15 +18,10 @@ class: r=3 delta=2 m=1
 
 
 def run_cli(args, cwd, env=None):
-    import os
-
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
     return subprocess.run(
         [sys.executable, "-m", "udlrc", *args],
         cwd=cwd,
-        env=full_env,
+        env=cli_env(env),
         capture_output=True,
         text=True,
     )

@@ -1,6 +1,6 @@
 import pytest
 
-from udlrc import ExtField, Matrix, PrimeField, RankTracker, SingularMatrix, base_rank
+from udlrc import ExtField, Matrix, PrimeField, RankTracker, SingularMatrix, base_rank, mds_local_generator
 
 F5 = PrimeField(5)
 F8 = ExtField(PrimeField(2), 3)
@@ -157,3 +157,53 @@ def test_rank_tracker_matches_base_rank(rng):
         grew = [tracker.add(p) for p in pts]
         assert tracker.rank == base_rank(f, pts)
         assert sum(grew) == tracker.rank
+
+
+def _assert_rref(basis):
+    """Pivots (first nonzero entries) strictly increase down the rows, and
+    each pivot column is the unit vector of its row."""
+    f = basis.field
+    pivots = [next(c for c, v in enumerate(row) if v != f.zero) for row in basis.rows]
+    assert pivots == sorted(set(pivots))
+    for i, c in enumerate(pivots):
+        assert [row[c] for row in basis.rows] == [f.one if j == i else f.zero for j in range(len(pivots))]
+
+
+def test_elimination_order_is_column_order(rng):
+    """Rows join the echelon basis in row order, so pivots arrive out of
+    column order; every reduced result must still come out in column order."""
+    for field in (F5, F8, ExtField(PrimeField(5), 5)):
+        for rows, cols in ((3, 6), (6, 3), (4, 5)):
+            for _ in range(5):
+                m = random_matrix(field, rows, cols, rng)
+                for i, row in enumerate(m.rows):  # earlier rows pivot further right
+                    row[: rows - 1 - i] = [field.zero] * min(cols, rows - 1 - i)
+                if rows == 4:  # rank-deficient: a repeated row and a zero column
+                    m.rows[3] = list(m.rows[0])
+                    for row in m.rows:
+                        row[1] = field.zero
+                basis = m.row_space_basis()
+                _assert_rref(basis)
+                assert basis.nrows == m.rank()
+                assert Matrix(field, m.rows + basis.rows).rank() == m.rank()
+        # An anti-diagonal system: row i pivots on column n - 1 - i.
+        n = 4
+        anti = Matrix(field, [[field.one if i + j == n - 1 else field.zero for j in range(n)] for i in range(n)])
+        x = [field.random_element(rng) for _ in range(n)]
+        assert anti.solve(x[::-1]) == x
+        assert anti @ anti.inverse() == Matrix.identity(field, n)
+    for q in (5, 7):
+        base = PrimeField(q)
+        for r in range(1, q):
+            for delta in range(2, q - r + 2):
+                gen = mds_local_generator(r, delta, base)
+                assert gen.take_columns(range(r)) == Matrix.identity(base, r), (q, r, delta)
+    for q, t in ((5, 3), (2, 3), (5, 5)):
+        base = PrimeField(q)
+        for size in (2, 5, 8):
+            vectors = [[rng.randrange(q) for _ in range(t)] for _ in range(size)]
+            vectors.append([base.add(a, b) for a, b in zip(vectors[0], vectors[-1])])
+            tracker = RankTracker(q)
+            for v in vectors:
+                tracker.add(v)
+            assert tracker.rank == Matrix(base, vectors).rank()
