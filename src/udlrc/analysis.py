@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .bounds import ceil_div, distance_bound_measured, distance_bound_udlrc, pivot_class
+from .bounds import ceil_div, distance_bound_measured, distance_bound_udlrc
 from .construction import (
     CodeInstance,
     ErasurePattern,
@@ -330,27 +330,20 @@ def transform_pattern(layout: LocalGroupLayout, remaining: Iterable[int]) -> lis
 
 
 def tightness_budget_size(inst: CodeInstance) -> int:
-    """Set size whose full decodability certifies the distance ceiling."""
+    """Set size whose full decodability certifies the distance ceiling:
+    every tau symbols decode exactly when d >= n - tau + 1."""
     spec = inst.spec
-    sp = pivot_class(spec)
-    head = spec.classes[: sp - 1]
-    head_rank = sum(c.groups * c.r for c in head)
-    piv = spec.classes[sp - 1]
-    return (
-        spec.k
-        + sum(c.groups * (c.delta - 1) for c in head)
-        + (ceil_div(spec.k - head_rank, piv.r) - 1) * (piv.delta - 1)
-    )
+    return spec.n + 1 - distance_bound_udlrc(spec).value
 
 
 def certify_distance_optimal(inst: CodeInstance, exhaustive_limit: int = 14) -> bool:
     """Certify that the built code meets its distance ceiling with equality.
 
-    Checks that every symbol set of the critical size tau is decodable: by
-    the greedy worst-case pattern alone (which minimizes remaining rank),
-    cross-validated exhaustively when n is small enough, and that
-    n - tau + 1 equals the closed-form ceiling.  Requires the ordered
-    parameter condition, under which the greedy pattern argument is valid.
+    Checks that every symbol set of the critical size tau = n + 1 - ceiling
+    is decodable: by the greedy worst-case pattern alone (which minimizes
+    remaining rank), cross-validated exhaustively when n is small enough.
+    Requires the ordered parameter condition, under which the greedy
+    pattern argument is valid.
     """
     spec = inst.spec
     if not spec.ordered_condition:
@@ -365,4 +358,4 @@ def certify_distance_optimal(inst: CodeInstance, exhaustive_limit: int = 14) -> 
         ok = all(
             erank(inst, subset) >= spec.k for subset in combinations(range(n), tau)
         )
-    return ok and (n - tau + 1 == distance_bound_udlrc(spec).value)
+    return ok

@@ -25,13 +25,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .fields import ExtElem, ExtField, PrimeField, is_prime
-from .gabidulin import (
-    EvaluationPoints,
-    default_points,
-    gabidulin_encode,
-    interpolate,
-    moore_matrix,
-)
+from .gabidulin import EvaluationPoints, default_points, gabidulin_encode, moore_matrix
 from .linalg import Matrix, RankTracker, base_rank
 
 
@@ -285,7 +279,11 @@ class CodeInstance:
 
 
 def build_code(spec: LocalitySpec) -> CodeInstance:
-    """Run the three construction steps and track every evaluation point."""
+    """Run the three construction steps.
+
+    Every symbol is f(y_i) for the same F_q-linear f, so column i of the
+    generator is the q-power tower of y_i: its first row is the points.
+    """
     validate_spec(spec)
     base = PrimeField(spec.q)
     field = ExtField(base, spec.t)
@@ -297,23 +295,15 @@ def build_code(spec: LocalitySpec) -> CodeInstance:
     precode_gen = moore_matrix(field, list(gab_points), spec.k).transpose()
 
     gen_rows: list[list[ExtElem]] = [[] for _ in range(spec.k)]
-    points: list[ExtElem] = []
     point_cursor = 0
-    for l, group in enumerate(layout.groups):
-        c = spec.classes[layout.class_of[l]]
-        group_pts = [gab_points[point_cursor + i] for i in range(c.r)]
-        local = local_gens[layout.class_of[l]]
-        block = precode_gen.take_columns(range(point_cursor, point_cursor + c.r)) @ lift_to_ext(
-            field, local
+    for j in layout.class_of:
+        r = spec.classes[j].r
+        block = precode_gen.take_columns(range(point_cursor, point_cursor + r)) @ lift_to_ext(
+            field, local_gens[j]
         )
         for row, brow in zip(gen_rows, block.rows):
             row.extend(brow)
-        for col in range(c.width):
-            y = field.zero
-            for i in range(c.r):
-                y = field.add(y, field.scale(local.rows[i][col], group_pts[i]))
-            points.append(y)
-        point_cursor += c.r
+        point_cursor += r
 
     return CodeInstance(
         spec=spec,
@@ -321,7 +311,7 @@ def build_code(spec: LocalitySpec) -> CodeInstance:
         field=field,
         layout=layout,
         gen=Matrix(field, gen_rows),
-        points=tuple(points),
+        points=tuple(gen_rows[0]),
         gab_points=gab_points,
         local_gens=local_gens,
     )
@@ -430,11 +420,13 @@ def decode_erasures(
 ) -> DecodeResult:
     """Recover the message (and the full codeword) from a partial codeword.
 
-    First pass repairs every group with at most delta - 1 missing symbols by
-    solving its local MDS system over the extension field.  Second pass
-    greedily collects symbols whose points extend an independent set, and
-    interpolates the data polynomial once rank k is reached.  Raises
-    Undecodable with the remaining rank when the pattern is unrecoverable.
+    First pass repairs every group with at most delta - 1 missing symbols:
+    r present columns of its local MDS generator invert over the base field,
+    which writes each missing symbol as an F_q-combination of present ones.
+    Second pass greedily collects symbols whose points extend an independent
+    set until rank k, then solves the generator's chosen columns for the
+    message.  Raises Undecodable with the remaining rank when the pattern is
+    unrecoverable.
     """
     field = inst.field
     remaining = pattern.remaining
@@ -452,17 +444,15 @@ def decode_erasures(
             continue
         local = inst.local_gens[inst.layout.class_of[l]]
         present = [pos for pos, i in enumerate(group) if i in known][: c.r]
-        # Any r columns of an MDS generator are independent, so this square
-        # system over the extension field (base-field coefficients) is solvable.
-        system = Matrix(
-            field, [[field.embed(local.rows[row][pos]) for row in range(c.r)] for pos in present]
-        )
-        chunk = system.solve([known[group[pos]] for pos in present])
-        lifted = lift_to_ext(field, local)
-        repaired_group = lifted.left_multiply(chunk)
+        # Any r columns of an MDS generator are independent, so column pos of
+        # coeffs expresses symbol pos in terms of the present symbols.
+        coeffs = local.take_columns(present).inverse() @ local
         for pos, i in enumerate(group):
             if i not in known:
-                known[i] = repaired_group[pos]
+                value = field.zero
+                for row, p in zip(coeffs.rows, present):
+                    value = field.add(value, field.scale(row[pos], known[group[p]]))
+                known[i] = value
                 repaired.append(i)
 
     if not pattern.erased:
@@ -480,13 +470,15 @@ def decode_erasures(
             if len(chosen) == inst.k:
                 break
     if len(chosen) < inst.k:
-        raise Undecodable(erank(inst, remaining), inst.k)
+        # The tracker saw every known point; the repaired ones lie in the
+        # span of their groups' received points.
+        raise Undecodable(tracker.rank, inst.k)
 
-    poly = interpolate(field, [(inst.points[i], known[i]) for i in chosen])
-    message = poly.coeffs
+    system = inst.gen.take_columns(chosen).transpose()
+    message = tuple(system.solve([known[i] for i in chosen]))
     codeword = tuple(encode(inst, message))
     if __debug__:
-        assert all(codeword[i] == known[i] for i in remaining), "re-encode disagrees with input"
+        assert all(codeword[i] == v for i, v in known.items()), "re-encode disagrees with a known symbol"
     return DecodeResult(
         message=message,
         codeword=codeword,

@@ -88,13 +88,6 @@ def _poly_trim(c: list[int]) -> list[int]:
     return c
 
 
-def _poly_eval(c: Sequence[int], x: int, q: int) -> int:
-    acc = 0
-    for coef in reversed(c):
-        acc = (acc * x + coef) % q
-    return acc
-
-
 def _poly_mod(a: Sequence[int], m: Sequence[int], q: int) -> list[int]:
     """Remainder of a modulo the monic polynomial m."""
     a = [v % q for v in a]
@@ -139,22 +132,16 @@ def _poly_gcd(a: Sequence[int], b: Sequence[int], q: int) -> list[int]:
 
 
 def _is_irreducible(coeffs: Sequence[int], q: int) -> bool:
-    """Monic-polynomial irreducibility over F_q.
+    """Monic-polynomial irreducibility over F_q (Rabin's test).
 
     A reducible polynomial of degree t has an irreducible factor of degree
     d <= t/2, and x^(q^d) - x is the product of all irreducibles of degree
-    dividing d, so it suffices to check roots (d = 1) and then gcds against
-    x^(q^d) - x for d up to t/2.
+    dividing d, so it suffices to check gcds against x^(q^d) - x for d up
+    to t/2; d = 1 catches every root.
     """
     t = len(coeffs) - 1
     if t < 1 or coeffs[-1] % q != 1:
         return False
-    if t == 1:
-        return True
-    if any(_poly_eval(coeffs, x, q) == 0 for x in range(q)):
-        return False
-    if t <= 3:
-        return True
     f = [v % q for v in coeffs]
     h: Sequence[int] = [0, 1]
     for _ in range(t // 2):
@@ -227,10 +214,6 @@ class ExtField:
         self._red = red
         self.alpha: ExtElem = x_to_t if t == 1 else ((0, 1) + (0,) * (t - 2))
         self._inv_exp = self.q**t - 2
-
-    @property
-    def order(self) -> int:
-        return self.q**self.t
 
     def element(self, coords: Sequence[int]) -> ExtElem:
         if len(coords) != self.t:

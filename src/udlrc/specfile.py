@@ -41,7 +41,6 @@ def _parse_int(value: str, line: int, name: str) -> int:
 
 def parse_spec_text(text: str) -> tuple[LocalitySpec, int | None]:
     scalars: dict[str, int] = {}
-    scalar_lines: dict[str, int] = {}
     classes: list[tuple[int, int, int]] = []
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -67,7 +66,6 @@ def parse_spec_text(text: str) -> tuple[LocalitySpec, int | None]:
             classes.append((entries["r"], entries["delta"], entries["m"]))
         elif key in ("q", "t", "k", "seed"):
             scalars[key] = _parse_int(value, line_no, key)
-            scalar_lines[key] = line_no
         else:
             raise SpecFileError(f"line {line_no}: unknown key {key!r}")
     for need in ("q", "t", "k"):

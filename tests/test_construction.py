@@ -1,4 +1,5 @@
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -13,12 +14,14 @@ from udlrc import (
     SpecInvalid,
     Undecodable,
     base_rank,
+    build_code,
     decode_erasures,
     encode,
     encode_via_pipeline,
     erank,
     erasure_decodable,
     lin_eval,
+    load_spec_file,
     mds_local_generator,
     min_distance_oracle,
     validate_spec,
@@ -149,13 +152,20 @@ def test_build_reference_frozen_points(ref_instance):
     assert ref_instance.layout.class_of == (0, 1)
 
 
-def test_build_generator_is_power_tower_of_points(ref_instance):
-    field = ref_instance.field
-    for col, y in enumerate(ref_instance.points):
-        power = y
-        for row in range(ref_instance.k):
-            assert ref_instance.gen.rows[row][col] == power
-            power = field.frobenius(power)
+def test_build_generator_is_power_tower_of_points(
+    ref_instance, ref_full_instance, single_instance, three_instance, reversed_instance
+):
+    # The [14, 6] code over GF(7^9) that the benchmark certifies.
+    spec_file = Path(__file__).resolve().parent.parent / "perfbench" / "specs" / "gf7_9.json"
+    gf7_9 = build_code(load_spec_file(spec_file)[0])
+    instances = [ref_instance, ref_full_instance, single_instance, three_instance, reversed_instance]
+    for inst in instances + [gf7_9]:
+        field = inst.field
+        for col, y in enumerate(inst.points):
+            power = y
+            for row in range(inst.k):
+                assert inst.gen.rows[row][col] == power
+                power = field.frobenius(power)
 
 
 def test_build_full_rank(ref_instance, ref_full_instance):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -61,6 +62,15 @@ def test_find_irreducible_is_lex_first():
                 c //= q
             cand.append(1)
             assert not _is_irreducible(cand, q), (q, t, cand)
+
+
+def test_find_irreducible_large_prime_is_fast():
+    # x^2 + 1 is irreducible over F_q, q an odd prime, exactly when
+    # q = 3 mod 4.  Rabin's test finds roots through gcd(f, x^q - x) in
+    # O(log q) steps; a root scan takes q.
+    start = time.perf_counter()
+    assert find_irreducible(1000000007, 2) == (1, 0, 1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_ext_field_rejects_reducible_modulus():
