@@ -20,7 +20,7 @@ from .construction import (
     LocalGroupLayout,
     erank,
 )
-from .linalg import Matrix
+from .linalg import Matrix, _extend
 
 DEFAULT_ORACLE_BUDGET = 20
 
@@ -65,7 +65,10 @@ def min_distance_oracle(gen: Matrix, budget: int = DEFAULT_ORACLE_BUDGET) -> Dis
 
     Scans subset sizes downward from n - 1 and stops at the first size
     carrying a rank-deficient subset; the sizes with deficient subsets form
-    an initial segment, so the first hit is the maximum.
+    an initial segment, so the first hit is the maximum.  Within a size,
+    subsets are walked depth first in combinations order over the
+    generator's columns, so the hit is the lexicographically first
+    deficient subset of that size.
     """
     n = gen.ncols
     k = gen.nrows
@@ -73,12 +76,36 @@ def min_distance_oracle(gen: Matrix, budget: int = DEFAULT_ORACLE_BUDGET) -> Dis
         raise TooLarge(f"n={n} exceeds the enumeration budget {budget}")
     if gen.rank() < k:
         raise RankDeficientGenerator(f"generator rank below k={k}")
+    columns = gen.transpose().rows
     for size in range(n - 1, -1, -1):
-        for subset in combinations(range(n), size):
-            r = gen.take_columns(subset).rank()
-            if r <= k - 1:
-                return DistanceCertificate(d=n - size, witness=subset, witness_rank=r)
+        hit = _first_deficient(gen.field, columns, k, size, 0, [], [])
+        if hit is not None:
+            subset, r = hit
+            return DistanceCertificate(d=n - size, witness=subset, witness_rank=r)
     raise AssertionError("unreachable: the empty set is always rank deficient")
+
+
+def _first_deficient(field, columns, k, size, start, path, basis):
+    """First subset of the given size, extending path with columns from
+    start on, whose columns have rank < k; returned with its rank.
+
+    basis is the echelon basis of the path's columns.  Each column joins it
+    by one elimination step on the way down and leaves on the way back; a
+    path that reaches rank k is pruned, since every superset keeps rank k.
+    """
+    if len(path) == size:
+        return tuple(path), len(basis)
+    for i in range(start, len(columns) - size + len(path) + 1):
+        grew = _extend(field, basis, columns[i], k)
+        if len(basis) < k:
+            path.append(i)
+            hit = _first_deficient(field, columns, k, size, i + 1, path, basis)
+            if hit is not None:
+                return hit
+            path.pop()
+        if grew:
+            basis.pop()
+    return None
 
 
 def punctured_code_profile(gen: Matrix, support: Sequence[int], budget: int = DEFAULT_ORACLE_BUDGET):

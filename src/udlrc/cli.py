@@ -115,16 +115,23 @@ def _spec_header(report: Report, spec) -> None:
     report.add("meta", "ordered", "yes" if spec.ordered_condition else "no")
 
 
+def _nonnegative(value: int, name: str) -> int:
+    if value < 0:
+        raise SpecFileError(f"{name} must be a non-negative integer, got {value}")
+    return value
+
+
 def _resolve_budget(args) -> int:
     if getattr(args, "budget", None) is not None:
-        return args.budget
+        return _nonnegative(args.budget, "--budget")
     env = os.environ.get("UDLRC_BUDGET")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise SpecFileError(f"UDLRC_BUDGET must be an integer, got {env!r}") from None
-    return DEFAULT_ORACLE_BUDGET
+    if env is None:
+        return DEFAULT_ORACLE_BUDGET
+    try:
+        budget = int(env)
+    except ValueError:
+        raise SpecFileError(f"UDLRC_BUDGET must be an integer, got {env!r}") from None
+    return _nonnegative(budget, "UDLRC_BUDGET")
 
 
 def _message_for(args, spec, inst, file_seed):
@@ -351,7 +358,7 @@ def cmd_sweep(args) -> int:
     deltas = _parse_range(args.delta, "delta")
     ms = _parse_range(args.m, "m")
     s = args.classes
-    budget = args.budget if args.budget is not None else 0
+    budget = _nonnegative(args.budget, "--budget") if args.budget is not None else 0
     report = Report("sweep", args.format)
     report.add("meta", "q", args.q)
     report.add("meta", "classes", s)

@@ -213,7 +213,6 @@ class ExtField:
             red.append(tuple(v % self.q for v in shifted))
         self._red = red
         self.alpha: ExtElem = x_to_t if t == 1 else ((0, 1) + (0,) * (t - 2))
-        self._inv_exp = self.q**t - 2
 
     def element(self, coords: Sequence[int]) -> ExtElem:
         if len(coords) != self.t:
@@ -273,9 +272,38 @@ class ExtField:
         return result
 
     def inv(self, a: ExtElem) -> ExtElem:
+        """Inverse by the extended Euclidean algorithm over F_q[x].
+
+        Two remainders r0 = s0 * a and r1 = s1 * a (mod the modulus) start
+        as (modulus, 0) and (a, 1).  Each step cancels the leading term of
+        r0 with a monomial multiple of r1, swapping the pair when r0 drops
+        below r1 in degree.  The modulus is irreducible, so r1 ends as a
+        nonzero constant c and a^-1 = s1 / c.  Every s stays below degree t.
+        """
         if a == self.zero:
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        return self.pow(a, self._inv_exp)
+        q, t = self.q, self.t
+        r0, s0, d0 = list(self.modulus), [0] * t, t
+        r1, s1, d1 = list(a), [1] + [0] * (t - 1), t - 1
+        while r1[d1] == 0:
+            d1 -= 1
+        lead = pow(r1[d1], -1, q)
+        while d1:
+            shift = d0 - d1
+            c = r0[d0] * lead % q
+            # The leading term cancels; entries above a degree are never read.
+            for i in range(d1):
+                r0[i + shift] = (r0[i + shift] - c * r1[i]) % q
+            for i in range(t - shift):
+                s0[i + shift] = (s0[i + shift] - c * s1[i]) % q
+            d0 -= 1
+            while r0[d0] == 0:
+                d0 -= 1
+            if d0 < d1:
+                r0, s0, d0, r1, s1, d1 = r1, s1, d1, r0, s0, d0
+                lead = pow(r1[d1], -1, q)
+        lead = pow(r1[0], -1, q)
+        return tuple(v * lead % q for v in s1)
 
     def div(self, a: ExtElem, b: ExtElem) -> ExtElem:
         return self.mul(a, self.inv(b))

@@ -13,6 +13,9 @@ key/value text file and a JSON document carrying the same fields.
     {"q": 5, "t": 5, "k": 4, "seed": 7,
      "classes": [{"r": 2, "delta": 3, "m": 1}, {"r": 3, "delta": 2, "m": 1}]}
 
+Every number, symbol digits included, must be an integer; in JSON a float,
+string, boolean or null in its place is an error.
+
 Symbols (extension field elements) serialize as base-q digit lists with the
 constant coordinate first, so a message or codeword file is a JSON array of
 such lists.
@@ -82,6 +85,14 @@ def parse_spec_text(text: str) -> tuple[LocalitySpec, int | None]:
     return spec, scalars.get("seed")
 
 
+def _json_int(value, where: str) -> int:
+    """A JSON integer; floats, strings and booleans (bool is an int in
+    Python) are refused."""
+    if type(value) is not int:
+        raise SpecFileError(f"{where} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def parse_spec_json(text: str) -> tuple[LocalitySpec, int | None]:
     try:
         doc = json.loads(text)
@@ -102,10 +113,11 @@ def parse_spec_json(text: str) -> tuple[LocalitySpec, int | None]:
         for need in ("r", "delta", "m"):
             if need not in entry:
                 raise SpecFileError(f"class {idx}: missing '{need}'")
-        classes.append(LocalityClass.from_groups(entry["r"], entry["delta"], entry["m"]))
-    spec = LocalitySpec(classes=tuple(classes), k=doc["k"], q=doc["q"], t=doc["t"])
-    seed = doc.get("seed")
-    return spec, seed
+        r, delta, m = (_json_int(entry[name], f"class {idx}: field '{name}'") for name in ("r", "delta", "m"))
+        classes.append(LocalityClass.from_groups(r, delta, m))
+    q, t, k = (_json_int(doc[name], f"field '{name}'") for name in ("q", "t", "k"))
+    seed = _json_int(doc["seed"], "field 'seed'") if "seed" in doc else None
+    return LocalitySpec(classes=tuple(classes), k=k, q=q, t=t), seed
 
 
 def load_spec_file(path: str | Path) -> tuple[LocalitySpec, int | None]:
@@ -148,5 +160,5 @@ def load_symbols(path: str | Path, field: ExtField, expected: int) -> list[ExtEl
     for idx, digits in enumerate(doc):
         if not isinstance(digits, list) or len(digits) != field.t:
             raise SpecFileError(f"symbol {idx}: expected {field.t} digits")
-        out.append(field.element(digits))
+        out.append(field.element([_json_int(v, f"symbol {idx}: digit {j}") for j, v in enumerate(digits)]))
     return out

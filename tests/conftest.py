@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import random
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 from udlrc import LocalityClass, LocalitySpec, build_code, validate_spec
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+WORKLOADS = SRC.parent / "perfbench" / "workloads.py"
 
 
 def cli_env(extra=None) -> dict:
@@ -17,6 +19,15 @@ def cli_env(extra=None) -> dict:
     env.update(extra or {})
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     return env
+
+
+def load_workloads():
+    """The benchmark's workloads module (command lines, spec files and
+    recorded report digests), loaded read-only from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # The [8, 4] two-class workhorse over GF(5^5): one (r=2, delta=3) group and

@@ -6,6 +6,7 @@ import pytest
 from udlrc import (
     CountOutOfRange,
     CoverTrace,
+    DistanceCertificate,
     LocalityClass,
     LocalitySpec,
     Matrix,
@@ -33,7 +34,7 @@ from udlrc import (
     validate_spec,
     worst_case_pattern,
 )
-from conftest import REVERSED_SPEC
+from conftest import REVERSED_SPEC, load_workloads
 
 F5 = PrimeField(5)
 
@@ -122,6 +123,69 @@ def test_oracle_agrees_with_weight_enumeration():
     small.append(lift_to_ext(f8, binary_parity))
     for gen in small:
         assert min_distance_oracle(gen).d == _weight_enumeration_distance(gen)
+
+
+def _scan_oracle(gen):
+    """The subset scan the oracle's depth-first walk replaced: rank every
+    subset from scratch, sizes downward, combinations order within a size."""
+    n, k = gen.ncols, gen.nrows
+    for size in range(n - 1, -1, -1):
+        for subset in combinations(range(n), size):
+            r = gen.take_columns(subset).rank()
+            if r <= k - 1:
+                return DistanceCertificate(d=n - size, witness=subset, witness_rank=r)
+    raise AssertionError("unreachable: the empty set is always rank deficient")
+
+
+def test_oracle_matches_scan_on_instances(all_instances, reversed_instance):
+    for inst in [*all_instances, reversed_instance]:
+        assert min_distance_oracle(inst.gen) == _scan_oracle(inst.gen)
+
+
+def test_oracle_matches_scan_on_sweep_rows(monkeypatch):
+    import contextlib
+    import io
+
+    from udlrc import cli
+
+    checked = []
+
+    def differential(gen, budget):
+        cert = min_distance_oracle(gen, budget)
+        assert cert == _scan_oracle(gen)
+        checked.append(gen.ncols)
+        return cert
+
+    monkeypatch.setattr(cli, "min_distance_oracle", differential)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(load_workloads().Sweep.ORACLE) == 0
+    assert checked and max(checked) <= 10
+
+
+def test_oracle_matches_scan_on_random_generators():
+    from udlrc import ExtField
+
+    rng = random.Random(20261018)
+    fields = [PrimeField(2), F5, ExtField(PrimeField(2), 3)]
+    compared = 0
+    for _ in range(400):
+        field = rng.choice(fields)
+        k = rng.randint(1, 4)
+        columns = []
+        for _ in range(rng.randint(k, 9)):
+            kind = rng.random()
+            if kind < 0.15:
+                columns.append([field.zero] * k)
+            elif kind < 0.3 and columns:
+                columns.append(list(rng.choice(columns)))
+            else:
+                columns.append([field.random_element(rng) for _ in range(k)])
+        gen = Matrix(field, [list(row) for row in zip(*columns)])
+        if gen.rank() < k:
+            continue
+        assert min_distance_oracle(gen) == _scan_oracle(gen)
+        compared += 1
+    assert compared > 200
 
 
 def test_full_pipeline_on_a_ternary_field():

@@ -182,6 +182,38 @@ def test_ext_field_exhaustive_inverse_gf9():
         assert f9.mul(x, f9.inv(x)) == f9.one
 
 
+def _assert_inverse_matches_power(f, elements):
+    """inv (extended Euclid) against a^(q^t - 2), the Fermat inverse."""
+    for x in elements:
+        if x != f.zero:
+            assert f.inv(x) == f.pow(x, f.q**f.t - 2), (f, x)
+    with pytest.raises(ZeroDivisionError):
+        f.inv(f.zero)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        ExtField(PrimeField(5), 2),
+        ExtField(PrimeField(2), 3),
+        ExtField(PrimeField(3), 4),
+        ExtField(PrimeField(7), 1),
+        ExtField(PrimeField(3), 3, (1, 0, 2, 1)),  # x^3 + 2x^2 + 1, not the default modulus
+        ExtField(PrimeField(2), 4, (1, 1, 1, 1, 1)),  # x^4 + x^3 + x^2 + x + 1
+    ],
+    ids=repr,
+)
+def test_ext_inverse_matches_power_exhaustive(f):
+    _assert_inverse_matches_power(f, f.elements())
+
+
+@pytest.mark.parametrize("q, t", [(5, 5), (7, 6), (5, 8), (7, 9)])
+def test_ext_inverse_matches_power_sampled(q, t):
+    f = ExtField(PrimeField(q), t)
+    rng = random.Random(q * 100 + t)
+    _assert_inverse_matches_power(f, [f.random_element(rng) for _ in range(64)])
+
+
 def test_degree_one_extension_matches_prime_field():
     f = ExtField(PrimeField(5), 1)
     assert f.modulus == (0, 1)
