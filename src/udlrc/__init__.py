@@ -66,7 +66,7 @@ from .construction import (
     mds_local_generator,
     validate_spec,
 )
-from .fields import ExtElem, ExtField, PrimeField, find_irreducible, is_prime
+from .fields import ExtElem, ExtField, ModulusSearchTooLarge, PrimeField, find_irreducible, is_prime
 from .gabidulin import (
     EvaluationPoints,
     LinearizedPoly,

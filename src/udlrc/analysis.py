@@ -20,7 +20,7 @@ from .construction import (
     LocalGroupLayout,
     erank,
 )
-from .linalg import Matrix, _extend
+from .linalg import Matrix, _packing
 
 DEFAULT_ORACLE_BUDGET = 20
 
@@ -76,30 +76,32 @@ def min_distance_oracle(gen: Matrix, budget: int = DEFAULT_ORACLE_BUDGET) -> Dis
         raise TooLarge(f"n={n} exceeds the enumeration budget {budget}")
     if gen.rank() < k:
         raise RankDeficientGenerator(f"generator rank below k={k}")
-    columns = gen.transpose().rows
+    pk = _packing(gen.field, k)
+    columns = [pk.pack(col) for col in gen.transpose().rows]
     for size in range(n - 1, -1, -1):
-        hit = _first_deficient(gen.field, columns, k, size, 0, [], [])
+        hit = _first_deficient(pk, columns, k, size, 0, [], [])
         if hit is not None:
             subset, r = hit
             return DistanceCertificate(d=n - size, witness=subset, witness_rank=r)
     raise AssertionError("unreachable: the empty set is always rank deficient")
 
 
-def _first_deficient(field, columns, k, size, start, path, basis):
+def _first_deficient(pk, columns, k, size, start, path, basis):
     """First subset of the given size, extending path with columns from
     start on, whose columns have rank < k; returned with its rank.
 
-    basis is the echelon basis of the path's columns.  Each column joins it
-    by one elimination step on the way down and leaves on the way back; a
-    path that reaches rank k is pruned, since every superset keeps rank k.
+    columns are packed by pk, and basis is the echelon basis of the path's
+    columns.  Each column joins it by one elimination step on the way down
+    and leaves on the way back; a path that reaches rank k is pruned, since
+    every superset keeps rank k.
     """
     if len(path) == size:
         return tuple(path), len(basis)
     for i in range(start, len(columns) - size + len(path) + 1):
-        grew = _extend(field, basis, columns[i], k)
+        grew = pk.extend(basis, columns[i], k)
         if len(basis) < k:
             path.append(i)
-            hit = _first_deficient(field, columns, k, size, i + 1, path, basis)
+            hit = _first_deficient(pk, columns, k, size, i + 1, path, basis)
             if hit is not None:
                 return hit
             path.pop()

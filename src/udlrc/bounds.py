@@ -26,6 +26,10 @@ class PreconditionViolated(ValueError):
     """Bound applied outside its stated parameter regime."""
 
 
+# Most classes permuted_tightest_bound will permute (8! orderings).
+PERMUTED_CLASS_LIMIT = 8
+
+
 class TooManyClasses(ValueError):
     """Permutation search limited to factorial-friendly class counts."""
 
@@ -157,8 +161,8 @@ def permuted_tightest_bound(spec: LocalitySpec) -> BoundReport:
     The identity ordering is included, so the result never exceeds the
     unpermuted bound.  Ties go to the lexicographically first permutation.
     """
-    if spec.s > 8:
-        raise TooManyClasses(f"permutation search capped at 8 classes, got {spec.s}")
+    if spec.s > PERMUTED_CLASS_LIMIT:
+        raise TooManyClasses(f"permutation search capped at {PERMUTED_CLASS_LIMIT} classes, got {spec.s}")
     best: BoundReport | None = None
     for perm in permutations(range(spec.s)):
         permuted = LocalitySpec(

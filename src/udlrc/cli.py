@@ -1,10 +1,12 @@
 """Command-line front end: bounds tables, build/encode/decode, certification.
 
 Exit codes are stable: 0 success, 2 bad description or input, 3 undecodable
-pattern, 4 certification failure, 5 enumeration budget exceeded.  Reports
-are deterministic: same inputs, byte-identical output.  The oracle budget
-(largest n the distance oracle will enumerate) defaults to 20 and can be
-set per run with --budget or globally with the UDLRC_BUDGET variable.
+pattern, 4 certification failure, 5 enumeration budget exceeded (oracle
+size, sweep work, the 8-class permutation search, the field-modulus
+search).  Reports are deterministic: same inputs, byte-identical output.
+The oracle budget (largest n the distance oracle will enumerate) defaults
+to 20 and can be set per run with --budget or globally with the
+UDLRC_BUDGET variable.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import os
 import random
 import sys
 from itertools import product
+from math import prod
 
 from .analysis import (
     DEFAULT_ORACLE_BUDGET,
@@ -29,8 +32,10 @@ from .analysis import (
     tightness_budget_size,
 )
 from .bounds import (
+    PERMUTED_CLASS_LIMIT,
     DimensionInfeasible,
     PreconditionViolated,
+    TooManyClasses,
     dimension_bound,
     distance_bound_rdelta,
     distance_bound_udlrc,
@@ -48,6 +53,7 @@ from .construction import (
     encode,
     validate_spec,
 )
+from .fields import ModulusSearchTooLarge, is_prime
 from .specfile import (
     SpecFileError,
     dump_symbols,
@@ -63,6 +69,8 @@ EXIT_UNDECODABLE = 3
 EXIT_CERTIFY_FAIL = 4
 EXIT_BUDGET = 5
 
+# Work cap of one sweep: every parameter combination visited, filtered ones
+# included, and every row emitted counts once against it.
 SWEEP_ROW_LIMIT = 10_000
 
 
@@ -354,6 +362,16 @@ def _parse_range(text: str, name: str) -> range:
 
 
 def cmd_sweep(args) -> int:
+    if not is_prime(args.q):
+        raise SpecFileError(f"--q must be a prime, got {args.q}")
+    if args.classes < 1:
+        raise SpecFileError(f"--classes must be a positive integer, got {args.classes}")
+    if args.classes > PERMUTED_CLASS_LIMIT:
+        # Every row reports the permuted bound, and product() holds one
+        # copy of the choices per class.
+        raise TooManyClasses(
+            f"--classes {args.classes} exceeds the {PERMUTED_CLASS_LIMIT}-class cap of the permuted bound"
+        )
     rs = _parse_range(args.r, "r")
     deltas = _parse_range(args.delta, "delta")
     ms = _parse_range(args.m, "m")
@@ -363,11 +381,23 @@ def cmd_sweep(args) -> int:
     report.add("meta", "q", args.q)
     report.add("meta", "classes", s)
 
-    combos = [c for c in product(product(rs, deltas, ms), repeat=s)]
-    rows = 0
+    def budget_exceeded() -> int:
+        report.add("status", "budget-exceeded")
+        report.emit()
+        return EXIT_BUDGET
+
     header = ("row", "classes", "k", "n", "dim-cap", "dist-cap", "pivot", "permuted", "unequal-r", "relation", "oracle-d")
     report.add(*header)
-    for combo in combos:
+    # product() keeps the per-class choices in memory and walks their
+    # combinations lazily.  It visits every choice for the last class first,
+    # so more choices than the cap would exceed it anyway.
+    if prod(max(0, v.stop - v.start) for v in (rs, deltas, ms)) > SWEEP_ROW_LIMIT:
+        return budget_exceeded()
+    rows = work = 0
+    for combo in product(product(rs, deltas, ms), repeat=s):
+        work += 1
+        if work > SWEEP_ROW_LIMIT:
+            return budget_exceeded()
         rlist = [c[0] for c in combo]
         dlist = [c[1] for c in combo]
         if any(a > b for a, b in zip(rlist, rlist[1:])):
@@ -380,10 +410,9 @@ def cmd_sweep(args) -> int:
         n_gab = sum(c.groups * c.r for c in classes)
         for k in range(1, n_gab + 1):
             rows += 1
-            if rows > SWEEP_ROW_LIMIT:
-                report.add("status", "budget-exceeded")
-                report.emit()
-                return EXIT_BUDGET
+            work += 1
+            if work > SWEEP_ROW_LIMIT:
+                return budget_exceeded()
             spec = LocalitySpec(classes=classes, k=k, q=args.q, t=n_gab)
             cap = distance_bound_udlrc(spec)
             perm = permuted_tightest_bound(spec)
@@ -487,7 +516,7 @@ def main(argv=None) -> int:
     except OrderedConditionRequired as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CERTIFY_FAIL
-    except TooLarge as exc:
+    except (TooLarge, TooManyClasses, ModulusSearchTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
 

@@ -15,6 +15,24 @@ from typing import Iterator, Sequence
 
 ExtElem = tuple[int, ...]
 
+# Candidates find_irreducible tests before giving up.  For every q <= 23
+# with t <= 16 the lex-first irreducible comes by candidate 212 (q = 23,
+# t = 12), and for any q with t <= 2 within the first few.  For large q
+# with gcd(t, q - 1) = 1, though, every x^t + c has a root, so an uncapped
+# scan would visit about q candidates.
+MODULUS_SEARCH_LIMIT = 1000
+
+
+class ModulusSearchTooLarge(ValueError):
+    """No irreducible modulus among the first MODULUS_SEARCH_LIMIT candidates."""
+
+    def __init__(self, q: int, t: int) -> None:
+        super().__init__(
+            f"no irreducible of degree {t} over GF({q}) among the first "
+            f"{MODULUS_SEARCH_LIMIT} candidates"
+        )
+        self.q, self.t = q, t
+
 
 def is_prime(n: int) -> bool:
     """Trial-division primality check, ample for desk-scale moduli."""
@@ -159,13 +177,15 @@ def find_irreducible(q: int, t: int) -> tuple[int, ...]:
 
     Candidates are scanned in increasing order of sum(c_i * q^i), so every
     (q, t) deterministically names one modulus and one field representation.
-    Returned as a coefficient tuple of length t + 1 with leading 1.
+    Returned as a coefficient tuple of length t + 1 with leading 1.  Raises
+    ModulusSearchTooLarge when the first MODULUS_SEARCH_LIMIT candidates
+    are all reducible.
     """
     if not is_prime(q):
         raise ValueError(f"base field size must be prime, got {q}")
     if t < 1:
         raise ValueError(f"degree must be >= 1, got {t}")
-    for code in range(q**t):
+    for code in range(min(q**t, MODULUS_SEARCH_LIMIT)):
         coeffs = []
         c = code
         for _ in range(t):
@@ -174,7 +194,8 @@ def find_irreducible(q: int, t: int) -> tuple[int, ...]:
         coeffs.append(1)
         if _is_irreducible(coeffs, q):
             return tuple(coeffs)
-    raise RuntimeError("unreachable: an irreducible of every degree exists")
+    # A search of all q^t candidates always finds one.
+    raise ModulusSearchTooLarge(q, t)
 
 
 class ExtField:

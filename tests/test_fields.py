@@ -3,7 +3,8 @@ import time
 
 import pytest
 
-from udlrc import ExtField, PrimeField, find_irreducible, is_prime
+from udlrc import ExtField, ModulusSearchTooLarge, PrimeField, find_irreducible, is_prime
+from udlrc.fields import MODULUS_SEARCH_LIMIT
 from udlrc.fields import _is_irreducible
 
 
@@ -71,6 +72,17 @@ def test_find_irreducible_large_prime_is_fast():
     start = time.perf_counter()
     assert find_irreducible(1000000007, 2) == (1, 0, 1)
     assert time.perf_counter() - start < 1.0
+
+
+def test_find_irreducible_gives_up_after_the_search_limit():
+    # gcd(5, q - 1) = 1, so every x^5 + c has a root and an uncapped scan
+    # would test about q candidates.
+    start = time.perf_counter()
+    with pytest.raises(ModulusSearchTooLarge, match=r"degree 5 over GF\(1000000007\)") as info:
+        find_irreducible(1000000007, 5)
+    assert time.perf_counter() - start < 1.0
+    assert (info.value.q, info.value.t) == (1000000007, 5)
+    assert f"first {MODULUS_SEARCH_LIMIT} candidates" in str(info.value)
 
 
 def test_ext_field_rejects_reducible_modulus():

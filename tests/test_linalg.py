@@ -207,3 +207,208 @@ def test_elimination_order_is_column_order(rng):
             for v in vectors:
                 tracker.add(v)
             assert tracker.rank == Matrix(base, vectors).rank()
+
+
+# ---------------------------------------------------------------------------
+# Reference: the list-based elimination the packed kernel replaced.  A basis
+# entry is (pivot column, inverse of the pivot, row); every step is L
+# element-wise multiply-subtracts through the field context.
+
+
+def _reduce(field, row, basis):
+    zero, mul, sub = field.zero, field.mul, field.sub
+    for col, pinv, prow in basis:
+        v = row[col]
+        if v != zero:
+            fac = mul(v, pinv)
+            row = [sub(a, mul(fac, p)) for a, p in zip(row, prow)]
+    return row
+
+
+def _extend(field, basis, row, width):
+    row = _reduce(field, row, basis)
+    for col in range(width):
+        if row[col] != field.zero:
+            basis.append((col, field.inv(row[col]), row))
+            return True
+    return False
+
+
+def _echelon(field, rows, width):
+    basis = []
+    for row in rows:
+        _extend(field, basis, list(row), width)
+    return basis
+
+
+def _reduced_echelon(field, rows, width):
+    basis = _echelon(field, rows, width)
+    for i in range(len(basis) - 1, -1, -1):
+        col, pinv, row = basis[i]
+        basis[i] = (col, pinv, _reduce(field, row, basis[i + 1 :]))
+    return sorted(basis, key=lambda entry: entry[0])
+
+
+def _ref_rank(m):
+    return len(_echelon(m.field, m.rows, m.ncols))
+
+
+def _ref_row_space_basis(m):
+    mul = m.field.mul
+    return [[mul(pinv, v) for v in row] for _, pinv, row in _reduced_echelon(m.field, m.rows, m.ncols)]
+
+
+def _ref_solve_block(m, right):
+    """X with m @ X = right, or None when m is singular."""
+    n, mul = m.nrows, m.field.mul
+    basis = _reduced_echelon(m.field, [list(r) + list(b) for r, b in zip(m.rows, right)], n)
+    if len(basis) < n:
+        return None
+    return [[mul(pinv, v) for v in row[n:]] for _, pinv, row in basis]
+
+
+def _ref_tracker_rank(q, vectors):
+    base = PrimeField(q)
+    return len(_echelon(base, [[c % q for c in v] for v in vectors], len(vectors[0])))
+
+
+def _coords(field, e):
+    return list(e) if isinstance(e, tuple) else [e]
+
+
+def _check_against_reference(m, rhs):
+    """rank, row_space_basis, solve, inverse and RankTracker.rank of m
+    equal the list-based reference."""
+    field = m.field
+    assert m.rank() == _ref_rank(m)
+    assert m.row_space_basis().rows == _ref_row_space_basis(m)
+    if m.nrows == m.ncols and m.nrows:
+        n = m.nrows
+        expected = _ref_solve_block(m, [[v] for v in rhs])
+        inverse = _ref_solve_block(m, Matrix.identity(field, n).rows)
+        if expected is None:
+            with pytest.raises(SingularMatrix):
+                m.solve(rhs)
+            with pytest.raises(SingularMatrix):
+                m.inverse()
+        else:
+            assert m.solve(rhs) == [x for (x,) in expected]
+            assert m.inverse().rows == inverse
+    # Each row's coordinate vector over F_q, as RankTracker sees points.
+    vectors = [[c for e in row for c in _coords(field, e)] for row in m.rows]
+    if vectors and vectors[0]:
+        tracker = RankTracker(field.q)
+        grew = [tracker.add(v) for v in vectors]
+        assert tracker.rank == sum(grew) == _ref_tracker_rank(field.q, vectors)
+
+
+def _extreme_elements(field):
+    """Zero, one and elements with every coordinate at q - 1 or a lone
+    nonzero, the operands that drive the packed slots to their bounds."""
+    q, t = field.q, getattr(field, "t", 1)
+    if not isinstance(field.zero, tuple):
+        return [0, 1, q - 1]
+    return [field.zero, field.one, (q - 1,) * t, (0,) * (t - 1) + (q - 1,), (1,) + (q - 1,) * (t - 1)]
+
+
+def _seeded_matrices(field, rng):
+    """Random matrices with zero rows, repeated and scaled rows, zero
+    columns and extreme entries, in wide, tall and square shapes."""
+    extremes = _extreme_elements(field)
+    for rows, cols in ((3, 5), (5, 3), (4, 4), (6, 6), (2, 7)):
+        for variant in range(4):
+            m = random_matrix(field, rows, cols, rng)
+            if variant == 1:
+                m.rows[rows - 1] = [field.zero] * cols
+                m.rows[0] = list(m.rows[rows // 2])
+            elif variant == 2:
+                scalar = field.random_element(rng)
+                m.rows[1] = [field.mul(scalar, v) for v in m.rows[0]]
+                for row in m.rows:
+                    row[cols // 2] = field.zero
+            elif variant == 3:
+                m = Matrix(field, [[rng.choice(extremes) for _ in range(cols)] for _ in range(rows)])
+            yield m
+
+
+def test_packed_kernel_exhaustive_2x2():
+    """Every 2x2 matrix over GF(3) and GF(2^2), with every right-hand side."""
+    from itertools import product
+
+    for field in (PrimeField(3), ExtField(PrimeField(2), 2)):
+        elems = list(field.elements())
+        for entries in product(elems, repeat=4):
+            m = Matrix(field, [list(entries[:2]), list(entries[2:])])
+            for rhs in product(elems, repeat=2):
+                _check_against_reference(m, list(rhs))
+
+
+@pytest.mark.parametrize(
+    "q,t",
+    [(2, 1), (5, 1), (5, 5), (5, 8), (7, 9), (5, 10)],
+    ids=["gf2", "gf5", "gf5_5", "gf5_8", "gf7_9", "gf5_10"],
+)
+def test_packed_kernel_matches_reference_seeded(q, t, rng):
+    field = PrimeField(q) if t == 1 else ExtField(PrimeField(q), t)
+    for m in _seeded_matrices(field, rng):
+        _check_against_reference(m, [field.random_element(rng) for _ in range(m.nrows)])
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        PrimeField(2),
+        ExtField(PrimeField(2), 1),
+        ExtField(PrimeField(2), 3),
+        PrimeField(1000000007),
+        ExtField(PrimeField(1000000007), 1),
+        ExtField(PrimeField(1000000007), 2),
+    ],
+    ids=["gf2", "gf2^1", "gf2_3", "p", "p^1", "p_2"],
+)
+def test_packed_kernel_at_slot_width_extremes(field, rng):
+    """The narrowest slots (q = 2) and the widest (q = 1000000007)."""
+    for m in _seeded_matrices(field, rng):
+        _check_against_reference(m, [field.random_element(rng) for _ in range(m.nrows)])
+
+
+def test_packed_step_at_its_slot_bound():
+    """One elimination step with every operand at its largest: the packed
+    result equals p * row - v * prow computed element by element."""
+    from udlrc.linalg import _packing
+
+    for field in (PrimeField(2), PrimeField(1000000007), ExtField(PrimeField(2), 3),
+                  ExtField(PrimeField(7), 9), ExtField(PrimeField(1000000007), 2)):
+        extremes = [e for e in _extreme_elements(field) if e != field.zero]
+        pk = _packing(field, 4)
+        for a in extremes:
+            for b in extremes:
+                row, prow = [a] * 4, [b] * 4
+                packed = pk.pack(row) * pk.pack_elem(b) + (pk.negq - pk.pack_elem(a)) * pk.pack(prow)
+                expected = [field.sub(field.mul(b, x), field.mul(a, y)) for x, y in zip(row, prow)]
+                assert pk.unpack(pk.canon(packed)) == expected
+
+
+def test_packed_kernel_property():
+    """Random small matrices over small fields agree with the reference."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    fields = [PrimeField(2), PrimeField(3), PrimeField(5), ExtField(PrimeField(2), 2),
+              ExtField(PrimeField(2), 3), ExtField(PrimeField(3), 2)]
+
+    @st.composite
+    def matrices(draw):
+        field = draw(st.sampled_from(fields))
+        rows = draw(st.integers(1, 4))
+        cols = draw(st.integers(1, 5))
+        elem = st.sampled_from(list(field.elements()))
+        entries = draw(st.lists(st.lists(elem, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+        rhs = draw(st.lists(elem, min_size=rows, max_size=rows))
+        return Matrix(field, entries), rhs
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(matrices())
+    def check(case):
+        _check_against_reference(*case)
+
+    check()

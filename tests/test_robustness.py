@@ -1,7 +1,9 @@
 """Malformed inputs end in a documented exit code and a message naming the
-bad field, never a traceback.  Every case runs the CLI in process."""
+bad field, and oversized ones in exit 5 within a second, never a traceback
+or a hang.  Every case runs the CLI in process."""
 
 import json
+import time
 
 import pytest
 
@@ -75,3 +77,67 @@ def test_negative_sweep_budget(capsys):
     code, err = _run(argv, capsys)
     assert code == 2
     assert "--budget must be a non-negative integer, got -1" in err
+
+
+def _sweep(q, classes, r="1", delta="2", m="1", *extra):
+    return ["sweep", "--q", str(q), "--classes", str(classes), "--r", r, "--delta", delta, "--m", m, *extra]
+
+
+@pytest.mark.parametrize("classes", [-1, 0])
+def test_sweep_needs_a_class(classes, capsys):
+    code, err = _run(_sweep(5, classes, "1:1", "2:2", "1:1"), capsys)
+    assert code == 2
+    assert f"--classes must be a positive integer, got {classes}" in err
+
+
+@pytest.mark.parametrize("q", [4, 1, 0, -5])
+@pytest.mark.parametrize("extra", [(), ("--budget", "10")], ids=["table", "oracle"])
+def test_sweep_q_must_be_prime(q, extra, capsys):
+    code, err = _run(_sweep(q, 1, "1", "2", "1", *extra), capsys)
+    assert code == 2
+    assert f"--q must be a prime, got {q}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 216^9 combinations, and more classes than the permuted bound takes.
+        _sweep(5, 9, "1:3", "2:9", "1:9"),
+        _sweep(5, 10**9),
+        # 216^4 combinations, every one filtered out (q < r + delta - 1):
+        # the visited combinations alone reach the work cap.
+        _sweep(2, 4, "2:4", "2:9", "1:9"),
+        # More per-class choices than the cap.
+        _sweep(5, 1, "1:99999999999999999999", "2", "1"),
+    ],
+    ids=["nine-classes", "huge-classes", "all-filtered", "huge-range"],
+)
+def test_sweep_enumeration_is_bounded(argv, capsys):
+    start = time.perf_counter()
+    code, _ = _run(argv, capsys)
+    assert code == 5
+    assert time.perf_counter() - start < 1.0
+
+
+def test_sweep_class_cap_names_the_flag(capsys):
+    code, err = _run(_sweep(5, 9, "1:3", "2:9", "1:9"), capsys)
+    assert code == 5
+    assert "--classes 9 exceeds the 8-class cap of the permuted bound" in err
+
+
+def test_sweep_work_cap_reports_budget_exceeded(capsys):
+    code = cli.main(_sweep(2, 4, "2:4", "2:9", "1:9", "--format", "machine"))
+    out = capsys.readouterr().out
+    assert code == 5
+    assert out.splitlines()[-1] == "status\tbudget-exceeded"
+    assert "\nrow\t(" not in out
+
+
+def test_field_setup_over_the_search_limit_exits_five(tmp_path, capsys):
+    # t = 5 over GF(1000000007): every x^5 + c has a root.
+    doc = {"q": 1000000007, "t": 5, "k": 2, "classes": [{"r": 2, "delta": 2, "m": 1}]}
+    start = time.perf_counter()
+    code, err = _run(["build", "--spec", _spec_file(tmp_path, doc)], capsys)
+    assert code == 5
+    assert "degree 5 over GF(1000000007)" in err
+    assert time.perf_counter() - start < 1.0
