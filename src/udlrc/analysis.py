@@ -90,15 +90,15 @@ def _first_deficient(pk, columns, k, size, start, path, basis):
     """First subset of the given size, extending path with columns from
     start on, whose columns have rank < k; returned with its rank.
 
-    columns are packed by pk, and basis is the echelon basis of the path's
-    columns.  Each column joins it by one elimination step on the way down
-    and leaves on the way back; a path that reaches rank k is pruned, since
-    every superset keeps rank k.
+    columns are rows of pk.length elements packed by pk, and basis is the
+    echelon basis of the path's columns.  Each column joins it by one
+    elimination step on the way down and leaves on the way back; a path
+    that reaches rank k is pruned, since every superset keeps rank k.
     """
     if len(path) == size:
         return tuple(path), len(basis)
     for i in range(start, len(columns) - size + len(path) + 1):
-        grew = pk.extend(basis, columns[i], k)
+        grew = pk.extend(basis, columns[i], pk.length)
         if len(basis) < k:
             path.append(i)
             hit = _first_deficient(pk, columns, k, size, i + 1, path, basis)
@@ -365,13 +365,14 @@ def tightness_budget_size(inst: CodeInstance) -> int:
     return spec.n + 1 - distance_bound_udlrc(spec).value
 
 
-def certify_distance_optimal(inst: CodeInstance, exhaustive_limit: int = 14) -> bool:
+def certify_distance_optimal(inst: CodeInstance, budget: int = DEFAULT_ORACLE_BUDGET) -> bool:
     """Certify that the built code meets its distance ceiling with equality.
 
     Checks that every symbol set of the critical size tau = n + 1 - ceiling
-    is decodable: by the greedy worst-case pattern alone (which minimizes
-    remaining rank), cross-validated exhaustively when n is small enough.
-    Requires the ordered parameter condition, under which the greedy
+    has points of F_q-rank at least k: by the greedy worst-case pattern
+    (which minimizes remaining rank), and for n within the oracle budget by
+    the oracle's walk over all tau-sets of points as length-t rows over
+    F_q.  Requires the ordered parameter condition, under which the greedy
     pattern argument is valid.
     """
     spec = inst.spec
@@ -380,11 +381,10 @@ def certify_distance_optimal(inst: CodeInstance, exhaustive_limit: int = 14) -> 
             "distance certification needs nondecreasing r and nonincreasing delta"
         )
     tau = tightness_budget_size(inst)
-    n = spec.n
-    greedy = worst_case_pattern(inst.layout, n - tau)
+    greedy = worst_case_pattern(inst.layout, spec.n - tau)
     ok = erank(inst, greedy.remaining) >= spec.k
-    if ok and n <= exhaustive_limit:
-        ok = all(
-            erank(inst, subset) >= spec.k for subset in combinations(range(n), tau)
-        )
+    if ok and spec.n <= budget:
+        pk = _packing(inst.base, spec.t)
+        points = [pk.pack(y) for y in inst.points]
+        ok = _first_deficient(pk, points, spec.k, tau, 0, [], []) is None
     return ok

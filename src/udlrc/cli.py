@@ -6,7 +6,8 @@ size, sweep work, the 8-class permutation search, the field-modulus
 search).  Reports are deterministic: same inputs, byte-identical output.
 The oracle budget (largest n the distance oracle will enumerate) defaults
 to 20 and can be set per run with --budget or globally with the
-UDLRC_BUDGET variable.
+UDLRC_BUDGET variable; certify's exhaustive distance-optimality check
+walks the symbol points under the same budget.
 """
 
 from __future__ import annotations
@@ -330,7 +331,7 @@ def cmd_certify(args) -> int:
 
     bound = distance_bound_udlrc(spec)
     if spec.ordered_condition:
-        optimal = certify_distance_optimal(inst)
+        optimal = certify_distance_optimal(inst, budget=budget)
         failed |= not optimal
         report.add(
             "check",

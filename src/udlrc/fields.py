@@ -15,21 +15,22 @@ from typing import Iterator, Sequence
 
 ExtElem = tuple[int, ...]
 
-# Candidates find_irreducible tests before giving up.  For every q <= 23
-# with t <= 16 the lex-first irreducible comes by candidate 212 (q = 23,
-# t = 12), and for any q with t <= 2 within the first few.  For large q
-# with gcd(t, q - 1) = 1, though, every x^t + c has a root, so an uncapped
-# scan would visit about q candidates.
-MODULUS_SEARCH_LIMIT = 1000
+# Work find_irreducible may spend, in coefficient products.  A Rabin test
+# of a degree-t candidate runs up to t // 2 powers x^(q^d), each about
+# bitlen(q) polynomial products, charged (t + 8)^2 each (t^2 plus a fixed
+# cost that dominates at small t) before the test runs.  A refused search
+# gives up within about 0.3 s on an x86 core; every q <= 23 with t <= 16
+# fits (GF(23^12) costs 2,556,000 units, GF(5^10) 165,240).
+MODULUS_SEARCH_BUDGET = 4_000_000
 
 
 class ModulusSearchTooLarge(ValueError):
-    """No irreducible modulus among the first MODULUS_SEARCH_LIMIT candidates."""
+    """No irreducible modulus among the candidates the search budget pays for."""
 
     def __init__(self, q: int, t: int) -> None:
         super().__init__(
-            f"no irreducible of degree {t} over GF({q}) among the first "
-            f"{MODULUS_SEARCH_LIMIT} candidates"
+            f"no irreducible of degree {t} over GF({q}) within the modulus "
+            f"search budget of {MODULUS_SEARCH_BUDGET} coefficient products"
         )
         self.q, self.t = q, t
 
@@ -178,14 +179,15 @@ def find_irreducible(q: int, t: int) -> tuple[int, ...]:
     Candidates are scanned in increasing order of sum(c_i * q^i), so every
     (q, t) deterministically names one modulus and one field representation.
     Returned as a coefficient tuple of length t + 1 with leading 1.  Raises
-    ModulusSearchTooLarge when the first MODULUS_SEARCH_LIMIT candidates
-    are all reducible.
+    ModulusSearchTooLarge when the candidates MODULUS_SEARCH_BUDGET pays
+    for are all reducible.
     """
     if not is_prime(q):
         raise ValueError(f"base field size must be prime, got {q}")
     if t < 1:
         raise ValueError(f"degree must be >= 1, got {t}")
-    for code in range(min(q**t, MODULUS_SEARCH_LIMIT)):
+    cost = max(1, t // 2) * (t + 8) ** 2 * q.bit_length()
+    for code in range(MODULUS_SEARCH_BUDGET // cost):
         coeffs = []
         c = code
         for _ in range(t):
@@ -194,7 +196,7 @@ def find_irreducible(q: int, t: int) -> tuple[int, ...]:
         coeffs.append(1)
         if _is_irreducible(coeffs, q):
             return tuple(coeffs)
-    # A search of all q^t candidates always finds one.
+    # Every degree has an irreducible among the first q^t candidates.
     raise ModulusSearchTooLarge(q, t)
 
 

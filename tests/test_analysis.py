@@ -1,5 +1,6 @@
+import dataclasses
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -25,6 +26,7 @@ from udlrc import (
     distance_bound_measured,
     erank,
     grank,
+    load_spec_file,
     locality_witness_search,
     min_distance_oracle,
     punctured_code_profile,
@@ -35,6 +37,7 @@ from udlrc import (
     worst_case_pattern,
 )
 from conftest import REVERSED_SPEC, load_workloads
+from udlrc.linalg import base_rank
 
 F5 = PrimeField(5)
 
@@ -441,6 +444,55 @@ def test_transform_pattern_rank_never_increases(ref_instance):
 def test_certify_distance_optimal(all_instances):
     for inst in all_instances:
         assert certify_distance_optimal(inst)
+
+
+def _loop_certify(inst):
+    """The exhaustive check the point walk replaced: the greedy pattern and
+    then every tau-set of symbols, each by the pooled F_q rank of its points."""
+    spec = inst.spec
+    tau = tightness_budget_size(inst)
+
+    def rank(symbols):
+        return base_rank(inst.field, [inst.points[i] for i in symbols])
+
+    greedy = worst_case_pattern(inst.layout, spec.n - tau)
+    return rank(greedy.remaining) >= spec.k and all(
+        rank(subset) >= spec.k for subset in combinations(range(spec.n), tau)
+    )
+
+
+def _ordered_small_specs():
+    """Every ordered buildable spec with q in {5, 7}, s <= 2, r <= 3,
+    delta <= 3, m <= 2 and n <= 10, at t = n_gab and every k."""
+    for q, s in product((5, 7), (1, 2)):
+        for combo in product(product(range(1, 4), range(2, 4), range(1, 3)), repeat=s):
+            classes = tuple(LocalityClass.from_groups(r, d, m) for r, d, m in combo)
+            shape = LocalitySpec(classes=classes, k=1, q=q, t=1)
+            if shape.ordered_condition and shape.n <= 10:
+                for k in range(1, shape.n_gab + 1):
+                    yield LocalitySpec(classes=classes, k=k, q=q, t=shape.n_gab)
+
+
+def _with_copied_point(inst):
+    """The instance with the first symbol of its last group carrying the
+    point of symbol 0, so two groups' point spans meet."""
+    points = list(inst.points)
+    points[inst.layout.groups[-1][0]] = points[0]
+    return dataclasses.replace(inst, points=tuple(points))
+
+
+def test_certify_walk_matches_the_subset_loop(all_instances):
+    gf7_9 = load_spec_file(load_workloads().SPEC_DIR / "gf7_9.json")[0]
+    honest = list(all_instances) + [build_code(validate_spec(gf7_9))]
+    honest += [build_code(validate_spec(spec)) for spec in _ordered_small_specs()]
+    faulty = [_with_copied_point(inst) for inst in honest if len(inst.layout.groups) > 1]
+    assert (len(honest), len(faulty)) == (413, 389)
+    for inst in honest:
+        assert certify_distance_optimal(inst) is _loop_certify(inst) is True
+    verdicts = [certify_distance_optimal(inst) for inst in faulty]
+    assert verdicts == [_loop_certify(inst) for inst in faulty]
+    # On 299 of them some tau-set of points falls below rank k.
+    assert verdicts.count(False) == 299
 
 
 @pytest.mark.parametrize(

@@ -286,7 +286,7 @@ def test_certification_failure_exits_four(workdir, monkeypatch, capsys):
     # unreachable through honest builds, so force one check to report failure
     import udlrc.cli as cli
 
-    monkeypatch.setattr(cli, "certify_distance_optimal", lambda inst: False)
+    monkeypatch.setattr(cli, "certify_distance_optimal", lambda inst, budget: False)
     code = cli.main(["certify", "--spec", str(workdir / "ref.spec")])
     out = capsys.readouterr().out
     assert code == 4

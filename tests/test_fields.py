@@ -4,7 +4,7 @@ import time
 import pytest
 
 from udlrc import ExtField, ModulusSearchTooLarge, PrimeField, find_irreducible, is_prime
-from udlrc.fields import MODULUS_SEARCH_LIMIT
+from udlrc.fields import MODULUS_SEARCH_BUDGET
 from udlrc.fields import _is_irreducible
 
 
@@ -82,7 +82,13 @@ def test_find_irreducible_gives_up_after_the_search_limit():
         find_irreducible(1000000007, 5)
     assert time.perf_counter() - start < 1.0
     assert (info.value.q, info.value.t) == (1000000007, 5)
-    assert f"first {MODULUS_SEARCH_LIMIT} candidates" in str(info.value)
+    assert f"search budget of {MODULUS_SEARCH_BUDGET} coefficient products" in str(info.value)
+
+
+def test_find_irreducible_budget_covers_small_fields():
+    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+        for t in range(1, 17):
+            assert _is_irreducible(find_irreducible(q, t), q)
 
 
 def test_ext_field_rejects_reducible_modulus():

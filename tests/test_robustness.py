@@ -141,3 +141,15 @@ def test_field_setup_over_the_search_limit_exits_five(tmp_path, capsys):
     assert code == 5
     assert "degree 5 over GF(1000000007)" in err
     assert time.perf_counter() - start < 1.0
+
+
+def test_field_setup_over_the_work_budget_exits_five(tmp_path, capsys):
+    # One Rabin test of a degree-400 candidate costs more than the whole
+    # set-up budget, so the modulus search stops before its first test.
+    path = tmp_path / "wide.spec"
+    path.write_text("q: 5\nt: 400\nk: 1\nclass: r=1 delta=2 m=1\n")
+    start = time.perf_counter()
+    code, err = _run(["build", "--spec", str(path)], capsys)
+    assert code == 5
+    assert "degree 400 over GF(5)" in err
+    assert time.perf_counter() - start < 1.0
