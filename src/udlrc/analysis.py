@@ -63,27 +63,33 @@ class DistanceCertificate:
 def min_distance_oracle(gen: Matrix, budget: int = DEFAULT_ORACLE_BUDGET) -> DistanceCertificate:
     """Exact minimum distance: n minus the largest symbol set of rank < k.
 
-    Scans subset sizes downward from n - 1 and stops at the first size
-    carrying a rank-deficient subset; the sizes with deficient subsets form
-    an initial segment, so the first hit is the maximum.  Within a size,
-    subsets are walked depth first in combinations order over the
-    generator's columns, so the hit is the lexicographically first
-    deficient subset of that size.
+    Walks the columns of the generator's reduced basis (row operations keep
+    every column subset's rank; unit pivot columns skip most elimination
+    steps) depth first in combinations order, so a hit is the
+    lexicographically first deficient subset of its size.  The sizes with
+    a deficient subset form an initial segment that holds k - 1 (Singleton),
+    so the scan runs upward from k - 1 to the first size without a hit,
+    and the last hit, at size n - d, is exact for any generator.
     """
     n = gen.ncols
     k = gen.nrows
     if n > budget:
         raise TooLarge(f"n={n} exceeds the enumeration budget {budget}")
-    if gen.rank() < k:
+    pn = _packing(gen.field, n)
+    basis = pn.reduced(map(pn.pack, gen.rows), n)
+    if len(basis) < k:
         raise RankDeficientGenerator(f"generator rank below k={k}")
     pk = _packing(gen.field, k)
-    columns = [pk.pack(col) for col in gen.transpose().rows]
-    for size in range(n - 1, -1, -1):
+    columns = [pk.pack(col) for col in zip(*(pn.unpack(row) for _, row in basis))]
+    cert = None
+    for size in range(max(k - 1, 0), n):
         hit = _first_deficient(pk, columns, k, size, 0, [], [])
-        if hit is not None:
-            subset, r = hit
-            return DistanceCertificate(d=n - size, witness=subset, witness_rank=r)
-    raise AssertionError("unreachable: the empty set is always rank deficient")
+        if hit is None:
+            break
+        cert = DistanceCertificate(d=n - size, witness=hit[0], witness_rank=hit[1])
+    if cert is None:
+        raise AssertionError("unreachable: any k - 1 columns are rank deficient")
+    return cert
 
 
 def _first_deficient(pk, columns, k, size, start, path, basis):

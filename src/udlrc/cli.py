@@ -54,7 +54,7 @@ from .construction import (
     encode,
     validate_spec,
 )
-from .fields import ModulusSearchTooLarge, is_prime
+from .fields import PRIME_CHECK_LIMIT, ModulusSearchTooLarge, is_prime
 from .specfile import (
     SpecFileError,
     dump_symbols,
@@ -363,7 +363,7 @@ def _parse_range(text: str, name: str) -> range:
 
 
 def cmd_sweep(args) -> int:
-    if not is_prime(args.q):
+    if args.q >= PRIME_CHECK_LIMIT or not is_prime(args.q):
         raise SpecFileError(f"--q must be a prime, got {args.q}")
     if args.classes < 1:
         raise SpecFileError(f"--classes must be a positive integer, got {args.classes}")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .fields import ExtElem, ExtField, PrimeField, is_prime
+from .fields import PRIME_CHECK_LIMIT, ExtElem, ExtField, PrimeField, is_prime
 from .gabidulin import EvaluationPoints, default_points, gabidulin_encode, moore_matrix
 from .linalg import Matrix, RankTracker, base_rank
 
@@ -167,7 +167,7 @@ def validate_spec(spec: LocalitySpec) -> LocalitySpec:
     Raises SpecInvalid naming the violated constraint; returns the spec so
     calls can be chained.  The ordered condition is recorded, not required.
     """
-    if not is_prime(spec.q):
+    if spec.q >= PRIME_CHECK_LIMIT or not is_prime(spec.q):
         raise SpecInvalid(f"base field size must be prime, got q={spec.q}")
     for j, c in enumerate(spec.classes, 1):
         if not c.has_whole_groups:

@@ -35,18 +35,21 @@ class ModulusSearchTooLarge(ValueError):
         self.q, self.t = q, t
 
 
+# Miller-Rabin to the first 13 prime bases decides every n below
+# PRIME_CHECK_LIMIT exactly (Sorenson and Webster, 2015).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_CHECK_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality check, ample for desk-scale moduli."""
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    """Deterministic Miller-Rabin; raises ValueError from PRIME_CHECK_LIMIT up."""
+    if n >= PRIME_CHECK_LIMIT:
+        raise ValueError(f"cannot decide whether {n} is prime: it is not below {PRIME_CHECK_LIMIT}")
+    if n < 2 or any(n % p == 0 for p in _PRIME_BASES):
+        return n in _PRIME_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    return all(pow(a, d, n) == 1 or any(pow(a, d << i, n) == n - 1 for i in range(s)) for a in _PRIME_BASES)
 
 
 class PrimeField:

@@ -26,7 +26,8 @@ inverse; the zero pattern, and hence every pivot and rank, is the same.
 Rows join the basis in the order they arrive, each pivoting on its first
 nonzero column, read off the lowest set bit of the packed row, so the
 length of the basis is the rank (Matrix.rank, RankTracker).  A backward
-pass of the same step brings the basis to reduced form, and one pivot
+pass of the same step brings the basis to reduced form, pivots unscaled
+(_Packing.reduced, whose columns the distance oracle walks), and one pivot
 inverse per row scales it to RREF (solve, inverse, row_space_basis).
 Rows are packed on entry to an elimination and unpacked on exit, so
 elements keep their public form.  A fixed pivot rule keeps every run
@@ -172,17 +173,22 @@ class _Packing:
             self.extend(basis, row, width)
         return basis
 
-    def reduced_echelon(self, rows: Iterable[int], width: int) -> list[int]:
-        """The reduced row echelon form of the packed rows, pivots in the
-        first width columns, sorted by pivot column, zero rows dropped."""
+    def reduced(self, rows: Iterable[int], width: int) -> list[tuple]:
+        """Echelon basis of the packed rows, each pivot column cleared in
+        every other entry, sorted by pivot column; pivots are not scaled."""
         basis = self.echelon(rows, width)
         # The entries after i are already clear of every pivot but their own,
         # so reducing entry i against them keeps its own pivot nonzero.
         for i in range(len(basis) - 1, -1, -1):
             off, row = basis[i]
             basis[i] = (off, self.reduce(row, basis[i + 1 :]))
-        basis.sort(key=lambda entry: entry[0])
+        return sorted(basis, key=lambda entry: entry[0])
+
+    def reduced_echelon(self, rows: Iterable[int], width: int) -> list[int]:
+        """The reduced row echelon form of the packed rows, pivots in the
+        first width columns, sorted by pivot column, zero rows dropped."""
         field, canon = self.field, self.canon
+        basis = self.reduced(rows, width)
         return [canon(self.pack_elem(field.inv(self.unpack_elem(row >> off))) * row) for off, row in basis]
 
 

@@ -4,12 +4,27 @@ import time
 import pytest
 
 from udlrc import ExtField, ModulusSearchTooLarge, PrimeField, find_irreducible, is_prime
-from udlrc.fields import MODULUS_SEARCH_BUDGET
+from udlrc.fields import MODULUS_SEARCH_BUDGET, PRIME_CHECK_LIMIT
 from udlrc.fields import _is_irreducible
 
 
 def test_prime_check():
     assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def test_prime_check_is_exact_below_its_limit():
+    def trial_division(n):
+        return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert all(is_prime(n) == trial_division(n) for n in range(-3, 20000))
+    # The least strong pseudoprimes to the first 9 and the first 12 prime
+    # bases: the 13th base, 41, is what exposes the second.
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(2**31 - 1) and is_prime(2**61 - 1)
+    assert not is_prime((2**31 - 1) * (2**31 - 19))
+    with pytest.raises(ValueError, match="not below"):
+        is_prime(PRIME_CHECK_LIMIT)
 
 
 def test_prime_field_rejects_composite():

@@ -51,7 +51,7 @@ def test_cli_exits_with_a_documented_code(tmp_path, monkeypatch):
 
     # Some descriptions get one field made wrong: junk, out of range, or
     # (q, t) past the modulus search budget.  q stays small or a known
-    # prime, since is_prime is trial division.
+    # prime; tests/test_robustness.py covers large q.
     wrong = st.one_of(
         st.tuples(st.sampled_from(["q", "t", "k", "seed", "classes"]), junk),
         st.tuples(st.just("q"), st.sampled_from([-5, 0, 1, 2, 3, 4, 1000000007])),

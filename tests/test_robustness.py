@@ -8,6 +8,7 @@ import time
 import pytest
 
 from udlrc import cli
+from udlrc.fields import PRIME_CHECK_LIMIT
 
 REF = {"q": 5, "t": 5, "k": 4, "seed": 7, "classes": [{"r": 2, "delta": 3, "m": 1}, {"r": 3, "delta": 2, "m": 1}]}
 
@@ -152,4 +153,24 @@ def test_field_setup_over_the_work_budget_exits_five(tmp_path, capsys):
     code, err = _run(["build", "--spec", str(path)], capsys)
     assert code == 5
     assert "degree 400 over GF(5)" in err
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "q,code",
+    [(2**61 - 1, 0), ((2**31 - 1) * (2**31 - 19), 2), (PRIME_CHECK_LIMIT, 2), (2**89 - 1, 2)],
+    ids=["prime-2^61-1", "semiprime", "at-the-limit", "prime-above-the-limit"],
+)
+@pytest.mark.parametrize("command", ["bounds", "sweep"])
+def test_large_q_is_decided_within_a_second(command, q, code, tmp_path, capsys):
+    # Primality is decided up to PRIME_CHECK_LIMIT and refused above it.
+    doc = {"q": q, "t": 2, "k": 2, "classes": [{"r": 2, "delta": 2, "m": 1}]}
+    if command == "bounds":
+        argv, message = ["bounds", "--spec", _spec_file(tmp_path, doc)], f"base field size must be prime, got q={q}"
+    else:
+        argv, message = _sweep(q, 1), f"--q must be a prime, got {q}"
+    start = time.perf_counter()
+    got, err = _run(argv, capsys)
+    assert got == code
+    assert (message in err) == (code == 2)
     assert time.perf_counter() - start < 1.0
