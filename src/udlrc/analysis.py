@@ -20,7 +20,8 @@ from .construction import (
     LocalGroupLayout,
     erank,
 )
-from .linalg import Matrix, _packing
+from .fields import _packing
+from .linalg import Matrix
 
 DEFAULT_ORACLE_BUDGET = 20
 

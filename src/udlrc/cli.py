@@ -363,7 +363,9 @@ def _parse_range(text: str, name: str) -> range:
 
 
 def cmd_sweep(args) -> int:
-    if args.q >= PRIME_CHECK_LIMIT or not is_prime(args.q):
+    if args.q >= PRIME_CHECK_LIMIT:
+        raise SpecFileError(f"--q {args.q} is not below {PRIME_CHECK_LIMIT}, the primality test's limit")
+    if not is_prime(args.q):
         raise SpecFileError(f"--q must be a prime, got {args.q}")
     if args.classes < 1:
         raise SpecFileError(f"--classes must be a positive integer, got {args.classes}")

@@ -167,7 +167,9 @@ def validate_spec(spec: LocalitySpec) -> LocalitySpec:
     Raises SpecInvalid naming the violated constraint; returns the spec so
     calls can be chained.  The ordered condition is recorded, not required.
     """
-    if spec.q >= PRIME_CHECK_LIMIT or not is_prime(spec.q):
+    if spec.q >= PRIME_CHECK_LIMIT:
+        raise SpecInvalid(f"base field size q={spec.q} is not below {PRIME_CHECK_LIMIT}, the primality test's limit")
+    if not is_prime(spec.q):
         raise SpecInvalid(f"base field size must be prime, got q={spec.q}")
     for j, c in enumerate(spec.classes, 1):
         if not c.has_whole_groups:
@@ -438,12 +440,10 @@ def decode_erasures(
         # Any r columns of an MDS generator are independent, so column pos of
         # coeffs expresses symbol pos in terms of the present symbols.
         coeffs = local.take_columns(present).inverse() @ local
+        values = lift_to_ext(field, coeffs).left_multiply([known[group[p]] for p in present])
         for pos, i in enumerate(group):
             if i not in known:
-                value = field.zero
-                for row, p in zip(coeffs.rows, present):
-                    value = field.add(value, field.scale(row[pos], known[group[p]]))
-                known[i] = value
+                known[i] = values[pos]
                 repaired.append(i)
 
     if not pattern.erased:

@@ -6,12 +6,30 @@ holding the coordinates in the polynomial basis (1, alpha, ..., alpha^(t-1)),
 constant term first.  Tuples are hashable and double as the coordinate
 vectors used for rank computations over the base field.  Everything is
 exact: no floats, no tolerances, and comparisons are plain equality.
+
+This module owns the one multiplication of F_(q^t): ExtField.mul, every
+matrix product and every elimination step run on the packed kernel below.
+A packed row of L elements of F_(q^t) is one Python int: element j owns a
+block of 2t - 1 slots of W bits starting at bit j(2t - 1)W, and its t
+coordinates sit in the block's low slots, constant term first, with the
+high slots zero.  A prime-field element is the t = 1 case, one slot per
+block and nothing to fold.  One big-int product of a packed element and a
+packed row multiplies every element of the row by it as polynomials, each
+product (degree <= 2t - 2) filling its own block.  Folding the high slots
+back through x^t mod the modulus and one slotwise Barrett step mod q make
+the row canonical again; ExtField.mul is the one-element row.
+
+The slot bound: with canonical operands (coordinates <= q - 1), no slot
+of any intermediate reaches 2^W, so no slot ever carries into the next.
+W is derived from (q, t) alone; _Packing states the largest value of each
+step and asserts the bound when it builds a layout.  Layouts are cached
+per field and row length.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 ExtElem = tuple[int, ...]
 
@@ -110,17 +128,19 @@ def _poly_trim(c: list[int]) -> list[int]:
     return c
 
 
-def _poly_mod(a: Sequence[int], m: Sequence[int], q: int) -> list[int]:
-    """Remainder of a modulo the monic polynomial m."""
+def _poly_divmod(a: Sequence[int], m: Sequence[int], q: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by the monic polynomial m."""
     a = [v % q for v in a]
     dm = len(m) - 1
+    quo = [0] * max(1, len(a) - dm)
     for i in range(len(a) - 1, dm - 1, -1):
         c = a[i]
         if c:
+            quo[i - dm] = c
             for j in range(dm + 1):
                 a[i - dm + j] = (a[i - dm + j] - c * m[j]) % q
     del a[dm:]
-    return _poly_trim(a or [0])
+    return quo, _poly_trim(a or [0])
 
 
 def _poly_mulmod(a: Sequence[int], b: Sequence[int], m: Sequence[int], q: int) -> list[int]:
@@ -129,12 +149,12 @@ def _poly_mulmod(a: Sequence[int], b: Sequence[int], m: Sequence[int], q: int) -
         if ai:
             for j, bj in enumerate(b):
                 res[i + j] += ai * bj
-    return _poly_mod(res, m, q)
+    return _poly_divmod(res, m, q)[1]
 
 
 def _poly_powmod(base: Sequence[int], e: int, m: Sequence[int], q: int) -> list[int]:
     result = [1]
-    acc = _poly_mod(list(base), m, q)
+    acc = _poly_divmod(base, m, q)[1]
     while e:
         if e & 1:
             result = _poly_mulmod(result, acc, m, q)
@@ -149,7 +169,7 @@ def _poly_gcd(a: Sequence[int], b: Sequence[int], q: int) -> list[int]:
     while b != [0]:
         inv = pow(b[-1], -1, q)
         monic_b = [(v * inv) % q for v in b]
-        a, b = b, _poly_mod(a, monic_b, q)
+        a, b = b, _poly_divmod(a, monic_b, q)[1]
     return a
 
 
@@ -219,26 +239,17 @@ class ExtField:
         self.t = t
         if modulus is None:
             modulus = find_irreducible(self.q, t)
-        modulus = tuple(v % self.q for v in modulus)
-        if len(modulus) != t + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree t")
-        if not _is_irreducible(modulus, self.q):
-            raise ValueError("modulus is reducible over the base field")
+        else:
+            modulus = tuple(v % self.q for v in modulus)
+            if len(modulus) != t + 1 or modulus[-1] != 1:
+                raise ValueError("modulus must be monic of degree t")
+            if not _is_irreducible(modulus, self.q):
+                raise ValueError("modulus is reducible over the base field")
         self.modulus = modulus
         self.zero: ExtElem = (0,) * t
         self.one: ExtElem = ((1,) + (0,) * (t - 1))
-        # x^(t+j) mod modulus for j = 0..t-2: the reduction rows used by mul.
-        x_to_t = tuple(-modulus[i] % self.q for i in range(t))
-        red = [x_to_t]
-        for _ in range(t - 2):
-            prev = red[-1]
-            carry = prev[-1]
-            shifted = [0] + list(prev[:-1])
-            if carry:
-                shifted = [(s + carry * f) % self.q for s, f in zip(shifted, x_to_t)]
-            red.append(tuple(v % self.q for v in shifted))
-        self._red = red
-        self.alpha: ExtElem = x_to_t if t == 1 else ((0, 1) + (0,) * (t - 2))
+        self.alpha: ExtElem = (-modulus[0] % self.q,) if t == 1 else ((0, 1) + (0,) * (t - 2))
+        self._pk = _Packing(self, 1)
 
     def element(self, coords: Sequence[int]) -> ExtElem:
         if len(coords) != self.t:
@@ -268,22 +279,8 @@ class ExtField:
         return tuple((c * x) % q for x in a)
 
     def mul(self, a: ExtElem, b: ExtElem) -> ExtElem:
-        t = self.t
-        q = self.q
-        if t == 1:
-            return ((a[0] * b[0]) % q,)
-        conv = [0] * (2 * t - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    conv[i + j] += ai * bj
-        for idx in range(2 * t - 2, t - 1, -1):
-            c = conv[idx] % q
-            if c:
-                red = self._red[idx - t]
-                for i in range(t):
-                    conv[i] += c * red[i]
-        return tuple(v % q for v in conv[:t])
+        pk = self._pk
+        return pk.unpack_elem(pk.canon(pk.pack_elem(a) * pk.pack_elem(b)))
 
     def pow(self, a: ExtElem, e: int) -> ExtElem:
         if e < 0:
@@ -365,3 +362,158 @@ class ExtField:
 
     def __repr__(self) -> str:
         return f"ExtField(q={self.q}, t={self.t})"
+
+
+# ---------------------------------------------------------------------------
+# The packed kernel: every product in F_q and F_{q^t}.
+
+class _Packing:
+    """The packed layout of rows of one length over one field, and the
+    product and elimination kernel over it.
+
+    A basis entry is (pivot offset, packed row): the offset is the bit where
+    the pivot's block starts, so entries sort by pivot column.  The kernel
+    never writes to its inputs.
+    """
+
+    def __init__(self, field, length: int) -> None:
+        q = field.q
+        t = getattr(field, "t", 1)
+        self.field, self.q, self.t, self.length = field, q, t, length
+        self.tuples = isinstance(field.zero, tuple)
+        c = q - 1
+        # Largest slot value at each step, every operand canonical (<= c):
+        # - A step forms p * row + (q - v) * prow, p the pivot of prow and v
+        #   the row's entry under it; a product slot sums at most t terms,
+        #   so every slot is at most v1 = t*c*c + t*q*c.  A product step
+        #   (ExtField.mul, Matrix.left_multiply) adds one product (slots <=
+        #   t*c*c) to a canonical accumulator (slots <= c), within v1 too.
+        # - Folding (t > 1) takes the high part h (slots t..2t-2, each
+        #   <= v1), the quotient of h * x^t by the modulus as the slots
+        #   t-2.. of h * mu (each <= (t-1)*v1*c), and adds that quotient
+        #   times x^t mod the modulus to the low slots, each then at most
+        #   v2 = v1 + (t-1)^2 * v1 * c^2.  The high slots are masked off.
+        # - Barrett takes a slot x <= v2 < 2^b to x - q*((x*m) >> s), which
+        #   is x mod q exactly because 2^s >= q * 2^b.  Its product x*m is
+        #   the largest slot of the kernel, below 2^W.
+        v1 = t * c * c + t * q * c
+        v2 = v1 + (t - 1) ** 2 * v1 * c * c
+        b = v2.bit_length()
+        s = b + q.bit_length()
+        m = (1 << s) // q + 1
+        w = (v2 * m).bit_length()
+        assert q << b <= 1 << s and max(v1, (t - 1) * v1 * c, v2, v2 * m) < 1 << w
+        self.s, self.m = s, m
+        self.bw = bw = (2 * t - 1) * w
+        blocks = sum(1 << (j * bw) for j in range(length))
+        self.w, self.slot = w, (1 << w) - 1
+        self.shifts = tuple(range(0, t * w, w))
+        self.elem = (1 << (t * w)) - 1
+        self.low = self.elem * blocks
+        self.quot = sum(((1 << (w - s)) - 1) << i for i in self.shifts) * blocks
+        self.negq = sum(q << i for i in self.shifts)
+        if t > 1:
+            # Polynomial Barrett: with mu = x^(2t-2) div the modulus and
+            # deg h <= t-2, (h * mu) div x^(t-2) is exactly the quotient of
+            # h * x^t by the modulus, and the remainder is minus that
+            # quotient times the modulus's low part, i.e. times x^t mod it.
+            # Slots are not reduced in between: over the integers each one
+            # stays congruent mod q to its value over F_q.
+            self.hi_shift, self.quo_shift = t * w, (t - 2) * w
+            self.high = ((1 << ((t - 1) * w)) - 1) * blocks
+            self.mu = self.pack_elem(_poly_divmod([0] * (2 * t - 2) + [1], field.modulus, q)[0])
+            self.red = self.pack_elem([-v for v in field.modulus[:t]])
+
+    def canon(self, x: int) -> int:
+        """x with every block folded and every slot reduced mod q."""
+        if self.t > 1:
+            h = (x >> self.hi_shift) & self.high
+            h = ((h * self.mu) >> self.quo_shift) & self.high
+            x = (x & self.low) + (h * self.red & self.low)
+        return x - ((x * self.m >> self.s) & self.quot) * self.q
+
+    def pack_elem(self, e) -> int:
+        if not self.tuples:
+            return e % self.q
+        q, w, x = self.q, self.w, 0
+        for v in reversed(e):
+            x = (x << w) | (v % q)
+        return x
+
+    def unpack_elem(self, x: int):
+        """The element in the lowest block of x."""
+        slot = self.slot
+        if not self.tuples:
+            return x & slot
+        return tuple((x >> i) & slot for i in self.shifts)
+
+    def pack(self, row: Sequence) -> int:
+        bw, x = self.bw, 0
+        if self.tuples:
+            pack_elem = self.pack_elem
+            for e in reversed(row):
+                x = (x << bw) | pack_elem(e)
+        else:
+            q = self.q
+            for e in reversed(row):
+                x = (x << bw) | (e % q)
+        return x
+
+    def unpack(self, x: int, start: int = 0) -> list:
+        """Elements start.. of the row."""
+        bw, unpack_elem = self.bw, self.unpack_elem
+        return [unpack_elem(x >> (j * bw)) for j in range(start, self.length)]
+
+    def reduce(self, row: int, basis: Sequence[tuple]) -> int:
+        """Clear from row the pivot column of each basis entry, in basis order.
+
+        The row is scaled by the entry's pivot rather than the entry by its
+        inverse, so the step needs no inverse; the result is a nonzero
+        multiple of the classical one, with the same zero entries.
+        """
+        elem, negq, canon = self.elem, self.negq, self.canon
+        for off, prow in basis:
+            v = (row >> off) & elem
+            if v:
+                row = canon(((prow >> off) & elem) * row + (negq - v) * prow)
+        return row
+
+    def extend(self, basis: list[tuple], row: int, width: int) -> bool:
+        """Reduce row against the basis and append it if a pivot is left in
+        its first width columns; report whether it was appended."""
+        row = self.reduce(row, basis)
+        low = (row & -row).bit_length() - 1
+        if row and low < width * self.bw:
+            basis.append((low - low % self.bw, row))
+            return True
+        return False
+
+    def echelon(self, rows: Iterable[int], width: int) -> list[tuple]:
+        """Echelon basis of the packed rows, pivots in the first width columns."""
+        basis: list[tuple] = []
+        for row in rows:
+            self.extend(basis, row, width)
+        return basis
+
+    def reduced(self, rows: Iterable[int], width: int) -> list[tuple]:
+        """Echelon basis of the packed rows, each pivot column cleared in
+        every other entry, sorted by pivot column; pivots are not scaled."""
+        basis = self.echelon(rows, width)
+        # The entries after i are already clear of every pivot but their own,
+        # so reducing entry i against them keeps its own pivot nonzero.
+        for i in range(len(basis) - 1, -1, -1):
+            off, row = basis[i]
+            basis[i] = (off, self.reduce(row, basis[i + 1 :]))
+        return sorted(basis, key=lambda entry: entry[0])
+
+    def reduced_echelon(self, rows: Iterable[int], width: int) -> list[int]:
+        """The reduced row echelon form of the packed rows, pivots in the
+        first width columns, sorted by pivot column, zero rows dropped."""
+        field, canon = self.field, self.canon
+        basis = self.reduced(rows, width)
+        return [canon(self.pack_elem(field.inv(self.unpack_elem(row >> off))) * row) for off, row in basis]
+
+
+@lru_cache(maxsize=256)
+def _packing(field, length: int) -> _Packing:
+    return _Packing(field, length)

@@ -30,6 +30,44 @@ def load_workloads():
     return module
 
 
+def ref_mul(field, a, b):
+    """Schoolbook product, the path the packed ExtField.mul replaced:
+    convolve the coordinates, then fold each coefficient of degree t + j
+    back through x^(t+j) mod the modulus, highest first.  Prime-field
+    elements multiply as ints."""
+    q = field.q
+    if not isinstance(a, tuple):
+        return a * b % q
+    t = field.t
+    x_to_t = [-v % q for v in field.modulus[:t]]
+    red = [x_to_t]  # red[j] = x^(t+j) mod the modulus
+    for _ in range(t - 2):
+        prev = red[-1]
+        red.append([((prev[i - 1] if i else 0) + prev[-1] * x_to_t[i]) % q for i in range(t)])
+    conv = [0] * (2 * t - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            conv[i + j] += ai * bj
+    for idx in range(2 * t - 2, t - 1, -1):
+        c = conv[idx] % q
+        for i in range(t):
+            conv[i] += c * red[idx - t][i]
+    return tuple(v % q for v in conv[:t])
+
+
+def ref_left_multiply(m, vector):
+    """Row vector times matrix, element by element through ref_mul: the
+    path the packed Matrix.left_multiply replaced."""
+    f = m.field
+    out = []
+    for j in range(m.ncols):
+        acc = f.zero
+        for v, row in zip(vector, m.rows):
+            acc = f.add(acc, ref_mul(f, v, row[j]))
+        out.append(acc)
+    return out
+
+
 # The [8, 4] two-class workhorse over GF(5^5): one (r=2, delta=3) group and
 # one (r=3, delta=2) group, precode length 5.
 REF_SPEC = LocalitySpec(

@@ -37,7 +37,7 @@ from udlrc import (
     worst_case_pattern,
 )
 from conftest import REVERSED_SPEC, load_workloads
-from udlrc import linalg
+from udlrc import fields
 from udlrc.analysis import _first_deficient
 from udlrc.linalg import base_rank
 
@@ -198,7 +198,7 @@ def _downward_oracle(gen):
     depth-first walk over the generator's raw columns, sizes downward from
     n - 1, stopping at the first size with a deficient subset."""
     n, k = gen.ncols, gen.nrows
-    pk = linalg._packing(gen.field, k)
+    pk = fields._packing(gen.field, k)
     columns = [pk.pack(col) for col in gen.transpose().rows]
     for size in range(n - 1, -1, -1):
         hit = _first_deficient(pk, columns, k, size, 0, [], [])
@@ -253,13 +253,13 @@ def test_oracle_work_on_the_large_reference_code(gf7_9, monkeypatch):
     # columns made 14,911 canon calls here, the upward scan over the
     # reduced basis makes 6,250.
     calls = []
-    canon = linalg._Packing.canon
+    canon = fields._Packing.canon
 
     def counted(self, x):
         calls.append(1)
         return canon(self, x)
 
-    monkeypatch.setattr(linalg._Packing, "canon", counted)
+    monkeypatch.setattr(fields._Packing, "canon", counted)
     assert min_distance_oracle(gf7_9.gen).d == 6
     assert 0 < len(calls) <= 8000
 

@@ -1,8 +1,11 @@
+import random
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
+import udlrc
+from udlrc import fields
 from udlrc import (
     ErasurePattern,
     FieldTooSmall,
@@ -26,7 +29,7 @@ from udlrc import (
     min_distance_oracle,
     validate_spec,
 )
-from conftest import REF_SPEC, REVERSED_SPEC
+from conftest import REF_SPEC, REVERSED_SPEC, load_workloads, ref_left_multiply
 
 
 def test_locality_class_derived_quantities():
@@ -374,3 +377,28 @@ def test_single_layout_multi_group(single_instance):
     assert single_instance.layout.group_of(4) == 1
     with pytest.raises(IndexError):
         single_instance.layout.group_of(6)
+
+
+def test_encode_is_k_packed_steps_and_no_field_mul(monkeypatch):
+    # A count, not a timing: on the benchmark's [12,6] GF(5^8) repair code
+    # one encode folds one packed row per message symbol and calls no
+    # element-by-element product.
+    inst = load_workloads().Repair(udlrc, 1).inst
+    rng = random.Random(7)
+    message = [inst.field.random_element(rng) for _ in range(inst.k)]
+    expected = ref_left_multiply(inst.gen, message)
+    calls = {"canon": 0, "mul": 0}
+    canon, mul = fields._Packing.canon, fields.ExtField.mul
+
+    def counted_canon(self, x):
+        calls["canon"] += 1
+        return canon(self, x)
+
+    def counted_mul(self, a, b):
+        calls["mul"] += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(fields._Packing, "canon", counted_canon)
+    monkeypatch.setattr(fields.ExtField, "mul", counted_mul)
+    assert encode(inst, message) == expected
+    assert calls == {"canon": inst.k, "mul": 0}

@@ -6,6 +6,7 @@ import pytest
 from udlrc import ExtField, ModulusSearchTooLarge, PrimeField, find_irreducible, is_prime
 from udlrc.fields import MODULUS_SEARCH_BUDGET, PRIME_CHECK_LIMIT
 from udlrc.fields import _is_irreducible
+from conftest import ref_mul
 
 
 def test_prime_check():
@@ -252,3 +253,36 @@ def test_degree_one_extension_matches_prime_field():
     assert f.modulus == (0, 1)
     assert f.mul((3,), (4,)) == (2,)
     assert f.frobenius((2,), 4) == (2,)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        ExtField(PrimeField(2), 3),
+        ExtField(PrimeField(3), 2),
+        ExtField(PrimeField(5), 2),
+        ExtField(PrimeField(3), 3, (1, 0, 2, 1)),  # not the default modulus
+        ExtField(PrimeField(2), 4, (1, 1, 1, 1, 1)),
+        ExtField(PrimeField(7), 1),
+        ExtField(PrimeField(2), 1),
+    ],
+    ids=lambda f: f"{f!r}{f.modulus}",
+)
+def test_mul_matches_schoolbook_exhaustive(f):
+    elems = list(f.elements())
+    for a in elems:
+        for b in elems:
+            assert f.mul(a, b) == ref_mul(f, a, b)
+
+
+@pytest.mark.parametrize("q, t", [(5, 8), (7, 9), (5, 10), (1000000007, 2)])
+def test_mul_matches_schoolbook_sampled(q, t):
+    # All-(q - 1) operands drive every product slot to its largest value.
+    f = ExtField(PrimeField(q), t)
+    rng = random.Random(q * 100 + t)
+    extremes = [f.zero, f.one, f.alpha, (q - 1,) * t, (0,) * (t - 1) + (q - 1,)]
+    samples = extremes + [f.random_element(rng) for _ in range(40)]
+    for a in samples:
+        for b in extremes + [f.random_element(rng)]:
+            assert f.mul(a, b) == ref_mul(f, a, b)
+            assert f.mul(b, a) == ref_mul(f, b, a)

@@ -1,6 +1,7 @@
 import pytest
 
 from udlrc import ExtField, Matrix, PrimeField, RankTracker, SingularMatrix, base_rank, mds_local_generator
+from conftest import ref_left_multiply, ref_mul
 
 F5 = PrimeField(5)
 F8 = ExtField(PrimeField(2), 3)
@@ -373,9 +374,10 @@ def test_packed_kernel_at_slot_width_extremes(field, rng):
 
 
 def test_packed_step_at_its_slot_bound():
-    """One elimination step with every operand at its largest: the packed
-    result equals p * row - v * prow computed element by element."""
-    from udlrc.linalg import _packing
+    """One elimination step and one product step with every operand at its
+    largest: the packed results equal p * row - v * prow and row + p * prow
+    computed element by element with the schoolbook product."""
+    from udlrc.fields import _packing
 
     for field in (PrimeField(2), PrimeField(1000000007), ExtField(PrimeField(2), 3),
                   ExtField(PrimeField(7), 9), ExtField(PrimeField(1000000007), 2)):
@@ -385,8 +387,36 @@ def test_packed_step_at_its_slot_bound():
             for b in extremes:
                 row, prow = [a] * 4, [b] * 4
                 packed = pk.pack(row) * pk.pack_elem(b) + (pk.negq - pk.pack_elem(a)) * pk.pack(prow)
-                expected = [field.sub(field.mul(b, x), field.mul(a, y)) for x, y in zip(row, prow)]
+                expected = [field.sub(ref_mul(field, b, x), ref_mul(field, a, y)) for x, y in zip(row, prow)]
                 assert pk.unpack(pk.canon(packed)) == expected
+                product = pk.pack(row) + pk.pack_elem(b) * pk.pack(prow)
+                expected = [field.add(x, ref_mul(field, b, y)) for x, y in zip(row, prow)]
+                assert pk.unpack(pk.canon(product)) == expected
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        PrimeField(2),
+        PrimeField(1000000007),
+        ExtField(PrimeField(2), 3),
+        ExtField(PrimeField(5), 2),
+        ExtField(PrimeField(3), 3, (1, 0, 2, 1)),
+        ExtField(PrimeField(5), 8),
+        ExtField(PrimeField(7), 9),
+        ExtField(PrimeField(5), 10),
+        ExtField(PrimeField(1000000007), 2),
+    ],
+    ids=lambda f: f"{f!r}{getattr(f, 'modulus', '')}",
+)
+def test_left_multiply_matches_elementwise(field, rng):
+    full = _extreme_elements(field)[2]  # every coordinate q - 1
+    shapes = list(_seeded_matrices(field, rng))
+    shapes += [Matrix(field, [[full] * cols for _ in range(rows)]) for rows, cols in ((1, 1), (4, 6))]
+    shapes += [Matrix(field, []), Matrix(field, [[] for _ in range(3)])]  # 0 rows, 0 columns
+    for m in shapes:
+        for vector in ([field.zero] * m.nrows, [full] * m.nrows, [field.random_element(rng) for _ in range(m.nrows)]):
+            assert m.left_multiply(vector) == ref_left_multiply(m, vector)
 
 
 def test_packed_kernel_property():

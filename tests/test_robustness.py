@@ -163,12 +163,16 @@ def test_field_setup_over_the_work_budget_exits_five(tmp_path, capsys):
 )
 @pytest.mark.parametrize("command", ["bounds", "sweep"])
 def test_large_q_is_decided_within_a_second(command, q, code, tmp_path, capsys):
-    # Primality is decided up to PRIME_CHECK_LIMIT and refused above it.
+    # Primality is decided below PRIME_CHECK_LIMIT; from there on the
+    # message names the limit instead of calling q composite.
     doc = {"q": q, "t": 2, "k": 2, "classes": [{"r": 2, "delta": 2, "m": 1}]}
+    limit = f"is not below {PRIME_CHECK_LIMIT}, the primality test's limit"
     if command == "bounds":
-        argv, message = ["bounds", "--spec", _spec_file(tmp_path, doc)], f"base field size must be prime, got q={q}"
+        argv = ["bounds", "--spec", _spec_file(tmp_path, doc)]
+        message = f"base field size q={q} {limit}" if q >= PRIME_CHECK_LIMIT else f"base field size must be prime, got q={q}"
     else:
-        argv, message = _sweep(q, 1), f"--q must be a prime, got {q}"
+        argv = _sweep(q, 1)
+        message = f"--q {q} {limit}" if q >= PRIME_CHECK_LIMIT else f"--q must be a prime, got {q}"
     start = time.perf_counter()
     got, err = _run(argv, capsys)
     assert got == code
