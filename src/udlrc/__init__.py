@@ -35,6 +35,7 @@ from .bounds import (
     PreconditionViolated,
     RankInfeasible,
     TooManyClasses,
+    bounds_table,
     ceil_div,
     dimension_bound,
     distance_bound_measured,

@@ -4,14 +4,19 @@ All bounds are exact integer formulas built from the per-class quantities
 of LocalityClass.  Ceilings use integer arithmetic only: for a >= 0,
 ceil(a / b) = (a + b - 1) // b.  Every distance ceiling here sits at or
 below the Singleton value n - k + 1.
+
+The dist-cap pivot rule and formula live in one core on plain ints,
+_cap_core.  The permuted bound needs one core call per pair (H, p) of a
+head set and a pivot, not per ordering: see permuted_tightest_bound.
+bounds_table computes a class tuple's quantities once for a column of k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from typing import Sequence
 
-from .construction import LocalitySpec
+from .construction import LocalityClass, LocalitySpec
 
 
 class DimensionInfeasible(ValueError):
@@ -26,12 +31,12 @@ class PreconditionViolated(ValueError):
     """Bound applied outside its stated parameter regime."""
 
 
-# Most classes permuted_tightest_bound will permute (8! orderings).
+# Most classes permuted_tightest_bound will search (8 * 2^7 = 1,024 pairs).
 PERMUTED_CLASS_LIMIT = 8
 
 
 class TooManyClasses(ValueError):
-    """Permutation search limited to factorial-friendly class counts."""
+    """Permuted-bound search limited to PERMUTED_CLASS_LIMIT classes."""
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -48,6 +53,41 @@ class BoundReport:
     pivot: int | None
     per_class_terms: tuple[int, ...]
     permutation: tuple[int, ...] | None = None
+
+
+def _cap_core(n: int, k: int, ns, ranks, rs, deltas) -> tuple[int, int, tuple[int, ...]]:
+    """The dist-cap pivot rule and formula (see distance_bound_udlrc) with
+    rank_j in place of k_cap_j, on plain ints, classes in the order given.
+    Returns (value, 1-based pivot, head terms followed by the tail term).
+    """
+    head_rank = 0
+    terms: list[int] = []
+    for n_j, g, r, delta in zip(ns, ranks, rs, deltas):
+        if head_rank + g >= k:
+            tail = (ceil_div(k - head_rank, r) - 1) * (delta - 1)
+            return n - k + 1 - sum(terms) - tail, len(terms) + 1, (*terms, tail)
+        head_rank += g
+        terms.append(n_j - g)
+    raise RankInfeasible(f"total measured rank {head_rank} < k={k}")
+
+
+def _over_dimension_cap(k: int, caps: Sequence[int]) -> DimensionInfeasible:
+    return DimensionInfeasible(f"k={k} exceeds the dimension cap {sum(caps)} of the locality classes")
+
+
+def _head_pivot_orders(caps: Sequence[int]) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(lo, hi, sorted(H) + (p,)) for every pivot p and head set H of other
+    classes, with lo = sum_H cap and hi = lo + cap_p: every ordering that
+    starts with H and then p pivots at p exactly when lo < k <= hi."""
+    s = len(caps)
+    if s > PERMUTED_CLASS_LIMIT:
+        raise TooManyClasses(f"permutation search capped at {PERMUTED_CLASS_LIMIT} classes, got {s}")
+    pairs = []
+    for mask in range(1 << s):
+        head = tuple(i for i in range(s) if mask >> i & 1)
+        lo = sum(caps[i] for i in head)
+        pairs += [(lo, lo + caps[p], (*head, p)) for p in range(s) if not mask >> p & 1]
+    return pairs
 
 
 def dimension_bound(spec: LocalitySpec) -> int:
@@ -73,43 +113,19 @@ def distance_bound_udlrc(spec: LocalitySpec) -> BoundReport:
     try:
         report = distance_bound_measured(spec, spec.k_caps)
     except RankInfeasible:
-        raise DimensionInfeasible(
-            f"k={spec.k} exceeds the dimension cap {dimension_bound(spec)} of the locality classes"
-        ) from None
+        raise _over_dimension_cap(spec.k, spec.k_caps) from None
     return BoundReport("dist-cap", report.value, report.pivot, report.per_class_terms)
 
 
 def distance_bound_measured(spec: LocalitySpec, granks: tuple[int, ...] | list[int]) -> BoundReport:
-    """Distance ceiling phrased in per-class generator ranks.
-
-    d <= n - k + 1 - sum_{j < pivot} (n_j - rank_j)
-                  - (ceil((k - sum_{j < pivot} rank_j) / r_pivot) - 1) * (delta_pivot - 1)
-
-    where the pivot is the first class whose cumulative ranks reach k.
-    """
+    """Distance ceiling phrased in per-class generator ranks: the formula of
+    distance_bound_udlrc with rank_j in place of k_cap_j, where the pivot is
+    the first class whose cumulative ranks reach k."""
     if len(granks) != spec.s:
         raise ValueError(f"need one rank per class: got {len(granks)} for s={spec.s}")
-    if sum(granks) < spec.k:
-        raise RankInfeasible(f"total measured rank {sum(granks)} < k={spec.k}")
-    total = 0
-    sigma = spec.s
-    for j, g in enumerate(granks, 1):
-        total += g
-        if total >= spec.k:
-            sigma = j
-            break
-    head = spec.classes[: sigma - 1]
-    head_rank = sum(granks[: sigma - 1])
-    head_terms = [c.n - g for c, g in zip(head, granks)]
-    piv = spec.classes[sigma - 1]
-    tail_term = (ceil_div(spec.k - head_rank, piv.r) - 1) * (piv.delta - 1)
-    value = spec.n - spec.k + 1 - sum(head_terms) - tail_term
-    return BoundReport(
-        name="dist-cap-measured",
-        value=value,
-        pivot=sigma,
-        per_class_terms=tuple(head_terms) + (tail_term,),
-    )
+    cs = spec.classes
+    value, pivot, terms = _cap_core(spec.n, spec.k, [c.n for c in cs], granks, [c.r for c in cs], [c.delta for c in cs])
+    return BoundReport(name="dist-cap-measured", value=value, pivot=pivot, per_class_terms=terms)
 
 
 def distance_bound_rdelta(n: int, k: int, r: int, delta: int) -> int:
@@ -117,6 +133,27 @@ def distance_bound_rdelta(n: int, k: int, r: int, delta: int) -> int:
     if k < 1 or r < 1 or delta < 2:
         raise PreconditionViolated("need k >= 1, r >= 1, delta >= 2")
     return n - k + 1 - (ceil_div(k, r) - 1) * (delta - 1)
+
+
+def _unequal_r_counts(classes: Sequence[LocalityClass]) -> list[int]:
+    """Group-count ceilings g_j = ceil(n_j / (r_j + 1)), once the classes
+    meet the preconditions of distance_bound_unequal_r."""
+    if any(c.delta != 2 for c in classes):
+        raise PreconditionViolated("this ceiling requires delta = 2 in every class")
+    if any(a.r > b.r for a, b in zip(classes, classes[1:])):
+        raise PreconditionViolated("classes must be sorted by nondecreasing r")
+    return [ceil_div(c.n, c.r + 1) for c in classes]
+
+
+def _unequal_r_core(n: int, k: int, counts: Sequence[int], rs: Sequence[int]) -> tuple[int, int]:
+    """(value, pivot) of distance_bound_unequal_r on plain ints."""
+    sp, cum = 1, 0
+    for j in range(len(counts) - 1):  # j + 1 leading classes are summed
+        cum += counts[j] * rs[j]
+        if cum < k - 1:
+            sp = j + 2
+    head_rank = sum(g * r for g, r in zip(counts[: sp - 1], rs))
+    return n - k + 2 - sum(counts[: sp - 1]) - ceil_div(k - head_rank, rs[sp - 1]), sp
 
 
 def distance_bound_unequal_r(spec: LocalitySpec) -> BoundReport:
@@ -131,51 +168,68 @@ def distance_bound_unequal_r(spec: LocalitySpec) -> BoundReport:
     taking the max of an empty set as 0.  The strict "< k - 1" pivot rule is
     applied exactly as published, even where a "< k" variant would differ.
     """
-    if any(c.delta != 2 for c in spec.classes):
-        raise PreconditionViolated("this ceiling requires delta = 2 in every class")
-    rs = [c.r for c in spec.classes]
-    if any(a > b for a, b in zip(rs, rs[1:])):
-        raise PreconditionViolated("classes must be sorted by nondecreasing r")
-    counts = [ceil_div(c.n, c.r + 1) for c in spec.classes]
-    feasible = []
-    cum = 0
-    for j in range(spec.s):  # j counts how many leading classes are summed
-        if cum < spec.k - 1:
-            feasible.append(j)
-        cum += counts[j] * rs[j]
-    sp = (max(feasible) if feasible else 0) + 1
-    head_count = sum(counts[: sp - 1])
-    head_rank = sum(counts[j] * rs[j] for j in range(sp - 1))
-    value = spec.n - spec.k + 2 - head_count - ceil_div(spec.k - head_rank, rs[sp - 1])
-    return BoundReport(
-        name="dist-cap-unequal-r",
-        value=value,
-        pivot=sp,
-        per_class_terms=tuple(counts),
-    )
+    counts = _unequal_r_counts(spec.classes)
+    value, pivot = _unequal_r_core(spec.n, spec.k, counts, [c.r for c in spec.classes])
+    return BoundReport(name="dist-cap-unequal-r", value=value, pivot=pivot, per_class_terms=tuple(counts))
 
 
 def permuted_tightest_bound(spec: LocalitySpec) -> BoundReport:
     """Minimum of distance_bound_udlrc over all class orderings.
 
-    The identity ordering is included, so the result never exceeds the
-    unpermuted bound.  Ties go to the lexicographically first permutation.
+    An ordering's value depends only on the set H of classes ahead of its
+    pivot and on the pivot p, where sum_H cap < k <= sum_H cap + cap_p, so
+    the core runs once per such pair: at most s * 2^(s-1) times (1,024 at
+    s = 8), against s! orderings (40,320).  The identity ordering is
+    included, so the result never exceeds the unpermuted bound.  Ties go to
+    the lexicographically first permutation: sorted(H) + (p,) + sorted(rest)
+    for one pair, then the least of those.
     """
-    if spec.s > PERMUTED_CLASS_LIMIT:
-        raise TooManyClasses(f"permutation search capped at {PERMUTED_CLASS_LIMIT} classes, got {spec.s}")
-    best: BoundReport | None = None
-    for perm in permutations(range(spec.s)):
-        permuted = LocalitySpec(
-            classes=tuple(spec.classes[i] for i in perm), k=spec.k, q=spec.q, t=spec.t
-        )
-        report = distance_bound_udlrc(permuted)
-        if best is None or report.value < best.value:
-            best = BoundReport(
-                name="dist-cap-permuted",
-                value=report.value,
-                pivot=report.pivot,
-                per_class_terms=report.per_class_terms,
-                permutation=tuple(i + 1 for i in perm),
-            )
-    assert best is not None
-    return best
+    cs = spec.classes
+    caps = spec.k_caps
+    seqs = ([c.n for c in cs], caps, [c.r for c in cs], [c.delta for c in cs])
+    best = None
+    for lo, hi, order in _head_pivot_orders(caps):
+        if lo < spec.k <= hi:
+            value, pivot, terms = _cap_core(spec.n, spec.k, *([seq[i] for i in order] for seq in seqs))
+            perm = order + tuple(i for i in range(spec.s) if i not in order)
+            if best is None or (value, perm) < best[:2]:
+                best = (value, perm, pivot, terms)
+    if best is None:
+        raise _over_dimension_cap(spec.k, caps)
+    value, perm, pivot, terms = best
+    return BoundReport("dist-cap-permuted", value, pivot, terms, tuple(i + 1 for i in perm))
+
+
+def bounds_table(classes: Sequence[LocalityClass], last_k: int) -> list[tuple[int, ...]]:
+    """Rows (k, dim-cap, dist-cap, its pivot, permuted, unequal-r or None)
+    for one class tuple at every k from 1 to last_k, equal to what
+    dimension_bound, distance_bound_udlrc, permuted_tightest_bound and
+    distance_bound_unequal_r give.  The class quantities and the (H, p)
+    pairs are computed once; a row costs one core call per pair k selects.
+    """
+    ns = [c.n for c in classes]
+    caps = [c.k_cap for c in classes]
+    rs = [c.r for c in classes]
+    deltas = [c.delta for c in classes]
+    n = sum(ns)
+    dim = sum(caps)
+    if last_k > dim:
+        raise _over_dimension_cap(last_k, caps)
+    cap_column = [_cap_core(n, k, ns, caps, rs, deltas) for k in range(1, last_k + 1)]
+    # The identity ordering is one of the pairs, so the dist-cap column
+    # seeds the minimum.
+    permuted = [value for value, _, _ in cap_column]
+    for lo, hi, order in _head_pivot_orders(caps):
+        seqs = [[seq[i] for i in order] for seq in (ns, caps, rs, deltas)]
+        for k in range(lo + 1, min(hi, last_k) + 1):
+            value = _cap_core(n, k, *seqs)[0]
+            if value < permuted[k - 1]:
+                permuted[k - 1] = value
+    try:
+        counts = _unequal_r_counts(classes)
+    except PreconditionViolated:
+        counts = None
+    return [
+        (k, dim, value, pivot, permuted[k - 1], None if counts is None else _unequal_r_core(n, k, counts, rs)[0])
+        for k, (value, pivot, _) in enumerate(cap_column, 1)
+    ]

@@ -16,6 +16,7 @@ import argparse
 import os
 import random
 import sys
+from dataclasses import replace
 from itertools import product
 from math import prod
 
@@ -37,6 +38,7 @@ from .bounds import (
     DimensionInfeasible,
     PreconditionViolated,
     TooManyClasses,
+    bounds_table,
     dimension_bound,
     distance_bound_rdelta,
     distance_bound_udlrc,
@@ -84,7 +86,7 @@ class Report:
         self.add("meta", "command", command)
 
     def add(self, *cells) -> None:
-        self.rows.append(tuple(str(c) for c in cells))
+        self.rows.append(tuple(map(str, cells)))
 
     def render(self) -> str:
         if self.fmt == "machine":
@@ -410,41 +412,21 @@ def cmd_sweep(args) -> int:
         if any(args.q < r + d - 1 for r, d, _ in combo):
             continue
         classes = tuple(LocalityClass.from_groups(r, d, m) for r, d, m in combo)
-        n_gab = sum(c.groups * c.r for c in classes)
-        for k in range(1, n_gab + 1):
-            rows += 1
-            work += 1
-            if work > SWEEP_ROW_LIMIT:
-                return budget_exceeded()
-            spec = LocalitySpec(classes=classes, k=k, q=args.q, t=n_gab)
-            cap = distance_bound_udlrc(spec)
-            perm = permuted_tightest_bound(spec)
-            try:
-                older = distance_bound_unequal_r(spec)
-                older_text = str(older.value)
-                relation = (
-                    "tighter" if cap.value < older.value else ("equal" if cap.value == older.value else "looser")
-                )
-            except PreconditionViolated:
-                older_text = "-"
-                relation = "-"
+        spec = LocalitySpec(classes=classes, k=1, q=args.q, t=0)  # built rows set k and t
+        n, n_gab = spec.n, spec.n_gab
+        label = ";".join(f"({c.r},{c.delta},{c.groups})" for c in classes)
+        table = bounds_table(classes, min(n_gab, SWEEP_ROW_LIMIT - work))
+        rows += len(table)
+        work += len(table)
+        for k, dim, cap, pivot, permuted, older in table:
+            relation = "-" if older is None else ("tighter" if cap < older else ("equal" if cap == older else "looser"))
             oracle_text = "-"
-            if spec.n <= budget:
-                inst = build_code(spec)
-                oracle_text = str(min_distance_oracle(inst.gen, budget=budget).d)
-            report.add(
-                "row",
-                ";".join(f"({c.r},{c.delta},{c.groups})" for c in classes),
-                k,
-                spec.n,
-                dimension_bound(spec),
-                cap.value,
-                cap.pivot,
-                perm.value,
-                older_text,
-                relation,
-                oracle_text,
-            )
+            if n <= budget:
+                oracle_text = str(min_distance_oracle(build_code(replace(spec, k=k, t=n_gab)).gen, budget=budget).d)
+            older_text = "-" if older is None else older
+            report.add("row", label, k, n, dim, cap, pivot, permuted, older_text, relation, oracle_text)
+        if len(table) < n_gab:
+            return budget_exceeded()
     report.add("meta", "rows", rows)
     report.add("status", "ok")
     report.emit()

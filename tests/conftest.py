@@ -1,11 +1,12 @@
 import importlib.util
 import os
 import random
+from itertools import permutations
 from pathlib import Path
 
 import pytest
 
-from udlrc import LocalityClass, LocalitySpec, build_code, validate_spec
+from udlrc import BoundReport, LocalityClass, LocalitySpec, build_code, distance_bound_udlrc, validate_spec
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 WORKLOADS = SRC.parent / "perfbench" / "workloads.py"
@@ -66,6 +67,22 @@ def ref_left_multiply(m, vector):
             acc = f.add(acc, ref_mul(f, v, row[j]))
         out.append(acc)
     return out
+
+
+def ref_permuted_tightest_bound(spec):
+    """distance_bound_udlrc on each of the s! class orderings in
+    lexicographic order, keeping the first that attains the minimum: the
+    search the (head set, pivot) enumeration of permuted_tightest_bound
+    replaced."""
+    best = None
+    for perm in permutations(range(spec.s)):
+        permuted = LocalitySpec(classes=tuple(spec.classes[i] for i in perm), k=spec.k, q=spec.q, t=spec.t)
+        report = distance_bound_udlrc(permuted)
+        if best is None or report.value < best.value:
+            best = BoundReport(
+                "dist-cap-permuted", report.value, report.pivot, report.per_class_terms, tuple(i + 1 for i in perm)
+            )
+    return best
 
 
 # The [8, 4] two-class workhorse over GF(5^5): one (r=2, delta=3) group and

@@ -1,3 +1,6 @@
+import random
+from itertools import product
+
 import pytest
 
 from udlrc import (
@@ -7,6 +10,7 @@ from udlrc import (
     PreconditionViolated,
     RankInfeasible,
     TooManyClasses,
+    bounds_table,
     ceil_div,
     dimension_bound,
     distance_bound_measured,
@@ -16,7 +20,8 @@ from udlrc import (
     permuted_tightest_bound,
     pivot_class,
 )
-from conftest import REF_SPEC, REF_FULL_SPEC, REVERSED_SPEC
+import udlrc.bounds as bounds_module
+from conftest import REF_SPEC, REF_FULL_SPEC, REVERSED_SPEC, ref_permuted_tightest_bound
 
 
 def two_class(k, q=5, t=5):
@@ -147,6 +152,15 @@ def test_unequal_r_comparison_has_tighter_cases():
     assert distance_bound_unequal_r(spec).value == 4
 
 
+def test_unequal_r_bound_strict_pivot_rule():
+    # Here sum_{j' <= j} g_j' r_j' equals k - 1 at the published pivot, so
+    # a "< k" rule would move the pivot one class on.
+    classes = (LocalityClass(r=1, delta=2, n=4), LocalityClass(r=2, delta=2, n=3), LocalityClass(r=3, delta=2, n=4))
+    for k, value, pivot in ((3, 7, 1), (5, 4, 2)):
+        report = distance_bound_unequal_r(LocalitySpec(classes=classes, k=k, q=5, t=20))
+        assert (report.value, report.pivot) == (value, pivot)
+
+
 def test_unequal_r_bound_preconditions():
     with pytest.raises(PreconditionViolated):
         distance_bound_unequal_r(REF_SPEC)  # delta = 3 present
@@ -231,3 +245,97 @@ def test_distance_cap_monotone_in_k():
 
 def test_full_dimension_reference():
     assert dimension_bound(REF_FULL_SPEC) == REF_FULL_SPEC.k == 5
+
+
+def _permuted_zoo():
+    """Seeded class tuples of length 1 to 6, each drawn from a pool of
+    three classes (so from length 4 on some class repeats); ragged lengths
+    give zero and partial caps."""
+    rng = random.Random(90210)
+    for s, count in ((1, 6), (2, 8), (3, 8), (4, 6), (5, 3), (6, 2)):
+        for _ in range(count):
+            pool = [LocalityClass(r=rng.randint(1, 4), delta=rng.randint(2, 4), n=rng.randint(1, 12)) for _ in range(3)]
+            yield tuple(rng.choice(pool) for _ in range(s))
+
+
+def test_permuted_bound_matches_ordering_search():
+    checked = 0
+    for classes in _permuted_zoo():
+        dim = sum(c.k_cap for c in classes)
+        for k in range(1, dim + 2):
+            spec = LocalitySpec(classes=classes, k=k, q=7, t=99)
+            if k > dim:
+                for search in (permuted_tightest_bound, ref_permuted_tightest_bound):
+                    with pytest.raises(DimensionInfeasible):
+                        search(spec)
+                continue
+            assert permuted_tightest_bound(spec) == ref_permuted_tightest_bound(spec), (classes, k)
+            checked += 1
+    assert checked > 300
+
+
+def test_permuted_bound_core_runs_once_per_head_and_pivot(monkeypatch):
+    calls = 0
+    core = bounds_module._cap_core
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return core(*args)
+
+    monkeypatch.setattr(bounds_module, "_cap_core", counted)
+    pool = [LocalityClass.from_groups(1, 2, 1), LocalityClass.from_groups(2, 3, 1), LocalityClass.from_groups(3, 2, 2)]
+    classes = tuple(pool[i % 3] for i in range(8))
+    dim = sum(c.k_cap for c in classes)
+    for k in range(1, dim + 1):
+        calls = 0
+        permuted_tightest_bound(LocalitySpec(classes=classes, k=k, q=7, t=dim))
+        assert 1 <= calls <= 8 * 2**7  # against 8! = 40,320 orderings
+
+
+def _sweep_tuples(q, s, rs, deltas, ms):
+    """Class tuples in the order and with the filters of `udlrc sweep`."""
+    for combo in product(product(rs, deltas, ms), repeat=s):
+        if any(a[0] > b[0] or a[1] < b[1] for a, b in zip(combo, combo[1:])):
+            continue
+        if any(q < r + d - 1 for r, d, _ in combo):
+            continue
+        yield tuple(LocalityClass.from_groups(r, d, m) for r, d, m in combo)
+
+
+def test_bounds_table_matches_spec_functions():
+    # The benchmark's bounds-only table grid, then a few other class counts.
+    tuples = list(_sweep_tuples(7, 3, range(1, 4), range(2, 4), range(1, 3)))
+    assert len(tuples) == 320
+    tuples += [
+        (LocalityClass.from_groups(2, 3, 2),),
+        (LocalityClass.from_groups(1, 2, 3),),
+        (LocalityClass.from_groups(3, 2, 1), LocalityClass.from_groups(1, 2, 2)),
+        (LocalityClass.from_groups(1, 4, 1), LocalityClass.from_groups(2, 3, 2)),
+        (LocalityClass.from_groups(1, 3, 1),) * 2 + (LocalityClass.from_groups(2, 2, 2),) * 2,
+        tuple(LocalityClass.from_groups(r, 2, 1) for r in (1, 2, 2, 3)),
+    ]
+    rows = 0
+    for classes in tuples:
+        dim = sum(c.k_cap for c in classes)
+        table = bounds_table(classes, dim)
+        assert len(table) == dim
+        for k, row in enumerate(table, 1):
+            spec = LocalitySpec(classes=classes, k=k, q=7, t=dim)
+            cap = distance_bound_udlrc(spec)
+            try:
+                older = distance_bound_unequal_r(spec).value
+            except PreconditionViolated:
+                older = None
+            expected = (k, dimension_bound(spec), cap.value, cap.pivot, permuted_tightest_bound(spec).value, older)
+            assert row == expected, (classes, row)
+            rows += 1
+    assert rows > 2880
+
+
+def test_bounds_table_stops_at_the_last_k():
+    classes = (LocalityClass.from_groups(1, 2, 2), LocalityClass.from_groups(2, 2, 1))
+    assert bounds_table(classes, 0) == []
+    assert bounds_table(classes, 2) == bounds_table(classes, 4)[:2]
+    with pytest.raises(DimensionInfeasible):
+        bounds_table(classes, 5)

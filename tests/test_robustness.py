@@ -2,6 +2,7 @@
 bad field, and oversized ones in exit 5 within a second, never a traceback
 or a hang.  Every case runs the CLI in process."""
 
+import hashlib
 import json
 import time
 
@@ -132,6 +133,15 @@ def test_sweep_work_cap_reports_budget_exceeded(capsys):
     assert code == 5
     assert out.splitlines()[-1] == "status\tbudget-exceeded"
     assert "\nrow\t(" not in out
+
+
+def test_sweep_work_cap_stops_a_long_column(capsys):
+    # One class with a million groups: the table stops at the work cap
+    # (9,999 rows after the one combination), not at k = 10^6.
+    code = cli.main(_sweep(5, 1, "1", "2", "1000000", "--format", "machine"))
+    out = capsys.readouterr().out
+    assert code == 5
+    assert hashlib.sha256(out.encode()).hexdigest() == "c64edc63d12f1c0cb90a2e8cf724f2dfc67471be868d00c494e1643a74f0b4fa"
 
 
 def test_field_setup_over_the_search_limit_exits_five(tmp_path, capsys):
