@@ -418,11 +418,13 @@ def cmd_sweep(args) -> int:
         table = bounds_table(classes, min(n_gab, SWEEP_ROW_LIMIT - work))
         rows += len(table)
         work += len(table)
+        # Row j of a generator is the q^j-th powers of its points, so the code at k is its first k rows.
+        gen = build_code(replace(spec, k=len(table), t=n_gab)).gen if table and n <= budget else None
         for k, dim, cap, pivot, permuted, older in table:
             relation = "-" if older is None else ("tighter" if cap < older else ("equal" if cap == older else "looser"))
             oracle_text = "-"
-            if n <= budget:
-                oracle_text = str(min_distance_oracle(build_code(replace(spec, k=k, t=n_gab)).gen, budget=budget).d)
+            if gen is not None:
+                oracle_text = str(min_distance_oracle(replace(gen, rows=gen.rows[:k]), budget=budget).d)
             older_text = "-" if older is None else older
             report.add("row", label, k, n, dim, cap, pivot, permuted, older_text, relation, oracle_text)
         if len(table) < n_gab:

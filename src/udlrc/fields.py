@@ -17,7 +17,10 @@ block and nothing to fold.  One big-int product of a packed element and a
 packed row multiplies every element of the row by it as polynomials, each
 product (degree <= 2t - 2) filling its own block.  Folding the high slots
 back through x^t mod the modulus and one slotwise Barrett step mod q make
-the row canonical again; ExtField.mul is the one-element row.
+the row canonical again; ExtField.mul is the one-element row.  The q-power
+map is F_q-linear and fixes F_q, so ExtField.frobenius is t small ints times
+the packed images alpha^(jq), built once per field, and one canon (repeated
+squaring took about log2(q) + popcount(q) products).
 
 The slot bound: with canonical operands (coordinates <= q - 1), no slot
 of any intermediate reaches 2^W, so no slot ever carries into the next.
@@ -28,6 +31,7 @@ per field and row length.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -249,7 +253,11 @@ class ExtField:
         self.zero: ExtElem = (0,) * t
         self.one: ExtElem = ((1,) + (0,) * (t - 1))
         self.alpha: ExtElem = (-modulus[0] % self.q,) if t == 1 else ((0, 1) + (0,) * (t - 2))
-        self._pk = _Packing(self, 1)
+        self._pk = pk = _Packing(self, 1)
+        step = pk.pack_elem(_poly_powmod([0, 1], self.q, modulus, self.q))
+        self._frob = [pk.pack_elem(self.one)]  # alpha^(iq) for i < t, packed
+        for _ in range(t - 1):
+            self._frob.append(pk.canon(self._frob[-1] * step))
 
     def element(self, coords: Sequence[int]) -> ExtElem:
         if len(coords) != self.t:
@@ -332,11 +340,14 @@ class ExtField:
         return self.mul(a, self.inv(b))
 
     def frobenius(self, a: ExtElem, i: int = 1) -> ExtElem:
-        """a^(q^i), by i applications of the q-power map."""
+        """a^(q^i): the q-power map a -> sum_j a_j alpha^(jq), t small-int
+        products with the packed images and one canon, applied i mod t times
+        (its t-th power is the identity)."""
         if i < 0:
             raise ValueError("frobenius exponent must be >= 0")
-        for _ in range(i):
-            a = self.pow(a, self.q)
+        pk, images = self._pk, self._frob
+        for _ in range(i % self.t):
+            a = pk.unpack_elem(pk.canon(sum(map(operator.mul, a, images))))
         return a
 
     def elements(self) -> Iterator[ExtElem]:
@@ -387,7 +398,8 @@ class _Packing:
         #   the row's entry under it; a product slot sums at most t terms,
         #   so every slot is at most v1 = t*c*c + t*q*c.  A product step
         #   (ExtField.mul, Matrix.left_multiply) adds one product (slots <=
-        #   t*c*c) to a canonical accumulator (slots <= c), within v1 too.
+        #   t*c*c) to a canonical accumulator (slots <= c), within v1 too, and
+        #   ExtField.frobenius sums t coordinates times images (<= t*c*c).
         # - Folding (t > 1) takes the high part h (slots t..2t-2, each
         #   <= v1), the quotient of h * x^t by the modulus as the slots
         #   t-2.. of h * mu (each <= (t-1)*v1*c), and adds that quotient

@@ -56,6 +56,20 @@ def ref_mul(field, a, b):
     return tuple(v % q for v in conv[:t])
 
 
+def ref_frobenius(field, a, i):
+    """a^(q^i) by i rounds of square-and-multiply through ref_mul: the
+    repeated squaring the linear-map ExtField.frobenius replaced."""
+    for _ in range(i):
+        result, acc, e = field.one, a, field.q
+        while e:
+            if e & 1:
+                result = ref_mul(field, result, acc)
+            acc = ref_mul(field, acc, acc)
+            e >>= 1
+        a = result
+    return a
+
+
 def ref_left_multiply(m, vector):
     """Row vector times matrix, element by element through ref_mul: the
     path the packed Matrix.left_multiply replaced."""

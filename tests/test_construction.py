@@ -1,5 +1,6 @@
 import random
-from itertools import combinations
+from dataclasses import replace
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -402,3 +403,22 @@ def test_encode_is_k_packed_steps_and_no_field_mul(monkeypatch):
     monkeypatch.setattr(fields.ExtField, "mul", counted_mul)
     assert encode(inst, message) == expected
     assert calls == {"canon": inst.k, "mul": 0}
+
+
+def test_code_at_k_is_the_prefix_of_the_code_at_full_dimension():
+    # Row j of the generator is the q^j-th powers of the points, so the
+    # sweep builds each class tuple once and runs the oracle on prefixes.
+    choices = [(r, d, m) for r in (1, 2, 3) for d in (3, 2) for m in (1, 2)]
+    checked = 0
+    for q in (5, 7):
+        for s in (1, 2):
+            for combo in product(choices, repeat=s):
+                classes = tuple(LocalityClass.from_groups(*c) for c in combo)
+                spec = LocalitySpec(classes=classes, k=1, q=q, t=1)
+                if not spec.ordered_condition or spec.n > 12:
+                    continue
+                full = build_code(replace(spec, k=spec.n_gab, t=spec.n_gab)).gen
+                for k in range(1, spec.n_gab + 1):
+                    assert build_code(replace(spec, k=k, t=spec.n_gab)).gen.rows == full.rows[:k]
+                    checked += 1
+    assert checked == 612

@@ -6,7 +6,8 @@ import pytest
 from udlrc import ExtField, ModulusSearchTooLarge, PrimeField, find_irreducible, is_prime
 from udlrc.fields import MODULUS_SEARCH_BUDGET, PRIME_CHECK_LIMIT
 from udlrc.fields import _is_irreducible
-from conftest import ref_mul
+from udlrc import fields
+from conftest import ref_frobenius, ref_mul
 
 
 def test_prime_check():
@@ -255,19 +256,18 @@ def test_degree_one_extension_matches_prime_field():
     assert f.frobenius((2,), 4) == (2,)
 
 
-@pytest.mark.parametrize(
-    "f",
-    [
-        ExtField(PrimeField(2), 3),
-        ExtField(PrimeField(3), 2),
-        ExtField(PrimeField(5), 2),
-        ExtField(PrimeField(3), 3, (1, 0, 2, 1)),  # not the default modulus
-        ExtField(PrimeField(2), 4, (1, 1, 1, 1, 1)),
-        ExtField(PrimeField(7), 1),
-        ExtField(PrimeField(2), 1),
-    ],
-    ids=lambda f: f"{f!r}{f.modulus}",
-)
+EXHAUSTIVE_FIELDS = [
+    ExtField(PrimeField(2), 3),
+    ExtField(PrimeField(3), 2),
+    ExtField(PrimeField(5), 2),
+    ExtField(PrimeField(3), 3, (1, 0, 2, 1)),  # not the default modulus
+    ExtField(PrimeField(2), 4, (1, 1, 1, 1, 1)),
+    ExtField(PrimeField(7), 1),
+    ExtField(PrimeField(2), 1),
+]
+
+
+@pytest.mark.parametrize("f", EXHAUSTIVE_FIELDS, ids=lambda f: f"{f!r}{f.modulus}")
 def test_mul_matches_schoolbook_exhaustive(f):
     elems = list(f.elements())
     for a in elems:
@@ -286,3 +286,58 @@ def test_mul_matches_schoolbook_sampled(q, t):
         for b in extremes + [f.random_element(rng)]:
             assert f.mul(a, b) == ref_mul(f, a, b)
             assert f.mul(b, a) == ref_mul(f, b, a)
+
+
+@pytest.mark.parametrize("f", EXHAUSTIVE_FIELDS, ids=lambda f: f"{f!r}{f.modulus}")
+def test_frobenius_matches_repeated_squaring_exhaustive(f):
+    for a in f.elements():
+        power = a
+        for i in range(f.t + 2):
+            assert f.frobenius(a, i) == power
+            power = ref_frobenius(f, power, 1)
+
+
+@pytest.mark.parametrize("q, t", [(5, 8), (7, 9), (5, 10), (1000000007, 2)])
+def test_frobenius_matches_repeated_squaring_sampled(q, t):
+    # The all-(q - 1) element drives every slot of the image sum to its
+    # largest value.
+    f = ExtField(PrimeField(q), t)
+    rng = random.Random(q * 100 + t)
+    extremes = [f.zero, f.one, f.alpha, (q - 1,) * t, (0,) * (t - 1) + (q - 1,)]
+    for a in extremes + [f.random_element(rng) for _ in range(25)]:
+        power = a
+        for i in range(t + 2):
+            assert f.frobenius(a, i) == power
+            power = ref_frobenius(f, power, 1)
+
+
+def test_frobenius_exponent_counts_mod_t():
+    # The q-power map has order t, so a huge exponent costs what i mod t does.
+    f = ExtField(PrimeField(7), 9)
+    x = f.random_element(random.Random(17))
+    start = time.perf_counter()
+    assert f.frobenius(x, 10**12) == f.frobenius(x, 10**12 % 9) == ref_frobenius(f, x, 10**12 % 9)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_frobenius_is_one_packed_step_and_no_field_mul(monkeypatch):
+    # A count, not a timing: one q-power is one canon over the packed
+    # images; repeated squaring made about log2(q) + popcount(q) muls.
+    f = ExtField(PrimeField(7), 9)
+    x = f.random_element(random.Random(19))
+    expected = ref_frobenius(f, x, 1)
+    calls = {"canon": 0, "mul": 0}
+    canon, mul = fields._Packing.canon, fields.ExtField.mul
+
+    def counted_canon(self, v):
+        calls["canon"] += 1
+        return canon(self, v)
+
+    def counted_mul(self, a, b):
+        calls["mul"] += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(fields._Packing, "canon", counted_canon)
+    monkeypatch.setattr(fields.ExtField, "mul", counted_mul)
+    assert f.frobenius(x) == expected
+    assert calls == {"canon": 1, "mul": 0}

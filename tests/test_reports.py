@@ -1,7 +1,8 @@
 """The machine-format reports the benchmark checks, pinned in process to the
 sha256 digests recorded in perfbench/golden.json, and one of them once more
-under python -O; and the `bounds` reports on the benchmark's spec files and
-on an 8-class spec, pinned to their recorded digests.
+under python -O; the oracle sweep's builds, counted; and the `bounds`
+reports on the benchmark's spec files and on an 8-class spec, pinned to
+their recorded digests.
 """
 
 import contextlib
@@ -36,6 +37,26 @@ def test_report_matches_recorded_digest(key, argv, monkeypatch):
         assert cli.main(argv) == 0
     group, name = key
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == workloads.GOLDEN[group][name]
+
+
+def test_oracle_sweep_builds_once_per_class_tuple(monkeypatch):
+    # A count, not a timing: the benchmark's oracle sweep has 80 oracle rows
+    # in 17 class tuples, and builds each tuple's code once, at its last k.
+    monkeypatch.delenv("UDLRC_BUDGET", raising=False)
+    built = []
+    build_code = cli.build_code
+
+    def counted_build(spec):
+        built.append(spec.k)
+        return build_code(spec)
+
+    monkeypatch.setattr(cli, "build_code", counted_build)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(workloads.Sweep.ORACLE) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == workloads.GOLDEN["sweep"]["oracle"]
+    oracled = [line for line in out.getvalue().splitlines() if line.startswith("row\t(") and not line.endswith("\t-")]
+    assert (len(built), sum(built), len(oracled)) == (17, 80, 80)
 
 
 def test_report_without_asserts_matches_recorded_digest():

@@ -144,6 +144,30 @@ def test_sweep_work_cap_stops_a_long_column(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == "c64edc63d12f1c0cb90a2e8cf724f2dfc67471be868d00c494e1643a74f0b4fa"
 
 
+def test_sweep_work_cap_builds_only_the_rows_it_prints(monkeypatch, capsys):
+    # The work cap cuts the table of (1,2,3);(1,2,2) after 3 of its 5 rows,
+    # so its code is built at k = 3; every tuple is built once, at the last
+    # row it prints.  The report is the one recorded with a build per row.
+    built = []
+    build_code = cli.build_code
+
+    def counted_build(spec):
+        built.append((spec.k, spec.n_gab))
+        return build_code(spec)
+
+    monkeypatch.setattr(cli, "build_code", counted_build)
+    code = cli.main(_sweep(5, 2, "1", "2", "1:97", "--budget", "10", "--format", "machine"))
+    out = capsys.readouterr().out
+    assert code == 5
+    assert hashlib.sha256(out.encode()).hexdigest() == "71dfe2872e256a9fc769012be46066700c2a45b4b2139864d752ac003072e61b"
+    oracled = [line.split("\t") for line in out.splitlines() if line.startswith("row\t(") and not line.endswith("\t-")]
+    last_k = {}
+    for row in oracled:
+        last_k[row[1]] = int(row[2])
+    assert [k for k, _ in built] == list(last_k.values())
+    assert built[-1] == (3, 5) and oracled[-1][1] == "(1,2,3);(1,2,2)"
+
+
 def test_field_setup_over_the_search_limit_exits_five(tmp_path, capsys):
     # t = 5 over GF(1000000007): every x^5 + c has a root.
     doc = {"q": 1000000007, "t": 5, "k": 2, "classes": [{"r": 2, "delta": 2, "m": 1}]}
