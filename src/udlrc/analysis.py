@@ -20,7 +20,7 @@ from .construction import (
     LocalGroupLayout,
     erank,
 )
-from .fields import _packing
+from .fields import ExtField, _packing
 from .linalg import Matrix
 
 DEFAULT_ORACLE_BUDGET = 20
@@ -64,24 +64,39 @@ class DistanceCertificate:
 def min_distance_oracle(gen: Matrix, budget: int = DEFAULT_ORACLE_BUDGET) -> DistanceCertificate:
     """Exact minimum distance: n minus the largest symbol set of rank < k.
 
-    Walks the columns of the generator's reduced basis (row operations keep
-    every column subset's rank; unit pivot columns skip most elimination
-    steps) depth first in combinations order, so a hit is the
-    lexicographically first deficient subset of its size.  The sizes with
-    a deficient subset form an initial segment that holds k - 1 (Singleton),
-    so the scan runs upward from k - 1 to the first size without a hit,
-    and the last hit, at size n - d, is exact for any generator.
+    When gen is a Moore matrix over F_(q^t) (row j is the Frobenius image
+    of row j - 1, as every built generator and each of its k-row prefixes
+    is), a column subset S has rank min(k, F_q-rank of S's points in row 0)
+    by the Moore determinant (Lidl and Niederreiter, Finite Fields, Lemma
+    3.51), so the walk runs over row 0's points as length-t rows over F_q.
+    Any other generator (a reduced basis, a row-mixed or foreign matrix)
+    falls back to the columns of its reduced basis over its own field (row
+    operations keep every column subset's rank; unit pivot columns skip
+    most elimination steps).  Either walk is depth first in combinations
+    order, so a hit is the lexicographically first deficient subset of its
+    size, and both see the same ranks below k, so they return the same
+    certificate.  The sizes with a deficient subset form an initial segment
+    that holds k - 1 (Singleton), so the scan runs upward from k - 1 to the
+    first size without a hit, and the last hit, at size n - d, is exact for
+    any generator.
     """
     n = gen.ncols
     k = gen.nrows
     if n > budget:
         raise TooLarge(f"n={n} exceeds the enumeration budget {budget}")
-    pn = _packing(gen.field, n)
-    basis = pn.reduced(map(pn.pack, gen.rows), n)
-    if len(basis) < k:
+    field = gen.field
+    if _is_moore(gen):
+        pk = _packing(field.base, field.t)
+        columns = [pk.pack(y) for y in gen.rows[0]]
+        rank = len(pk.echelon(columns, field.t))
+    else:
+        pn = _packing(field, n)
+        basis = pn.reduced(map(pn.pack, gen.rows), n)
+        rank = len(basis)
+        pk = _packing(field, k)
+        columns = [pk.pack(col) for col in zip(*(pn.unpack(row) for _, row in basis))]
+    if rank < k:
         raise RankDeficientGenerator(f"generator rank below k={k}")
-    pk = _packing(gen.field, k)
-    columns = [pk.pack(col) for col in zip(*(pn.unpack(row) for _, row in basis))]
     cert = None
     for size in range(max(k - 1, 0), n):
         hit = _first_deficient(pk, columns, k, size, 0, [], [])
@@ -91,6 +106,16 @@ def min_distance_oracle(gen: Matrix, budget: int = DEFAULT_ORACLE_BUDGET) -> Dis
     if cert is None:
         raise AssertionError("unreachable: any k - 1 columns are rank deficient")
     return cert
+
+
+def _is_moore(gen: Matrix) -> bool:
+    """Whether gen has a row 0 and every entry below it, over an extension
+    field, is the Frobenius image of the entry above it; stops at the first
+    mismatch."""
+    field, rows = gen.field, gen.rows
+    return isinstance(field, ExtField) and bool(rows) and all(
+        field.frobenius(above) == entry for prev, row in zip(rows, rows[1:]) for above, entry in zip(prev, row)
+    )
 
 
 def _first_deficient(pk, columns, k, size, start, path, basis):

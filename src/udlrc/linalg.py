@@ -12,7 +12,8 @@ Rows join the basis in the order they arrive, each pivoting on its first
 nonzero column, read off the lowest set bit of the packed row, so the
 length of the basis is the rank (Matrix.rank, RankTracker).  A backward
 pass of the same step brings the basis to reduced form, pivots unscaled
-(_Packing.reduced, whose columns the distance oracle walks), and one pivot
+(_Packing.reduced, whose columns the distance oracle walks when the
+generator is not a Moore matrix), and one pivot
 inverse per row scales it to RREF (solve, inverse, row_space_basis).
 Rows are packed on entry to an elimination and unpacked on exit, so
 elements keep their public form.  A fixed pivot rule keeps every run
@@ -70,17 +71,16 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        return Matrix(self.field, [other.left_multiply(row) for row in self.rows])
+        pk = _packing(other.field, other.ncols)
+        packed = [pk.pack(row) for row in other.rows]
+        return Matrix(self.field, [pk.unpack(_combine(pk, row, packed)) for row in self.rows])
 
     def left_multiply(self, vector: Sequence) -> list:
         """Row vector times matrix."""
         if len(vector) != self.nrows:
             raise ValueError(f"vector length {len(vector)} does not match {self.nrows} rows")
         pk = _packing(self.field, self.ncols)
-        acc = 0
-        for v, row in zip(vector, self.rows):
-            acc = pk.canon(acc + pk.pack_elem(v) * pk.pack(row))
-        return pk.unpack(acc)
+        return pk.unpack(_combine(pk, vector, map(pk.pack, self.rows)))
 
     def rank(self) -> int:
         pk = _packing(self.field, self.ncols)
@@ -111,6 +111,14 @@ class Matrix:
         """Reduced row echelon basis of the row space, zero rows dropped."""
         pk = _packing(self.field, self.ncols)
         return Matrix(self.field, [pk.unpack(row) for row in pk.reduced_echelon(map(pk.pack, self.rows), self.ncols)])
+
+
+def _combine(pk: _Packing, vector: Sequence, packed_rows: Iterable[int]) -> int:
+    """The packed sum of the packed rows weighted by the vector's elements."""
+    acc = 0
+    for v, row in zip(vector, packed_rows):
+        acc = pk.canon(acc + pk.pack_elem(v) * row)
+    return acc
 
 
 class RankTracker:

@@ -1,7 +1,7 @@
 import importlib.util
 import os
 import random
-from itertools import permutations
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -135,6 +135,19 @@ REVERSED_SPEC = LocalitySpec(
     q=5,
     t=5,
 )
+
+
+def usual_grid():
+    """Every buildable spec with q in {5, 7}, s <= 3, r <= 3, delta <= 3,
+    m <= 2 and n <= 10, ordered or not, at t = n_gab and every k: 2,298
+    specs."""
+    for q, s in product((5, 7), (1, 2, 3)):
+        for combo in product(product(range(1, 4), range(2, 4), range(1, 3)), repeat=s):
+            classes = tuple(LocalityClass.from_groups(r, d, m) for r, d, m in combo)
+            shape = LocalitySpec(classes=classes, k=1, q=q, t=1)
+            if shape.n <= 10:
+                for k in range(1, shape.n_gab + 1):
+                    yield LocalitySpec(classes=classes, k=k, q=q, t=shape.n_gab)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,7 @@
 import dataclasses
 import random
+import subprocess
+import sys
 from itertools import combinations, product
 
 import pytest
@@ -36,9 +38,9 @@ from udlrc import (
     validate_spec,
     worst_case_pattern,
 )
-from conftest import REVERSED_SPEC, load_workloads
+from conftest import REVERSED_SPEC, cli_env, load_workloads, usual_grid
 from udlrc import fields
-from udlrc.analysis import _first_deficient
+from udlrc.analysis import _first_deficient, _is_moore
 from udlrc.linalg import base_rank
 
 F5 = PrimeField(5)
@@ -156,8 +158,9 @@ def test_oracle_matches_scan_on_sweep_rows(monkeypatch):
     checked = []
 
     def differential(gen, budget):
+        assert _is_moore(gen)  # every k-row prefix takes the point walk
         cert = min_distance_oracle(gen, budget)
-        assert cert == _scan_oracle(gen)
+        assert cert == _scan_oracle(gen) == _reduced_basis_oracle(gen)
         checked.append(gen.ncols)
         return cert
 
@@ -220,6 +223,7 @@ def test_upward_walk_matches_downward_walk_on_permuted_columns(gf7_9):
     certs = []
     for order in orders:
         permuted = gen.take_columns(order)
+        assert _is_moore(permuted)
         certs.append(min_distance_oracle(permuted))
         assert certs[-1] == _downward_oracle(permuted)
     assert {cert.d for cert in certs} == {6}
@@ -242,6 +246,7 @@ def test_oracle_is_blind_to_row_operations(all_instances, reversed_instance, gf7
     for inst in [*all_instances, reversed_instance, gf7_9]:
         mixed = _random_invertible(inst.gen.field, inst.k, rng) @ inst.gen
         assert mixed.rows != inst.gen.rows
+        assert not _is_moore(mixed)
         cert = min_distance_oracle(inst.gen)
         assert min_distance_oracle(mixed) == cert == _downward_oracle(mixed)
         if inst is not gf7_9:
@@ -251,7 +256,7 @@ def test_oracle_is_blind_to_row_operations(all_instances, reversed_instance, gf7
 def test_oracle_work_on_the_large_reference_code(gf7_9, monkeypatch):
     # A count of kernel steps, not a timing: the downward scan over raw
     # columns made 14,911 canon calls here, the upward scan over the
-    # reduced basis makes 6,250.
+    # reduced basis 6,250, and the walk over the points makes 724.
     calls = []
     canon = fields._Packing.canon
 
@@ -262,6 +267,158 @@ def test_oracle_work_on_the_large_reference_code(gf7_9, monkeypatch):
     monkeypatch.setattr(fields._Packing, "canon", counted)
     assert min_distance_oracle(gf7_9.gen).d == 6
     assert 0 < len(calls) <= 8000
+
+
+def _reduced_basis_oracle(gen):
+    """The walk the point walk replaced on Moore generators, and still the
+    path of every other generator: the upward scan over the columns of the
+    generator's reduced basis over its own field."""
+    n, k = gen.ncols, gen.nrows
+    pn = fields._packing(gen.field, n)
+    basis = pn.reduced(map(pn.pack, gen.rows), n)
+    if len(basis) < k:
+        raise RankDeficientGenerator(f"generator rank below k={k}")
+    pk = fields._packing(gen.field, k)
+    columns = [pk.pack(col) for col in zip(*(pn.unpack(row) for _, row in basis))]
+    cert = None
+    for size in range(max(k - 1, 0), n):
+        hit = _first_deficient(pk, columns, k, size, 0, [], [])
+        if hit is None:
+            break
+        cert = DistanceCertificate(d=n - size, witness=hit[0], witness_rank=hit[1])
+    return cert
+
+
+@pytest.fixture(scope="module")
+def grid_instances():
+    return [build_code(validate_spec(spec)) for spec in usual_grid()]
+
+
+def test_point_walk_matches_reduced_basis_walk(all_instances, reversed_instance, gf7_9, grid_instances):
+    # Row j of a built generator is the Frobenius image of row j - 1, so a
+    # column subset's rank is min(k, F_q-rank of its points).
+    instances = [*all_instances, reversed_instance, gf7_9, *grid_instances]
+    assert len(grid_instances) == 2298
+    for inst in instances:
+        assert _is_moore(inst.gen)
+        assert list(inst.gen.rows[0]) == list(inst.points)
+        assert min_distance_oracle(inst.gen) == _reduced_basis_oracle(inst.gen)
+
+
+def test_point_walk_on_column_permuted_generators(all_instances, grid_instances):
+    # Permuting columns keeps a Moore matrix Moore and moves the witness.
+    rng = random.Random(20261021)
+    instances = [*all_instances, *rng.sample(grid_instances, 300)]
+    moved = 0
+    for inst in instances:
+        order = rng.sample(range(inst.n), inst.n)
+        permuted = inst.gen.take_columns(order)
+        assert _is_moore(permuted)
+        cert, unpermuted = min_distance_oracle(permuted), min_distance_oracle(inst.gen)
+        assert cert == _reduced_basis_oracle(permuted)
+        assert cert.d == unpermuted.d
+        moved += cert.witness != unpermuted.witness
+    assert moved > 100
+
+
+def test_row_mixed_grid_generators_take_the_generic_path(grid_instances):
+    rng = random.Random(20261022)
+    mixed_count = 0
+    for inst in rng.sample(grid_instances, 300):
+        if inst.k < 2:
+            continue  # one row is Moore under any scaling
+        mixed = _random_invertible(inst.gen.field, inst.k, rng) @ inst.gen
+        assert not _is_moore(mixed)
+        assert min_distance_oracle(mixed) == _reduced_basis_oracle(mixed) == min_distance_oracle(inst.gen)
+        mixed_count += 1
+    assert mixed_count > 200
+
+
+def test_points_of_low_rank_raise_on_both_paths():
+    from udlrc import ExtField, moore_matrix
+
+    f5_5, f5_2 = ExtField(F5, 5), ExtField(F5, 2)
+    duplicated = moore_matrix(f5_5, [f5_5.one, f5_5.alpha, f5_5.alpha, f5_5.one], 3).transpose()
+    beyond_t = moore_matrix(f5_2, [f5_2.one, f5_2.alpha, (1, 1), (2, 3)], 3).transpose()
+    rng = random.Random(20261023)
+    for gen in (duplicated, beyond_t):
+        assert _is_moore(gen) and gen.rank() < gen.nrows == 3
+        mixed = _random_invertible(gen.field, 3, rng) @ gen
+        assert not _is_moore(mixed)
+        messages = set()
+        for g in (gen, mixed):
+            with pytest.raises(RankDeficientGenerator) as exc:
+                min_distance_oracle(g)
+            messages.add(str(exc.value))
+        assert messages == {"generator rank below k=3"}
+
+
+def test_a_generator_without_rows_takes_the_generic_path():
+    from udlrc import ExtField
+
+    for field in (F5, ExtField(F5, 3)):
+        assert not _is_moore(Matrix(field, []))
+        with pytest.raises(AssertionError, match="unreachable"):
+            min_distance_oracle(Matrix(field, []))
+
+
+def _count_extension_reduces(monkeypatch):
+    calls = []
+    reduce = fields._Packing.reduce
+
+    def counted(self, row, basis):
+        if self.t > 1:
+            calls.append(1)
+        return reduce(self, row, basis)
+
+    monkeypatch.setattr(fields._Packing, "reduce", counted)
+    return calls
+
+
+def test_large_reference_oracle_makes_no_extension_field_reduce(gf7_9, monkeypatch):
+    # The reduced-basis walk made 2,040 reduce steps over GF(7^9) here.
+    mixed = _random_invertible(gf7_9.gen.field, gf7_9.k, random.Random(20261024)) @ gf7_9.gen
+    calls = _count_extension_reduces(monkeypatch)
+    assert min_distance_oracle(gf7_9.gen).d == 6
+    assert calls == []
+    # A row-mixed generator still walks over the extension field.
+    assert min_distance_oracle(mixed).d == 6
+    assert len(calls) > 1000
+
+
+# Row 0 of the mixed generator vanishes at column 0, so a walk over that
+# row's entries as points would see the first symbol as zero.
+MIXED_ORACLE_SCRIPT = """
+import random, sys
+from udlrc import Matrix, build_code, load_spec_file, min_distance_oracle, validate_spec
+gen = build_code(validate_spec(load_spec_file(sys.argv[1])[0])).gen
+field, k, rng = gen.field, gen.nrows, random.Random(20261025)
+while True:
+    a = [[field.random_element(rng) for _ in range(k)] for _ in range(k)]
+    rest = field.zero
+    for j in range(1, k):
+        rest = field.add(rest, field.mul(a[0][j], gen.rows[j][0]))
+    a[0][0] = field.neg(field.div(rest, gen.rows[0][0]))
+    if Matrix(field, a).rank() == k:
+        break
+mixed = Matrix(field, a) @ gen
+assert mixed.rows[0][0] == field.zero
+print(min_distance_oracle(mixed))
+"""
+
+
+def test_row_mixed_certificate_is_the_same_without_asserts(gf7_9):
+    # python -O strips every assert, so the Moore test must be a plain if:
+    # were it an assert, this row-mixed generator would walk its first row.
+    path = str(load_workloads().SPEC_DIR / "gf7_9.json")
+    outputs = []
+    for flags in ([], ["-O"]):
+        result = subprocess.run(
+            [sys.executable, *flags, "-c", MIXED_ORACLE_SCRIPT, path], capture_output=True, env=cli_env(), check=False
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout.decode().strip())
+    assert outputs[0] == outputs[1] == str(min_distance_oracle(gf7_9.gen))
 
 
 def test_full_pipeline_on_a_ternary_field():

@@ -1,12 +1,17 @@
 """End-to-end command-line checks: exit codes and byte-stable reports."""
 
+import contextlib
+import io
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
-from conftest import cli_env
+from conftest import cli_env, load_workloads, usual_grid
+from udlrc import build_code, load_spec_file, min_distance_oracle, validate_spec
+from udlrc import cli
 
 REF_TEXT = """\
 q: 5
@@ -52,12 +57,33 @@ def test_bounds_machine_golden(workdir):
         "bound\tdim-cap\t5\t-\t2;3\n"
         "bound\tdist-cap\t3\t2\t2;0\n"
         "bound\tdist-cap-permuted\t3\t2\tperm=1,2\n"
-        "bound\tclassical-1\t3\t-\tr=2;d=3\n"
-        "bound\tclassical-2\t4\t-\tr=3;d=2\n"
+        "bound\tclassical\t4\t-\tr=3;d=2\n"
+        "note\tclassical-1\tcomparison, not a ceiling: 3 at r=2;d=3\n"
+        "note\tclassical-2\tcomparison, not a ceiling: 4 at r=3;d=2\n"
         "note\tunequal-r\tskipped: this ceiling requires delta = 2 in every class\n"
         "status\tok\n"
     )
     assert result.stdout == expected
+
+
+def test_every_distance_bound_row_is_at_least_the_oracle_distance(tmp_path):
+    # A ceiling on d is never below the d of a code that meets the spec.
+    # Seeded 300 of the 2,298 grid specs, plus two benchmark spec files.
+    paths = []
+    for i, spec in enumerate(random.Random(20261018).sample(list(usual_grid()), 300)):
+        paths.append(tmp_path / f"grid{i}.json")
+        classes = [{"r": c.r, "delta": c.delta, "m": c.groups} for c in spec.classes]
+        paths[-1].write_text(json.dumps({"q": spec.q, "t": spec.t, "k": spec.k, "classes": classes}))
+    paths += [load_workloads().SPEC_DIR / f"{name}.json" for name in ("three", "gf7_9")]
+    for path in paths:
+        d = min_distance_oracle(build_code(validate_spec(load_spec_file(path)[0])).gen).d
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["bounds", "--spec", str(path), "--format", "machine"]) == 0
+        rows = [line.split("\t") for line in out.getvalue().splitlines()]
+        ceilings = {cells[1]: int(cells[2]) for cells in rows if cells[0] == "bound" and cells[1] != "dim-cap"}
+        assert {"dist-cap", "classical"} <= set(ceilings)
+        assert all(value >= d for value in ceilings.values()), (path.name, d, ceilings)
 
 
 def test_reports_are_byte_identical_across_runs(workdir):
@@ -279,7 +305,8 @@ def test_bounds_single_class_rows_agree(workdir):
         cells = line.split("\t")
         if cells[0] == "bound":
             rows[cells[1]] = cells[2]
-    assert rows["dist-cap"] == rows["classical-1"]
+    assert rows["dist-cap"] == rows["classical"]
+    assert "classical-1" not in result.stdout
 
 
 def test_certification_failure_exits_four(workdir, monkeypatch, capsys):

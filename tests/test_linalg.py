@@ -394,29 +394,51 @@ def test_packed_step_at_its_slot_bound():
                 assert pk.unpack(pk.canon(product)) == expected
 
 
-@pytest.mark.parametrize(
-    "field",
-    [
-        PrimeField(2),
-        PrimeField(1000000007),
-        ExtField(PrimeField(2), 3),
-        ExtField(PrimeField(5), 2),
-        ExtField(PrimeField(3), 3, (1, 0, 2, 1)),
-        ExtField(PrimeField(5), 8),
-        ExtField(PrimeField(7), 9),
-        ExtField(PrimeField(5), 10),
-        ExtField(PrimeField(1000000007), 2),
-    ],
-    ids=lambda f: f"{f!r}{getattr(f, 'modulus', '')}",
-)
-def test_left_multiply_matches_elementwise(field, rng):
+PRODUCT_FIELDS = [
+    PrimeField(2),
+    PrimeField(1000000007),
+    ExtField(PrimeField(2), 3),
+    ExtField(PrimeField(5), 2),
+    ExtField(PrimeField(3), 3, (1, 0, 2, 1)),
+    ExtField(PrimeField(5), 8),
+    ExtField(PrimeField(7), 9),
+    ExtField(PrimeField(5), 10),
+    ExtField(PrimeField(1000000007), 2),
+]
+
+
+def _product_shapes(field, rng):
+    """The seeded matrices, all-(q - 1) matrices, and a 0-row and a
+    0-column matrix, with the all-(q - 1) element."""
     full = _extreme_elements(field)[2]  # every coordinate q - 1
     shapes = list(_seeded_matrices(field, rng))
     shapes += [Matrix(field, [[full] * cols for _ in range(rows)]) for rows, cols in ((1, 1), (4, 6))]
     shapes += [Matrix(field, []), Matrix(field, [[] for _ in range(3)])]  # 0 rows, 0 columns
+    return shapes, full
+
+
+@pytest.mark.parametrize("field", PRODUCT_FIELDS, ids=lambda f: f"{f!r}{getattr(f, 'modulus', '')}")
+def test_left_multiply_matches_elementwise(field, rng):
+    shapes, full = _product_shapes(field, rng)
     for m in shapes:
         for vector in ([field.zero] * m.nrows, [full] * m.nrows, [field.random_element(rng) for _ in range(m.nrows)]):
             assert m.left_multiply(vector) == ref_left_multiply(m, vector)
+
+
+@pytest.mark.parametrize("field", PRODUCT_FIELDS, ids=lambda f: f"{f!r}{getattr(f, 'modulus', '')}")
+def test_matmul_matches_elementwise_row_by_row(field, rng):
+    # @ packs the right factor once and runs every left row over it.
+    shapes, full = _product_shapes(field, rng)
+    for m in shapes:
+        lefts = [Matrix(field, [[field.zero] * m.nrows, [full] * m.nrows] + [
+            [field.random_element(rng) for _ in range(m.nrows)] for _ in range(3)
+        ])]
+        if m.nrows == 0:
+            lefts.append(Matrix(field, []))  # 0 rows times 0 rows
+        for left in lefts:
+            product = left @ m
+            assert product.field == field
+            assert product.rows == [ref_left_multiply(m, row) for row in left.rows]
 
 
 def test_packed_kernel_property():
