@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .bounds import ceil_div, distance_bound_measured, distance_bound_udlrc
 from .construction import (
@@ -80,32 +80,45 @@ def min_distance_oracle(gen: Matrix, budget: int = DEFAULT_ORACLE_BUDGET) -> Dis
     first size without a hit, and the last hit, at size n - d, is exact for
     any generator.
     """
+    return next(_oracles(gen, budget, [gen.nrows]))
+
+
+def prefix_oracles(gen: Matrix, budget: int = DEFAULT_ORACLE_BUDGET) -> list[DistanceCertificate]:
+    """min_distance_oracle of the first k rows of gen for k = 1 .. gen.nrows."""
+    return list(_oracles(gen, budget, range(1, gen.nrows + 1)))
+
+
+def _oracles(gen: Matrix, budget: int, ks) -> Iterator[DistanceCertificate]:
+    """min_distance_oracle of the first k rows of gen at each k of ks.  Every
+    prefix of a Moore matrix is Moore, so a Moore gen is checked, and its row
+    0's points packed and ranked, once for all k."""
     n = gen.ncols
-    k = gen.nrows
     if n > budget:
         raise TooLarge(f"n={n} exceeds the enumeration budget {budget}")
     field = gen.field
-    if _is_moore(gen):
+    moore = _is_moore(gen)
+    if moore:
         pk = _packing(field.base, field.t)
         columns = [pk.pack(y) for y in gen.rows[0]]
         rank = len(pk.echelon(columns, field.t))
-    else:
-        pn = _packing(field, n)
-        basis = pn.reduced(map(pn.pack, gen.rows), n)
-        rank = len(basis)
-        pk = _packing(field, k)
-        columns = [pk.pack(col) for col in zip(*(pn.unpack(row) for _, row in basis))]
-    if rank < k:
-        raise RankDeficientGenerator(f"generator rank below k={k}")
-    cert = None
-    for size in range(max(k - 1, 0), n):
-        hit = _first_deficient(pk, columns, k, size, 0, [], [])
-        if hit is None:
-            break
-        cert = DistanceCertificate(d=n - size, witness=hit[0], witness_rank=hit[1])
-    if cert is None:
-        raise AssertionError("unreachable: any k - 1 columns are rank deficient")
-    return cert
+    for k in ks:
+        if not moore:
+            pn = _packing(field, n)
+            basis = pn.reduced(map(pn.pack, gen.rows[:k]), n)
+            rank = len(basis)
+            pk = _packing(field, k)
+            columns = [pk.pack(col) for col in zip(*(pn.unpack(row) for _, row in basis))]
+        if rank < k:
+            raise RankDeficientGenerator(f"generator rank below k={k}")
+        cert = None
+        for size in range(max(k - 1, 0), n):
+            hit = _first_deficient(pk, columns, k, size, 0, [], [])
+            if hit is None:
+                break
+            cert = DistanceCertificate(d=n - size, witness=hit[0], witness_rank=hit[1])
+        if cert is None:
+            raise AssertionError("unreachable: any k - 1 columns are rank deficient")
+        yield cert
 
 
 def _is_moore(gen: Matrix) -> bool:

@@ -5,10 +5,10 @@ of LocalityClass.  Ceilings use integer arithmetic only: for a >= 0,
 ceil(a / b) = (a + b - 1) // b.  Every distance ceiling here sits at or
 below the Singleton value n - k + 1.
 
-The dist-cap pivot rule and formula live in one core on plain ints,
-_cap_core.  The permuted bound needs one core call per pair (H, p) of a
-head set and a pivot, not per ordering: see permuted_tightest_bound.
-bounds_table computes a class tuple's quantities once for a column of k.
+The dist-cap formula is one closed form, _cap_values: with pivot p behind
+head classes H of ranks summing to lo and slack n_j - rank_j to slack, it is
+n + 1 - slack - k - floor((k - lo - 1) / r_p) * (delta_p - 1) for k in (lo,
+lo + rank_p].  _cap_core adds the pivot search; see bounds_table for cost.
 """
 
 from __future__ import annotations
@@ -55,17 +55,22 @@ class BoundReport:
     permutation: tuple[int, ...] | None = None
 
 
+def _cap_values(n: int, lo: int, slack: int, r: int, delta: int, ks) -> list[int]:
+    """The closed form of the module docstring at each k of ks."""
+    return [n + 1 - slack - k - (k - lo - 1) // r * (delta - 1) for k in ks]
+
+
 def _cap_core(n: int, k: int, ns, ranks, rs, deltas) -> tuple[int, int, tuple[int, ...]]:
-    """The dist-cap pivot rule and formula (see distance_bound_udlrc) with
-    rank_j in place of k_cap_j, on plain ints, classes in the order given.
+    """The dist-cap pivot rule (see distance_bound_udlrc) with rank_j in
+    place of k_cap_j, classes in the order given, then _cap_values.
     Returns (value, 1-based pivot, head terms followed by the tail term).
     """
     head_rank = 0
     terms: list[int] = []
     for n_j, g, r, delta in zip(ns, ranks, rs, deltas):
         if head_rank + g >= k:
-            tail = (ceil_div(k - head_rank, r) - 1) * (delta - 1)
-            return n - k + 1 - sum(terms) - tail, len(terms) + 1, (*terms, tail)
+            (value,) = _cap_values(n, head_rank, sum(terms), r, delta, (k,))
+            return value, len(terms) + 1, (*terms, n + 1 - k - sum(terms) - value)
         head_rank += g
         terms.append(n_j - g)
     raise RankInfeasible(f"total measured rank {head_rank} < k={k}")
@@ -75,19 +80,17 @@ def _over_dimension_cap(k: int, caps: Sequence[int]) -> DimensionInfeasible:
     return DimensionInfeasible(f"k={k} exceeds the dimension cap {sum(caps)} of the locality classes")
 
 
-def _head_pivot_orders(caps: Sequence[int]) -> list[tuple[int, int, tuple[int, ...]]]:
-    """(lo, hi, sorted(H) + (p,)) for every pivot p and head set H of other
-    classes, with lo = sum_H cap and hi = lo + cap_p: every ordering that
-    starts with H and then p pivots at p exactly when lo < k <= hi."""
+def _head_sums(ns: Sequence[int], caps: Sequence[int]) -> list[tuple[int, int]]:
+    """(lo, slack) = (sum_H cap_j, sum_H (n_j - cap_j)) for every head set H,
+    indexed by its bit mask: an ordering that starts with H and then a
+    pivot p outside H pivots at p exactly when lo < k <= lo + cap_p."""
     s = len(caps)
     if s > PERMUTED_CLASS_LIMIT:
         raise TooManyClasses(f"permutation search capped at {PERMUTED_CLASS_LIMIT} classes, got {s}")
-    pairs = []
-    for mask in range(1 << s):
-        head = tuple(i for i in range(s) if mask >> i & 1)
-        lo = sum(caps[i] for i in head)
-        pairs += [(lo, lo + caps[p], (*head, p)) for p in range(s) if not mask >> p & 1]
-    return pairs
+    sums = [(0, 0)]  # every mask below 2^i, each from the mask less its bit i
+    for i in range(s):
+        sums += [(lo + caps[i], slack + ns[i] - caps[i]) for lo, slack in sums]
+    return sums
 
 
 def dimension_bound(spec: LocalitySpec) -> int:
@@ -188,12 +191,13 @@ def permuted_tightest_bound(spec: LocalitySpec) -> BoundReport:
     caps = spec.k_caps
     seqs = ([c.n for c in cs], caps, [c.r for c in cs], [c.delta for c in cs])
     best = None
-    for lo, hi, order in _head_pivot_orders(caps):
-        if lo < spec.k <= hi:
-            value, pivot, terms = _cap_core(spec.n, spec.k, *([seq[i] for i in order] for seq in seqs))
-            perm = order + tuple(i for i in range(spec.s) if i not in order)
-            if best is None or (value, perm) < best[:2]:
-                best = (value, perm, pivot, terms)
+    for mask, (lo, _) in enumerate(_head_sums(seqs[0], caps)):
+        for p in range(spec.s):
+            if lo < spec.k <= lo + caps[p] and not mask >> p & 1:
+                perm = tuple(sorted(range(spec.s), key=lambda i: (not mask >> i & 1, i != p, i)))  # sorted(H), p, rest
+                value, pivot, terms = _cap_core(spec.n, spec.k, *([seq[i] for i in perm] for seq in seqs))
+                if best is None or (value, perm) < best[:2]:
+                    best = (value, perm, pivot, terms)
     if best is None:
         raise _over_dimension_cap(spec.k, caps)
     value, perm, pivot, terms = best
@@ -204,32 +208,31 @@ def bounds_table(classes: Sequence[LocalityClass], last_k: int) -> list[tuple[in
     """Rows (k, dim-cap, dist-cap, its pivot, permuted, unequal-r or None)
     for one class tuple at every k from 1 to last_k, equal to what
     dimension_bound, distance_bound_udlrc, permuted_tightest_bound and
-    distance_bound_unequal_r give.  The class quantities and the (H, p)
-    pairs are computed once; a row costs one core call per pair k selects.
+    distance_bound_unequal_r give.  Each pair (H, p) fills its k in
+    (lo, lo + cap_p] by _cap_values: 2^(s-1) * sum_p cap_p integer steps.
     """
-    ns = [c.n for c in classes]
-    caps = [c.k_cap for c in classes]
-    rs = [c.r for c in classes]
-    deltas = [c.delta for c in classes]
+    ns, caps = [c.n for c in classes], [c.k_cap for c in classes]
+    rs, deltas = [c.r for c in classes], [c.delta for c in classes]
     n = sum(ns)
     dim = sum(caps)
     if last_k > dim:
         raise _over_dimension_cap(last_k, caps)
-    cap_column = [_cap_core(n, k, ns, caps, rs, deltas) for k in range(1, last_k + 1)]
-    # The identity ordering is one of the pairs, so the dist-cap column
-    # seeds the minimum.
-    permuted = [value for value, _, _ in cap_column]
-    for lo, hi, order in _head_pivot_orders(caps):
-        seqs = [[seq[i] for i in order] for seq in (ns, caps, rs, deltas)]
-        for k in range(lo + 1, min(hi, last_k) + 1):
-            value = _cap_core(n, k, *seqs)[0]
-            if value < permuted[k - 1]:
-                permuted[k - 1] = value
+    column = [None] * last_k
+    permuted = [n] * last_k  # above every value, each at most n - k + 1
+    for mask, (lo, slack) in enumerate(_head_sums(ns, caps)):
+        for p in range(len(caps)):
+            if not mask >> p & 1:
+                values = _cap_values(n, lo, slack, rs[p], deltas[p], range(lo + 1, min(lo + caps[p], last_k) + 1))
+                for k, value in enumerate(values, lo):
+                    if value < permuted[k]:
+                        permuted[k] = value
+                if mask == (1 << p) - 1:  # every class before p: the order given
+                    column[lo : lo + len(values)] = zip(values, [p + 1] * len(values))
     try:
         counts = _unequal_r_counts(classes)
     except PreconditionViolated:
         counts = None
     return [
-        (k, dim, value, pivot, permuted[k - 1], None if counts is None else _unequal_r_core(n, k, counts, rs)[0])
-        for k, (value, pivot, _) in enumerate(cap_column, 1)
+        (k, dim, value, pivot, best, None if counts is None else _unequal_r_core(n, k, counts, rs)[0])
+        for k, (value, pivot), best in zip(range(1, last_k + 1), column, permuted)
     ]

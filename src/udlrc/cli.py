@@ -30,6 +30,7 @@ from .analysis import (
     class_rank_caps,
     grank,
     min_distance_oracle,
+    prefix_oracles,
     rank_deficiency_witness,
     tightness_budget_size,
 )
@@ -428,11 +429,9 @@ def cmd_sweep(args) -> int:
         work += len(table)
         # Row j of a generator is the q^j-th powers of its points, so the code at k is its first k rows.
         gen = build_code(replace(spec, k=len(table), t=n_gab)).gen if table and n <= budget else None
-        for k, dim, cap, pivot, permuted, older in table:
+        oracle = ["-"] * len(table) if gen is None else [str(cert.d) for cert in prefix_oracles(gen, budget)]
+        for (k, dim, cap, pivot, permuted, older), oracle_text in zip(table, oracle):
             relation = "-" if older is None else ("tighter" if cap < older else ("equal" if cap == older else "looser"))
-            oracle_text = "-"
-            if gen is not None:
-                oracle_text = str(min_distance_oracle(replace(gen, rows=gen.rows[:k]), budget=budget).d)
             older_text = "-" if older is None else older
             report.add("row", label, k, n, dim, cap, pivot, permuted, older_text, relation, oracle_text)
         if len(table) < n_gab:

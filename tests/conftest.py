@@ -6,7 +6,20 @@ from pathlib import Path
 
 import pytest
 
-from udlrc import BoundReport, LocalityClass, LocalitySpec, build_code, distance_bound_udlrc, validate_spec
+from udlrc import (
+    BoundReport,
+    DimensionInfeasible,
+    LocalityClass,
+    LocalitySpec,
+    PreconditionViolated,
+    TooManyClasses,
+    build_code,
+    ceil_div,
+    distance_bound_udlrc,
+    distance_bound_unequal_r,
+    validate_spec,
+)
+from udlrc.bounds import PERMUTED_CLASS_LIMIT
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 WORKLOADS = SRC.parent / "perfbench" / "workloads.py"
@@ -97,6 +110,53 @@ def ref_permuted_tightest_bound(spec):
                 "dist-cap-permuted", report.value, report.pivot, report.per_class_terms, tuple(i + 1 for i in perm)
             )
     return best
+
+
+def _ref_cap_core(n, k, ns, ranks, rs, deltas):
+    """The dist-cap pivot rule and formula on plain ints, classes in the
+    order given, as written before the closed form: (value, 1-based pivot)."""
+    head_rank = slack = 0
+    for pivot, (n_j, g, r, delta) in enumerate(zip(ns, ranks, rs, deltas), 1):
+        if head_rank + g >= k:
+            return n - k + 1 - slack - (ceil_div(k - head_rank, r) - 1) * (delta - 1), pivot
+        head_rank += g
+        slack += n_j - g
+    raise AssertionError("k beyond the total rank")
+
+
+def ref_bounds_table(classes, last_k):
+    """bounds_table before its closed form: the core once per row for the
+    dist-cap column, and once per (head set, pivot) pair and row for the
+    permuted column, on the ordering sorted(H) + (p,)."""
+    ns = [c.n for c in classes]
+    caps = [c.k_cap for c in classes]
+    rs = [c.r for c in classes]
+    deltas = [c.delta for c in classes]
+    n, dim, s = sum(ns), sum(caps), len(classes)
+    if last_k > dim:
+        raise DimensionInfeasible(f"k={last_k} exceeds the dimension cap {dim}")
+    cap_column = [_ref_cap_core(n, k, ns, caps, rs, deltas) for k in range(1, last_k + 1)]
+    permuted = [value for value, _ in cap_column]
+    if s > PERMUTED_CLASS_LIMIT:
+        raise TooManyClasses(f"{s} classes")
+    for mask in range(1 << s):
+        head = tuple(i for i in range(s) if mask >> i & 1)
+        lo = sum(caps[i] for i in head)
+        for p in range(s):
+            if mask >> p & 1:
+                continue
+            seqs = [[seq[i] for i in (*head, p)] for seq in (ns, caps, rs, deltas)]
+            for k in range(lo + 1, min(lo + caps[p], last_k) + 1):
+                permuted[k - 1] = min(permuted[k - 1], _ref_cap_core(n, k, *seqs)[0])
+    rows = []
+    for k, (value, pivot) in enumerate(cap_column, 1):
+        spec = LocalitySpec(classes=tuple(classes), k=k, q=7, t=1)
+        try:
+            older = distance_bound_unequal_r(spec).value
+        except PreconditionViolated:
+            older = None
+        rows.append((k, dim, value, pivot, permuted[k - 1], older))
+    return rows
 
 
 # The [8, 4] two-class workhorse over GF(5^5): one (r=2, delta=3) group and

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import random
 import subprocess
 import sys
@@ -40,7 +42,7 @@ from udlrc import (
 )
 from conftest import REVERSED_SPEC, cli_env, load_workloads, usual_grid
 from udlrc import fields
-from udlrc.analysis import _first_deficient, _is_moore
+from udlrc.analysis import _first_deficient, _is_moore, prefix_oracles
 from udlrc.linalg import base_rank
 
 F5 = PrimeField(5)
@@ -150,24 +152,23 @@ def test_oracle_matches_scan_on_instances(all_instances, reversed_instance):
 
 
 def test_oracle_matches_scan_on_sweep_rows(monkeypatch):
-    import contextlib
-    import io
-
     from udlrc import cli
 
     checked = []
 
     def differential(gen, budget):
-        assert _is_moore(gen)  # every k-row prefix takes the point walk
-        cert = min_distance_oracle(gen, budget)
-        assert cert == _scan_oracle(gen) == _reduced_basis_oracle(gen)
-        checked.append(gen.ncols)
-        return cert
+        assert _is_moore(gen)  # so every k-row prefix takes the point walk
+        certs = prefix_oracles(gen, budget)
+        for k, cert in enumerate(certs, 1):
+            prefix = dataclasses.replace(gen, rows=gen.rows[:k])
+            assert cert == _scan_oracle(prefix) == _reduced_basis_oracle(prefix)
+            checked.append(prefix.ncols)
+        return certs
 
-    monkeypatch.setattr(cli, "min_distance_oracle", differential)
+    monkeypatch.setattr(cli, "prefix_oracles", differential)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(load_workloads().Sweep.ORACLE) == 0
-    assert checked and max(checked) <= 10
+    assert len(checked) == 80 and max(checked) <= 10
 
 
 def test_oracle_matches_scan_on_random_generators():
@@ -332,6 +333,45 @@ def test_row_mixed_grid_generators_take_the_generic_path(grid_instances):
         assert min_distance_oracle(mixed) == _reduced_basis_oracle(mixed) == min_distance_oracle(inst.gen)
         mixed_count += 1
     assert mixed_count > 200
+
+
+def _sweep_generators():
+    """The generators the benchmark's oracle sweep hands to prefix_oracles,
+    one per class tuple, each built at the last k of its table."""
+    from udlrc import cli
+
+    gens = []
+
+    def record(gen, budget):
+        gens.append(gen)
+        return prefix_oracles(gen, budget)
+
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()):
+        mp.setattr(cli, "prefix_oracles", record)
+        assert cli.main(load_workloads().Sweep.ORACLE) == 0
+    return gens
+
+
+def test_prefix_oracles_match_the_oracle_on_every_prefix(all_instances, grid_instances):
+    # A Moore generator is checked and its points packed once for all k;
+    # each certificate must still be what a fresh oracle call on that
+    # prefix gives.  Grid codes at k = n_gab have every smaller grid code
+    # of their class tuple as a prefix.
+    sweep = _sweep_generators()
+    assert len(sweep) == 17
+    full = [inst.gen for inst in grid_instances if inst.k == inst.spec.n_gab]
+    assert len(full) > 100
+    rng = random.Random(20261026)
+    mixed = [_random_invertible(inst.gen.field, inst.k, rng) @ inst.gen for inst in all_instances]
+    prefixes = 0
+    for gen in [*sweep, *full, *mixed]:
+        certs = prefix_oracles(gen)
+        assert len(certs) == gen.nrows
+        for k, cert in enumerate(certs, 1):
+            prefix = dataclasses.replace(gen, rows=gen.rows[:k])
+            assert cert == min_distance_oracle(prefix) == _reduced_basis_oracle(prefix)
+            prefixes += 1
+    assert prefixes > 500
 
 
 def test_points_of_low_rank_raise_on_both_paths():

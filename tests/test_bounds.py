@@ -21,7 +21,7 @@ from udlrc import (
     pivot_class,
 )
 import udlrc.bounds as bounds_module
-from conftest import REF_SPEC, REF_FULL_SPEC, REVERSED_SPEC, ref_permuted_tightest_bound
+from conftest import REF_SPEC, REF_FULL_SPEC, REVERSED_SPEC, ref_bounds_table, ref_permuted_tightest_bound
 
 
 def two_class(k, q=5, t=5):
@@ -339,3 +339,54 @@ def test_bounds_table_stops_at_the_last_k():
     assert bounds_table(classes, 2) == bounds_table(classes, 4)[:2]
     with pytest.raises(DimensionInfeasible):
         bounds_table(classes, 5)
+
+
+def _ragged_tuples(count_by_s):
+    """Seeded tuples of ragged classes, LocalityClass(r, delta, n) with
+    n not a whole number of groups, so some caps are partial or zero."""
+    rng = random.Random(20261027)
+    for s, count in count_by_s:
+        for _ in range(count):
+            yield tuple(LocalityClass(r=rng.randint(1, 4), delta=rng.randint(2, 4), n=rng.randint(1, 12)) for _ in range(s))
+
+
+def test_bounds_table_matches_the_per_row_core():
+    grid = list(_sweep_tuples(7, 3, range(1, 4), range(2, 4), range(1, 3)))
+    ragged = list(_ragged_tuples(((1, 20), (2, 30), (3, 30), (4, 20), (5, 10), (6, 5), (7, 3), (8, 2))))
+    assert sum(any(c.k_cap == 0 for c in classes) for classes in ragged) > 30
+    for classes in grid + ragged:
+        dim = sum(c.k_cap for c in classes)
+        for last_k in range(-1, dim + 1):
+            assert bounds_table(classes, last_k) == ref_bounds_table(classes, last_k), (classes, last_k)
+        for table in (bounds_table, ref_bounds_table):
+            with pytest.raises(DimensionInfeasible):
+                table(classes, dim + 1)
+
+
+def test_bounds_table_refuses_nine_classes():
+    for classes in [(LocalityClass.from_groups(1, 2, 1),) * 9, *_ragged_tuples(((9, 2),))]:
+        dim = sum(c.k_cap for c in classes)
+        for table in (bounds_table, ref_bounds_table):
+            for last_k in (0, 1, dim):
+                with pytest.raises(TooManyClasses):
+                    table(classes, last_k)
+            with pytest.raises(DimensionInfeasible):
+                table(classes, dim + 1)
+
+
+def test_bounds_table_makes_no_core_call(monkeypatch):
+    # A count, not a timing: the benchmark's table made 14,400 _cap_core
+    # calls when every (head set, pivot) pair ran the core once per row.
+    calls = 0
+    core = bounds_module._cap_core
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return core(*args)
+
+    monkeypatch.setattr(bounds_module, "_cap_core", counted)
+    rows = 0
+    for classes in _sweep_tuples(7, 3, range(1, 4), range(2, 4), range(1, 3)):
+        rows += len(bounds_table(classes, sum(c.k_cap for c in classes)))
+    assert (rows, calls) == (2880, 0)

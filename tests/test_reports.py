@@ -1,8 +1,8 @@
 """The machine-format reports the benchmark checks, pinned in process to the
-sha256 digests recorded in perfbench/golden.json, and one of them once more
-under python -O; the oracle sweep's builds, counted; and the `bounds`
-reports on the benchmark's spec files and on an 8-class spec, pinned to
-their recorded digests.
+sha256 digests recorded in perfbench/golden.json, and three of them (certify
+gf7_9 and both sweeps) once more under python -O; the oracle sweep's builds
+and Moore checks, counted; and the `bounds` reports on the benchmark's spec
+files and on an 8-class spec, pinned to their recorded digests.
 """
 
 import contextlib
@@ -15,7 +15,7 @@ import sys
 import pytest
 
 from conftest import cli_env, load_workloads
-from udlrc import cli
+from udlrc import analysis, cli
 
 workloads = load_workloads()
 
@@ -59,16 +59,45 @@ def test_oracle_sweep_builds_once_per_class_tuple(monkeypatch):
     assert (len(built), sum(built), len(oracled)) == (17, 80, 80)
 
 
-def test_report_without_asserts_matches_recorded_digest():
-    # python -O strips every assert, so no printed result may rest on one.
+def test_oracle_sweep_checks_the_moore_premise_once_per_class_tuple(monkeypatch):
+    # A count: every k-row prefix of a Moore generator is Moore, so the
+    # check runs once per class tuple (17), not once per oracle row (80).
+    monkeypatch.delenv("UDLRC_BUDGET", raising=False)
+    checks = []
+    is_moore = analysis._is_moore
+
+    def counted(gen):
+        checks.append(gen.nrows)
+        return is_moore(gen)
+
+    monkeypatch.setattr(analysis, "_is_moore", counted)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(workloads.Sweep.ORACLE) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == workloads.GOLDEN["sweep"]["oracle"]
+    assert (len(checks), sum(checks)) == (17, 80)
+
+
+def _digest_without_asserts(argv) -> str:
     env = cli_env()
     env.pop("UDLRC_BUDGET", None)
-    argv = ["certify", "--spec", str(workloads.SPEC_DIR / "gf7_9.json"), "--format", "machine"]
     result = subprocess.run(
         [sys.executable, "-O", "-m", "udlrc", *argv], capture_output=True, env=env, check=False
     )
     assert result.returncode == 0, result.stderr
-    assert hashlib.sha256(result.stdout).hexdigest() == workloads.GOLDEN["certify"]["gf7_9"]
+    return hashlib.sha256(result.stdout).hexdigest()
+
+
+def test_report_without_asserts_matches_recorded_digest():
+    # python -O strips every assert, so no printed result may rest on one.
+    argv = ["certify", "--spec", str(workloads.SPEC_DIR / "gf7_9.json"), "--format", "machine"]
+    assert _digest_without_asserts(argv) == workloads.GOLDEN["certify"]["gf7_9"]
+
+
+@pytest.mark.parametrize("name", ["oracle", "table"])
+def test_sweep_without_asserts_matches_recorded_digest(name):
+    argv = workloads.Sweep.ORACLE if name == "oracle" else workloads.Sweep.TABLE
+    assert _digest_without_asserts(argv) == workloads.GOLDEN["sweep"][name]
 
 
 # Eight classes, three of them repeated, so the permuted bound's pivot and
