@@ -27,7 +27,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .fields import PRIME_CHECK_LIMIT, ExtElem, ExtField, PrimeField, is_prime
-from .gabidulin import EvaluationPoints, default_points, gabidulin_encode, moore_matrix
+from .gabidulin import EvaluationPoints, default_points, gabidulin_encode
 from .linalg import Matrix, RankTracker, base_rank
 
 
@@ -286,7 +286,9 @@ def build_code(spec: LocalitySpec) -> CodeInstance:
     """Run the three construction steps.
 
     Every symbol is f(y_i) for the same F_q-linear f, so column i of the
-    generator is the q-power tower of y_i: its first row is the points.
+    generator is the q-power tower of y_i.  A group's points are its r
+    precode points times its class's local generator, whose entries the
+    q-power map fixes, so row j of the generator is the q-power of row j - 1.
     """
     validate_spec(spec)
     base = PrimeField(spec.q)
@@ -294,20 +296,17 @@ def build_code(spec: LocalitySpec) -> CodeInstance:
     gab_points = default_points(field, spec.n_gab)
     layout = build_layout(spec)
     local_gens = tuple(mds_local_generator(c.r, c.delta, base) for c in spec.classes)
+    lifted = [lift_to_ext(field, g) for g in local_gens]
 
-    # Precode generator: k rows of q-power towers, one column per point.
-    precode_gen = moore_matrix(field, list(gab_points), spec.k).transpose()
-
-    gen_rows: list[list[ExtElem]] = [[] for _ in range(spec.k)]
-    point_cursor = 0
+    points: list[ExtElem] = []
+    cursor = 0
     for j in layout.class_of:
         r = spec.classes[j].r
-        block = precode_gen.take_columns(range(point_cursor, point_cursor + r)) @ lift_to_ext(
-            field, local_gens[j]
-        )
-        for row, brow in zip(gen_rows, block.rows):
-            row.extend(brow)
-        point_cursor += r
+        points.extend(lifted[j].left_multiply(gab_points.points[cursor : cursor + r]))
+        cursor += r
+    gen_rows = [points]
+    for _ in range(spec.k - 1):
+        gen_rows.append([field.frobenius(y) for y in gen_rows[-1]])
 
     return CodeInstance(
         spec=spec,
@@ -315,7 +314,7 @@ def build_code(spec: LocalitySpec) -> CodeInstance:
         field=field,
         layout=layout,
         gen=Matrix(field, gen_rows),
-        points=tuple(gen_rows[0]),
+        points=tuple(points),
         gab_points=gab_points,
         local_gens=local_gens,
     )

@@ -7,8 +7,11 @@ constant term first.  Tuples are hashable and double as the coordinate
 vectors used for rank computations over the base field.  Everything is
 exact: no floats, no tolerances, and comparisons are plain equality.
 
-This module owns the one multiplication of F_(q^t): ExtField.mul, every
-matrix product and every elimination step run on the packed kernel below.
+This module owns the one multiplication of F_(q^t): ExtField.mul and
+ExtField.pow, every matrix product and every elimination step, the field's
+set-up (x^q, the Frobenius step) and the modulus search's Rabin test run on
+the packed kernel below.  Only the test's gcds stay on coefficient lists,
+since the kernel cannot divide.
 A packed row of L elements of F_(q^t) is one Python int: element j owns a
 block of 2t - 1 slots of W bits starting at bit j(2t - 1)W, and its t
 coordinates sit in the block's low slots, constant term first, with the
@@ -26,7 +29,8 @@ The slot bound: with canonical operands (coordinates <= q - 1), no slot
 of any intermediate reaches 2^W, so no slot ever carries into the next.
 W is derived from (q, t) alone; _Packing states the largest value of each
 step and asserts the bound when it builds a layout.  Layouts are cached
-per field and row length.
+per field and row length; the Rabin test builds one per candidate modulus
+and caches none.
 """
 
 from __future__ import annotations
@@ -41,8 +45,9 @@ ExtElem = tuple[int, ...]
 # of a degree-t candidate runs up to t // 2 powers x^(q^d), each about
 # bitlen(q) polynomial products, charged (t + 8)^2 each (t^2 plus a fixed
 # cost that dominates at small t) before the test runs.  A refused search
-# gives up within about 0.3 s on an x86 core; every q <= 23 with t <= 16
-# fits (GF(23^12) costs 2,556,000 units, GF(5^10) 165,240).
+# gives up within about 0.15 s on an x86 core (the slowest refusal found,
+# GF(10007^3), takes 0.09-0.13 s); every q <= 23 with t <= 16 fits
+# (GF(23^12) costs 2,556,000 units, GF(5^10) 165,240).
 MODULUS_SEARCH_BUDGET = 4_000_000
 
 
@@ -147,26 +152,6 @@ def _poly_divmod(a: Sequence[int], m: Sequence[int], q: int) -> tuple[list[int],
     return quo, _poly_trim(a or [0])
 
 
-def _poly_mulmod(a: Sequence[int], b: Sequence[int], m: Sequence[int], q: int) -> list[int]:
-    res = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] += ai * bj
-    return _poly_divmod(res, m, q)[1]
-
-
-def _poly_powmod(base: Sequence[int], e: int, m: Sequence[int], q: int) -> list[int]:
-    result = [1]
-    acc = _poly_divmod(base, m, q)[1]
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, acc, m, q)
-        acc = _poly_mulmod(acc, acc, m, q)
-        e >>= 1
-    return result
-
-
 def _poly_gcd(a: Sequence[int], b: Sequence[int], q: int) -> list[int]:
     a = _poly_trim([v % q for v in a])
     b = _poly_trim([v % q for v in b])
@@ -189,12 +174,15 @@ def _is_irreducible(coeffs: Sequence[int], q: int) -> bool:
     if t < 1 or coeffs[-1] % q != 1:
         return False
     f = [v % q for v in coeffs]
-    h: Sequence[int] = [0, 1]
+    # The kernel's fold needs only a monic modulus, not an irreducible one,
+    # so the powers x^(q^d) mod f run on a packed layout over F_q[x]/(f).
+    pk = _Packing(q, f, 1)
+    h = 1 << pk.w  # x
     for _ in range(t // 2):
-        h = _poly_powmod(h, q, f, q)
-        diff = list(h) + [0] * max(0, 2 - len(h))
+        h = pk.pow(h, q)
+        diff = list(pk.unpack_elem(h))
         diff[1] = (diff[1] - 1) % q
-        if len(_poly_trim(_poly_gcd(f, diff, q))) > 1:
+        if len(_poly_gcd(f, diff, q)) > 1:
             return False
     return True
 
@@ -253,8 +241,8 @@ class ExtField:
         self.zero: ExtElem = (0,) * t
         self.one: ExtElem = ((1,) + (0,) * (t - 1))
         self.alpha: ExtElem = (-modulus[0] % self.q,) if t == 1 else ((0, 1) + (0,) * (t - 2))
-        self._pk = pk = _Packing(self, 1)
-        step = pk.pack_elem(_poly_powmod([0, 1], self.q, modulus, self.q))
+        self._pk = pk = _Packing(self.q, modulus, 1, self)
+        step = pk.pow(pk.pack_elem(self.alpha), self.q)
         self._frob = [pk.pack_elem(self.one)]  # alpha^(iq) for i < t, packed
         for _ in range(t - 1):
             self._frob.append(pk.canon(self._frob[-1] * step))
@@ -293,14 +281,8 @@ class ExtField:
     def pow(self, a: ExtElem, e: int) -> ExtElem:
         if e < 0:
             raise ValueError("negative exponents not supported; use inv")
-        result = self.one
-        acc = a
-        while e:
-            if e & 1:
-                result = self.mul(result, acc)
-            acc = self.mul(acc, acc)
-            e >>= 1
-        return result
+        pk = self._pk
+        return pk.unpack_elem(pk.pow(pk.pack_elem(a), e))
 
     def inv(self, a: ExtElem) -> ExtElem:
         """Inverse by the extended Euclidean algorithm over F_q[x].
@@ -379,19 +361,20 @@ class ExtField:
 # The packed kernel: every product in F_q and F_{q^t}.
 
 class _Packing:
-    """The packed layout of rows of one length over one field, and the
-    product and elimination kernel over it.
+    """The packed layout of rows of one length over F_q (modulus None, int
+    elements) or over F_q[x]/(modulus) for a monic modulus of degree t
+    (coordinate tuples), and the product and elimination kernel over it.
 
-    A basis entry is (pivot offset, packed row): the offset is the bit where
-    the pivot's block starts, so entries sort by pivot column.  The kernel
-    never writes to its inputs.
+    field is the field context whose inverse reduced_echelon takes; the
+    products need none.  A basis entry is (pivot offset, packed row): the
+    offset is the bit where the pivot's block starts, so entries sort by
+    pivot column.  The kernel never writes to its inputs.
     """
 
-    def __init__(self, field, length: int) -> None:
-        q = field.q
-        t = getattr(field, "t", 1)
+    def __init__(self, q: int, modulus: Sequence[int] | None, length: int, field=None) -> None:
+        t = 1 if modulus is None else len(modulus) - 1
         self.field, self.q, self.t, self.length = field, q, t, length
-        self.tuples = isinstance(field.zero, tuple)
+        self.tuples = modulus is not None
         c = q - 1
         # Largest slot value at each step, every operand canonical (<= c):
         # - A step forms p * row + (q - v) * prow, p the pivot of prow and v
@@ -433,8 +416,8 @@ class _Packing:
             # stays congruent mod q to its value over F_q.
             self.hi_shift, self.quo_shift = t * w, (t - 2) * w
             self.high = ((1 << ((t - 1) * w)) - 1) * blocks
-            self.mu = self.pack_elem(_poly_divmod([0] * (2 * t - 2) + [1], field.modulus, q)[0])
-            self.red = self.pack_elem([-v for v in field.modulus[:t]])
+            self.mu = self.pack_elem(_poly_divmod([0] * (2 * t - 2) + [1], modulus, q)[0])
+            self.red = self.pack_elem([-v for v in modulus[:t]])
 
     def canon(self, x: int) -> int:
         """x with every block folded and every slot reduced mod q."""
@@ -443,6 +426,16 @@ class _Packing:
             h = ((h * self.mu) >> self.quo_shift) & self.high
             x = (x & self.low) + (h * self.red & self.low)
         return x - ((x * self.m >> self.s) & self.quot) * self.q
+
+    def pow(self, x: int, e: int) -> int:
+        """x^e for one packed element x and e >= 0, by square-and-multiply."""
+        result = 1
+        while e:
+            if e & 1:
+                result = self.canon(result * x)
+            x = self.canon(x * x)
+            e >>= 1
+        return result
 
     def pack_elem(self, e) -> int:
         if not self.tuples:
@@ -457,7 +450,7 @@ class _Packing:
         slot = self.slot
         if not self.tuples:
             return x & slot
-        return tuple((x >> i) & slot for i in self.shifts)
+        return tuple([(x >> i) & slot for i in self.shifts])
 
     def pack(self, row: Sequence) -> int:
         bw, x = self.bw, 0
@@ -528,4 +521,4 @@ class _Packing:
 
 @lru_cache(maxsize=256)
 def _packing(field, length: int) -> _Packing:
-    return _Packing(field, length)
+    return _Packing(field.q, getattr(field, "modulus", None), length, field)

@@ -78,15 +78,13 @@ class EvaluationPoints:
 
 
 def default_points(field: ExtField, n: int) -> EvaluationPoints:
-    """The basis prefix (1, alpha, ..., alpha^(n-1)): independent by construction."""
+    """The basis prefix (1, alpha, ..., alpha^(n-1)): independent by
+    construction.  In the polynomial basis alpha^i, i < t, is the unit
+    vector e_i."""
     if n > field.t:
         raise TooManyPoints(f"at most t = {field.t} independent points exist, asked for {n}")
-    pts = []
-    p = field.one
-    for _ in range(n):
-        pts.append(p)
-        p = field.mul(p, field.alpha)
-    return EvaluationPoints(field, pts)
+    zero = field.zero
+    return EvaluationPoints(field, [zero[:i] + (1,) + zero[i + 1 :] for i in range(n)])
 
 
 def moore_matrix(field: ExtField, points: Sequence[ExtElem], ncols: int) -> Matrix:

@@ -9,9 +9,11 @@ import pytest
 from udlrc import (
     BoundReport,
     DimensionInfeasible,
+    ExtField,
     LocalityClass,
     LocalitySpec,
     PreconditionViolated,
+    PrimeField,
     TooManyClasses,
     build_code,
     ceil_div,
@@ -20,6 +22,9 @@ from udlrc import (
     validate_spec,
 )
 from udlrc.bounds import PERMUTED_CLASS_LIMIT
+from udlrc.construction import build_layout, lift_to_ext, mds_local_generator
+from udlrc.fields import _poly_divmod, _poly_gcd, _poly_trim
+from udlrc.gabidulin import moore_matrix
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 WORKLOADS = SRC.parent / "perfbench" / "workloads.py"
@@ -69,18 +74,93 @@ def ref_mul(field, a, b):
     return tuple(v % q for v in conv[:t])
 
 
+def ref_pow(field, a, e):
+    """a^e by square-and-multiply through ref_mul: the loop the packed
+    ExtField.pow replaced."""
+    result = field.one
+    while e:
+        if e & 1:
+            result = ref_mul(field, result, a)
+        a = ref_mul(field, a, a)
+        e >>= 1
+    return result
+
+
 def ref_frobenius(field, a, i):
-    """a^(q^i) by i rounds of square-and-multiply through ref_mul: the
-    repeated squaring the linear-map ExtField.frobenius replaced."""
+    """a^(q^i) by i rounds of ref_pow: the repeated squaring the
+    linear-map ExtField.frobenius replaced."""
     for _ in range(i):
-        result, acc, e = field.one, a, field.q
-        while e:
-            if e & 1:
-                result = ref_mul(field, result, acc)
-            acc = ref_mul(field, acc, acc)
-            e >>= 1
-        a = result
+        a = ref_pow(field, a, field.q)
     return a
+
+
+def _ref_poly_powmod(base, e, m, q):
+    """base^e mod the monic m over F_q, schoolbook products."""
+
+    def mulmod(a, b):
+        res = [0] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                res[i + j] += ai * bj
+        return _poly_divmod(res, m, q)[1]
+
+    result, acc = [1], _poly_divmod(base, m, q)[1]
+    while e:
+        if e & 1:
+            result = mulmod(result, acc)
+        acc = mulmod(acc, acc)
+        e >>= 1
+    return result
+
+
+def ref_is_irreducible(coeffs, q):
+    """Rabin's test with schoolbook powers x^(q^d) mod f: the path the
+    packed _is_irreducible replaced."""
+    t = len(coeffs) - 1
+    if t < 1 or coeffs[-1] % q != 1:
+        return False
+    f = [v % q for v in coeffs]
+    h = [0, 1]
+    for _ in range(t // 2):
+        h = _ref_poly_powmod(h, q, f, q)
+        diff = list(h) + [0] * max(0, 2 - len(h))
+        diff[1] = (diff[1] - 1) % q
+        if len(_poly_trim(_poly_gcd(f, diff, q))) > 1:
+            return False
+    return True
+
+
+def monic_candidates(q, t, count=None):
+    """The monic degree-t polynomials over F_q in find_irreducible's scan
+    order, low coefficients first; the first count of them, or all q^t."""
+    for code in range(q**t if count is None else count):
+        coeffs = []
+        for _ in range(t):
+            coeffs.append(code % q)
+            code //= q
+        yield coeffs + [1]
+
+
+def ref_build_rows(spec):
+    """Generator rows of build_code as built before it started from the
+    points: the precode Moore matrix on the powers of alpha (through
+    ref_mul), times each group's lifted local generator, block by block."""
+    base = PrimeField(spec.q)
+    field = ExtField(base, spec.t)
+    gab_points = [field.one]
+    for _ in range(spec.n_gab - 1):
+        gab_points.append(ref_mul(field, gab_points[-1], field.alpha))
+    precode_gen = moore_matrix(field, gab_points, spec.k).transpose()
+    rows = [[] for _ in range(spec.k)]
+    cursor = 0
+    for j in build_layout(spec).class_of:
+        c = spec.classes[j]
+        local = lift_to_ext(field, mds_local_generator(c.r, c.delta, base))
+        block = precode_gen.take_columns(range(cursor, cursor + c.r)) @ local
+        for row, brow in zip(rows, block.rows):
+            row.extend(brow)
+        cursor += c.r
+    return rows
 
 
 def ref_left_multiply(m, vector):

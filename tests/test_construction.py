@@ -30,7 +30,7 @@ from udlrc import (
     min_distance_oracle,
     validate_spec,
 )
-from conftest import REF_SPEC, REVERSED_SPEC, load_workloads, ref_left_multiply
+from conftest import REF_SPEC, REVERSED_SPEC, SRC, load_workloads, ref_build_rows, ref_left_multiply
 
 
 def test_locality_class_derived_quantities():
@@ -422,3 +422,25 @@ def test_code_at_k_is_the_prefix_of_the_code_at_full_dimension():
                     assert build_code(replace(spec, k=k, t=spec.n_gab)).gen.rows == full.rows[:k]
                     checked += 1
     assert checked == 612
+
+
+def test_build_from_the_points_matches_the_block_product_build():
+    # Row 0 is each group's precode points times its local generator and
+    # row j the q-power of row j - 1; the reference multiplies the precode
+    # Moore matrix by each lifted local generator, block by block.
+    choices = [(r, d, m) for r in (1, 2, 3) for d in (2, 3) for m in (1, 2)]
+    specs = [load_spec_file(path)[0] for path in sorted((SRC.parent / "perfbench" / "specs").glob("*.json"))]
+    assert len(specs) == 5
+    for q in (5, 7):
+        for s in (1, 2):
+            for combo in product(choices, repeat=s):
+                classes = tuple(LocalityClass.from_groups(*c) for c in combo)
+                n_gab = sum(c.groups * c.r for c in classes)
+                for k in (1, max(1, n_gab // 2), n_gab):
+                    specs.append(LocalitySpec(classes=classes, k=k, q=q, t=n_gab))
+    assert len(specs) == 5 + 936
+    for spec in specs:
+        inst = build_code(spec)
+        rows = ref_build_rows(spec)
+        assert inst.gen.rows == rows, spec
+        assert inst.points == tuple(rows[0]), spec

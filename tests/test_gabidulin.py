@@ -17,6 +17,7 @@ from udlrc import (
     lin_eval,
     moore_matrix,
 )
+from conftest import ref_mul
 
 F8 = ExtField(PrimeField(2), 3)
 F55 = ExtField(PrimeField(5), 5)
@@ -58,6 +59,14 @@ def test_default_points():
         assert base_rank(F55, list(default_points(F55, n))) == n
     with pytest.raises(TooManyPoints):
         default_points(F55, 6)
+    # In the polynomial basis alpha^i, i < t, is the unit vector e_i, so the
+    # points equal the powers of alpha taken by products.
+    fields = [F55, ExtField(PrimeField(7), 9), ExtField(PrimeField(7), 1), ExtField(PrimeField(3), 3, (1, 0, 2, 1))]
+    for f in fields:
+        powers = [f.one]
+        for _ in range(f.t - 1):
+            powers.append(ref_mul(f, powers[-1], f.alpha))
+        assert list(default_points(f, f.t)) == powers
 
 
 def test_evaluation_points_reject_dependence():
