@@ -1,6 +1,7 @@
 """Command-line front end: bounds tables, build/encode/decode, certification.
 
-Exit codes are stable: 0 success, 2 bad description or input, 3 undecodable
+Exit codes are stable: 0 success, 2 bad description or input (an
+unreadable input file and an unwritable --output included), 3 undecodable
 pattern, 4 certification failure, 5 enumeration budget exceeded (oracle
 size, sweep work, the 8-class permutation search, the field-modulus
 search).  Reports are deterministic: same inputs, byte-identical output.
@@ -16,7 +17,7 @@ import argparse
 import os
 import random
 import sys
-from dataclasses import replace
+from functools import cache
 from itertools import product
 from math import prod
 
@@ -72,6 +73,14 @@ EXIT_SPEC_ERROR = 2
 EXIT_UNDECODABLE = 3
 EXIT_CERTIFY_FAIL = 4
 EXIT_BUDGET = 5
+
+# One row per exit code, the first match wins (OSError, UnicodeDecodeError: an
+# unreadable input file or an unwritable --output).  Anything else is a bug.
+EXIT_CODES = (
+    ((SpecFileError, SpecInvalid, DimensionInfeasible, OSError, UnicodeDecodeError), EXIT_SPEC_ERROR),
+    ((OrderedConditionRequired,), EXIT_CERTIFY_FAIL),
+    ((TooLarge, TooManyClasses, ModulusSearchTooLarge), EXIT_BUDGET),
+)
 
 # Work cap of one sweep: every parameter combination visited, filtered ones
 # included, and every row emitted counts once against it.
@@ -421,14 +430,14 @@ def cmd_sweep(args) -> int:
         if any(args.q < r + d - 1 for r, d, _ in combo):
             continue
         classes = tuple(LocalityClass.from_groups(r, d, m) for r, d, m in combo)
-        spec = LocalitySpec(classes=classes, k=1, q=args.q, t=0)  # built rows set k and t
-        n, n_gab = spec.n, spec.n_gab
-        label = ";".join(f"({c.r},{c.delta},{c.groups})" for c in classes)
+        n = sum(m * (r + d - 1) for r, d, m in combo)
+        n_gab = sum(m * r for r, _, m in combo)
+        label = ";".join(f"({r},{d},{m})" for r, d, m in combo)
         table = bounds_table(classes, min(n_gab, SWEEP_ROW_LIMIT - work))
         rows += len(table)
         work += len(table)
         # Row j of a generator is the q^j-th powers of its points, so the code at k is its first k rows.
-        gen = build_code(replace(spec, k=len(table), t=n_gab)).gen if table and n <= budget else None
+        gen = build_code(LocalitySpec(classes, len(table), args.q, n_gab)).gen if table and n <= budget else None
         oracle = ["-"] * len(table) if gen is None else [str(cert.d) for cert in prefix_oracles(gen, budget)]
         for (k, dim, cap, pivot, permuted, older), oracle_text in zip(table, oracle):
             relation = "-" if older is None else ("tighter" if cap < older else ("equal" if cap == older else "looser"))
@@ -442,6 +451,7 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="udlrc",
@@ -449,39 +459,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, spec_required=True):
-        if spec_required:
-            p.add_argument("--spec", required=True, help="code description file (text or JSON)")
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--spec", required=True, help="code description file (text or JSON)")
         p.add_argument("--format", choices=("text", "machine"), default="text")
+        p.set_defaults(func=func)
+        return p
 
-    p_bounds = sub.add_parser("bounds", help="evaluate every applicable bound")
-    common(p_bounds)
-    p_bounds.set_defaults(func=cmd_bounds)
-
-    p_build = sub.add_parser("build", help="build the code and print its layout")
-    common(p_build)
-    p_build.set_defaults(func=cmd_build)
-
-    p_encode = sub.add_parser("encode", help="encode a message file or a seeded random message")
-    common(p_encode)
-    p_encode.add_argument("--message", help="JSON message file (k digit lists)")
-    p_encode.add_argument("--random", action="store_true", help="use a seeded random message")
-    p_encode.add_argument("--seed", type=int, help="seed for --random (default: spec seed or 0)")
+    command("bounds", cmd_bounds, "evaluate every applicable bound")
+    command("build", cmd_build, "build the code and print its layout")
+    p_encode = command("encode", cmd_encode, "encode a message file or a seeded random message")
+    p_decode = command("decode", cmd_decode, "encode, erase, decode, and verify the round trip")
+    for p in (p_encode, p_decode):
+        p.add_argument("--message", help="JSON message file (k digit lists)")
+        p.add_argument("--random", action="store_true", help="use a seeded random message")
+        p.add_argument("--seed", type=int, help="seed for --random (default: spec seed or 0)")
     p_encode.add_argument("--output", help="also write the codeword JSON to this path")
-    p_encode.set_defaults(func=cmd_encode)
-
-    p_decode = sub.add_parser("decode", help="encode, erase, decode, and verify the round trip")
-    common(p_decode)
-    p_decode.add_argument("--message", help="JSON message file (k digit lists)")
-    p_decode.add_argument("--random", action="store_true", help="use a seeded random message")
-    p_decode.add_argument("--seed", type=int, help="seed for --random (default: spec seed or 0)")
     p_decode.add_argument("--erase", help="comma-separated erased symbol indices")
-    p_decode.set_defaults(func=cmd_decode)
 
-    p_certify = sub.add_parser("certify", help="run every certification check")
-    common(p_certify)
+    p_certify = command("certify", cmd_certify, "run every certification check")
     p_certify.add_argument("--budget", type=int, help="largest n the oracle enumerates (default 20)")
-    p_certify.set_defaults(func=cmd_certify)
 
     p_sweep = sub.add_parser("sweep", help="tabulate bounds over parameter ranges")
     p_sweep.add_argument("--q", type=int, required=True, help="base field size (prime)")
@@ -497,22 +494,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SpecFileError, SpecInvalid, DimensionInfeasible) as exc:
+    except tuple(cls for classes, _ in EXIT_CODES for cls in classes) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SPEC_ERROR
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SPEC_ERROR
-    except OrderedConditionRequired as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CERTIFY_FAIL
-    except (TooLarge, TooManyClasses, ModulusSearchTooLarge) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        return next(code for classes, code in EXIT_CODES if isinstance(exc, classes))
 
 
 def entrypoint() -> None:

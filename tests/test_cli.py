@@ -1,6 +1,7 @@
 """End-to-end command-line checks: exit codes and byte-stable reports."""
 
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -341,3 +342,57 @@ def test_sweep_row_limit_exits_five(workdir):
     )
     assert result.returncode == 5
     assert "budget-exceeded" in result.stdout
+
+
+# sha256 of each `--help` text at COLUMNS=80, recorded before the parser's
+# flags were declared once per group of commands; argparse's layout is that
+# of Python 3.11.
+HELP_DIGESTS = {
+    "udlrc": "754d232b493d4925e7f69269ab9d9c22bb86bce1eb5fa1f155aefd34aba72922",
+    "bounds": "b2781ec1e1f8b5ba88577c1c9f333c4e6800e16591431b7a4858a86d551a97b3",
+    "build": "bfb163e20e671d471928f6becc957c87b87d77235c1ddf3d004cd6af21ccb3ba",
+    "encode": "439a03c5bd1f1e7d6f22fc7874cfd29dee280ea11bc7d4609ee53bfa953255c3",
+    "decode": "76e4d70e04bda6e6cf738fdc6852d9fbaadf51abc2b5c8d910daa504e7f73b59",
+    "certify": "7098282bdcf5e55a73e5c2c840d2f20e8ae93ec75a2277e3066d6e4d4cb946f3",
+    "sweep": "787d579fea7af40526fc6eb21d705009f3110e230e58e4e68271575dff86464c",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="digests record Python 3.11's argparse layout")
+@pytest.mark.parametrize("command", list(HELP_DIGESTS))
+def test_help_text_matches_recorded_digest(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["--help"] if command == "udlrc" else [command, "--help"])
+    assert exited.value.code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == HELP_DIGESTS[command]
+
+
+# Counts ArgumentParser constructions in a fresh interpreter: none at import,
+# and one parser tree (the top level and six commands) for two main calls.
+COUNT_PARSERS = """
+import argparse, contextlib, io, sys
+made = []
+init = argparse.ArgumentParser.__init__
+
+def counted(self, *args, **kwargs):
+    made.append(self)
+    init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = counted
+import udlrc.cli
+print(len(made))
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [udlrc.cli.main(["bounds", "--spec", sys.argv[1]]) for _ in range(2)]
+print(len(made), *codes)
+"""
+
+
+def test_one_parser_per_process(workdir):
+    result = subprocess.run(
+        [sys.executable, "-c", COUNT_PARSERS, str(workdir / "ref.spec")],
+        env=cli_env(),
+        capture_output=True,
+        text=True,
+    )
+    assert result.stdout.split() == ["0", "7", "0", "0"], result.stderr

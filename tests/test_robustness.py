@@ -1,6 +1,7 @@
 """Malformed inputs end in a documented exit code and a message naming the
 bad field, and oversized ones in exit 5 within a second, never a traceback
-or a hang.  Every case runs the CLI in process."""
+or a hang; the table from exception classes to exit codes is pinned, and an
+exception outside it still propagates.  Every case runs the CLI in process."""
 
 import hashlib
 import json
@@ -9,7 +10,11 @@ import time
 import pytest
 
 from udlrc import cli
-from udlrc.fields import PRIME_CHECK_LIMIT
+from udlrc.analysis import OrderedConditionRequired, TooLarge
+from udlrc.bounds import DimensionInfeasible, TooManyClasses
+from udlrc.construction import FieldTooSmall, SpecInvalid
+from udlrc.fields import PRIME_CHECK_LIMIT, ModulusSearchTooLarge
+from udlrc.specfile import SpecFileError
 
 REF = {"q": 5, "t": 5, "k": 4, "seed": 7, "classes": [{"r": 2, "delta": 3, "m": 1}, {"r": 3, "delta": 2, "m": 1}]}
 
@@ -212,3 +217,69 @@ def test_large_q_is_decided_within_a_second(command, q, code, tmp_path, capsys):
     assert got == code
     assert (message in err) == (code == 2)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--spec", "{dir}"],
+        ["bounds", "--spec", "{latin1}"],
+        ["encode", "--spec", "{spec}", "--message", "{dir}"],
+        ["encode", "--spec", "{spec}", "--message", "{latin1}"],
+        ["encode", "--spec", "{spec}", "--random", "--output", "{dir}"],
+    ],
+    ids=["spec-directory", "spec-not-utf8", "message-directory", "message-not-utf8", "output-directory"],
+)
+def test_unreadable_input_or_unwritable_output_exits_two(argv, tmp_path, capsys):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes("[[0, 1, 2, 3, 4]] # \u00e9".encode("latin-1"))
+    paths = {"dir": str(tmp_path), "latin1": str(latin1), "spec": _spec_file(tmp_path, REF)}
+    code, err = _run([arg.format(**paths) for arg in argv], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("Is a directory" if "{dir}" in argv else "can't decode byte 0xe9") in err
+
+
+# The exit-code table, written out here rather than read from cli.EXIT_CODES.
+EXIT_TABLE = [
+    (SpecFileError("bad spec file"), 2),
+    (SpecInvalid("bad spec"), 2),
+    (FieldTooSmall("small field"), 2),
+    (DimensionInfeasible("k too large"), 2),
+    (OSError("unreadable"), 2),
+    (FileNotFoundError(2, "No such file or directory", "missing.json"), 2),
+    (IsADirectoryError(21, "Is a directory", "specs"), 2),
+    (PermissionError(13, "Permission denied", "locked.json"), 2),
+    (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"), 2),
+    (OrderedConditionRequired("not ordered"), 4),
+    (TooLarge("n too large"), 5),
+    (TooManyClasses("nine classes"), 5),
+    (ModulusSearchTooLarge(5, 400), 5),
+]
+
+
+def _raising(exc):
+    def build_code(spec):
+        raise exc
+
+    return build_code
+
+
+@pytest.mark.parametrize("exc, expected", EXIT_TABLE, ids=[type(exc).__name__ for exc, _ in EXIT_TABLE])
+def test_exit_code_table(exc, expected, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_code", _raising(exc))
+    code, err = _run(["build", "--spec", _spec_file(tmp_path, REF)], capsys)
+    assert (code, err) == (expected, f"error: {exc}\n")
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [RuntimeError("bug"), AssertionError("bug"), ValueError("bug"), UnicodeEncodeError("ascii", "\xe9", 0, 1, "bug")],
+    ids=["RuntimeError", "AssertionError", "ValueError", "UnicodeEncodeError"],
+)
+def test_exceptions_outside_the_table_propagate(exc, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_code", _raising(exc))
+    with pytest.raises(type(exc)) as raised:
+        cli.main(["build", "--spec", _spec_file(tmp_path, REF)])
+    assert raised.value is exc
+    assert capsys.readouterr().err == ""
