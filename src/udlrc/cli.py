@@ -1,9 +1,14 @@
 """Command-line front end: bounds tables, build/encode/decode, certification.
 
-Exit codes are stable: 0 success, 2 bad description or input (an
-unreadable input file and an unwritable --output included), 3 undecodable
-pattern, 4 certification failure, 5 enumeration budget exceeded (oracle
-size, sweep work, the 8-class permutation search, the field-modulus
+Exit codes are stable.  A command that runs to its end prints its report,
+whose last row is its status, and exits with that status's code: ok 0,
+undecodable 3 (an erasure pattern past repair), mismatch or fail 4 (a
+round trip or a certification check that failed), budget-exceeded 5
+(certify's oracle size, sweep's work cap).  A command stopped by an error
+prints one error line and no report, and exits 2 for a bad description or
+input (an unreadable input file and an unwritable --output included), 4
+when a check needs the ordered condition, or 5 for an enumeration over its
+budget (the oracle size, the 8-class permutation search, the field-modulus
 search).  Reports are deterministic: same inputs, byte-identical output.
 The oracle budget (largest n the distance oracle will enumerate) defaults
 to 20 and can be set per run with --budget or globally with the
@@ -28,7 +33,6 @@ from .analysis import (
     certify_distance_optimal,
     check_cover_trace,
     class_cover_trace,
-    class_rank_caps,
     grank,
     min_distance_oracle,
     prefix_oracles,
@@ -82,6 +86,15 @@ EXIT_CODES = (
     ((TooLarge, TooManyClasses, ModulusSearchTooLarge), EXIT_BUDGET),
 )
 
+# The exit code of each status a command can end its report with.
+STATUS_CODES = {
+    "ok": EXIT_OK,
+    "undecodable": EXIT_UNDECODABLE,
+    "mismatch": EXIT_CERTIFY_FAIL,
+    "fail": EXIT_CERTIFY_FAIL,
+    "budget-exceeded": EXIT_BUDGET,
+}
+
 # Work cap of one sweep: every parameter combination visited, filtered ones
 # included, and every row emitted counts once against it.
 SWEEP_ROW_LIMIT = 10_000
@@ -122,18 +135,6 @@ class Report:
 
     def emit(self) -> None:
         sys.stdout.write(self.render())
-
-
-def _load_spec(path: str):
-    spec, seed = load_spec_file(path)
-    validate_spec(spec)
-    return spec, seed
-
-
-def _spec_header(report: Report, spec) -> None:
-    report.add("meta", "spec", spec_summary(spec))
-    report.add("meta", "digest", spec_digest(spec))
-    report.add("meta", "ordered", "yes" if spec.ordered_condition else "no")
 
 
 def _nonnegative(value: int, name: str) -> int:
@@ -181,10 +182,7 @@ def _parse_erasures(text: str | None, n: int) -> ErasurePattern:
         raise SpecFileError(str(exc)) from None
 
 
-def cmd_bounds(args) -> int:
-    spec, _ = _load_spec(args.spec)
-    report = Report("bounds", args.format)
-    _spec_header(report, spec)
+def cmd_bounds(args, report, spec, file_seed) -> str:
     report.add("bound", "dim-cap", dimension_bound(spec), "-", ";".join(map(str, spec.k_caps)))
     cap = distance_bound_udlrc(spec)
     report.add("bound", cap.name, cap.value, cap.pivot, ";".join(map(str, cap.per_class_terms)))
@@ -206,16 +204,11 @@ def cmd_bounds(args) -> int:
         report.add("bound", older.name, older.value, older.pivot, ";".join(map(str, older.per_class_terms)))
     except PreconditionViolated as exc:
         report.add("note", "unequal-r", f"skipped: {exc}")
-    report.add("status", "ok")
-    report.emit()
-    return EXIT_OK
+    return "ok"
 
 
-def cmd_build(args) -> int:
-    spec, _ = _load_spec(args.spec)
+def cmd_build(args, report, spec, file_seed) -> str:
     inst = build_code(spec)
-    report = Report("build", args.format)
-    _spec_header(report, spec)
     report.add("meta", "n", spec.n)
     report.add("meta", "k", spec.k)
     report.add("meta", "n-gab", spec.n_gab)
@@ -232,18 +225,13 @@ def cmd_build(args) -> int:
             "symbols=" + ",".join(map(str, group)),
         )
     report.add("meta", "grank-full", grank(inst.gen, range(spec.n)))
-    report.add("status", "ok")
-    report.emit()
-    return EXIT_OK
+    return "ok"
 
 
-def cmd_encode(args) -> int:
-    spec, file_seed = _load_spec(args.spec)
+def cmd_encode(args, report, spec, file_seed) -> str:
     inst = build_code(spec)
     message, seed = _message_for(args, spec, inst, file_seed)
     codeword = encode(inst, message)
-    report = Report("encode", args.format)
-    _spec_header(report, spec)
     if seed is not None:
         report.add("meta", "seed", seed)
     report.add("meta", "message", dump_symbols(message))
@@ -252,20 +240,15 @@ def cmd_encode(args) -> int:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(dump_symbols(codeword) + "\n")
         report.add("meta", "written", args.output)
-    report.add("status", "ok")
-    report.emit()
-    return EXIT_OK
+    return "ok"
 
 
-def cmd_decode(args) -> int:
-    spec, file_seed = _load_spec(args.spec)
+def cmd_decode(args, report, spec, file_seed) -> str:
     inst = build_code(spec)
     message, seed = _message_for(args, spec, inst, file_seed)
     pattern = _parse_erasures(args.erase, spec.n)
     codeword = encode(inst, message)
     received = {i: codeword[i] for i in pattern.remaining}
-    report = Report("decode", args.format)
-    _spec_header(report, spec)
     if seed is not None:
         report.add("meta", "seed", seed)
     report.add("meta", "erased", ",".join(map(str, pattern.erased_sorted)) or "-")
@@ -275,47 +258,36 @@ def cmd_decode(args) -> int:
         report.add("meta", "result", "undecodable")
         report.add("meta", "remaining-rank", exc.remaining_rank)
         report.add("meta", "needed", exc.needed)
-        report.add("status", "undecodable")
-        report.emit()
-        return EXIT_UNDECODABLE
+        return "undecodable"
     match = "yes" if list(result.message) == list(message) else "no"
     report.add("meta", "result", "decoded")
     report.add("meta", "phase", result.phase)
     report.add("meta", "repaired-locally", ",".join(map(str, result.repaired_locally)) or "-")
     report.add("meta", "match", match)
-    report.add("status", "ok" if match == "yes" else "mismatch")
-    report.emit()
-    return EXIT_OK if match == "yes" else EXIT_CERTIFY_FAIL
+    return "ok" if match == "yes" else "mismatch"
 
 
-def cmd_certify(args) -> int:
-    spec, _ = _load_spec(args.spec)
+def cmd_certify(args, report, spec, file_seed) -> str:
     budget = _resolve_budget(args)
-    report = Report("certify", args.format)
-    _spec_header(report, spec)
     if spec.n > budget:
         report.add("note", "budget", f"n={spec.n} exceeds the oracle budget {budget}")
-        report.add("status", "budget-exceeded")
-        report.emit()
-        return EXIT_BUDGET
+        return "budget-exceeded"
 
     inst = build_code(spec)
-    failed = False
-
-    caps = class_rank_caps(inst)
-    caps_ok = all(row.within_cap for row in caps)
-    if spec.k == spec.n_gab:
-        caps_ok = caps_ok and all(row.grank == row.cap for row in caps)
-    failed |= not caps_ok
+    # A finished cover chain ends at its class's rank.
+    traces = [class_cover_trace(inst, j) for j in range(1, spec.s + 1)]
+    granks = [trace.granks[-1] for trace in traces]
+    full = spec.k == spec.n_gab
+    caps_ok = all(g == cap if full else g <= cap for g, cap in zip(granks, spec.k_caps))
+    failed = not caps_ok
     report.add(
         "check",
         "class-rank-caps",
         "PASS" if caps_ok else "FAIL",
-        "granks=" + ",".join(str(r.grank) for r in caps) + " caps=" + ",".join(str(r.cap) for r in caps),
+        "granks=" + ",".join(map(str, granks)) + " caps=" + ",".join(map(str, spec.k_caps)),
     )
 
-    for j, c in enumerate(spec.classes, 1):
-        trace = class_cover_trace(inst, j)
+    for j, (c, trace) in enumerate(zip(spec.classes, traces), 1):
         violations = check_cover_trace(trace, c.r, c.delta)
         failed |= bool(violations)
         report.add(
@@ -366,9 +338,7 @@ def cmd_certify(args) -> int:
         report.add("check", "distance-optimal", "SKIP", "ordered condition fails")
         report.add("meta", "verdict", f"d-oracle={cert.d} d-cap={bound.value} (cap not certified tight)")
 
-    report.add("status", "fail" if failed else "ok")
-    report.emit()
-    return EXIT_CERTIFY_FAIL if failed else EXIT_OK
+    return "fail" if failed else "ok"
 
 
 def _parse_range(text: str, name: str) -> range:
@@ -382,7 +352,7 @@ def _parse_range(text: str, name: str) -> range:
         raise SpecFileError(f"--{name} expects INT or LO:HI, got {text!r}") from None
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args, report) -> str:
     if args.q >= PRIME_CHECK_LIMIT:
         raise SpecFileError(f"--q {args.q} is not below {PRIME_CHECK_LIMIT}, the primality test's limit")
     if not is_prime(args.q):
@@ -400,27 +370,20 @@ def cmd_sweep(args) -> int:
     ms = _parse_range(args.m, "m")
     s = args.classes
     budget = _nonnegative(args.budget, "--budget") if args.budget is not None else 0
-    report = Report("sweep", args.format)
     report.add("meta", "q", args.q)
     report.add("meta", "classes", s)
-
-    def budget_exceeded() -> int:
-        report.add("status", "budget-exceeded")
-        report.emit()
-        return EXIT_BUDGET
-
     header = ("row", "classes", "k", "n", "dim-cap", "dist-cap", "pivot", "permuted", "unequal-r", "relation", "oracle-d")
     report.add(*header)
     # product() keeps the per-class choices in memory and walks their
     # combinations lazily.  It visits every choice for the last class first,
     # so more choices than the cap would exceed it anyway.
     if prod(max(0, v.stop - v.start) for v in (rs, deltas, ms)) > SWEEP_ROW_LIMIT:
-        return budget_exceeded()
+        return "budget-exceeded"
     rows = work = 0
     for combo in product(product(rs, deltas, ms), repeat=s):
         work += 1
         if work > SWEEP_ROW_LIMIT:
-            return budget_exceeded()
+            return "budget-exceeded"
         rlist = [c[0] for c in combo]
         dlist = [c[1] for c in combo]
         if any(a > b for a, b in zip(rlist, rlist[1:])):
@@ -444,11 +407,9 @@ def cmd_sweep(args) -> int:
             older_text = "-" if older is None else older
             report.add("row", label, k, n, dim, cap, pivot, permuted, older_text, relation, oracle_text)
         if len(table) < n_gab:
-            return budget_exceeded()
+            return "budget-exceeded"
     report.add("meta", "rows", rows)
-    report.add("status", "ok")
-    report.emit()
-    return EXIT_OK
+    return "ok"
 
 
 @cache
@@ -459,6 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # A command with --spec gets its loaded, checked spec from main.
     def command(name, func, help):
         p = sub.add_parser(name, help=help)
         p.add_argument("--spec", required=True, help="code description file (text or JSON)")
@@ -494,12 +456,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command: its handler adds the report's rows and returns its
+    status; the report is printed only if the command gets that far."""
     args = build_parser().parse_args(argv)
+    report = Report(args.command, args.format)
     try:
-        return args.func(args)
+        if "spec" in args:
+            spec, file_seed = load_spec_file(args.spec)
+            validate_spec(spec)
+            report.add("meta", "spec", spec_summary(spec))
+            report.add("meta", "digest", spec_digest(spec))
+            report.add("meta", "ordered", "yes" if spec.ordered_condition else "no")
+            status = args.func(args, report, spec, file_seed)
+        else:
+            status = args.func(args, report)
+        report.add("status", status)
+        report.emit()
     except tuple(cls for classes, _ in EXIT_CODES for cls in classes) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for classes, code in EXIT_CODES if isinstance(exc, classes))
+    return STATUS_CODES[status]
 
 
 def entrypoint() -> None:

@@ -96,7 +96,7 @@ def _json_int(value, where: str) -> int:
 def parse_spec_json(text: str) -> tuple[LocalitySpec, int | None]:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SpecFileError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SpecFileError("JSON description must be an object")
@@ -120,8 +120,15 @@ def parse_spec_json(text: str) -> tuple[LocalitySpec, int | None]:
     return LocalitySpec(classes=tuple(classes), k=k, q=q, t=t), seed
 
 
+def _read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SpecFileError(f"{path}: {exc}") from None
+
+
 def load_spec_file(path: str | Path) -> tuple[LocalitySpec, int | None]:
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     if text.lstrip().startswith("{"):
         return parse_spec_json(text)
     return parse_spec_text(text)
@@ -151,8 +158,8 @@ def dump_symbols(symbols) -> str:
 
 def load_symbols(path: str | Path, field: ExtField, expected: int) -> list[ExtElem]:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        doc = json.loads(_read_text(path))
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SpecFileError(f"invalid symbol file {path}: {exc}") from None
     if not isinstance(doc, list) or len(doc) != expected:
         raise SpecFileError(f"symbol file {path} must hold exactly {expected} digit lists")

@@ -634,6 +634,13 @@ def test_class_rank_caps(ref_instance, ref_full_instance, all_instances):
         assert sum(r.grank for r in rows) >= inst.k
 
 
+def test_cover_trace_ends_at_the_class_rank(all_instances):
+    for inst in all_instances:
+        caps = class_rank_caps(inst)
+        for j in range(1, inst.spec.s + 1):
+            assert class_cover_trace(inst, j).granks[-1] == caps[j - 1].grank
+
+
 def test_rank_deficiency_witness_reference(ref_instance):
     witness = rank_deficiency_witness(ref_instance)
     assert witness == (0, 1, 2, 3)

@@ -1,8 +1,10 @@
 """Malformed inputs end in a documented exit code and a message naming the
 bad field, and oversized ones in exit 5 within a second, never a traceback
 or a hang; the table from exception classes to exit codes is pinned, and an
-exception outside it still propagates.  Every case runs the CLI in process."""
+exception outside it still propagates.  So is the exit code of each status
+a report ends with.  Every case runs the CLI in process."""
 
+import dataclasses
 import hashlib
 import json
 import time
@@ -12,7 +14,7 @@ import pytest
 from udlrc import cli
 from udlrc.analysis import OrderedConditionRequired, TooLarge
 from udlrc.bounds import DimensionInfeasible, TooManyClasses
-from udlrc.construction import FieldTooSmall, SpecInvalid
+from udlrc.construction import FieldTooSmall, SpecInvalid, decode_erasures
 from udlrc.fields import PRIME_CHECK_LIMIT, ModulusSearchTooLarge
 from udlrc.specfile import SpecFileError
 
@@ -238,6 +240,28 @@ def test_unreadable_input_or_unwritable_output_exits_two(argv, tmp_path, capsys)
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert ("Is a directory" if "{dir}" in argv else "can't decode byte 0xe9") in err
+    if "{latin1}" in argv:
+        assert f"error: {latin1}: " in err
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["bounds", "--spec", "{deep}"], '{"q":' + "[" * 100_000),
+        (["encode", "--spec", "{spec}", "--message", "{deep}"], "[" * 100_000),
+    ],
+    ids=["spec", "message"],
+)
+def test_deeply_nested_json_exits_two(argv, text, tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text(text)
+    paths = {"deep": str(deep), "spec": _spec_file(tmp_path, REF)}
+    start = time.perf_counter()
+    code, err = _run([arg.format(**paths) for arg in argv], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "maximum recursion depth" in err
+    assert time.perf_counter() - start < 1.0
 
 
 # The exit-code table, written out here rather than read from cli.EXIT_CODES.
@@ -270,6 +294,39 @@ def test_exit_code_table(exc, expected, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_code", _raising(exc))
     code, err = _run(["build", "--spec", _spec_file(tmp_path, REF)], capsys)
     assert (code, err) == (expected, f"error: {exc}\n")
+
+
+def _mismatched_decode(inst, received, pattern):
+    result = decode_erasures(inst, received, pattern)
+    return dataclasses.replace(result, message=result.message[::-1])
+
+
+# The status each command ends its report with, and its exit code, written
+# out here rather than read from cli.STATUS_CODES.
+STATUS_TABLE = [
+    ("ok", ["bounds", "--spec", "{spec}"], None, 0),
+    ("undecodable", ["decode", "--spec", "{spec}", "--random", "--erase", "5,6,7"], None, 3),
+    ("mismatch", ["decode", "--spec", "{spec}", "--random", "--erase", "0"], ("decode_erasures", _mismatched_decode), 4),
+    ("fail", ["certify", "--spec", "{spec}"], ("certify_distance_optimal", lambda inst, budget: False), 4),
+    ("budget-exceeded", ["certify", "--spec", "{spec}", "--budget", "1"], None, 5),
+    ("budget-exceeded", _sweep(2, 4, "2:4", "2:9", "1:9"), None, 5),
+]
+
+
+@pytest.mark.parametrize("fmt, last", [("text", "status: {}"), ("machine", "status\t{}")], ids=["text", "machine"])
+@pytest.mark.parametrize(
+    "status, argv, patch, expected",
+    STATUS_TABLE,
+    ids=["ok", "undecodable", "mismatch", "fail", "certify-budget", "sweep-work-cap"],
+)
+def test_status_and_exit_code_agree(status, argv, patch, expected, fmt, last, tmp_path, capsys, monkeypatch):
+    if patch is not None:
+        monkeypatch.setattr(cli, *patch)
+    spec = _spec_file(tmp_path, REF)
+    code = cli.main([arg.format(spec=spec) for arg in argv] + ["--format", fmt])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (expected, "")
+    assert captured.out.splitlines()[-1] == last.format(status)
 
 
 @pytest.mark.parametrize(
