@@ -315,22 +315,25 @@ def class_rank_caps(inst: CodeInstance) -> list[ClassRankCap]:
     ]
 
 
-def rank_deficiency_witness(inst: CodeInstance) -> tuple[int, ...]:
+def rank_deficiency_witness(inst: CodeInstance, traces: Sequence[CoverTrace] | None = None) -> tuple[int, ...]:
     """A large symbol set whose restricted rank stays below k.
 
     Takes all classes before the measured pivot, plus the cover-chain prefix
     of the pivot class that stops just short of contributing the missing
     rank.  The result always has rank at most k - 1 and at least
     sum_{j < pivot} (n_j - rank_j) + l * (delta_pivot - 1) redundant symbols,
-    so it lower-bounds how far the distance sits below Singleton.
+    so it lower-bounds how far the distance sits below Singleton.  traces
+    are the classes' cover traces in class order, computed when not given.
     """
-    granks_ = [grank(inst.gen, class_symbols(inst, j)) for j in range(1, inst.spec.s + 1)]
+    if traces is None:
+        traces = [class_cover_trace(inst, j) for j in range(1, inst.spec.s + 1)]
+    granks_ = [trace.granks[-1] for trace in traces]
     assert sum(granks_) >= inst.k, "a full-rank generator reaches k over all classes"
     bound = distance_bound_measured(inst.spec, granks_)
     sigma = bound.pivot
     piv = inst.spec.classes[sigma - 1]
     l = ceil_div(inst.k - sum(granks_[: sigma - 1]), piv.r) - 1
-    trace = class_cover_trace(inst, sigma)
+    trace = traces[sigma - 1]
     assert 0 <= l < trace.steps, "the chain always runs one step past the stop index"
     witness: set[int] = set()
     for j in range(1, sigma):
@@ -410,15 +413,19 @@ def tightness_budget_size(inst: CodeInstance) -> int:
     return spec.n + 1 - distance_bound_udlrc(spec).value
 
 
-def certify_distance_optimal(inst: CodeInstance, budget: int = DEFAULT_ORACLE_BUDGET) -> bool:
+def certify_distance_optimal(
+    inst: CodeInstance, budget: int = DEFAULT_ORACLE_BUDGET, cert: DistanceCertificate | None = None
+) -> bool:
     """Certify that the built code meets its distance ceiling with equality.
 
     Checks that every symbol set of the critical size tau = n + 1 - ceiling
     has points of F_q-rank at least k: by the greedy worst-case pattern
-    (which minimizes remaining rank), and for n within the oracle budget by
-    the oracle's walk over all tau-sets of points as length-t rows over
-    F_q.  Requires the ordered parameter condition, under which the greedy
-    pattern argument is valid.
+    (which minimizes remaining rank), and for n within the oracle budget
+    exhaustively.  Given cert, the oracle's certificate of gen, a Moore gen
+    whose row 0 is inst.points has deficient sizes ending at n - d, so the
+    check is cert.d >= n + 1 - tau; otherwise the oracle's walk runs over
+    all tau-sets of points as length-t rows over F_q.  Requires the ordered
+    parameter condition, under which the greedy pattern argument is valid.
     """
     spec = inst.spec
     if not spec.ordered_condition:
@@ -429,6 +436,8 @@ def certify_distance_optimal(inst: CodeInstance, budget: int = DEFAULT_ORACLE_BU
     greedy = worst_case_pattern(inst.layout, spec.n - tau)
     ok = erank(inst, greedy.remaining) >= spec.k
     if ok and spec.n <= budget:
+        if cert is not None and _is_moore(inst.gen) and inst.gen.rows[0] == list(inst.points):
+            return cert.d >= spec.n + 1 - tau
         pk = _packing(inst.base, spec.t)
         points = [pk.pack(y) for y in inst.points]
         ok = _first_deficient(pk, points, spec.k, tau, 0, [], []) is None

@@ -13,7 +13,7 @@ search).  Reports are deterministic: same inputs, byte-identical output.
 The oracle budget (largest n the distance oracle will enumerate) defaults
 to 20 and can be set per run with --budget or globally with the
 UDLRC_BUDGET variable; certify's exhaustive distance-optimality check
-walks the symbol points under the same budget.
+runs under the same budget and reads the oracle's d instead of walking.
 """
 
 from __future__ import annotations
@@ -305,7 +305,7 @@ def cmd_certify(args, report, spec, file_seed) -> str:
         f"d={cert.d} witness-size={len(cert.witness)} witness-rank={cert.witness_rank}",
     )
 
-    witness = rank_deficiency_witness(inst)
+    witness = rank_deficiency_witness(inst, traces)
     wrank = grank(inst.gen, witness)
     slack = len(witness) - wrank
     witness_ok = (
@@ -323,7 +323,7 @@ def cmd_certify(args, report, spec, file_seed) -> str:
 
     bound = distance_bound_udlrc(spec)
     if spec.ordered_condition:
-        optimal = certify_distance_optimal(inst, budget=budget)
+        optimal = certify_distance_optimal(inst, budget=budget, cert=cert)
         failed |= not optimal
         report.add(
             "check",

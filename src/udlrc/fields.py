@@ -37,18 +37,22 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
+from itertools import count
 from typing import Iterable, Iterator, Sequence
 
 ExtElem = tuple[int, ...]
 
-# Work find_irreducible may spend, in coefficient products.  A Rabin test
-# of a degree-t candidate runs up to t // 2 powers x^(q^d), each about
-# bitlen(q) polynomial products, charged (t + 8)^2 each (t^2 plus a fixed
-# cost that dominates at small t) before the test runs.  A refused search
-# gives up within about 0.15 s on an x86 core (the slowest refusal found,
-# GF(10007^3), takes 0.09-0.13 s); every q <= 23 with t <= 16 fits
-# (GF(23^12) costs 2,556,000 units, GF(5^10) 165,240).
-MODULUS_SEARCH_BUDGET = 4_000_000
+# Work find_irreducible may spend.  One packed product of polynomials of
+# degree < t over F_q is charged (t + 8)^2 (bitlen(q) + 8): the fixed cost
+# dominates at small t, and the slots widen with q.  A candidate is charged
+# one product for its layout and bitlen(q) products for each Rabin round (a
+# power x^(q^d) and a gcd), each charge made before the round runs; most
+# candidates stop at the first round.  Measured on an x86 core: GF(11^60)
+# costs 106M (0.2 s); GF(7^50), GF(5^40), GF(3^90) and every q <= 23 with
+# t <= 16 fit; the slowest refusal found, over q up to 2^81 and t up to
+# 1000, is GF(3^180) at about 0.7 s, and GF(13^94) and GF(1000000007^5)
+# give up within 0.2 s.
+MODULUS_SEARCH_BUDGET = 150_000_000
 
 
 class ModulusSearchTooLarge(ValueError):
@@ -171,8 +175,13 @@ def _is_irreducible(coeffs: Sequence[int], q: int) -> bool:
     to t/2; d = 1 catches every root.
     """
     t = len(coeffs) - 1
-    if t < 1 or coeffs[-1] % q != 1:
-        return False
+    return t >= 1 and coeffs[-1] % q == 1 and not any(_rabin_rounds(coeffs, q))
+
+
+def _rabin_rounds(coeffs: Sequence[int], q: int) -> Iterator[bool]:
+    """Rabin's test on a monic polynomial f of degree t >= 1, one round at a
+    time: round d yields whether gcd(f, x^(q^d) - x) is nontrivial."""
+    t = len(coeffs) - 1
     f = [v % q for v in coeffs]
     # The kernel's fold needs only a monic modulus, not an irreducible one,
     # so the powers x^(q^d) mod f run on a packed layout over F_q[x]/(f).
@@ -182,9 +191,7 @@ def _is_irreducible(coeffs: Sequence[int], q: int) -> bool:
         h = pk.pow(h, q)
         diff = list(pk.unpack_elem(h))
         diff[1] = (diff[1] - 1) % q
-        if len(_poly_gcd(f, diff, q)) > 1:
-            return False
-    return True
+        yield len(_poly_gcd(f, diff, q)) > 1
 
 
 @lru_cache(maxsize=None)
@@ -193,26 +200,38 @@ def find_irreducible(q: int, t: int) -> tuple[int, ...]:
 
     Candidates are scanned in increasing order of sum(c_i * q^i), so every
     (q, t) deterministically names one modulus and one field representation.
-    Returned as a coefficient tuple of length t + 1 with leading 1.  Raises
-    ModulusSearchTooLarge when the candidates MODULUS_SEARCH_BUDGET pays
-    for are all reducible.
+    Returned as a coefficient tuple of length t + 1 with leading 1.  Each
+    candidate and each Rabin round is charged as it runs; raises
+    ModulusSearchTooLarge when the charges pass MODULUS_SEARCH_BUDGET
+    before an irreducible is found.
     """
     if not is_prime(q):
         raise ValueError(f"base field size must be prime, got {q}")
     if t < 1:
         raise ValueError(f"degree must be >= 1, got {t}")
-    cost = max(1, t // 2) * (t + 8) ** 2 * q.bit_length()
-    for code in range(MODULUS_SEARCH_BUDGET // cost):
+    product = (t + 8) ** 2 * (q.bit_length() + 8)
+    if product * (q.bit_length() + 1) > MODULUS_SEARCH_BUDGET:
+        # Not even the first candidate's layout and first round fit.
+        raise ModulusSearchTooLarge(q, t)
+    spent = 0
+    # Every degree has an irreducible among the first q^t candidates.
+    for code in count():
         coeffs = []
         c = code
         for _ in range(t):
             coeffs.append(c % q)
             c //= q
         coeffs.append(1)
-        if _is_irreducible(coeffs, q):
+        spent += product
+        rounds = _rabin_rounds(coeffs, q)
+        for _ in range(t // 2):
+            spent += product * q.bit_length()
+            if spent > MODULUS_SEARCH_BUDGET:
+                raise ModulusSearchTooLarge(q, t)
+            if next(rounds):
+                break
+        else:
             return tuple(coeffs)
-    # Every degree has an irreducible among the first q^t candidates.
-    raise ModulusSearchTooLarge(q, t)
 
 
 class ExtField:

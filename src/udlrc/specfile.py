@@ -128,10 +128,13 @@ def _read_text(path: str | Path) -> str:
 
 
 def load_spec_file(path: str | Path) -> tuple[LocalitySpec, int | None]:
+    """The description in the file and its seed; a parse error names the file."""
     text = _read_text(path)
-    if text.lstrip().startswith("{"):
-        return parse_spec_json(text)
-    return parse_spec_text(text)
+    parse = parse_spec_json if text.lstrip().startswith("{") else parse_spec_text
+    try:
+        return parse(text)
+    except SpecFileError as exc:
+        raise SpecFileError(f"{path}: {exc}") from None
 
 
 def spec_digest(spec: LocalitySpec) -> str:

@@ -21,6 +21,7 @@ from udlrc import (
     distance_bound_unequal_r,
     validate_spec,
 )
+from udlrc import analysis, cli
 from udlrc.bounds import PERMUTED_CLASS_LIMIT
 from udlrc.construction import build_layout, lift_to_ext, mds_local_generator
 from udlrc.fields import _poly_divmod, _poly_gcd, _poly_trim
@@ -47,6 +48,25 @@ def load_workloads():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def counting(monkeypatch, name, record=lambda *args: True):
+    """Wrap the function `name` with one counter wherever udlrc.analysis or
+    udlrc.cli binds it, so calls through either module (and recursive calls
+    through analysis) are counted.  Returns the list that gets record(*args)
+    on each call."""
+    modules = [module for module in (analysis, cli) if hasattr(module, name)]
+    original = getattr(modules[0], name)
+    assert all(getattr(module, name) is original for module in modules)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(record(*args, **kwargs))
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def ref_mul(field, a, b):

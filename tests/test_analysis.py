@@ -40,7 +40,7 @@ from udlrc import (
     validate_spec,
     worst_case_pattern,
 )
-from conftest import REVERSED_SPEC, cli_env, load_workloads, usual_grid
+from conftest import REVERSED_SPEC, cli_env, counting, load_workloads, usual_grid
 from udlrc import fields
 from udlrc.analysis import _first_deficient, _is_moore, prefix_oracles
 from udlrc.linalg import base_rank
@@ -770,6 +770,34 @@ def test_certify_walk_matches_the_subset_loop(all_instances):
     assert verdicts == [_loop_certify(inst) for inst in faulty]
     # On 299 of them some tau-set of points falls below rank k.
     assert verdicts.count(False) == 299
+
+
+def test_certify_reads_the_oracle_certificate_and_the_traces(all_instances, monkeypatch):
+    # Given the oracle's certificate, certify_distance_optimal runs no walk
+    # on a built code (gen is Moore on its points) and one walk on a code
+    # whose points were changed after the build, once the greedy check
+    # passes; given the cover traces, the witness is the one it computes.
+    gf7_9 = load_spec_file(load_workloads().SPEC_DIR / "gf7_9.json")[0]
+    honest = list(all_instances) + [build_code(validate_spec(gf7_9))]
+    honest += [build_code(validate_spec(spec)) for spec in _ordered_small_specs()]
+    faulty = [_with_copied_point(inst) for inst in honest if len(inst.layout.groups) > 1]
+    walks = counting(monkeypatch, "_first_deficient", lambda pk, columns, k, size, start, path, basis: not path)
+    walked, passed = [], []
+    for inst in honest + faulty:
+        cert = min_distance_oracle(inst.gen)
+        expected = certify_distance_optimal(inst)
+        walks.clear()
+        assert certify_distance_optimal(inst, cert=cert) is expected
+        walked.append(sum(walks))
+        greedy = worst_case_pattern(inst.layout, inst.n - tightness_budget_size(inst))
+        passed.append(erank(inst, greedy.remaining) >= inst.k)
+    assert walked[: len(honest)] == [0] * len(honest)
+    assert walked[len(honest) :] == passed[len(honest) :]
+    assert (len(honest), len(faulty), sum(walked)) == (413, 389, 201)
+    for inst in honest:
+        traces = [class_cover_trace(inst, j) for j in range(1, inst.spec.s + 1)]
+        assert [trace.granks[-1] for trace in traces] == [c.grank for c in class_rank_caps(inst)]
+        assert rank_deficiency_witness(inst, traces) == rank_deficiency_witness(inst)
 
 
 @pytest.mark.parametrize(

@@ -92,8 +92,7 @@ def test_rabin_test_matches_the_schoolbook_reference():
 
 
 def test_rabin_test_matches_the_reference_at_degree_60():
-    # The GF(11^60) scan up to its lex-first irreducible, candidate 177,
-    # which the budget refuses to pay for (direction 2 of the roadmap).
+    # The GF(11^60) scan up to its lex-first irreducible, candidate 177.
     verdicts = [_is_irreducible(cand, 11) for cand in monic_candidates(11, 60, 178)]
     assert verdicts == [ref_is_irreducible(cand, 11) for cand in monic_candidates(11, 60, 178)]
     assert verdicts.index(True) == 177
@@ -117,6 +116,25 @@ def test_find_irreducible_gives_up_after_the_search_limit():
     assert time.perf_counter() - start < 1.0
     assert (info.value.q, info.value.t) == (1000000007, 5)
     assert f"search budget of {MODULUS_SEARCH_BUDGET} coefficient products" in str(info.value)
+
+
+def test_find_irreducible_charges_each_round_as_it_runs():
+    # Most candidates fail Rabin's first round, so a search charged round by
+    # round pays for GF(11^60)'s 178 candidates; a worst-case charge per
+    # candidate, made up front, paid for 7 of them.
+    *_, lex_first = monic_candidates(11, 60, 178)
+    assert find_irreducible(11, 60) == tuple(lex_first)
+    assert ExtField(PrimeField(11), 60).t == 60
+
+
+@pytest.mark.parametrize("q, t", [(13, 94), (2, 10**7)], ids=["GF(13^94)", "GF(2^10^7)"])
+def test_find_irreducible_refuses_long_searches_within_a_second(q, t):
+    # The lex-first GF(13^94) modulus lies past about 35 s of search; at
+    # t = 10^7 not one round fits, and no candidate is built.
+    start = time.perf_counter()
+    with pytest.raises(ModulusSearchTooLarge, match=rf"degree {t} over GF\({q}\)"):
+        find_irreducible(q, t)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_find_irreducible_budget_covers_small_fields():

@@ -1,8 +1,9 @@
 """The machine-format reports the benchmark checks, pinned in process to the
-sha256 digests recorded in perfbench/golden.json, and three of them (certify
-gf7_9 and both sweeps) once more under python -O; the oracle sweep's builds
-and Moore checks, counted; and the `bounds` reports on the benchmark's spec
-files and on an 8-class spec, pinned to their recorded digests.
+sha256 digests recorded in perfbench/golden.json, and all seven once more
+under python -O; the oracle sweep's builds and Moore checks, and certify's
+point walks, grank calls and cover traces, counted; and the `bounds` reports
+on the benchmark's spec files and on an 8-class spec, pinned to their
+recorded digests.
 """
 
 import contextlib
@@ -14,15 +15,16 @@ import sys
 
 import pytest
 
-from conftest import cli_env, load_workloads
-from udlrc import analysis, cli
+from conftest import cli_env, counting, load_workloads
+from udlrc import cli
 
 workloads = load_workloads()
+CERTIFY_SPECS = ("ref", "ref_full", "three", "reversed", "gf7_9")
 
 CASES = [
     *(
         (("certify", name), ["certify", "--spec", str(workloads.SPEC_DIR / f"{name}.json"), "--format", "machine"])
-        for name in ("ref", "ref_full", "three", "reversed", "gf7_9")
+        for name in CERTIFY_SPECS
     ),
     (("sweep", "oracle"), workloads.Sweep.ORACLE),
     (("sweep", "table"), workloads.Sweep.TABLE),
@@ -43,14 +45,7 @@ def test_oracle_sweep_builds_once_per_class_tuple(monkeypatch):
     # A count, not a timing: the benchmark's oracle sweep has 80 oracle rows
     # in 17 class tuples, and builds each tuple's code once, at its last k.
     monkeypatch.delenv("UDLRC_BUDGET", raising=False)
-    built = []
-    build_code = cli.build_code
-
-    def counted_build(spec):
-        built.append(spec.k)
-        return build_code(spec)
-
-    monkeypatch.setattr(cli, "build_code", counted_build)
+    built = counting(monkeypatch, "build_code", lambda spec: spec.k)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(workloads.Sweep.ORACLE) == 0
@@ -63,19 +58,29 @@ def test_oracle_sweep_checks_the_moore_premise_once_per_class_tuple(monkeypatch)
     # A count: every k-row prefix of a Moore generator is Moore, so the
     # check runs once per class tuple (17), not once per oracle row (80).
     monkeypatch.delenv("UDLRC_BUDGET", raising=False)
-    checks = []
-    is_moore = analysis._is_moore
-
-    def counted(gen):
-        checks.append(gen.nrows)
-        return is_moore(gen)
-
-    monkeypatch.setattr(analysis, "_is_moore", counted)
+    checks = counting(monkeypatch, "_is_moore", lambda gen: gen.nrows)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(workloads.Sweep.ORACLE) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == workloads.GOLDEN["sweep"]["oracle"]
     assert (len(checks), sum(checks)) == (17, 80)
+
+
+@pytest.mark.parametrize("name, expected", [("ref", (4, 8, 2)), ("gf7_9", (5, 13, 3))], ids=["ref", "gf7_9"])
+def test_certify_computes_each_fact_once(name, expected, monkeypatch):
+    # Counts: the oracle's walks are certify's only top-level point walks
+    # (the distance-optimal check reads the oracle's d), and the witness
+    # reads the cover traces and class ranks certify already holds.  When
+    # both recomputed them, the counts were (5, 13, 3) and (6, 21, 4).
+    monkeypatch.delenv("UDLRC_BUDGET", raising=False)
+    walks = counting(monkeypatch, "_first_deficient", lambda pk, columns, k, size, start, path, basis: not path)
+    granks = counting(monkeypatch, "grank")
+    traces = counting(monkeypatch, "class_cover_trace")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["certify", "--spec", str(workloads.SPEC_DIR / f"{name}.json"), "--format", "machine"]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == workloads.GOLDEN["certify"][name]
+    assert (sum(walks), len(granks), len(traces)) == expected
 
 
 def _digest_without_asserts(argv) -> str:
@@ -88,10 +93,11 @@ def _digest_without_asserts(argv) -> str:
     return hashlib.sha256(result.stdout).hexdigest()
 
 
-def test_report_without_asserts_matches_recorded_digest():
+@pytest.mark.parametrize("name", CERTIFY_SPECS)
+def test_report_without_asserts_matches_recorded_digest(name):
     # python -O strips every assert, so no printed result may rest on one.
-    argv = ["certify", "--spec", str(workloads.SPEC_DIR / "gf7_9.json"), "--format", "machine"]
-    assert _digest_without_asserts(argv) == workloads.GOLDEN["certify"]["gf7_9"]
+    argv = ["certify", "--spec", str(workloads.SPEC_DIR / f"{name}.json"), "--format", "machine"]
+    assert _digest_without_asserts(argv) == workloads.GOLDEN["certify"][name]
 
 
 @pytest.mark.parametrize("name", ["oracle", "table"])

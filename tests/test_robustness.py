@@ -245,6 +245,24 @@ def test_unreadable_input_or_unwritable_output_exits_two(argv, tmp_path, capsys)
 
 
 @pytest.mark.parametrize(
+    "name, content, reason",
+    [
+        ("bad.json", b"{not json", "invalid JSON: "),
+        ("bad.spec", b"q: 5\nt: five\n", "line 2: field 't' must be an integer"),
+        ("latin1.spec", "q: 5 # \u00e9".encode("latin-1"), "'utf-8' codec can't decode byte 0xe9"),
+    ],
+    ids=["json", "text", "not-utf8"],
+)
+def test_spec_file_errors_name_the_file_once(name, content, reason, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_bytes(content)
+    code, err = _run(["bounds", "--spec", str(path)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: {path}: {reason}") and err.count("\n") == 1
+    assert err.count(str(path)) == 1
+
+
+@pytest.mark.parametrize(
     "argv, text",
     [
         (["bounds", "--spec", "{deep}"], '{"q":' + "[" * 100_000),
@@ -307,7 +325,7 @@ STATUS_TABLE = [
     ("ok", ["bounds", "--spec", "{spec}"], None, 0),
     ("undecodable", ["decode", "--spec", "{spec}", "--random", "--erase", "5,6,7"], None, 3),
     ("mismatch", ["decode", "--spec", "{spec}", "--random", "--erase", "0"], ("decode_erasures", _mismatched_decode), 4),
-    ("fail", ["certify", "--spec", "{spec}"], ("certify_distance_optimal", lambda inst, budget: False), 4),
+    ("fail", ["certify", "--spec", "{spec}"], ("certify_distance_optimal", lambda inst, budget, cert: False), 4),
     ("budget-exceeded", ["certify", "--spec", "{spec}", "--budget", "1"], None, 5),
     ("budget-exceeded", _sweep(2, 4, "2:4", "2:9", "1:9"), None, 5),
 ]
