@@ -44,7 +44,7 @@ print("classical cap       :", distance_bound_rdelta(spec.n, spec.k, r_max, delt
 for j, c in enumerate(spec.classes, 1):
     print(f"classical, class {j} :", distance_bound_rdelta(spec.n, spec.k, c.r, c.delta), "(comparison, not a ceiling)")
 
-cert = min_distance_oracle(inst.gen)
+cert = min_distance_oracle(inst)
 print("\noracle distance     :", cert.d)
 print("largest deficient set:", cert.witness, "rank", cert.witness_rank)
 

@@ -1,17 +1,19 @@
 """Brute-force certificates and counting arguments for built code instances.
 
 Everything here is an independent check on the construction: exact minimum
-distance by subset enumeration over the generator, decodability of symbol
-sets, locality witnesses straight from the definition, the greedy cover
-chains behind the dimension and distance ceilings, and the worst-case
-erasure patterns that certify tightness.
+distance by subset enumeration, decodability of symbol sets, locality
+witnesses straight from the definition, the greedy cover chains behind the
+dimension and distance ceilings, and the worst-case erasure patterns that
+certify tightness.  A built code is read through its points, since a
+symbol set has rank min(k, F_q-rank of its points) in it; a bare generator
+Matrix (a punctured code, any other code) is read through its columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .bounds import ceil_div, distance_bound_measured, distance_bound_udlrc
 from .construction import (
@@ -20,8 +22,8 @@ from .construction import (
     LocalGroupLayout,
     erank,
 )
-from .fields import ExtField, _packing
-from .linalg import Matrix
+from .fields import _packing
+from .linalg import Matrix, RankTracker
 
 DEFAULT_ORACLE_BUDGET = 20
 
@@ -61,74 +63,60 @@ class DistanceCertificate:
     witness_rank: int
 
 
-def min_distance_oracle(gen: Matrix, budget: int = DEFAULT_ORACLE_BUDGET) -> DistanceCertificate:
+def min_distance_oracle(code: CodeInstance | Matrix, budget: int = DEFAULT_ORACLE_BUDGET) -> DistanceCertificate:
     """Exact minimum distance: n minus the largest symbol set of rank < k.
 
-    When gen is a Moore matrix over F_(q^t) (row j is the Frobenius image
-    of row j - 1, as every built generator and each of its k-row prefixes
-    is), a column subset S has rank min(k, F_q-rank of S's points in row 0)
-    by the Moore determinant (Lidl and Niederreiter, Finite Fields, Lemma
-    3.51), so the walk runs over row 0's points as length-t rows over F_q.
-    Any other generator (a reduced basis, a row-mixed or foreign matrix)
-    falls back to the columns of its reduced basis over its own field (row
+    A built code's generator is the Moore matrix on its points, so a symbol
+    set has rank min(k, F_q-rank of its points) by the Moore determinant
+    (Lidl and Niederreiter, Finite Fields, Lemma 3.51), and a CodeInstance
+    is walked over its points as length-t rows over F_q.  A Matrix is
+    walked over the columns of its reduced basis over its own field (row
     operations keep every column subset's rank; unit pivot columns skip
     most elimination steps).  Either walk is depth first in combinations
     order, so a hit is the lexicographically first deficient subset of its
-    size, and both see the same ranks below k, so they return the same
-    certificate.  The sizes with a deficient subset form an initial segment
-    that holds k - 1 (Singleton), so the scan runs upward from k - 1 to the
-    first size without a hit, and the last hit, at size n - d, is exact for
-    any generator.
+    size.  The sizes with a deficient subset form an initial segment that
+    holds k - 1 (Singleton), so the scan runs upward from k - 1 to the
+    first size without a hit, and the last hit, at size n - d, is exact.
     """
-    return next(_oracles(gen, budget, [gen.nrows]))
+    if isinstance(code, CodeInstance):
+        return _point_oracles(code, budget, [code.k])[0]
+    n, k = code.ncols, code.nrows
+    pn = _packing(code.field, n)
+    rows = [pn.unpack(row) for _, row in pn.reduced(map(pn.pack, code.rows), n)]
+    pk = _packing(code.field, k)
+    columns = [pk.pack([row[j] for row in rows]) for j in range(n)]
+    return _walk(pk, columns, len(rows), k, budget)
 
 
-def prefix_oracles(gen: Matrix, budget: int = DEFAULT_ORACLE_BUDGET) -> list[DistanceCertificate]:
-    """min_distance_oracle of the first k rows of gen for k = 1 .. gen.nrows."""
-    return list(_oracles(gen, budget, range(1, gen.nrows + 1)))
+def prefix_oracles(inst: CodeInstance, budget: int = DEFAULT_ORACLE_BUDGET) -> list[DistanceCertificate]:
+    """min_distance_oracle of the code on inst's points at each k = 1 .. inst.k."""
+    return _point_oracles(inst, budget, range(1, inst.k + 1))
 
 
-def _oracles(gen: Matrix, budget: int, ks) -> Iterator[DistanceCertificate]:
-    """min_distance_oracle of the first k rows of gen at each k of ks.  Every
-    prefix of a Moore matrix is Moore, so a Moore gen is checked, and its row
-    0's points packed and ranked, once for all k."""
-    n = gen.ncols
+def _point_oracles(inst: CodeInstance, budget: int, ks) -> list[DistanceCertificate]:
+    """The point walk at each k of ks; the points are packed and ranked once."""
+    pk = _packing(inst.base, inst.field.t)
+    columns = [pk.pack(y) for y in inst.points]
+    rank = len(pk.echelon(columns, pk.length))
+    return [_walk(pk, columns, rank, k, budget) for k in ks]
+
+
+def _walk(pk, columns, rank, k, budget) -> DistanceCertificate:
+    """The certificate at k of the columns, packed by pk, of rank rank."""
+    n = len(columns)
     if n > budget:
         raise TooLarge(f"n={n} exceeds the enumeration budget {budget}")
-    field = gen.field
-    moore = _is_moore(gen)
-    if moore:
-        pk = _packing(field.base, field.t)
-        columns = [pk.pack(y) for y in gen.rows[0]]
-        rank = len(pk.echelon(columns, field.t))
-    for k in ks:
-        if not moore:
-            pn = _packing(field, n)
-            basis = pn.reduced(map(pn.pack, gen.rows[:k]), n)
-            rank = len(basis)
-            pk = _packing(field, k)
-            columns = [pk.pack(col) for col in zip(*(pn.unpack(row) for _, row in basis))]
-        if rank < k:
-            raise RankDeficientGenerator(f"generator rank below k={k}")
-        cert = None
-        for size in range(max(k - 1, 0), n):
-            hit = _first_deficient(pk, columns, k, size, 0, [], [])
-            if hit is None:
-                break
-            cert = DistanceCertificate(d=n - size, witness=hit[0], witness_rank=hit[1])
-        if cert is None:
-            raise AssertionError("unreachable: any k - 1 columns are rank deficient")
-        yield cert
-
-
-def _is_moore(gen: Matrix) -> bool:
-    """Whether gen has a row 0 and every entry below it, over an extension
-    field, is the Frobenius image of the entry above it; stops at the first
-    mismatch."""
-    field, rows = gen.field, gen.rows
-    return isinstance(field, ExtField) and bool(rows) and all(
-        field.frobenius(above) == entry for prev, row in zip(rows, rows[1:]) for above, entry in zip(prev, row)
-    )
+    if rank < k:
+        raise RankDeficientGenerator(f"generator rank below k={k}")
+    cert = None
+    for size in range(max(k - 1, 0), n):
+        hit = _first_deficient(pk, columns, k, size, 0, [], [])
+        if hit is None:
+            break
+        cert = DistanceCertificate(d=n - size, witness=hit[0], witness_rank=hit[1])
+    if cert is None:
+        raise AssertionError("unreachable: any k - 1 columns are rank deficient")
+    return cert
 
 
 def _first_deficient(pk, columns, k, size, start, path, basis):
@@ -231,31 +219,30 @@ def class_cover_trace(inst: CodeInstance, j: int) -> CoverTrace:
     """Run the greedy cover chain on class j of a built instance.
 
     The local set of a symbol is its containing group.  Ties in the pick are
-    broken by smallest index, so traces are reproducible.
+    broken by smallest index, so traces are reproducible.  A set's rank is
+    min(k, F_q-rank of its points), so one pass over the class on one
+    growing basis of the covered points finds every pick: a symbol whose
+    point is in the span once stays in it.
     """
-    symbols = class_symbols(inst, j)
-    gen = inst.gen
-    target = grank(gen, symbols)
+    tracker = RankTracker(inst.field.q)
     current: frozenset[int] = frozenset()
     sets = [current]
     picks: list[int] = []
     sizes = [0]
     granks_ = [0]
-    while granks_[-1] < target:
-        pick = None
-        for i in symbols:
-            if i in current:
-                continue
-            if grank(gen, current | {i}) > granks_[-1]:
-                pick = i
-                break
-        assert pick is not None, "a rank-growing symbol always exists below the class rank"
-        group = inst.layout.groups[inst.layout.group_of(pick)]
+    for i in class_symbols(inst, j):
+        if granks_[-1] == inst.k:
+            break
+        if i in current or not tracker.add(inst.points[i]):
+            continue
+        group = inst.layout.groups[inst.layout.group_of(i)]
+        for g in group:
+            tracker.add(inst.points[g])
         current = current | frozenset(group)
         sets.append(current)
-        picks.append(pick)
+        picks.append(i)
         sizes.append(len(current))
-        granks_.append(grank(gen, current))
+        granks_.append(min(inst.k, tracker.rank))
     return CoverTrace(
         class_index=j,
         sets=tuple(sets),
@@ -310,7 +297,7 @@ def class_rank_caps(inst: CodeInstance) -> list[ClassRankCap]:
     dimension (k = n_gab) every class meets its cap with equality.
     """
     return [
-        ClassRankCap(class_index=j, grank=grank(inst.gen, class_symbols(inst, j)), cap=c.k_cap)
+        ClassRankCap(class_index=j, grank=min(inst.k, erank(inst, class_symbols(inst, j))), cap=c.k_cap)
         for j, c in enumerate(inst.spec.classes, 1)
     ]
 
@@ -340,7 +327,7 @@ def rank_deficiency_witness(inst: CodeInstance, traces: Sequence[CoverTrace] | N
         witness.update(class_symbols(inst, j))
     witness.update(trace.sets[l])
     out = tuple(sorted(witness))
-    got = grank(inst.gen, out)
+    got = min(inst.k, erank(inst, out))
     assert got <= inst.k - 1, "witness construction must stay rank deficient"
     # The bound's terms are the head slack and the pivot's l * (delta - 1).
     assert len(out) - got >= sum(bound.per_class_terms), "witness redundancy below its floor"
@@ -421,11 +408,10 @@ def certify_distance_optimal(
     Checks that every symbol set of the critical size tau = n + 1 - ceiling
     has points of F_q-rank at least k: by the greedy worst-case pattern
     (which minimizes remaining rank), and for n within the oracle budget
-    exhaustively.  Given cert, the oracle's certificate of gen, a Moore gen
-    whose row 0 is inst.points has deficient sizes ending at n - d, so the
-    check is cert.d >= n + 1 - tau; otherwise the oracle's walk runs over
-    all tau-sets of points as length-t rows over F_q.  Requires the ordered
-    parameter condition, under which the greedy pattern argument is valid.
+    exhaustively: the deficient sizes end at n - d, so that check is
+    d >= n + 1 - tau, with d from cert, the oracle's certificate of inst,
+    or from the oracle when cert is None.  Requires the ordered parameter
+    condition, under which the greedy pattern argument is valid.
     """
     spec = inst.spec
     if not spec.ordered_condition:
@@ -436,9 +422,5 @@ def certify_distance_optimal(
     greedy = worst_case_pattern(inst.layout, spec.n - tau)
     ok = erank(inst, greedy.remaining) >= spec.k
     if ok and spec.n <= budget:
-        if cert is not None and _is_moore(inst.gen) and inst.gen.rows[0] == list(inst.points):
-            return cert.d >= spec.n + 1 - tau
-        pk = _packing(inst.base, spec.t)
-        points = [pk.pack(y) for y in inst.points]
-        ok = _first_deficient(pk, points, spec.k, tau, 0, [], []) is None
+        ok = (cert if cert is not None else min_distance_oracle(inst, budget)).d >= spec.n + 1 - tau
     return ok

@@ -14,6 +14,8 @@ The oracle budget (largest n the distance oracle will enumerate) defaults
 to 20 and can be set per run with --budget or globally with the
 UDLRC_BUDGET variable; certify's exhaustive distance-optimality check
 runs under the same budget and reads the oracle's d instead of walking.
+certify and sweep read a built code's points and never build its
+generator: a symbol set's rank is min(k, F_q-rank of its points).
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .analysis import (
     certify_distance_optimal,
     check_cover_trace,
     class_cover_trace,
-    grank,
     min_distance_oracle,
     prefix_oracles,
     rank_deficiency_witness,
@@ -60,6 +61,7 @@ from .construction import (
     build_code,
     decode_erasures,
     encode,
+    erank,
     validate_spec,
 )
 from .fields import PRIME_CHECK_LIMIT, ModulusSearchTooLarge, is_prime
@@ -224,7 +226,7 @@ def cmd_build(args, report, spec, file_seed) -> str:
             f"delta={c.delta}",
             "symbols=" + ",".join(map(str, group)),
         )
-    report.add("meta", "grank-full", grank(inst.gen, range(spec.n)))
+    report.add("meta", "grank-full", min(spec.k, erank(inst, range(spec.n))))
     return "ok"
 
 
@@ -297,7 +299,7 @@ def cmd_certify(args, report, spec, file_seed) -> str:
             f"steps={trace.steps}" + ("" if not violations else " " + "; ".join(violations)),
         )
 
-    cert = min_distance_oracle(inst.gen, budget=budget)
+    cert = min_distance_oracle(inst, budget=budget)
     report.add(
         "check",
         "distance-oracle",
@@ -306,7 +308,7 @@ def cmd_certify(args, report, spec, file_seed) -> str:
     )
 
     witness = rank_deficiency_witness(inst, traces)
-    wrank = grank(inst.gen, witness)
+    wrank = min(spec.k, erank(inst, witness))
     slack = len(witness) - wrank
     witness_ok = (
         wrank <= spec.k - 1
@@ -399,9 +401,9 @@ def cmd_sweep(args, report) -> str:
         table = bounds_table(classes, min(n_gab, SWEEP_ROW_LIMIT - work))
         rows += len(table)
         work += len(table)
-        # Row j of a generator is the q^j-th powers of its points, so the code at k is its first k rows.
-        gen = build_code(LocalitySpec(classes, len(table), args.q, n_gab)).gen if table and n <= budget else None
-        oracle = ["-"] * len(table) if gen is None else [str(cert.d) for cert in prefix_oracles(gen, budget)]
+        # A built code's points do not depend on k, so one build serves every k of the table.
+        inst = build_code(LocalitySpec(classes, len(table), args.q, n_gab)) if table and n <= budget else None
+        oracle = ["-"] * len(table) if inst is None else [str(cert.d) for cert in prefix_oracles(inst, budget)]
         for (k, dim, cap, pivot, permuted, older), oracle_text in zip(table, oracle):
             relation = "-" if older is None else ("tighter" if cap < older else ("equal" if cap == older else "looser"))
             older_text = "-" if older is None else older

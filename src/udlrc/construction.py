@@ -27,7 +27,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .fields import PRIME_CHECK_LIMIT, ExtElem, ExtField, PrimeField, is_prime
-from .gabidulin import EvaluationPoints, default_points, gabidulin_encode
+from .gabidulin import EvaluationPoints, default_points, gabidulin_encode, moore_matrix
 from .linalg import Matrix, RankTracker, base_rank
 
 
@@ -254,13 +254,17 @@ def lift_to_ext(field: ExtField, base_matrix: Matrix) -> Matrix:
 
 @dataclass(frozen=True)
 class CodeInstance:
-    """A built code: generator, group layout, and per-symbol evaluation points."""
+    """A built code: group layout and per-symbol evaluation points.
+
+    Symbol i is f(points[i]) for the message's q-power polynomial f, so
+    the points are the code: gen is derived from them, and
+    dataclasses.replace(inst, points=...) is the code on other points.
+    """
 
     spec: LocalitySpec
     base: PrimeField
     field: ExtField
     layout: LocalGroupLayout
-    gen: Matrix
     points: tuple[ExtElem, ...]
     gab_points: EvaluationPoints
     local_gens: tuple[Matrix, ...]
@@ -273,6 +277,11 @@ class CodeInstance:
     def k(self) -> int:
         return self.spec.k
 
+    @cached_property
+    def gen(self) -> Matrix:
+        """The k x n generator, the Moore matrix on the points: row j is their q^j-th powers."""
+        return moore_matrix(self.field, self.points, self.k).transpose()
+
     def group_point_basis(self, l: int) -> tuple[ExtElem, ...]:
         """The precode points backing group l, a basis of its point span."""
         if not 0 <= l < len(self.layout.groups):
@@ -283,12 +292,12 @@ class CodeInstance:
 
 
 def build_code(spec: LocalitySpec) -> CodeInstance:
-    """Run the three construction steps.
+    """Run the three construction steps on the points.
 
-    Every symbol is f(y_i) for the same F_q-linear f, so column i of the
-    generator is the q-power tower of y_i.  A group's points are its r
-    precode points times its class's local generator, whose entries the
-    q-power map fixes, so row j of the generator is the q-power of row j - 1.
+    A group's points are its r precode points times its class's local
+    generator.  Its entries lie in F_q, which the q-power map fixes, so
+    every symbol is f(y_i) for the same F_q-linear f, and the generator
+    (CodeInstance.gen) is the q-power tower of the points.
     """
     validate_spec(spec)
     base = PrimeField(spec.q)
@@ -304,16 +313,12 @@ def build_code(spec: LocalitySpec) -> CodeInstance:
         r = spec.classes[j].r
         points.extend(lifted[j].left_multiply(gab_points.points[cursor : cursor + r]))
         cursor += r
-    gen_rows = [points]
-    for _ in range(spec.k - 1):
-        gen_rows.append([field.frobenius(y) for y in gen_rows[-1]])
 
     return CodeInstance(
         spec=spec,
         base=base,
         field=field,
         layout=layout,
-        gen=Matrix(field, gen_rows),
         points=tuple(points),
         gab_points=gab_points,
         local_gens=local_gens,

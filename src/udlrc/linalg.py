@@ -12,9 +12,9 @@ Rows join the basis in the order they arrive, each pivoting on its first
 nonzero column, read off the lowest set bit of the packed row, so the
 length of the basis is the rank (Matrix.rank, RankTracker).  A backward
 pass of the same step brings the basis to reduced form, pivots unscaled
-(_Packing.reduced, whose columns the distance oracle walks when the
-generator is not a Moore matrix), and one pivot
-inverse per row scales it to RREF (solve, inverse, row_space_basis).
+(_Packing.reduced, whose columns the distance oracle walks for a
+generator Matrix), and one pivot inverse per row scales it to RREF
+(solve, inverse, row_space_basis).
 Rows are packed on entry to an elimination and unpacked on exit, so
 elements keep their public form.  A fixed pivot rule keeps every run
 identical; exact arithmetic has no stability concerns.

@@ -14,7 +14,8 @@ key/value text file and a JSON document carrying the same fields.
      "classes": [{"r": 2, "delta": 3, "m": 1}, {"r": 3, "delta": 2, "m": 1}]}
 
 Every number, symbol digits included, must be an integer; in JSON a float,
-string, boolean or null in its place is an error.
+string, boolean or null in its place is an error.  So is an unknown or a
+repeated key, at the top level or in a class, in either format.
 
 Symbols (extension field elements) serialize as base-q digit lists with the
 constant coordinate first, so a message or codeword file is a JSON array of
@@ -42,6 +43,22 @@ def _parse_int(value: str, line: int, name: str) -> int:
         raise SpecFileError(f"line {line}: field '{name}' must be an integer, got {value!r}") from None
 
 
+def _fields(pairs, required: tuple[str, ...], optional: tuple[str, ...] = (), where: str = "") -> dict:
+    """The (key, value) pairs as a dict: each key known and given once, and
+    every required key given; where prefixes an error."""
+    doc, known = {}, {*required, *optional}
+    for key, value in pairs:
+        if key not in known:
+            raise SpecFileError(f"{where}unknown key {key!r}")
+        if key in doc:
+            raise SpecFileError(f"{where}repeated key {key!r}")
+        doc[key] = value
+    for need in required:
+        if need not in doc:
+            raise SpecFileError(f"{where}missing required field '{need}'")
+    return doc
+
+
 def parse_spec_text(text: str) -> tuple[LocalitySpec, int | None]:
     scalars: dict[str, int] = {}
     classes: list[tuple[int, int, int]] = []
@@ -52,37 +69,29 @@ def parse_spec_text(text: str) -> tuple[LocalitySpec, int | None]:
         if ":" not in line:
             raise SpecFileError(f"line {line_no}: expected 'key: value'")
         key, _, value = line.partition(":")
-        key = key.strip().lower()
-        value = value.strip()
+        key, value, where = key.strip().lower(), value.strip(), f"line {line_no}: "
         if key == "class":
-            entries: dict[str, int] = {}
+            entries = []
             for token in value.split():
                 if "=" not in token:
-                    raise SpecFileError(
-                        f"line {line_no}: class entries look like 'r=2 delta=3 m=1', got {token!r}"
-                    )
+                    raise SpecFileError(f"{where}class entries look like 'r=2 delta=3 m=1', got {token!r}")
                 name, _, num = token.partition("=")
-                entries[name.strip()] = _parse_int(num.strip(), line_no, name.strip())
-            for need in ("r", "delta", "m"):
-                if need not in entries:
-                    raise SpecFileError(f"line {line_no}: class is missing '{need}'")
-            classes.append((entries["r"], entries["delta"], entries["m"]))
-        elif key in ("q", "t", "k", "seed"):
+                entries.append((name, _parse_int(num, line_no, name)))
+            c = _fields(entries, ("r", "delta", "m"), where=where)
+            classes.append((c["r"], c["delta"], c["m"]))
+        else:  # the new key must be known and not given yet
+            _fields([*scalars.items(), (key, None)], (), ("q", "t", "k", "seed"), where)
             scalars[key] = _parse_int(value, line_no, key)
-        else:
-            raise SpecFileError(f"line {line_no}: unknown key {key!r}")
-    for need in ("q", "t", "k"):
-        if need not in scalars:
-            raise SpecFileError(f"missing required field '{need}'")
+    doc = _fields(scalars.items(), ("q", "t", "k"), ("seed",))
     if not classes:
         raise SpecFileError("at least one 'class:' line is required")
     spec = LocalitySpec(
         classes=tuple(LocalityClass.from_groups(r, d, m) for r, d, m in classes),
-        k=scalars["k"],
-        q=scalars["q"],
-        t=scalars["t"],
+        k=doc["k"],
+        q=doc["q"],
+        t=doc["t"],
     )
-    return spec, scalars.get("seed")
+    return spec, doc.get("seed")
 
 
 def _json_int(value, where: str) -> int:
@@ -93,16 +102,19 @@ def _json_int(value, where: str) -> int:
     return value
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a repeated key is an error."""
+    return _fields(pairs, (), tuple(key for key, _ in pairs))
+
+
 def parse_spec_json(text: str) -> tuple[LocalitySpec, int | None]:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise SpecFileError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SpecFileError("JSON description must be an object")
-    for need in ("q", "t", "k", "classes"):
-        if need not in doc:
-            raise SpecFileError(f"missing required field '{need}'")
+    _fields(doc.items(), ("q", "t", "k", "classes"), ("seed",))
     raw_classes = doc["classes"]
     if not isinstance(raw_classes, list) or not raw_classes:
         raise SpecFileError("field 'classes' must be a non-empty array")
@@ -110,9 +122,7 @@ def parse_spec_json(text: str) -> tuple[LocalitySpec, int | None]:
     for idx, entry in enumerate(raw_classes, 1):
         if not isinstance(entry, dict):
             raise SpecFileError(f"class {idx}: must be an object with r, delta, m")
-        for need in ("r", "delta", "m"):
-            if need not in entry:
-                raise SpecFileError(f"class {idx}: missing '{need}'")
+        _fields(entry.items(), ("r", "delta", "m"), where=f"class {idx}: ")
         r, delta, m = (_json_int(entry[name], f"class {idx}: field '{name}'") for name in ("r", "delta", "m"))
         classes.append(LocalityClass.from_groups(r, delta, m))
     q, t, k = (_json_int(doc[name], f"field '{name}'") for name in ("q", "t", "k"))

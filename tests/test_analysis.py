@@ -42,7 +42,7 @@ from udlrc import (
 )
 from conftest import REVERSED_SPEC, cli_env, counting, load_workloads, usual_grid
 from udlrc import fields
-from udlrc.analysis import _first_deficient, _is_moore, prefix_oracles
+from udlrc.analysis import _first_deficient, prefix_oracles
 from udlrc.linalg import base_rank
 
 F5 = PrimeField(5)
@@ -156,11 +156,12 @@ def test_oracle_matches_scan_on_sweep_rows(monkeypatch):
 
     checked = []
 
-    def differential(gen, budget):
-        assert _is_moore(gen)  # so every k-row prefix takes the point walk
-        certs = prefix_oracles(gen, budget)
+    def differential(inst, budget):
+        # prefix_oracles walks the points at every k; the code at k has
+        # the first k rows of inst.gen as its generator.
+        certs = prefix_oracles(inst, budget)
         for k, cert in enumerate(certs, 1):
-            prefix = dataclasses.replace(gen, rows=gen.rows[:k])
+            prefix = dataclasses.replace(inst.gen, rows=inst.gen.rows[:k])
             assert cert == _scan_oracle(prefix) == _reduced_basis_oracle(prefix)
             checked.append(prefix.ncols)
         return certs
@@ -223,10 +224,11 @@ def test_upward_walk_matches_downward_walk_on_permuted_columns(gf7_9):
         orders.append(random.Random(seed).sample(range(gen.ncols), gen.ncols))
     certs = []
     for order in orders:
-        permuted = gen.take_columns(order)
-        assert _is_moore(permuted)
+        # The code on the permuted points has the permuted columns.
+        permuted = _on_points(gf7_9, [gf7_9.points[i] for i in order])
+        assert permuted.gen.rows == gen.take_columns(order).rows
         certs.append(min_distance_oracle(permuted))
-        assert certs[-1] == _downward_oracle(permuted)
+        assert certs[-1] == _downward_oracle(permuted.gen)
     assert {cert.d for cert in certs} == {6}
     assert len({cert.witness for cert in certs}) == len(orders)
     # The subset scan takes about 1.5 s on this code, so it checks one order.
@@ -247,9 +249,8 @@ def test_oracle_is_blind_to_row_operations(all_instances, reversed_instance, gf7
     for inst in [*all_instances, reversed_instance, gf7_9]:
         mixed = _random_invertible(inst.gen.field, inst.k, rng) @ inst.gen
         assert mixed.rows != inst.gen.rows
-        assert not _is_moore(mixed)
-        cert = min_distance_oracle(inst.gen)
-        assert min_distance_oracle(mixed) == cert == _downward_oracle(mixed)
+        cert = min_distance_oracle(inst)
+        assert min_distance_oracle(mixed) == min_distance_oracle(inst.gen) == cert == _downward_oracle(mixed)
         if inst is not gf7_9:
             assert cert == _scan_oracle(mixed)
 
@@ -266,13 +267,13 @@ def test_oracle_work_on_the_large_reference_code(gf7_9, monkeypatch):
         return canon(self, x)
 
     monkeypatch.setattr(fields._Packing, "canon", counted)
-    assert min_distance_oracle(gf7_9.gen).d == 6
+    assert min_distance_oracle(gf7_9).d == 6
     assert 0 < len(calls) <= 8000
 
 
 def _reduced_basis_oracle(gen):
-    """The walk the point walk replaced on Moore generators, and still the
-    path of every other generator: the upward scan over the columns of the
+    """The walk the point walk replaced on built codes, and still the path
+    of a generator Matrix: the upward scan over the columns of the
     generator's reduced basis over its own field."""
     n, k = gen.ncols, gen.nrows
     pn = fields._packing(gen.field, n)
@@ -301,22 +302,20 @@ def test_point_walk_matches_reduced_basis_walk(all_instances, reversed_instance,
     instances = [*all_instances, reversed_instance, gf7_9, *grid_instances]
     assert len(grid_instances) == 2298
     for inst in instances:
-        assert _is_moore(inst.gen)
         assert list(inst.gen.rows[0]) == list(inst.points)
-        assert min_distance_oracle(inst.gen) == _reduced_basis_oracle(inst.gen)
+        assert min_distance_oracle(inst) == _reduced_basis_oracle(inst.gen)
 
 
 def test_point_walk_on_column_permuted_generators(all_instances, grid_instances):
-    # Permuting columns keeps a Moore matrix Moore and moves the witness.
+    # Permuting the points permutes the columns and moves the witness.
     rng = random.Random(20261021)
     instances = [*all_instances, *rng.sample(grid_instances, 300)]
     moved = 0
     for inst in instances:
         order = rng.sample(range(inst.n), inst.n)
-        permuted = inst.gen.take_columns(order)
-        assert _is_moore(permuted)
-        cert, unpermuted = min_distance_oracle(permuted), min_distance_oracle(inst.gen)
-        assert cert == _reduced_basis_oracle(permuted)
+        permuted = _on_points(inst, [inst.points[i] for i in order])
+        cert, unpermuted = min_distance_oracle(permuted), min_distance_oracle(inst)
+        assert cert == _reduced_basis_oracle(inst.gen.take_columns(order))
         assert cert.d == unpermuted.d
         moved += cert.witness != unpermuted.witness
     assert moved > 100
@@ -326,50 +325,57 @@ def test_row_mixed_grid_generators_take_the_generic_path(grid_instances):
     rng = random.Random(20261022)
     mixed_count = 0
     for inst in rng.sample(grid_instances, 300):
-        if inst.k < 2:
-            continue  # one row is Moore under any scaling
         mixed = _random_invertible(inst.gen.field, inst.k, rng) @ inst.gen
-        assert not _is_moore(mixed)
-        assert min_distance_oracle(mixed) == _reduced_basis_oracle(mixed) == min_distance_oracle(inst.gen)
+        assert min_distance_oracle(mixed) == _reduced_basis_oracle(mixed) == min_distance_oracle(inst)
         mixed_count += 1
-    assert mixed_count > 200
+    assert mixed_count == 300
 
 
-def _sweep_generators():
-    """The generators the benchmark's oracle sweep hands to prefix_oracles,
+def _sweep_instances():
+    """The instances the benchmark's oracle sweep hands to prefix_oracles,
     one per class tuple, each built at the last k of its table."""
     from udlrc import cli
 
-    gens = []
+    insts = []
 
-    def record(gen, budget):
-        gens.append(gen)
-        return prefix_oracles(gen, budget)
+    def record(inst, budget):
+        insts.append(inst)
+        return prefix_oracles(inst, budget)
 
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()):
         mp.setattr(cli, "prefix_oracles", record)
         assert cli.main(load_workloads().Sweep.ORACLE) == 0
-    return gens
+    return insts
+
+
+def _at_k(inst, k):
+    """The code on inst's points at dimension k."""
+    return dataclasses.replace(inst, spec=dataclasses.replace(inst.spec, k=k))
+
+
+def _on_points(inst, points):
+    """The code on the given points, in inst's field and layout."""
+    return dataclasses.replace(inst, points=tuple(points))
 
 
 def test_prefix_oracles_match_the_oracle_on_every_prefix(all_instances, grid_instances):
-    # A Moore generator is checked and its points packed once for all k;
-    # each certificate must still be what a fresh oracle call on that
-    # prefix gives.  Grid codes at k = n_gab have every smaller grid code
-    # of their class tuple as a prefix.
-    sweep = _sweep_generators()
+    # The points are packed and ranked once for all k; each certificate
+    # must still be what a fresh oracle call on the code at that k gives,
+    # on its points and on its generator, the first k rows of inst.gen.
+    # Grid codes at k = n_gab have every smaller grid code of their class
+    # tuple as a prefix.
+    sweep = _sweep_instances()
     assert len(sweep) == 17
-    full = [inst.gen for inst in grid_instances if inst.k == inst.spec.n_gab]
+    full = [inst for inst in grid_instances if inst.k == inst.spec.n_gab]
     assert len(full) > 100
-    rng = random.Random(20261026)
-    mixed = [_random_invertible(inst.gen.field, inst.k, rng) @ inst.gen for inst in all_instances]
     prefixes = 0
-    for gen in [*sweep, *full, *mixed]:
-        certs = prefix_oracles(gen)
-        assert len(certs) == gen.nrows
+    for inst in [*sweep, *full, *all_instances]:
+        certs = prefix_oracles(inst)
+        assert len(certs) == inst.k
         for k, cert in enumerate(certs, 1):
-            prefix = dataclasses.replace(gen, rows=gen.rows[:k])
-            assert cert == min_distance_oracle(prefix) == _reduced_basis_oracle(prefix)
+            prefix = dataclasses.replace(inst.gen, rows=inst.gen.rows[:k])
+            assert _at_k(inst, k).gen == prefix
+            assert cert == min_distance_oracle(_at_k(inst, k)) == _reduced_basis_oracle(prefix)
             prefixes += 1
     assert prefixes > 500
 
@@ -377,18 +383,21 @@ def test_prefix_oracles_match_the_oracle_on_every_prefix(all_instances, grid_ins
 def test_points_of_low_rank_raise_on_both_paths():
     from udlrc import ExtField, moore_matrix
 
-    f5_5, f5_2 = ExtField(F5, 5), ExtField(F5, 2)
-    duplicated = moore_matrix(f5_5, [f5_5.one, f5_5.alpha, f5_5.alpha, f5_5.one], 3).transpose()
-    beyond_t = moore_matrix(f5_2, [f5_2.one, f5_2.alpha, (1, 1), (2, 3)], 3).transpose()
+    spec = LocalitySpec(classes=(LocalityClass.from_groups(3, 2, 1),), k=3, q=5, t=5)
+    built = build_code(validate_spec(spec))
+    f5_5, f5_2 = built.field, ExtField(F5, 2)
+    duplicated = _on_points(built, [f5_5.one, f5_5.alpha, f5_5.alpha, f5_5.one])
+    beyond_t = dataclasses.replace(built, field=f5_2, points=(f5_2.one, f5_2.alpha, (1, 1), (2, 3)))
     rng = random.Random(20261023)
-    for gen in (duplicated, beyond_t):
-        assert _is_moore(gen) and gen.rank() < gen.nrows == 3
+    for inst in (duplicated, beyond_t):
+        gen = inst.gen
+        assert gen == moore_matrix(inst.field, list(inst.points), 3).transpose()
+        assert gen.rank() < gen.nrows == 3
         mixed = _random_invertible(gen.field, 3, rng) @ gen
-        assert not _is_moore(mixed)
         messages = set()
-        for g in (gen, mixed):
+        for code in (inst, gen, mixed):
             with pytest.raises(RankDeficientGenerator) as exc:
-                min_distance_oracle(g)
+                min_distance_oracle(code)
             messages.add(str(exc.value))
         assert messages == {"generator rank below k=3"}
 
@@ -397,7 +406,6 @@ def test_a_generator_without_rows_takes_the_generic_path():
     from udlrc import ExtField
 
     for field in (F5, ExtField(F5, 3)):
-        assert not _is_moore(Matrix(field, []))
         with pytest.raises(AssertionError, match="unreachable"):
             min_distance_oracle(Matrix(field, []))
 
@@ -419,7 +427,7 @@ def test_large_reference_oracle_makes_no_extension_field_reduce(gf7_9, monkeypat
     # The reduced-basis walk made 2,040 reduce steps over GF(7^9) here.
     mixed = _random_invertible(gf7_9.gen.field, gf7_9.k, random.Random(20261024)) @ gf7_9.gen
     calls = _count_extension_reduces(monkeypatch)
-    assert min_distance_oracle(gf7_9.gen).d == 6
+    assert min_distance_oracle(gf7_9).d == 6
     assert calls == []
     # A row-mixed generator still walks over the extension field.
     assert min_distance_oracle(mixed).d == 6
@@ -448,8 +456,9 @@ print(min_distance_oracle(mixed))
 
 
 def test_row_mixed_certificate_is_the_same_without_asserts(gf7_9):
-    # python -O strips every assert, so the Moore test must be a plain if:
-    # were it an assert, this row-mixed generator would walk its first row.
+    # python -O strips every assert, so no choice of walk may rest on one:
+    # a walk of this row-mixed generator's first row as points would see
+    # its first symbol as zero.
     path = str(load_workloads().SPEC_DIR / "gf7_9.json")
     outputs = []
     for flags in ([], ["-O"]):
@@ -758,6 +767,53 @@ def _with_copied_point(inst):
     return dataclasses.replace(inst, points=tuple(points))
 
 
+def test_instance_walk_matches_the_matrix_walk(all_instances):
+    # The type of the input picks the walk: an instance's points, or a
+    # generator Matrix's reduced basis.  A code on copied points has two
+    # groups whose point spans meet, and its gen follows its points.
+    # (test_points_of_low_rank_raise_on_both_paths covers points of rank
+    # below k.)
+    gf7_9 = load_spec_file(load_workloads().SPEC_DIR / "gf7_9.json")[0]
+    honest = list(all_instances) + [build_code(validate_spec(gf7_9))]
+    honest += [build_code(validate_spec(spec)) for spec in _ordered_small_specs()]
+    faulty = [_with_copied_point(inst) for inst in honest if len(inst.layout.groups) > 1]
+    assert (len(honest), len(faulty)) == (413, 389)
+    for inst in honest + faulty:
+        assert min_distance_oracle(inst) == min_distance_oracle(inst.gen)
+
+
+def _grank_cover_trace(inst, j):
+    """The cover chain the one-pass trace replaced: each pick is the first
+    class symbol whose column grows the generator rank of the covered set,
+    searched from the start of the class with a fresh grank per candidate."""
+    symbols = class_symbols(inst, j)
+    gen = inst.gen
+    target = grank(gen, symbols)
+    current = frozenset()
+    sets, picks, sizes, granks = [current], [], [0], [0]
+    while granks[-1] < target:
+        pick = next(i for i in symbols if i not in current and grank(gen, current | {i}) > granks[-1])
+        current = current | frozenset(inst.layout.groups[inst.layout.group_of(pick)])
+        sets.append(current)
+        picks.append(pick)
+        sizes.append(len(current))
+        granks.append(grank(gen, current))
+    return CoverTrace(class_index=j, sets=tuple(sets), picks=tuple(picks), sizes=tuple(sizes), granks=tuple(granks))
+
+
+def test_one_pass_trace_matches_the_per_candidate_loop(all_instances, reversed_instance, gf7_9, grid_instances):
+    # The copied-point codes have groups whose point spans meet, so a
+    # skipped symbol and a later group's points interact.
+    honest = [*all_instances, reversed_instance, gf7_9, *grid_instances]
+    faulty = [_with_copied_point(inst) for inst in honest if len(inst.layout.groups) > 1]
+    traces = 0
+    for inst in honest + faulty:
+        for j in range(1, inst.spec.s + 1):
+            assert class_cover_trace(inst, j) == _grank_cover_trace(inst, j)
+            traces += 1
+    assert (len(faulty), traces) == (2280, 12158)
+
+
 def test_certify_walk_matches_the_subset_loop(all_instances):
     gf7_9 = load_spec_file(load_workloads().SPEC_DIR / "gf7_9.json")[0]
     honest = list(all_instances) + [build_code(validate_spec(gf7_9))]
@@ -773,10 +829,11 @@ def test_certify_walk_matches_the_subset_loop(all_instances):
 
 
 def test_certify_reads_the_oracle_certificate_and_the_traces(all_instances, monkeypatch):
-    # Given the oracle's certificate, certify_distance_optimal runs no walk
-    # on a built code (gen is Moore on its points) and one walk on a code
-    # whose points were changed after the build, once the greedy check
-    # passes; given the cover traces, the witness is the one it computes.
+    # Given the oracle's certificate, certify_distance_optimal runs no walk,
+    # on a built code and on one whose points were changed after the build
+    # (its gen follows its points); without it, the oracle walks exactly
+    # when the greedy check passes.  Given the cover traces, the witness
+    # is the one it computes.
     gf7_9 = load_spec_file(load_workloads().SPEC_DIR / "gf7_9.json")[0]
     honest = list(all_instances) + [build_code(validate_spec(gf7_9))]
     honest += [build_code(validate_spec(spec)) for spec in _ordered_small_specs()]
@@ -785,15 +842,17 @@ def test_certify_reads_the_oracle_certificate_and_the_traces(all_instances, monk
     walked, passed = [], []
     for inst in honest + faulty:
         cert = min_distance_oracle(inst.gen)
+        walks.clear()
         expected = certify_distance_optimal(inst)
+        walked.append(sum(walks) > 0)
         walks.clear()
         assert certify_distance_optimal(inst, cert=cert) is expected
-        walked.append(sum(walks))
+        assert sum(walks) == 0
         greedy = worst_case_pattern(inst.layout, inst.n - tightness_budget_size(inst))
         passed.append(erank(inst, greedy.remaining) >= inst.k)
-    assert walked[: len(honest)] == [0] * len(honest)
-    assert walked[len(honest) :] == passed[len(honest) :]
-    assert (len(honest), len(faulty), sum(walked)) == (413, 389, 201)
+    assert walked == passed
+    assert walked[: len(honest)] == [True] * len(honest)
+    assert (len(honest), len(faulty), sum(walked[len(honest) :])) == (413, 389, 201)
     for inst in honest:
         traces = [class_cover_trace(inst, j) for j in range(1, inst.spec.s + 1)]
         assert [trace.granks[-1] for trace in traces] == [c.grank for c in class_rank_caps(inst)]

@@ -444,3 +444,27 @@ def test_build_from_the_points_matches_the_block_product_build():
         rows = ref_build_rows(spec)
         assert inst.gen.rows == rows, spec
         assert inst.points == tuple(rows[0]), spec
+
+
+def test_the_generator_follows_the_points():
+    # gen is derived from the points on first use: build_code makes none,
+    # and the code on other points (dataclasses.replace) gets their tower.
+    # Reversing the classes keeps n, k, q and t, so the reversed build's
+    # points drop into the original instance.
+    choices = [(r, d, m) for r in (1, 2, 3) for d in (2, 3) for m in (1, 2)]
+    specs = [load_spec_file(path)[0] for path in sorted((SRC.parent / "perfbench" / "specs").glob("*.json"))]
+    for q in (5, 7):
+        for combo in product(choices, repeat=2):
+            classes = tuple(LocalityClass.from_groups(*c) for c in combo)
+            n_gab = sum(c.groups * c.r for c in classes)
+            specs += [LocalitySpec(classes=classes, k=k, q=q, t=n_gab) for k in (1, n_gab)]
+    assert len(specs) == 5 + 576
+    for spec in specs:
+        flipped = replace(spec, classes=spec.classes[::-1])
+        inst, other = build_code(spec), build_code(flipped)
+        assert "gen" not in vars(inst)
+        assert inst.gen.rows == ref_build_rows(spec), spec
+        moved = replace(inst, points=other.points)
+        assert "gen" not in vars(moved)
+        assert moved.gen.rows == ref_build_rows(flipped), spec
+        assert inst.gen.rows == ref_build_rows(spec), spec

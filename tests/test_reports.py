@@ -1,7 +1,8 @@
 """The machine-format reports the benchmark checks, pinned in process to the
 sha256 digests recorded in perfbench/golden.json, and all seven once more
-under python -O; the oracle sweep's builds and Moore checks, and certify's
-point walks, grank calls and cover traces, counted; and the `bounds` reports
+under python -O; the oracle sweep's builds, and certify's point walks,
+grank calls and cover traces, counted; certify and the oracle sweep shown
+to build no generator; and the `bounds` reports
 on the benchmark's spec files and on an 8-class spec, pinned to their
 recorded digests.
 """
@@ -16,7 +17,7 @@ import sys
 import pytest
 
 from conftest import cli_env, counting, load_workloads
-from udlrc import cli
+from udlrc import build_code, cli
 
 workloads = load_workloads()
 CERTIFY_SPECS = ("ref", "ref_full", "three", "reversed", "gf7_9")
@@ -54,24 +55,34 @@ def test_oracle_sweep_builds_once_per_class_tuple(monkeypatch):
     assert (len(built), sum(built), len(oracled)) == (17, 80, 80)
 
 
-def test_oracle_sweep_checks_the_moore_premise_once_per_class_tuple(monkeypatch):
-    # A count: every k-row prefix of a Moore generator is Moore, so the
-    # check runs once per class tuple (17), not once per oracle row (80).
+def test_certify_and_the_oracle_sweep_build_no_generator(monkeypatch):
+    # A built code is its points: certify on the five benchmark specs and
+    # the oracle sweep read them and never compute an instance's gen.
     monkeypatch.delenv("UDLRC_BUDGET", raising=False)
-    checks = counting(monkeypatch, "_is_moore", lambda gen: gen.nrows)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert cli.main(workloads.Sweep.ORACLE) == 0
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == workloads.GOLDEN["sweep"]["oracle"]
-    assert (len(checks), sum(checks)) == (17, 80)
+    built = []
+
+    def record(spec):
+        built.append(build_code(spec))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_code", record)
+    argvs = [argv for (group, _), argv in CASES if group == "certify"] + [workloads.Sweep.ORACLE]
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+    assert len(built) == len(CERTIFY_SPECS) + 17
+    assert all("gen" not in vars(inst) for inst in built)
 
 
-@pytest.mark.parametrize("name, expected", [("ref", (4, 8, 2)), ("gf7_9", (5, 13, 3))], ids=["ref", "gf7_9"])
+@pytest.mark.parametrize("name, expected", [("ref", (4, 0, 2)), ("gf7_9", (5, 0, 3))], ids=["ref", "gf7_9"])
 def test_certify_computes_each_fact_once(name, expected, monkeypatch):
     # Counts: the oracle's walks are certify's only top-level point walks
-    # (the distance-optimal check reads the oracle's d), and the witness
-    # reads the cover traces and class ranks certify already holds.  When
-    # both recomputed them, the counts were (5, 13, 3) and (6, 21, 4).
+    # (the distance-optimal check reads the oracle's d), the witness reads
+    # the cover traces and class ranks certify already holds, and every
+    # rank is read off the points, so no generator is ranked.  When the
+    # ranks went through the generator the counts were (4, 8, 2) and
+    # (5, 13, 3), and when both checks recomputed their facts (5, 13, 3)
+    # and (6, 21, 4).
     monkeypatch.delenv("UDLRC_BUDGET", raising=False)
     walks = counting(monkeypatch, "_first_deficient", lambda pk, columns, k, size, start, path, basis: not path)
     granks = counting(monkeypatch, "grank")

@@ -262,6 +262,36 @@ def test_spec_file_errors_name_the_file_once(name, content, reason, tmp_path, ca
     assert err.count(str(path)) == 1
 
 
+CLASSES_TEXT = "class: r=2 delta=3 m=1\nclass: r=3 delta=2 m=1\n"
+CLASSES_JSON = '"classes": [{"r": 2, "delta": 3, "m": 1}, {"r": 3, "delta": 2, "m": 1}]'
+
+
+@pytest.mark.parametrize(
+    "name, content, reason",
+    [
+        ("class-key.spec", "q: 5\nt: 5\nk: 4\nclass: r=2 delta=3 m=1 x=9\n", "line 4: unknown key 'x'"),
+        ("class-twice.spec", "q: 5\nt: 5\nk: 4\nclass: delta=3 r=2 m=1 delta=2\n", "line 4: repeated key 'delta'"),
+        ("q-twice.spec", "q: 5\nt: 5\nk: 4\nq: 7\n" + CLASSES_TEXT, "line 4: repeated key 'q'"),
+        ("typo.json", '{"q": 5, "t": 5, "k": 4, "sede": 3, ' + CLASSES_JSON + "}", "unknown key 'sede'"),
+        ("class-key.json", '{"q": 5, "t": 5, "k": 4, "classes": [{"r": 2, "delta": 3, "m": 1, "x": 9}]}',
+         "class 1: unknown key 'x'"),
+        ("class-twice.json", '{"q": 5, "t": 5, "k": 4, "classes": [{"r": 2, "delta": 3, "m": 1, "delta": 2}]}',
+         "repeated key 'delta'"),
+        ("q-twice.json", '{"q": 5, "t": 5, "k": 4, "q": 7, ' + CLASSES_JSON + "}", "repeated key 'q'"),
+    ],
+    ids=["text-class-key", "text-class-twice", "text-q-twice", "json-typo", "json-class-key", "json-class-twice",
+         "json-q-twice"],
+)
+def test_spec_file_refuses_unknown_and_repeated_keys(name, content, reason, tmp_path, capsys):
+    # Loaded quietly, an unknown key would be dropped (a misspelt seed
+    # falls back to 0) and a repeated one would keep its last value.
+    path = tmp_path / name
+    path.write_text(content)
+    code, err = _run(["bounds", "--spec", str(path)], capsys)
+    assert code == 2
+    assert err == f"error: {path}: {reason}\n"
+
+
 @pytest.mark.parametrize(
     "argv, text",
     [
