@@ -5,10 +5,11 @@ of LocalityClass.  Ceilings use integer arithmetic only: for a >= 0,
 ceil(a / b) = (a + b - 1) // b.  Every distance ceiling here sits at or
 below the Singleton value n - k + 1.
 
-The dist-cap formula is one closed form, _cap_values: with pivot p behind
-head classes H of ranks summing to lo and slack n_j - rank_j to slack, it is
+The dist-cap formula is one closed form: with pivot p behind head classes H
+of ranks summing to lo and slack n_j - rank_j to slack, it is
 n + 1 - slack - k - floor((k - lo - 1) / r_p) * (delta_p - 1) for k in (lo,
-lo + rank_p].  _cap_core adds the pivot search; see bounds_table for cost.
+lo + rank_p].  _cap_core evaluates it at one k after the pivot search, and
+bounds_table at every k of every (H, p); see bounds_table for cost.
 """
 
 from __future__ import annotations
@@ -55,21 +56,16 @@ class BoundReport:
     permutation: tuple[int, ...] | None = None
 
 
-def _cap_values(n: int, lo: int, slack: int, r: int, delta: int, ks) -> list[int]:
-    """The closed form of the module docstring at each k of ks."""
-    return [n + 1 - slack - k - (k - lo - 1) // r * (delta - 1) for k in ks]
-
-
 def _cap_core(n: int, k: int, ns, ranks, rs, deltas) -> tuple[int, int, tuple[int, ...]]:
     """The dist-cap pivot rule (see distance_bound_udlrc) with rank_j in
-    place of k_cap_j, classes in the order given, then _cap_values.
+    place of k_cap_j, classes in the order given, then the closed form.
     Returns (value, 1-based pivot, head terms followed by the tail term).
     """
     head_rank = 0
     terms: list[int] = []
     for n_j, g, r, delta in zip(ns, ranks, rs, deltas):
         if head_rank + g >= k:
-            (value,) = _cap_values(n, head_rank, sum(terms), r, delta, (k,))
+            value = n + 1 - sum(terms) - k - (k - head_rank - 1) // r * (delta - 1)
             return value, len(terms) + 1, (*terms, n + 1 - k - sum(terms) - value)
         head_rank += g
         terms.append(n_j - g)
@@ -138,25 +134,24 @@ def distance_bound_rdelta(n: int, k: int, r: int, delta: int) -> int:
     return n - k + 1 - (ceil_div(k, r) - 1) * (delta - 1)
 
 
-def _unequal_r_counts(classes: Sequence[LocalityClass]) -> list[int]:
-    """Group-count ceilings g_j = ceil(n_j / (r_j + 1)), once the classes
-    meet the preconditions of distance_bound_unequal_r."""
-    if any(c.delta != 2 for c in classes):
-        raise PreconditionViolated("this ceiling requires delta = 2 in every class")
-    if any(a.r > b.r for a, b in zip(classes, classes[1:])):
-        raise PreconditionViolated("classes must be sorted by nondecreasing r")
-    return [ceil_div(c.n, c.r + 1) for c in classes]
+def _unequal_r_counts(ns: Sequence[int], rs: Sequence[int]) -> list[int]:
+    """Group-count ceilings g_j = ceil(n_j / (r_j + 1))."""
+    return [ceil_div(n_j, r + 1) for n_j, r in zip(ns, rs)]
 
 
-def _unequal_r_core(n: int, k: int, counts: Sequence[int], rs: Sequence[int]) -> tuple[int, int]:
-    """(value, pivot) of distance_bound_unequal_r on plain ints."""
-    sp, cum = 1, 0
-    for j in range(len(counts) - 1):  # j + 1 leading classes are summed
-        cum += counts[j] * rs[j]
-        if cum < k - 1:
-            sp = j + 2
-    head_rank = sum(g * r for g, r in zip(counts[: sp - 1], rs))
-    return n - k + 2 - sum(counts[: sp - 1]) - ceil_div(k - head_rank, rs[sp - 1]), sp
+def _unequal_r_core(n: int, counts: Sequence[int], rs: Sequence[int], ks: Sequence[int]) -> list[tuple[int, int]]:
+    """(value, pivot) of distance_bound_unequal_r at each k of the ascending
+    ks, on plain ints.  The pivot only moves right as k grows: the running
+    sums g_j r_j of the leading classes increase with j."""
+    values = []
+    ahead = head_count = head_rank = 0  # classes ahead of the pivot, their g_j and g_j r_j sums
+    for k in ks:
+        while ahead < len(counts) - 1 and head_rank + counts[ahead] * rs[ahead] < k - 1:
+            head_count += counts[ahead]
+            head_rank += counts[ahead] * rs[ahead]
+            ahead += 1
+        values.append((n - k + 2 - head_count - ceil_div(k - head_rank, rs[ahead]), ahead + 1))
+    return values
 
 
 def distance_bound_unequal_r(spec: LocalitySpec) -> BoundReport:
@@ -171,8 +166,14 @@ def distance_bound_unequal_r(spec: LocalitySpec) -> BoundReport:
     taking the max of an empty set as 0.  The strict "< k - 1" pivot rule is
     applied exactly as published, even where a "< k" variant would differ.
     """
-    counts = _unequal_r_counts(spec.classes)
-    value, pivot = _unequal_r_core(spec.n, spec.k, counts, [c.r for c in spec.classes])
+    cs = spec.classes
+    if any(c.delta != 2 for c in cs):
+        raise PreconditionViolated("this ceiling requires delta = 2 in every class")
+    if any(a.r > b.r for a, b in zip(cs, cs[1:])):
+        raise PreconditionViolated("classes must be sorted by nondecreasing r")
+    rs = [c.r for c in cs]
+    counts = _unequal_r_counts([c.n for c in cs], rs)
+    ((value, pivot),) = _unequal_r_core(spec.n, counts, rs, (spec.k,))
     return BoundReport(name="dist-cap-unequal-r", value=value, pivot=pivot, per_class_terms=tuple(counts))
 
 
@@ -209,30 +210,29 @@ def bounds_table(classes: Sequence[LocalityClass], last_k: int) -> list[tuple[in
     for one class tuple at every k from 1 to last_k, equal to what
     dimension_bound, distance_bound_udlrc, permuted_tightest_bound and
     distance_bound_unequal_r give.  Each pair (H, p) fills its k in
-    (lo, lo + cap_p] by _cap_values: 2^(s-1) * sum_p cap_p integer steps.
+    (lo, lo + cap_p] by the closed form: 2^(s-1) * sum_p cap_p integer steps.
     """
     ns, caps = [c.n for c in classes], [c.k_cap for c in classes]
     rs, deltas = [c.r for c in classes], [c.delta for c in classes]
-    n = sum(ns)
-    dim = sum(caps)
+    n, dim = sum(ns), sum(caps)
     if last_k > dim:
         raise _over_dimension_cap(last_k, caps)
     column = [None] * last_k
     permuted = [n] * last_k  # above every value, each at most n - k + 1
     for mask, (lo, slack) in enumerate(_head_sums(ns, caps)):
-        for p in range(len(caps)):
+        if lo >= last_k:
+            continue
+        for p, cap in enumerate(caps):
             if not mask >> p & 1:
-                values = _cap_values(n, lo, slack, rs[p], deltas[p], range(lo + 1, min(lo + caps[p], last_k) + 1))
-                for k, value in enumerate(values, lo):
+                r, step, top = rs[p], deltas[p] - 1, n - slack
+                given = mask == (1 << p) - 1  # every class before p: the order given
+                for k in range(lo, min(lo + cap, last_k)):  # k + 1 is the dimension
+                    value = top - k - (k - lo) // r * step
                     if value < permuted[k]:
                         permuted[k] = value
-                if mask == (1 << p) - 1:  # every class before p: the order given
-                    column[lo : lo + len(values)] = zip(values, [p + 1] * len(values))
-    try:
-        counts = _unequal_r_counts(classes)
-    except PreconditionViolated:
-        counts = None
-    return [
-        (k, dim, value, pivot, best, None if counts is None else _unequal_r_core(n, k, counts, rs)[0])
-        for k, (value, pivot), best in zip(range(1, last_k + 1), column, permuted)
-    ]
+                    if given:
+                        column[k] = (value, p + 1)
+    older = [None] * last_k
+    if deltas.count(2) == len(deltas) and rs == sorted(rs):
+        older = [value for value, _ in _unequal_r_core(n, _unequal_r_counts(ns, rs), rs, range(1, last_k + 1))]
+    return [(k, dim, *pair, best, old) for k, pair, best, old in zip(range(1, last_k + 1), column, permuted, older)]

@@ -26,7 +26,7 @@ import random
 import sys
 from functools import cache
 from itertools import product
-from math import prod
+from math import inf, prod
 
 from .analysis import (
     DEFAULT_ORACLE_BUDGET,
@@ -97,8 +97,10 @@ STATUS_CODES = {
     "budget-exceeded": EXIT_BUDGET,
 }
 
-# Work cap of one sweep: every parameter combination visited, filtered ones
-# included, and every row emitted counts once against it.
+# Work cap of one sweep: every parameter combination, filtered ones included,
+# and every row emitted counts once against it.  The sweep walks only the
+# class tuples it keeps and counts the filtered combinations between them by
+# their position in product order.
 SWEEP_ROW_LIMIT = 10_000
 
 
@@ -354,6 +356,37 @@ def _parse_range(text: str, name: str) -> range:
         raise SpecFileError(f"--{name} expects INT or LO:HI, got {text!r}") from None
 
 
+def _kept_tuples(choices, s: int, q: int):
+    """(position in product(choices, repeat=s), choice indices) of each
+    class tuple sweep tabulates, in product order: r nondecreasing, delta
+    nonincreasing and q >= r + delta - 1 in every class.  The walk is depth
+    first and drops a prefix at the first class that breaks a rule.  A kept
+    prefix stays kept when its last choice repeats, so every prefix the walk
+    extends leads to a kept tuple, and it checks at most s * len(choices)
+    choices between two kept tuples."""
+    size = len(choices)
+    fits = [q >= r + d - 1 for r, d, _ in choices]
+    picks: list[int] = []  # the choice of each class of the prefix
+    i = 0  # the next choice to try for class len(picks)
+    while True:
+        least_r, most_d = choices[picks[-1]][:2] if picks else (-inf, inf)
+        while i < size and not (fits[i] and choices[i][0] >= least_r and choices[i][1] <= most_d):
+            i += 1
+        if i == size:
+            if not picks:
+                return
+            i = picks.pop() + 1
+        elif len(picks) == s - 1:
+            position = 0
+            for j in picks:
+                position = position * size + j
+            yield position * size + i, (*picks, i)
+            i += 1
+        else:
+            picks.append(i)
+            i = 0
+
+
 def cmd_sweep(args, report) -> str:
     if args.q >= PRIME_CHECK_LIMIT:
         raise SpecFileError(f"--q {args.q} is not below {PRIME_CHECK_LIMIT}, the primality test's limit")
@@ -362,54 +395,57 @@ def cmd_sweep(args, report) -> str:
     if args.classes < 1:
         raise SpecFileError(f"--classes must be a positive integer, got {args.classes}")
     if args.classes > PERMUTED_CLASS_LIMIT:
-        # Every row reports the permuted bound, and product() holds one
-        # copy of the choices per class.
+        # Every row reports the permuted bound.
         raise TooManyClasses(
             f"--classes {args.classes} exceeds the {PERMUTED_CLASS_LIMIT}-class cap of the permuted bound"
         )
     rs = _parse_range(args.r, "r")
     deltas = _parse_range(args.delta, "delta")
     ms = _parse_range(args.m, "m")
+
+    @cache
+    def facts(r: int, d: int, m: int) -> tuple[LocalityClass, int, int, str]:
+        """One choice's class, n_j, n_gab_j and label, built on first use."""
+        return LocalityClass.from_groups(r, d, m), m * (r + d - 1), m * r, f"({r},{d},{m})"
+
     s = args.classes
     budget = _nonnegative(args.budget, "--budget") if args.budget is not None else 0
+    # The q rule drops choices unchecked, so each range's least value is
+    # checked first, the other two at their least valid values.
+    facts(rs[0] if rs else 1, deltas[0] if deltas else 2, ms[0] if ms else 1)
     report.add("meta", "q", args.q)
     report.add("meta", "classes", s)
     header = ("row", "classes", "k", "n", "dim-cap", "dist-cap", "pivot", "permuted", "unequal-r", "relation", "oracle-d")
     report.add(*header)
-    # product() keeps the per-class choices in memory and walks their
-    # combinations lazily.  It visits every choice for the last class first,
-    # so more choices than the cap would exceed it anyway.
+    # More choices for one class than the cap would exceed it anyway: the
+    # combinations that vary the last class alone number that many.
     if prod(max(0, v.stop - v.start) for v in (rs, deltas, ms)) > SWEEP_ROW_LIMIT:
         return "budget-exceeded"
-    rows = work = 0
-    for combo in product(product(rs, deltas, ms), repeat=s):
-        work += 1
-        if work > SWEEP_ROW_LIMIT:
-            return "budget-exceeded"
-        rlist = [c[0] for c in combo]
-        dlist = [c[1] for c in combo]
-        if any(a > b for a, b in zip(rlist, rlist[1:])):
-            continue
-        if any(a < b for a, b in zip(dlist, dlist[1:])):
-            continue
-        if any(args.q < r + d - 1 for r, d, _ in combo):
-            continue
-        classes = tuple(LocalityClass.from_groups(r, d, m) for r, d, m in combo)
-        n = sum(m * (r + d - 1) for r, d, m in combo)
-        n_gab = sum(m * r for r, _, m in combo)
-        label = ";".join(f"({r},{d},{m})" for r, d, m in combo)
-        table = bounds_table(classes, min(n_gab, SWEEP_ROW_LIMIT - work))
+    choices = list(product(rs, deltas, ms))
+    rows = 0
+    for position, picks in _kept_tuples(choices, s, args.q):
+        classes, ns, n_gabs, labels = zip(*(facts(*choices[i]) for i in picks))
+        n, n_gab, label = sum(ns), sum(n_gabs), ";".join(labels)
+        # The combinations up to this one, filtered or kept, and the rows so
+        # far count against the cap; once they reach it the table is empty.
+        table = bounds_table(classes, min(n_gab, SWEEP_ROW_LIMIT - position - 1 - rows))
         rows += len(table)
-        work += len(table)
         # A built code's points do not depend on k, so one build serves every k of the table.
         inst = build_code(LocalitySpec(classes, len(table), args.q, n_gab)) if table and n <= budget else None
         oracle = ["-"] * len(table) if inst is None else [str(cert.d) for cert in prefix_oracles(inst, budget)]
+        n_text = str(n)
         for (k, dim, cap, pivot, permuted, older), oracle_text in zip(table, oracle):
-            relation = "-" if older is None else ("tighter" if cap < older else ("equal" if cap == older else "looser"))
-            older_text = "-" if older is None else older
-            report.add("row", label, k, n, dim, cap, pivot, permuted, older_text, relation, oracle_text)
+            if older is None:
+                older_text = relation = "-"
+            else:
+                older_text, relation = str(older), "tighter" if cap < older else ("equal" if cap == older else "looser")
+            cells = (str(k), n_text, str(dim), str(cap), str(pivot), str(permuted), older_text, relation, oracle_text)
+            report.rows.append(("row", label, *cells))
         if len(table) < n_gab:
             return "budget-exceeded"
+    # The combinations after the last kept tuple, all filtered out.
+    if len(choices) ** s + rows > SWEEP_ROW_LIMIT:
+        return "budget-exceeded"
     report.add("meta", "rows", rows)
     return "ok"
 

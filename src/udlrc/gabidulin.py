@@ -91,11 +91,9 @@ def moore_matrix(field: ExtField, points: Sequence[ExtElem], ncols: int) -> Matr
     """Rows indexed by points, columns by q-powers: M[i][j] = points[i]^(q^j)."""
     rows = []
     for y in points:
-        power = y
-        row = []
-        for _ in range(ncols):
-            row.append(power)
-            power = field.frobenius(power)
+        row = [y] if ncols else []
+        while len(row) < ncols:
+            row.append(field.frobenius(row[-1]))
         rows.append(row)
     return Matrix(field, rows)
 

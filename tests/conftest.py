@@ -2,6 +2,7 @@ import importlib.util
 import os
 import random
 from itertools import permutations, product
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -12,13 +13,11 @@ from udlrc import (
     ExtField,
     LocalityClass,
     LocalitySpec,
-    PreconditionViolated,
     PrimeField,
     TooManyClasses,
     build_code,
     ceil_div,
     distance_bound_udlrc,
-    distance_bound_unequal_r,
     validate_spec,
 )
 from udlrc import analysis, cli
@@ -224,10 +223,26 @@ def _ref_cap_core(n, k, ns, ranks, rs, deltas):
     raise AssertionError("k beyond the total rank")
 
 
+def _ref_unequal_r(n, k, ns, rs, deltas):
+    """distance_bound_unequal_r's value on plain ints as published, the
+    pivot scanned afresh for each k, or None outside its preconditions."""
+    if any(d != 2 for d in deltas) or any(a > b for a, b in zip(rs, rs[1:])):
+        return None
+    counts = [ceil_div(n_j, r + 1) for n_j, r in zip(ns, rs)]
+    sp, cum = 1, 0
+    for j in range(len(counts) - 1):  # j + 1 leading classes are summed
+        cum += counts[j] * rs[j]
+        if cum < k - 1:
+            sp = j + 2
+    head_rank = sum(g * r for g, r in zip(counts[: sp - 1], rs))
+    return n - k + 2 - sum(counts[: sp - 1]) - ceil_div(k - head_rank, rs[sp - 1])
+
+
 def ref_bounds_table(classes, last_k):
     """bounds_table before its closed form: the core once per row for the
     dist-cap column, and once per (head set, pivot) pair and row for the
-    permuted column, on the ordering sorted(H) + (p,)."""
+    permuted column, on the ordering sorted(H) + (p,); the unequal-r
+    column once per row by _ref_unequal_r."""
     ns = [c.n for c in classes]
     caps = [c.k_cap for c in classes]
     rs = [c.r for c in classes]
@@ -248,15 +263,68 @@ def ref_bounds_table(classes, last_k):
             seqs = [[seq[i] for i in (*head, p)] for seq in (ns, caps, rs, deltas)]
             for k in range(lo + 1, min(lo + caps[p], last_k) + 1):
                 permuted[k - 1] = min(permuted[k - 1], _ref_cap_core(n, k, *seqs)[0])
-    rows = []
-    for k, (value, pivot) in enumerate(cap_column, 1):
-        spec = LocalitySpec(classes=tuple(classes), k=k, q=7, t=1)
-        try:
-            older = distance_bound_unequal_r(spec).value
-        except PreconditionViolated:
-            older = None
-        rows.append((k, dim, value, pivot, permuted[k - 1], older))
-    return rows
+    return [
+        (k, dim, value, pivot, permuted[k - 1], _ref_unequal_r(n, k, ns, rs, deltas))
+        for k, (value, pivot) in enumerate(cap_column, 1)
+    ]
+
+
+def ref_cmd_sweep(args, report):
+    """cmd_sweep as it was before it walked only the kept tuples: every
+    combination of product(choices, repeat=s) in turn, filtered by any()
+    and counted against the work cap, and the range values checked only
+    where a kept tuple builds its classes."""
+    if args.q >= cli.PRIME_CHECK_LIMIT:
+        raise cli.SpecFileError(f"--q {args.q} is not below {cli.PRIME_CHECK_LIMIT}, the primality test's limit")
+    if not cli.is_prime(args.q):
+        raise cli.SpecFileError(f"--q must be a prime, got {args.q}")
+    if args.classes < 1:
+        raise cli.SpecFileError(f"--classes must be a positive integer, got {args.classes}")
+    if args.classes > PERMUTED_CLASS_LIMIT:
+        raise TooManyClasses(
+            f"--classes {args.classes} exceeds the {PERMUTED_CLASS_LIMIT}-class cap of the permuted bound"
+        )
+    rs = cli._parse_range(args.r, "r")
+    deltas = cli._parse_range(args.delta, "delta")
+    ms = cli._parse_range(args.m, "m")
+    s = args.classes
+    budget = cli._nonnegative(args.budget, "--budget") if args.budget is not None else 0
+    report.add("meta", "q", args.q)
+    report.add("meta", "classes", s)
+    header = ("row", "classes", "k", "n", "dim-cap", "dist-cap", "pivot", "permuted", "unequal-r", "relation", "oracle-d")
+    report.add(*header)
+    if prod(max(0, v.stop - v.start) for v in (rs, deltas, ms)) > cli.SWEEP_ROW_LIMIT:
+        return "budget-exceeded"
+    rows = work = 0
+    for combo in product(product(rs, deltas, ms), repeat=s):
+        work += 1
+        if work > cli.SWEEP_ROW_LIMIT:
+            return "budget-exceeded"
+        rlist = [c[0] for c in combo]
+        dlist = [c[1] for c in combo]
+        if any(a > b for a, b in zip(rlist, rlist[1:])):
+            continue
+        if any(a < b for a, b in zip(dlist, dlist[1:])):
+            continue
+        if any(args.q < r + d - 1 for r, d, _ in combo):
+            continue
+        classes = tuple(LocalityClass.from_groups(r, d, m) for r, d, m in combo)
+        n = sum(m * (r + d - 1) for r, d, m in combo)
+        n_gab = sum(m * r for r, _, m in combo)
+        label = ";".join(f"({r},{d},{m})" for r, d, m in combo)
+        table = cli.bounds_table(classes, min(n_gab, cli.SWEEP_ROW_LIMIT - work))
+        rows += len(table)
+        work += len(table)
+        inst = build_code(LocalitySpec(classes, len(table), args.q, n_gab)) if table and n <= budget else None
+        oracle = ["-"] * len(table) if inst is None else [str(cert.d) for cert in analysis.prefix_oracles(inst, budget)]
+        for (k, dim, cap, pivot, permuted, older), oracle_text in zip(table, oracle):
+            relation = "-" if older is None else ("tighter" if cap < older else ("equal" if cap == older else "looser"))
+            older_text = "-" if older is None else older
+            report.add("row", label, k, n, dim, cap, pivot, permuted, older_text, relation, oracle_text)
+        if len(table) < n_gab:
+            return "budget-exceeded"
+    report.add("meta", "rows", rows)
+    return "ok"
 
 
 # The [8, 4] two-class workhorse over GF(5^5): one (r=2, delta=3) group and

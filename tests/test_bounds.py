@@ -354,13 +354,19 @@ def test_bounds_table_matches_the_per_row_core():
     grid = list(_sweep_tuples(7, 3, range(1, 4), range(2, 4), range(1, 3)))
     ragged = list(_ragged_tuples(((1, 20), (2, 30), (3, 30), (4, 20), (5, 10), (6, 5), (7, 3), (8, 2))))
     assert sum(any(c.k_cap == 0 for c in classes) for classes in ragged) > 30
+    # The same ragged classes at delta = 2 and sorted by r, where the
+    # unequal-r column applies.
+    ragged += [tuple(sorted((LocalityClass(c.r, 2, c.n) for c in classes), key=lambda c: c.r)) for classes in ragged]
+    unequal_r = 0
     for classes in grid + ragged:
         dim = sum(c.k_cap for c in classes)
         for last_k in range(-1, dim + 1):
             assert bounds_table(classes, last_k) == ref_bounds_table(classes, last_k), (classes, last_k)
+        unequal_r += any(row[5] is not None for row in ref_bounds_table(classes, dim))
         for table in (bounds_table, ref_bounds_table):
             with pytest.raises(DimensionInfeasible):
                 table(classes, dim + 1)
+    assert unequal_r == 211
 
 
 def test_bounds_table_refuses_nine_classes():

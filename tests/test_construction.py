@@ -468,3 +468,27 @@ def test_the_generator_follows_the_points():
         assert "gen" not in vars(moved)
         assert moved.gen.rows == ref_build_rows(flipped), spec
         assert inst.gen.rows == ref_build_rows(spec), spec
+
+
+def test_the_generator_makes_one_frobenius_image_per_entry_below_row_0(monkeypatch):
+    # A count, not a timing: the repair workload's [12, 6] generator has
+    # 12 * 5 entries below row 0, each the image of the entry above it; the
+    # tower once made one more image per point, past its last row (72).
+    repair = load_workloads().Repair
+    spec = LocalitySpec(
+        classes=tuple(LocalityClass.from_groups(*c) for c in repair.CLASSES), k=repair.K, q=repair.Q, t=repair.T
+    )
+    inst = build_code(spec)
+    calls = 0
+    frobenius = fields.ExtField.frobenius
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return frobenius(self, *args)
+
+    monkeypatch.setattr(fields.ExtField, "frobenius", counted)
+    rows = inst.gen.rows
+    assert (inst.n, inst.k, calls) == (12, 6, 60)
+    monkeypatch.undo()
+    assert rows == ref_build_rows(spec)

@@ -1,7 +1,8 @@
 """The machine-format reports the benchmark checks, pinned in process to the
 sha256 digests recorded in perfbench/golden.json, and all seven once more
-under python -O; the oracle sweep's builds, and certify's point walks,
-grank calls and cover traces, counted; certify and the oracle sweep shown
+under python -O; the oracle sweep's builds, the bounds-only sweep's tables,
+classes and precondition errors, and certify's point walks, grank calls
+and cover traces, counted; certify and the oracle sweep shown
 to build no generator; and the `bounds` reports
 on the benchmark's spec files and on an 8-class spec, pinned to their
 recorded digests.
@@ -17,7 +18,7 @@ import sys
 import pytest
 
 from conftest import cli_env, counting, load_workloads
-from udlrc import build_code, cli
+from udlrc import LocalityClass, bounds, build_code, cli
 
 workloads = load_workloads()
 CERTIFY_SPECS = ("ref", "ref_full", "three", "reversed", "gf7_9")
@@ -72,6 +73,37 @@ def test_certify_and_the_oracle_sweep_build_no_generator(monkeypatch):
             assert cli.main(argv) == 0
     assert len(built) == len(CERTIFY_SPECS) + 17
     assert all("gen" not in vars(inst) for inst in built)
+
+
+def test_table_sweep_works_only_on_the_kept_tuples(monkeypatch):
+    # Counts, not timings: the benchmark's bounds-only table keeps 320 of
+    # the 1,728 class tuples over 12 (r, delta, m) choices.  When the sweep
+    # looped over every combination it built a class per class of each kept
+    # tuple (960), and bounds_table raised and caught the unequal-r
+    # precondition on each tuple failing it.
+    tables = counting(monkeypatch, "bounds_table")
+    built = []
+    from_groups = LocalityClass.from_groups.__func__
+
+    def counted_from_groups(cls, r, delta, m):
+        built.append((r, delta, m))
+        return from_groups(cls, r, delta, m)
+
+    raised = []
+
+    class Counted(bounds.PreconditionViolated):
+        def __init__(self, *args):
+            raised.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(LocalityClass, "from_groups", classmethod(counted_from_groups))
+    monkeypatch.setattr(bounds, "PreconditionViolated", Counted)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(workloads.Sweep.TABLE) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == workloads.GOLDEN["sweep"]["table"]
+    assert (len(tables), len(raised)) == (320, 0)
+    assert len(built) <= 12
 
 
 @pytest.mark.parametrize("name, expected", [("ref", (4, 0, 2)), ("gf7_9", (5, 0, 3))], ids=["ref", "gf7_9"])

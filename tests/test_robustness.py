@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from conftest import ref_cmd_sweep
 from udlrc import cli
 from udlrc.analysis import OrderedConditionRequired, TooLarge
 from udlrc.bounds import DimensionInfeasible, TooManyClasses
@@ -118,14 +119,70 @@ def test_sweep_q_must_be_prime(q, extra, capsys):
         _sweep(2, 4, "2:4", "2:9", "1:9"),
         # More per-class choices than the cap.
         _sweep(5, 1, "1:99999999999999999999", "2", "1"),
+        # 10,000 choices per class, at the cap: the walk keeps no table of
+        # successor choices, which would hold 10^8 entries.
+        _sweep(10007, 2, "1:100", "2:101", "1"),
+        _sweep(10007, 1, "1:100", "2:101", "1"),
+        _sweep(7, 2, "1:100", "2:101", "1"),
     ],
-    ids=["nine-classes", "huge-classes", "all-filtered", "huge-range"],
+    ids=["nine-classes", "huge-classes", "all-filtered", "huge-range", "wide-2", "wide-1", "wide-filtered"],
 )
 def test_sweep_enumeration_is_bounded(argv, capsys):
     start = time.perf_counter()
     code, _ = _run(argv, capsys)
     assert code == 5
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # The "-filtered" ranges give only choices the q rule drops at q = 2.
+        (_sweep(2, 1, "5", "1:2", "1"), "local distance delta must be >= 2, got 1"),
+        (_sweep(7, 1, "1", "1:2", "1"), "local distance delta must be >= 2, got 1"),
+        (_sweep(2, 1, "0:1", "4", "1"), "locality r must be >= 1, got 0"),
+        (_sweep(2, 1, "5", "2", "0:1"), "group count must be >= 1, got 0"),
+        # An empty range leaves no class tuple, and the others are checked still.
+        (_sweep(5, 2, "3:1", "1:2", "1"), "local distance delta must be >= 2, got 1"),
+    ],
+    ids=["delta-filtered", "delta", "r-filtered", "m-filtered", "delta-empty-r"],
+)
+def test_sweep_refuses_invalid_range_values(argv, message, capsys):
+    code, err = _run(argv, capsys)
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (_sweep(7, 3, "1:3", "2:3", "1:2"), "ok"),
+        (_sweep(3, 4, "1:2", "2:3", "1:2"), "ok"),
+        (_sweep(2, 3, "1", "2", "1:9"), "budget-exceeded"),
+        (_sweep(7, 4, "1:5", "2:3", "1"), "budget-exceeded"),
+        (_sweep(11, 4, "1:9", "2:3", "1"), "budget-exceeded"),
+        (_sweep(2, 4, "1:5", "2", "1:2"), "budget-exceeded"),
+        (_sweep(2, 4, "2:4", "2:3", "1:2"), "budget-exceeded"),
+        (_sweep(2, 2, "2:4", "2:3", "1:2"), "ok"),
+        (_sweep(5, 2, "3:1", "2", "1"), "ok"),
+        (_sweep(5, 1, "1:200", "2:60", "1"), "budget-exceeded"),
+        (_sweep(5, 2, "1:3", "2", "1:2", "--budget", "10"), "ok"),
+        (_sweep(7, 3, "1:2", "2:3", "1", "--budget", "10"), "ok"),
+        (_sweep(5, 2, "1", "2", "1:97", "--budget", "10"), "budget-exceeded"),
+    ],
+    ids=["table", "four-classes", "cut-in-table", "cut-filtered", "cut-kept", "cut-after-last-kept", "all-filtered-cut",
+         "all-filtered", "empty-range", "too-many-choices", "oracle", "oracle-three-classes", "oracle-cut"],
+)
+def test_sweep_matches_the_product_loop(argv, status, fmt, capsys):
+    # The walk over the kept tuples against the loop over every combination,
+    # with the work cap reached at each kind of place ("cut-...").
+    argv = [*argv, "--format", fmt]
+    code = cli.main(argv)
+    out = capsys.readouterr().out
+    report = cli.Report("sweep", fmt)
+    report.add("status", ref_cmd_sweep(cli.build_parser().parse_args(argv), report))
+    assert (code, out) == (cli.STATUS_CODES[status], report.render())
 
 
 def test_sweep_class_cap_names_the_flag(capsys):
