@@ -94,9 +94,9 @@ def prefix_oracles(inst: CodeInstance, budget: int = DEFAULT_ORACLE_BUDGET) -> l
 
 
 def _point_oracles(inst: CodeInstance, budget: int, ks) -> list[DistanceCertificate]:
-    """The point walk at each k of ks; the points are packed and ranked once."""
+    """The point walk at each k of ks on the instance's packed points, ranked once."""
     pk = _packing(inst.base, inst.field.t)
-    columns = [pk.pack(y) for y in inst.points]
+    columns = inst._points_packed
     rank = len(pk.echelon(columns, pk.length))
     return [_walk(pk, columns, rank, k, budget) for k in ks]
 

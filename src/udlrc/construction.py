@@ -22,13 +22,14 @@ rather than every call.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .fields import PRIME_CHECK_LIMIT, ExtElem, ExtField, PrimeField, is_prime
+from .fields import PRIME_CHECK_LIMIT, ExtElem, ExtField, PrimeField, _packing, is_prime
 from .gabidulin import EvaluationPoints, default_points, gabidulin_encode, moore_matrix
-from .linalg import Matrix, RankTracker, base_rank
+from .linalg import Matrix, _combine, _solve_packed, base_rank
 
 
 class SpecInvalid(ValueError):
@@ -81,20 +82,23 @@ class LocalityClass:
             raise SpecInvalid(f"group count must be >= 1, got {m}")
         return cls(r=r, delta=delta, n=m * (r + delta - 1))
 
-    @property
+    # The derived quantities are computed once per class: cached_property
+    # writes to the instance dict, outside the frozen fields, so equality,
+    # hashing and repr see only (r, delta, n).
+    @cached_property
     def width(self) -> int:
         """Length of one local group."""
         return self.r + self.delta - 1
 
-    @property
+    @cached_property
     def p(self) -> int:
         return self.n // self.width
 
-    @property
+    @cached_property
     def rem(self) -> int:
         return self.n % self.width
 
-    @property
+    @cached_property
     def m_ceil(self) -> int:
         return self.p + (1 if self.rem else 0)
 
@@ -111,7 +115,7 @@ class LocalityClass:
             )
         return self.p
 
-    @property
+    @cached_property
     def k_cap(self) -> int:
         """Largest dimension this class can carry."""
         if self.rem <= self.delta - 2:
@@ -282,6 +286,27 @@ class CodeInstance:
         """The k x n generator, the Moore matrix on the points: row j is their q^j-th powers."""
         return moore_matrix(self.field, self.points, self.k).transpose()
 
+    # The packed forms the codec reads, each built on first use and kept:
+    # encode and decode then pack only the symbols of the call.
+    @cached_property
+    def _gen_packed(self) -> list[int]:
+        """The generator rows, packed n wide."""
+        pk = _packing(self.field, self.n)
+        return [pk.pack(row) for row in self.gen.rows]
+
+    @cached_property
+    def _moore_packed(self) -> list[int]:
+        """Symbol i's generator column packed k + 1 wide, the last slot
+        left empty for a right-hand side: its row of the message system."""
+        pk = _packing(self.field, self.k + 1)
+        return [pk.pack(column) for column in zip(*self.gen.rows)]
+
+    @cached_property
+    def _points_packed(self) -> list[int]:
+        """The points' coordinate vectors, packed t wide over F_q."""
+        pk = _packing(self.base, self.field.t)
+        return [pk.pack(y) for y in self.points]
+
     def group_point_basis(self, l: int) -> tuple[ExtElem, ...]:
         """The precode points backing group l, a basis of its point span."""
         if not 0 <= l < len(self.layout.groups):
@@ -326,10 +351,12 @@ def build_code(spec: LocalitySpec) -> CodeInstance:
 
 
 def encode(inst: CodeInstance, message: Sequence[ExtElem]) -> list[ExtElem]:
-    """message times the generator matrix."""
+    """message times the generator matrix: the instance's packed generator
+    rows, weighted by the message symbols and summed, one fold per symbol."""
     if len(message) != inst.k:
         raise LengthMismatch(f"message length {len(message)} != k = {inst.k}")
-    return inst.gen.left_multiply(list(message))
+    pk = _packing(inst.field, inst.n)
+    return pk.unpack(_combine(pk, message, inst._gen_packed))
 
 
 def encode_via_pipeline(inst: CodeInstance, message: Sequence[ExtElem]) -> list[ExtElem]:
@@ -412,43 +439,57 @@ class DecodeResult:
     repaired_locally: tuple[int, ...]
 
 
+def _lagrange_weights(present: Sequence[int], pos: int, q: int) -> list[int]:
+    """L_p(pos) over F_q for each locator p in present: a polynomial of
+    degree < len(present) takes at pos the sum of L_p(pos) times its values
+    at the present locators."""
+    weights = []
+    for p in present:
+        num = den = 1
+        for o in present:
+            if o != p:
+                num = num * (pos - o) % q
+                den = den * (p - o) % q
+        weights.append(num * pow(den, -1, q) % q)
+    return weights
+
+
 def decode_erasures(
     inst: CodeInstance, received: Mapping[int, ExtElem], pattern: ErasurePattern
 ) -> DecodeResult:
     """Recover the message (and the full codeword) from a partial codeword.
 
-    First pass repairs every group with at most delta - 1 missing symbols:
-    r present columns of its local MDS generator invert over the base field,
-    which writes each missing symbol as an F_q-combination of present ones.
+    First pass repairs every group with at most delta - 1 missing symbols.
+    A group's symbol at position pos is its local polynomial (degree < r,
+    see mds_local_generator) at the locator pos, so a missing symbol is the
+    F_q-combination of r present symbols with their Lagrange weights at pos.
     Second pass greedily collects symbols whose points extend an independent
-    set until rank k, then solves the generator's chosen columns for the
-    message.  Raises Undecodable with the remaining rank when the pattern is
-    unrecoverable.
+    set over F_q until rank k, then solves the chosen symbols' rows of the
+    Moore system for the message, with one field inversion.  Raises
+    Undecodable with the remaining rank when the pattern is unrecoverable.
     """
-    field = inst.field
+    field, k = inst.field, inst.k
     remaining = pattern.remaining
     if set(received) != set(remaining):
         raise LengthMismatch("received symbols must cover exactly the remaining positions")
     known: dict[int, ExtElem] = {i: field.element(received[i]) for i in remaining}
 
+    single = _packing(field, 1)
     repaired: list[int] = []
     for l, group in enumerate(inst.layout.groups):
-        missing = [i for i in group if i not in known]
+        missing = [pos for pos, i in enumerate(group) if i not in known]
         if not missing:
             continue
         c = inst.spec.classes[inst.layout.class_of[l]]
         if len(missing) > c.delta - 1:
             continue
-        local = inst.local_gens[inst.layout.class_of[l]]
         present = [pos for pos, i in enumerate(group) if i in known][: c.r]
-        # Any r columns of an MDS generator are independent, so column pos of
-        # coeffs expresses symbol pos in terms of the present symbols.
-        coeffs = local.take_columns(present).inverse() @ local
-        values = lift_to_ext(field, coeffs).left_multiply([known[group[p]] for p in present])
-        for pos, i in enumerate(group):
-            if i not in known:
-                known[i] = values[pos]
-                repaired.append(i)
+        values = [single.pack_elem(known[group[p]]) for p in present]
+        # r <= n_gab <= t, so the sum of r products stays within the slot bound.
+        for pos in missing:
+            weights = _lagrange_weights(present, pos, field.q)
+            known[group[pos]] = single.unpack_elem(single.canon(sum(map(operator.mul, weights, values))))
+            repaired.append(group[pos])
 
     if not pattern.erased:
         phase = "none"
@@ -457,20 +498,25 @@ def decode_erasures(
     else:
         phase = "global"
 
-    tracker = RankTracker(field.q)
+    pk = _packing(inst.base, field.t)
+    points = inst._points_packed
+    basis: list[tuple] = []
     chosen: list[int] = []
     for i in sorted(known):
-        if tracker.add(inst.points[i]):
+        if pk.extend(basis, points[i], field.t):
             chosen.append(i)
-            if len(chosen) == inst.k:
+            if len(chosen) == k:
                 break
-    if len(chosen) < inst.k:
-        # The tracker saw every known point; the repaired ones lie in the
-        # span of their groups' received points.
-        raise Undecodable(tracker.rank, inst.k)
+    if len(chosen) < k:
+        # Every known point was tried; the repaired ones lie in the span of
+        # their groups' received points.
+        raise Undecodable(len(basis), k)
 
-    system = inst.gen.take_columns(chosen).transpose()
-    message = tuple(system.solve([known[i] for i in chosen]))
+    pk = _packing(field, k + 1)
+    shift = k * pk.bw
+    rows = inst._moore_packed
+    solved = _solve_packed(pk, [rows[i] | pk.pack_elem(known[i]) << shift for i in chosen], k)
+    message = tuple(pk.unpack_elem(row >> shift) for row in solved)
     codeword = tuple(encode(inst, message))
     if __debug__:
         assert all(codeword[i] == v for i, v in known.items()), "re-encode disagrees with a known symbol"

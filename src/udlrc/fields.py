@@ -532,10 +532,27 @@ class _Packing:
 
     def reduced_echelon(self, rows: Iterable[int], width: int) -> list[int]:
         """The reduced row echelon form of the packed rows, pivots in the
-        first width columns, sorted by pivot column, zero rows dropped."""
-        field, canon = self.field, self.canon
+        first width columns, sorted by pivot column, zero rows dropped.
+
+        The pivots are inverted together with one field inverse
+        (Montgomery's trick): prefix products of the pivots, the inverse of
+        their product, and a walk back that peels one pivot off it per row.
+        """
+        canon, elem = self.canon, self.elem
         basis = self.reduced(rows, width)
-        return [canon(self.pack_elem(field.inv(self.unpack_elem(row >> off))) * row) for off, row in basis]
+        if not basis:
+            return []
+        pivots = [(row >> off) & elem for off, row in basis]
+        prefix = [1]  # the packed one: prefix[i] is the product of pivots[:i]
+        for pivot in pivots[:-1]:
+            prefix.append(canon(prefix[-1] * pivot))
+        inv = self.pack_elem(self.field.inv(self.unpack_elem(canon(prefix[-1] * pivots[-1]))))
+        out = [0] * len(basis)
+        for i in range(len(basis) - 1, -1, -1):
+            # inv is the inverse of pivots[0] * ... * pivots[i].
+            out[i] = canon(canon(inv * prefix[i]) * basis[i][1])
+            inv = canon(inv * pivots[i])
+        return out
 
 
 @lru_cache(maxsize=256)

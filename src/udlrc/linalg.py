@@ -13,8 +13,10 @@ nonzero column, read off the lowest set bit of the packed row, so the
 length of the basis is the rank (Matrix.rank, RankTracker).  A backward
 pass of the same step brings the basis to reduced form, pivots unscaled
 (_Packing.reduced, whose columns the distance oracle walks for a
-generator Matrix), and one pivot inverse per row scales it to RREF
-(solve, inverse, row_space_basis).
+generator Matrix), and one batched inversion per solve scales it to
+RREF: the pivots' product is inverted once, and each row's inverse is
+peeled off it (solve, inverse, row_space_basis, and the decoder's
+message solve on its pre-packed rows).
 Rows are packed on entry to an elimination and unpacked on exit, so
 elements keep their public form.  A fixed pivot rule keeps every run
 identical; exact arithmetic has no stability concerns.
@@ -95,10 +97,7 @@ class Matrix:
             raise ValueError(f"right-hand side length {len(right)} does not match {n}")
         aug = [list(r) + list(b) for r, b in zip(self.rows, right)]
         pk = _packing(self.field, len(aug[0]) if aug else 0)
-        basis = pk.reduced_echelon(map(pk.pack, aug), n)
-        if len(basis) < n:
-            raise SingularMatrix(f"matrix rank {len(basis)} < {n}")
-        return [pk.unpack(row, n) for row in basis]
+        return [pk.unpack(row, n) for row in _solve_packed(pk, map(pk.pack, aug), n)]
 
     def solve(self, rhs: Sequence) -> list:
         """Solution of self @ x = rhs for a square invertible matrix."""
@@ -111,6 +110,15 @@ class Matrix:
         """Reduced row echelon basis of the row space, zero rows dropped."""
         pk = _packing(self.field, self.ncols)
         return Matrix(self.field, [pk.unpack(row) for row in pk.reduced_echelon(map(pk.pack, self.rows), self.ncols)])
+
+
+def _solve_packed(pk: _Packing, rows: Iterable[int], n: int) -> list[int]:
+    """The reduced echelon form of n packed augmented rows [A | B] for a
+    square invertible A: row i is [e_i | row i of A^-1 B]."""
+    basis = pk.reduced_echelon(rows, n)
+    if len(basis) < n:
+        raise SingularMatrix(f"matrix rank {len(basis)} < {n}")
+    return basis
 
 
 def _combine(pk: _Packing, vector: Sequence, packed_rows: Iterable[int]) -> int:

@@ -1,6 +1,8 @@
 import importlib.util
 import os
 import random
+from collections import Counter
+from functools import cached_property
 from itertools import permutations, product
 from math import prod
 from pathlib import Path
@@ -9,12 +11,17 @@ import pytest
 
 from udlrc import (
     BoundReport,
+    DecodeResult,
     DimensionInfeasible,
     ExtField,
+    LengthMismatch,
     LocalityClass,
     LocalitySpec,
     PrimeField,
+    RankTracker,
+    SingularMatrix,
     TooManyClasses,
+    Undecodable,
     build_code,
     ceil_div,
     distance_bound_udlrc,
@@ -23,7 +30,7 @@ from udlrc import (
 from udlrc import analysis, cli
 from udlrc.bounds import PERMUTED_CLASS_LIMIT
 from udlrc.construction import build_layout, lift_to_ext, mds_local_generator
-from udlrc.fields import _poly_divmod, _poly_gcd, _poly_trim
+from udlrc.fields import _packing, _poly_divmod, _poly_gcd, _poly_trim
 from udlrc.gabidulin import moore_matrix
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -66,6 +73,37 @@ def counting(monkeypatch, name, record=lambda *args: True):
     for module in modules:
         monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def counting_method(monkeypatch, owner, name):
+    """Wrap the attribute `name` of the class `owner` with a counter;
+    returns the list that gets one entry per call."""
+    original = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def counting_cached(monkeypatch, owner, names):
+    """Replace each cached_property `name` of the class `owner` with one
+    that counts the computations of its value; returns the Counter."""
+    counts = Counter()
+    for name in names:
+        func = owner.__dict__[name].func
+
+        def counted(self, func=func, name=name):
+            counts[name] += 1
+            return func(self)
+
+        prop = cached_property(counted)
+        prop.__set_name__(owner, name)
+        monkeypatch.setattr(owner, name, prop)
+    return counts
 
 
 def ref_mul(field, a, b):
@@ -193,6 +231,76 @@ def ref_left_multiply(m, vector):
             acc = f.add(acc, ref_mul(f, v, row[j]))
         out.append(acc)
     return out
+
+
+def ref_reduced_echelon(pk, rows, width):
+    """_Packing.reduced_echelon as it was before the batched inversion:
+    the reduced basis, each row scaled by the inverse of its own pivot."""
+    field, canon = pk.field, pk.canon
+    return [canon(pk.pack_elem(field.inv(pk.unpack_elem(row >> off))) * row) for off, row in pk.reduced(rows, width)]
+
+
+def ref_solve(m, rhs):
+    """Matrix.solve through ref_reduced_echelon: x with m @ x = rhs."""
+    n = m.nrows
+    pk = _packing(m.field, n + 1)
+    basis = ref_reduced_echelon(pk, [pk.pack(list(row) + [b]) for row, b in zip(m.rows, rhs)], n)
+    if len(basis) < n:
+        raise SingularMatrix(f"matrix rank {len(basis)} < {n}")
+    return [pk.unpack_elem(row >> (n * pk.bw)) for row in basis]
+
+
+def ref_decode_erasures(inst, received, pattern):
+    """decode_erasures as it was before the codec packed a built code once:
+    each repaired group inverts r present columns of its local generator
+    over F_q and lifts the product, every point is packed again into a
+    RankTracker, the chosen generator columns are solved through
+    ref_solve, and the message is re-encoded through the unpacked
+    generator."""
+    field = inst.field
+    remaining = pattern.remaining
+    if set(received) != set(remaining):
+        raise LengthMismatch("received symbols must cover exactly the remaining positions")
+    known = {i: field.element(received[i]) for i in remaining}
+
+    repaired = []
+    for l, group in enumerate(inst.layout.groups):
+        missing = [i for i in group if i not in known]
+        if not missing:
+            continue
+        c = inst.spec.classes[inst.layout.class_of[l]]
+        if len(missing) > c.delta - 1:
+            continue
+        local = inst.local_gens[inst.layout.class_of[l]]
+        present = [pos for pos, i in enumerate(group) if i in known][: c.r]
+        coeffs = local.take_columns(present).inverse() @ local
+        values = lift_to_ext(field, coeffs).left_multiply([known[group[p]] for p in present])
+        for pos, i in enumerate(group):
+            if i not in known:
+                known[i] = values[pos]
+                repaired.append(i)
+
+    if not pattern.erased:
+        phase = "none"
+    elif len(repaired) == len(pattern.erased):
+        phase = "local"
+    else:
+        phase = "global"
+
+    tracker = RankTracker(field.q)
+    chosen = []
+    for i in sorted(known):
+        if tracker.add(inst.points[i]):
+            chosen.append(i)
+            if len(chosen) == inst.k:
+                break
+    if len(chosen) < inst.k:
+        raise Undecodable(tracker.rank, inst.k)
+
+    message = tuple(ref_solve(inst.gen.take_columns(chosen).transpose(), [known[i] for i in chosen]))
+    codeword = tuple(inst.gen.left_multiply(list(message)))
+    assert all(codeword[i] == v for i, v in known.items()), "re-encode disagrees with a known symbol"
+    return DecodeResult(message=message, codeword=codeword, phase=phase, repaired_locally=tuple(sorted(repaired)))
 
 
 def ref_permuted_tightest_bound(spec):

@@ -21,7 +21,16 @@ from udlrc import (
     pivot_class,
 )
 import udlrc.bounds as bounds_module
-from conftest import REF_SPEC, REF_FULL_SPEC, REVERSED_SPEC, ref_bounds_table, ref_permuted_tightest_bound
+from conftest import (
+    REF_SPEC,
+    REF_FULL_SPEC,
+    REVERSED_SPEC,
+    counting_cached,
+    ref_bounds_table,
+    ref_permuted_tightest_bound,
+)
+
+DERIVED = ("width", "p", "rem", "m_ceil", "k_cap")
 
 
 def two_class(k, q=5, t=5):
@@ -396,3 +405,18 @@ def test_bounds_table_makes_no_core_call(monkeypatch):
     for classes in _sweep_tuples(7, 3, range(1, 4), range(2, 4), range(1, 3)):
         rows += len(bounds_table(classes, sum(c.k_cap for c in classes)))
     assert (rows, calls) == (2880, 0)
+
+
+def test_bounds_table_computes_each_class_quantity_once(monkeypatch):
+    # A class computes width, p, rem, m_ceil and k_cap once and keeps them,
+    # so one bounds_table call computes each at most once per class and a
+    # second call on the same classes computes none (k_cap went through
+    # the four others on every read when they were plain properties).
+    counts = counting_cached(monkeypatch, LocalityClass, DERIVED)
+    classes = [LocalityClass.from_groups(r, d, m) for r, d, m in ((1, 3, 2), (2, 3, 1), (3, 2, 2))]
+    first = bounds_table(classes, 9)
+    assert counts["k_cap"] == len(classes)
+    assert all(counts[name] <= len(classes) for name in DERIVED)
+    counts.clear()
+    assert bounds_table(classes, 9) == first == ref_bounds_table(classes, 9)
+    assert not counts

@@ -30,7 +30,20 @@ from udlrc import (
     min_distance_oracle,
     validate_spec,
 )
-from conftest import REF_SPEC, REVERSED_SPEC, SRC, load_workloads, ref_build_rows, ref_left_multiply
+from udlrc.construction import _lagrange_weights
+from conftest import (
+    REF_SPEC,
+    SINGLE_SPEC,
+    THREE_SPEC,
+    REVERSED_SPEC,
+    SRC,
+    counting_method,
+    load_workloads,
+    ref_build_rows,
+    ref_decode_erasures,
+    ref_left_multiply,
+    usual_grid,
+)
 
 
 def test_locality_class_derived_quantities():
@@ -40,6 +53,10 @@ def test_locality_class_derived_quantities():
     assert not c.has_whole_groups
     even = LocalityClass.from_groups(2, 3, 1)
     assert (even.n, even.rem, even.k_cap, even.groups) == (4, 0, 2, 1)
+    # Kept quantities leave equality, hashing and repr to (r, delta, n).
+    fresh = LocalityClass(r=2, delta=3, n=10)
+    assert fresh == c and hash(fresh) == hash(c) and {fresh: 1}[c] == 1
+    assert repr(fresh) == repr(c) == "LocalityClass(r=2, delta=3, n=10)"
 
 
 def test_locality_class_floor_branch():
@@ -403,6 +420,132 @@ def test_encode_is_k_packed_steps_and_no_field_mul(monkeypatch):
     monkeypatch.setattr(fields.ExtField, "mul", counted_mul)
     assert encode(inst, message) == expected
     assert calls == {"canon": inst.k, "mul": 0}
+
+
+def test_a_second_encode_packs_only_the_message(monkeypatch):
+    # The instance keeps its packed generator rows, so an encode after the
+    # first packs one element per message symbol and no row (6 rows and 78
+    # elements per encode when every call repacked the generator).
+    inst = load_workloads().Repair(udlrc, 1).inst
+    rng = random.Random(7)
+    message = [inst.field.random_element(rng) for _ in range(inst.k)]
+    expected = ref_left_multiply(inst.gen, message)
+    assert encode(inst, message) == expected
+    packs = counting_method(monkeypatch, fields._Packing, "pack")
+    elems = counting_method(monkeypatch, fields._Packing, "pack_elem")
+    assert encode(inst, message) == expected
+    assert (len(packs), len(elems)) == (0, inst.k)
+
+
+@pytest.mark.parametrize("erased, phase", [((0, 5), "local"), ((0, 1, 2), "global")], ids=["local", "global"])
+def test_a_decode_makes_one_field_inversion(erased, phase, monkeypatch):
+    # On the benchmark's [12,6] code: the local pass takes its Lagrange
+    # weights over F_q, the message solve inverts its six pivots with one
+    # field inverse, and the instance's packed rows and points are reused,
+    # so a decode packs no row (6 inversions, and 36 and 19 packed rows,
+    # when each call packed a fresh system and inverted each pivot).
+    inst = load_workloads().Repair(udlrc, 1).inst
+    rng = random.Random(8)
+    message = [inst.field.random_element(rng) for _ in range(inst.k)]
+    codeword = encode(inst, message)
+    pattern = ErasurePattern.from_erased(inst.n, erased)
+    received = {i: codeword[i] for i in pattern.remaining}
+    expected = ref_decode_erasures(inst, received, pattern)
+    assert decode_erasures(inst, received, pattern) == expected
+    invs = counting_method(monkeypatch, fields.ExtField, "inv")
+    packs = counting_method(monkeypatch, fields._Packing, "pack")
+    result = decode_erasures(inst, received, pattern)
+    assert result == expected and result.phase == phase and list(result.message) == message
+    assert (len(invs), len(packs)) == (1, 0)
+
+
+def _repair_patterns(inst, rng, count):
+    """Seeded erasure patterns of the repair workload's three kinds: local
+    (every group loses at most delta - 1), global (one group loses more,
+    with a few others) and beyond d - 1 (d to d + 2 erasures)."""
+    groups, n = inst.layout.groups, inst.n
+    deltas = [inst.spec.classes[j].delta for j in inst.layout.class_of]
+    d = min_distance_oracle(inst).d
+    for _ in range(count):
+        kind = rng.randrange(3)
+        if kind == 0:
+            erased = {i for g, dl in zip(groups, deltas) for i in rng.sample(g, rng.randint(0, dl - 1))}
+        elif kind == 1:
+            l = rng.randrange(len(groups))
+            erased = set(rng.sample(groups[l], rng.randint(min(deltas[l], len(groups[l])), len(groups[l]))))
+            others = [i for i in range(n) if i not in groups[l]]
+            erased.update(rng.sample(others, min(len(others), rng.randint(0, max(0, d - 1 - len(erased))))))
+        else:
+            erased = set(rng.sample(range(n), min(n, rng.randint(d, d + 2))))
+        yield ErasurePattern.from_erased(n, erased)
+
+
+def _decode_outcome(decode, inst, received, pattern):
+    try:
+        return decode(inst, received, pattern)
+    except Undecodable as exc:
+        return ("undecodable", exc.remaining_rank, exc.needed)
+
+
+def _differential_decodes(inst, rng, count):
+    """Decode count seeded patterns with decode_erasures and with the
+    reference decode; returns the outcomes seen (phases and undecodable)."""
+    seen = set()
+    for pattern in _repair_patterns(inst, rng, count):
+        message = [inst.field.random_element(rng) for _ in range(inst.k)]
+        codeword = encode(inst, message)
+        received = {i: codeword[i] for i in pattern.remaining}
+        got = _decode_outcome(decode_erasures, inst, received, pattern)
+        assert got == _decode_outcome(ref_decode_erasures, inst, received, pattern), sorted(pattern.erased)
+        if isinstance(got, tuple):
+            seen.add("undecodable")
+        else:
+            assert list(got.message) == message and list(got.codeword) == codeword
+            seen.add(got.phase)
+    return seen
+
+
+def _named_instance(name):
+    if name == "repair":
+        return load_workloads().Repair(udlrc, 1).inst
+    if name == "gf7_9":
+        return build_code(load_spec_file(SRC.parent / "perfbench" / "specs" / "gf7_9.json")[0])
+    return build_code({"ref": REF_SPEC, "single": SINGLE_SPEC, "three": THREE_SPEC}[name])
+
+
+@pytest.mark.parametrize("name", ["repair", "ref", "single", "three", "gf7_9"])
+def test_decode_matches_the_reference_decode(name):
+    # Message, codeword, phase, repaired symbols and the Undecodable rank
+    # agree with the decode that inverted each group's present columns and
+    # solved a freshly packed system with one inverse per pivot.
+    seen = _differential_decodes(_named_instance(name), random.Random(1900), 120)
+    assert {"local", "global", "undecodable"} <= seen
+
+
+def test_decode_matches_the_reference_decode_on_the_grid():
+    specs = random.Random(1901).sample(list(usual_grid()), 300)
+    rng = random.Random(1902)
+    seen = set()
+    for spec in specs:
+        seen |= _differential_decodes(build_code(spec), rng, 6)
+    assert seen == {"none", "local", "global", "undecodable"}
+
+
+def test_lagrange_weights_are_the_solved_local_columns():
+    # Column pos of the local generator solved on the present columns
+    # writes symbol pos through the present symbols; the decoder takes the
+    # same weights as Lagrange weights on the locators.
+    classes = {(c.r, c.delta, spec.q) for spec in usual_grid() for c in spec.classes}
+    checked = 0
+    for r, delta, q in sorted(classes):
+        local = mds_local_generator(r, delta, PrimeField(q))
+        w = r + delta - 1
+        for present in combinations(range(w), r):
+            coeffs = local.take_columns(present).inverse() @ local
+            for pos in range(w):
+                assert _lagrange_weights(present, pos, q) == [row[pos] for row in coeffs.rows]
+                checked += 1
+    assert len(classes) == 12 and checked == 224
 
 
 def test_code_at_k_is_the_prefix_of_the_code_at_full_dimension():

@@ -1,7 +1,7 @@
 import pytest
 
 from udlrc import ExtField, Matrix, PrimeField, RankTracker, SingularMatrix, base_rank, mds_local_generator
-from conftest import ref_left_multiply, ref_mul
+from conftest import counting_method, ref_left_multiply, ref_mul, ref_solve
 
 F5 = PrimeField(5)
 F8 = ExtField(PrimeField(2), 3)
@@ -94,6 +94,20 @@ def test_inverse(rng):
                 continue
             assert m @ m.inverse() == Matrix.identity(field, 3)
             done += 1
+
+
+def test_solve_makes_one_field_inversion(monkeypatch, rng):
+    # The pivots are inverted together: one ExtField.inv per 6x6 solve over
+    # GF(5^8), where scaling each row by its own pivot's inverse took six.
+    field = ExtField(PrimeField(5), 8)
+    m = random_matrix(field, 6, 6, rng)
+    while m.rank() < 6:
+        m = random_matrix(field, 6, 6, rng)
+    rhs = [field.random_element(rng) for _ in range(6)]
+    expected = ref_solve(m, rhs)
+    invs = counting_method(monkeypatch, ExtField, "inv")
+    assert m.solve(rhs) == expected
+    assert len(invs) == 1
 
 
 def test_matmul_shapes_and_values():

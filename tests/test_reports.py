@@ -1,11 +1,11 @@
 """The machine-format reports the benchmark checks, pinned in process to the
 sha256 digests recorded in perfbench/golden.json, and all seven once more
-under python -O; the oracle sweep's builds, the bounds-only sweep's tables,
-classes and precondition errors, and certify's point walks, grank calls
-and cover traces, counted; certify and the oracle sweep shown
-to build no generator; and the `bounds` reports
-on the benchmark's spec files and on an 8-class spec, pinned to their
-recorded digests.
+under python -O; the codec's encode and decode reports, plain and under
+python -O; the oracle sweep's builds, the bounds-only sweep's tables,
+classes, class caps and precondition errors, and certify's point walks,
+grank calls and cover traces, counted; certify and the oracle sweep shown
+to build no generator; and the `bounds` reports on the benchmark's spec
+files and on an 8-class spec, pinned to their recorded digests.
 """
 
 import contextlib
@@ -17,7 +17,7 @@ import sys
 
 import pytest
 
-from conftest import cli_env, counting, load_workloads
+from conftest import cli_env, counting, counting_cached, load_workloads
 from udlrc import LocalityClass, bounds, build_code, cli
 
 workloads = load_workloads()
@@ -106,6 +106,19 @@ def test_table_sweep_works_only_on_the_kept_tuples(monkeypatch):
     assert len(built) <= 12
 
 
+def test_table_sweep_computes_each_class_cap_once(monkeypatch):
+    # The table's 320 bounds_table calls read the caps of at most 12
+    # distinct classes, each computed once (960 k_cap computations, each
+    # through width, p, rem and m_ceil, when they were plain properties).
+    counts = counting_cached(monkeypatch, LocalityClass, ("width", "p", "rem", "m_ceil", "k_cap"))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(workloads.Sweep.TABLE) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == workloads.GOLDEN["sweep"]["table"]
+    assert 0 < counts["k_cap"] <= 12
+    assert max(counts.values()) <= 12
+
+
 @pytest.mark.parametrize("name, expected", [("ref", (4, 0, 2)), ("gf7_9", (5, 0, 3))], ids=["ref", "gf7_9"])
 def test_certify_computes_each_fact_once(name, expected, monkeypatch):
     # Counts: the oracle's walks are certify's only top-level point walks
@@ -126,13 +139,13 @@ def test_certify_computes_each_fact_once(name, expected, monkeypatch):
     assert (sum(walks), len(granks), len(traces)) == expected
 
 
-def _digest_without_asserts(argv) -> str:
+def _digest_without_asserts(argv, code=0) -> str:
     env = cli_env()
     env.pop("UDLRC_BUDGET", None)
     result = subprocess.run(
         [sys.executable, "-O", "-m", "udlrc", *argv], capture_output=True, env=env, check=False
     )
-    assert result.returncode == 0, result.stderr
+    assert result.returncode == code, result.stderr
     return hashlib.sha256(result.stdout).hexdigest()
 
 
@@ -147,6 +160,41 @@ def test_report_without_asserts_matches_recorded_digest(name):
 def test_sweep_without_asserts_matches_recorded_digest(name):
     argv = workloads.Sweep.ORACLE if name == "oracle" else workloads.Sweep.TABLE
     assert _digest_without_asserts(argv) == workloads.GOLDEN["sweep"][name]
+
+
+# The codec's reports on the [8,4] reference code, recorded before the
+# codec packed a built code once: (argv tail, exit code, stdout digest).
+# Symbols 0-3 form the (r=2, delta=3) group, so erasing 0 repairs locally,
+# 0,1,2 needs the global solve and the whole group 0-3 leaves rank 3 < 4.
+CODEC_REPORTS = {
+    "encode": (["encode"], 0, "5e3328c0ca5e59be15422d3ae54dfd02c28d07dbdc56b3a009aae1328ea90269"),
+    "decode-local": (["decode", "--erase", "0"], 0, "a36dfad7c7e4750a2d258b5becfd04bea1d5fb4b49bfd06d883f07e64c1c82e0"),
+    "decode-global": (["decode", "--erase", "0,1,2"], 0, "aab9ca62db778ba17c2442dff22e5e46772c9b433c326473b87bf8a5a0a39674"),
+    "decode-undecodable": (
+        ["decode", "--erase", "0,1,2,3"], 3, "9a6086931ccc5fc6c95940b706a6a8fccd6a15ee0406b45195d3ac9b1cef313b"
+    ),
+}
+
+
+def _codec_argv(tail):
+    spec = str(workloads.SPEC_DIR / "ref.json")
+    return [tail[0], "--spec", spec, "--random", "--seed", "5", *tail[1:], "--format", "machine"]
+
+
+@pytest.mark.parametrize("name", CODEC_REPORTS)
+def test_codec_report_matches_recorded_digest(name):
+    tail, code, digest = CODEC_REPORTS[name]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(_codec_argv(tail)) == code
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", CODEC_REPORTS)
+def test_codec_report_without_asserts_matches_recorded_digest(name):
+    # The decoder's re-encode check is an assert; its reports may not rest on it.
+    tail, code, digest = CODEC_REPORTS[name]
+    assert _digest_without_asserts(_codec_argv(tail), code) == digest
 
 
 # Eight classes, three of them repeated, so the permuted bound's pivot and
