@@ -80,7 +80,7 @@ from .gabidulin import (
     lin_eval,
     moore_matrix,
 )
-from .linalg import Matrix, RankTracker, SingularMatrix, base_rank
+from .linalg import Matrix, SingularMatrix, base_rank
 from .specfile import (
     SpecFileError,
     dump_symbols,

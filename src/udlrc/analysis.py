@@ -23,7 +23,7 @@ from .construction import (
     erank,
 )
 from .fields import _packing
-from .linalg import Matrix, RankTracker
+from .linalg import Matrix
 
 DEFAULT_ORACLE_BUDGET = 20
 
@@ -95,8 +95,7 @@ def prefix_oracles(inst: CodeInstance, budget: int = DEFAULT_ORACLE_BUDGET) -> l
 
 def _point_oracles(inst: CodeInstance, budget: int, ks) -> list[DistanceCertificate]:
     """The point walk at each k of ks on the instance's packed points, ranked once."""
-    pk = _packing(inst.base, inst.field.t)
-    columns = inst._points_packed
+    pk, columns = inst._point_packing, inst._points_packed
     rank = len(pk.echelon(columns, pk.length))
     return [_walk(pk, columns, rank, k, budget) for k in ks]
 
@@ -224,7 +223,8 @@ def class_cover_trace(inst: CodeInstance, j: int) -> CoverTrace:
     growing basis of the covered points finds every pick: a symbol whose
     point is in the span once stays in it.
     """
-    tracker = RankTracker(inst.field.q)
+    pk, points = inst._point_packing, inst._points_packed
+    basis: list[tuple] = []
     current: frozenset[int] = frozenset()
     sets = [current]
     picks: list[int] = []
@@ -233,16 +233,16 @@ def class_cover_trace(inst: CodeInstance, j: int) -> CoverTrace:
     for i in class_symbols(inst, j):
         if granks_[-1] == inst.k:
             break
-        if i in current or not tracker.add(inst.points[i]):
+        if i in current or not pk.extend(basis, points[i], pk.length):
             continue
         group = inst.layout.groups[inst.layout.group_of(i)]
         for g in group:
-            tracker.add(inst.points[g])
+            pk.extend(basis, points[g], pk.length)
         current = current | frozenset(group)
         sets.append(current)
         picks.append(i)
         sizes.append(len(current))
-        granks_.append(min(inst.k, tracker.rank))
+        granks_.append(min(inst.k, len(basis)))
     return CoverTrace(
         class_index=j,
         sets=tuple(sets),

@@ -12,7 +12,10 @@ MDS code over the base field.  Building such a code takes three steps:
 Because MDS coefficients live in the base field and the evaluation map is
 F_q-linear, every produced symbol is itself an evaluation of the same
 polynomial at a tracked point y_i, and within a group any s symbols carry
-points of rank min(s, r_j).  Erasure decoding therefore reduces to rank
+points of rank min(s, r_j).  The precode points are the unit vectors
+e_0, ..., e_{n_gab - 1}, so build_code places the points directly: a
+group's symbol x gets its local generator's column x written into the
+group's r precode coordinates.  Erasure decoding therefore reduces to rank
 accounting on the per-symbol points: a pattern is recoverable exactly when
 the remaining points still span k dimensions over F_q.  erank takes that
 rank once over the pooled points; since the group spans intersect
@@ -27,9 +30,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .fields import PRIME_CHECK_LIMIT, ExtElem, ExtField, PrimeField, _packing, is_prime
-from .gabidulin import EvaluationPoints, default_points, gabidulin_encode, moore_matrix
-from .linalg import Matrix, _combine, _solve_packed, base_rank
+from .fields import PRIME_CHECK_LIMIT, ExtElem, ExtField, PrimeField, _Packing, _packing, is_prime
+from .gabidulin import default_points, gabidulin_encode, moore_matrix
+from .linalg import Matrix, _combine, _solve_packed
 
 
 class SpecInvalid(ValueError):
@@ -236,19 +239,35 @@ def build_layout(spec: LocalitySpec) -> LocalGroupLayout:
     return LocalGroupLayout(tuple(groups), tuple(class_of))
 
 
+def _lagrange_weights(present: Sequence[int], pos: int, q: int) -> list[int]:
+    """L_p(pos) over F_q for each locator p in present: a polynomial of
+    degree < len(present) takes at pos the sum of L_p(pos) times its values
+    at the present locators."""
+    weights = []
+    for p in present:
+        num = den = 1
+        for o in present:
+            if o != p:
+                num = num * (pos - o) % q
+                den = den * (p - o) % q
+        weights.append(num * pow(den, -1, q) % q)
+    return weights
+
+
 def mds_local_generator(r: int, delta: int, base: PrimeField) -> Matrix:
     """Systematic [r + delta - 1, r, delta] generator over the base field.
 
     Evaluation code of polynomials of degree < r at the locators
-    0, 1, ..., r + delta - 2, row reduced to the form [I | P].  Needs
-    q >= r + delta - 1 distinct locators.
+    0, 1, ..., r + delta - 2, in the basis that is systematic on the first
+    r locators: column x holds the Lagrange weights of the locators
+    0..r-1 at x.  Needs r >= 1, delta >= 2 and q >= r + delta - 1
+    distinct locators.
     """
-    w = r + delta - 1
+    w = LocalityClass.from_groups(r, delta, 1).width
     if base.q < w:
         raise FieldTooSmall(f"a length-{w} local code needs q >= {w}, got q={base.q}")
-    vand = Matrix(base, [[pow(x, i, base.q) for x in range(w)] for i in range(r)])
-    left = vand.take_columns(range(r))
-    return left.inverse() @ vand
+    columns = [_lagrange_weights(range(r), x, base.q) for x in range(w)]
+    return Matrix(base, [list(row) for row in zip(*columns)])
 
 
 def lift_to_ext(field: ExtField, base_matrix: Matrix) -> Matrix:
@@ -266,12 +285,9 @@ class CodeInstance:
     """
 
     spec: LocalitySpec
-    base: PrimeField
     field: ExtField
     layout: LocalGroupLayout
     points: tuple[ExtElem, ...]
-    gab_points: EvaluationPoints
-    local_gens: tuple[Matrix, ...]
 
     @property
     def n(self) -> int:
@@ -286,8 +302,8 @@ class CodeInstance:
         """The k x n generator, the Moore matrix on the points: row j is their q^j-th powers."""
         return moore_matrix(self.field, self.points, self.k).transpose()
 
-    # The packed forms the codec reads, each built on first use and kept:
-    # encode and decode then pack only the symbols of the call.
+    # The packed forms the codec and the rank checks read, each built on
+    # first use and kept: a call then packs only its own symbols.
     @cached_property
     def _gen_packed(self) -> list[int]:
         """The generator rows, packed n wide."""
@@ -301,10 +317,15 @@ class CodeInstance:
         pk = _packing(self.field, self.k + 1)
         return [pk.pack(column) for column in zip(*self.gen.rows)]
 
+    @property
+    def _point_packing(self) -> _Packing:
+        """The layout of a point's coordinate vector: t wide over F_q."""
+        return _packing(self.field.base, self.field.t)
+
     @cached_property
     def _points_packed(self) -> list[int]:
-        """The points' coordinate vectors, packed t wide over F_q."""
-        pk = _packing(self.base, self.field.t)
+        """The points packed by _point_packing; every point rank is taken on them."""
+        pk = self._point_packing
         return [pk.pack(y) for y in self.points]
 
     def group_point_basis(self, l: int) -> tuple[ExtElem, ...]:
@@ -313,41 +334,35 @@ class CodeInstance:
             raise IndexError(f"group index {l} out of range")
         offset = sum(self.spec.classes[self.layout.class_of[m]].r for m in range(l))
         c = self.spec.classes[self.layout.class_of[l]]
-        return tuple(self.gab_points[offset + i] for i in range(c.r))
+        return tuple(default_points(self.field, self.spec.n_gab)[offset : offset + c.r])
 
 
 def build_code(spec: LocalitySpec) -> CodeInstance:
     """Run the three construction steps on the points.
 
-    A group's points are its r precode points times its class's local
-    generator.  Its entries lie in F_q, which the q-power map fixes, so
-    every symbol is f(y_i) for the same F_q-linear f, and the generator
+    The precode points are the unit vectors e_0, ..., e_{n_gab - 1}
+    (default_points), so a group's points, its r precode points times its
+    class's local generator, are that generator's columns placed in the
+    group's precode coordinates: symbol x of a group at precode offset o
+    gets column x in coordinates o..o+r-1 and zeros elsewhere.  The
+    generator's entries lie in F_q, which the q-power map fixes, so every
+    symbol is f(y_i) for the same F_q-linear f, and the generator
     (CodeInstance.gen) is the q-power tower of the points.
     """
     validate_spec(spec)
-    base = PrimeField(spec.q)
-    field = ExtField(base, spec.t)
-    gab_points = default_points(field, spec.n_gab)
+    field = ExtField(PrimeField(spec.q), spec.t)
     layout = build_layout(spec)
-    local_gens = tuple(mds_local_generator(c.r, c.delta, base) for c in spec.classes)
-    lifted = [lift_to_ext(field, g) for g in local_gens]
+    columns = [list(zip(*mds_local_generator(c.r, c.delta, field.base).rows)) for c in spec.classes]
 
+    zero = field.zero
     points: list[ExtElem] = []
-    cursor = 0
+    offset = 0
     for j in layout.class_of:
         r = spec.classes[j].r
-        points.extend(lifted[j].left_multiply(gab_points.points[cursor : cursor + r]))
-        cursor += r
+        points.extend(zero[:offset] + column + zero[offset + r :] for column in columns[j])
+        offset += r
 
-    return CodeInstance(
-        spec=spec,
-        base=base,
-        field=field,
-        layout=layout,
-        points=tuple(points),
-        gab_points=gab_points,
-        local_gens=local_gens,
-    )
+    return CodeInstance(spec=spec, field=field, layout=layout, points=tuple(points))
 
 
 def encode(inst: CodeInstance, message: Sequence[ExtElem]) -> list[ExtElem]:
@@ -367,14 +382,14 @@ def encode_via_pipeline(inst: CodeInstance, message: Sequence[ExtElem]) -> list[
     """
     if len(message) != inst.k:
         raise LengthMismatch(f"message length {len(message)} != k = {inst.k}")
-    precoded = gabidulin_encode(list(message), inst.gab_points)
+    field = inst.field
+    precoded = gabidulin_encode(list(message), default_points(field, inst.spec.n_gab))
     out: list[ExtElem] = []
     cursor = 0
-    for l in range(len(inst.layout.groups)):
-        c = inst.spec.classes[inst.layout.class_of[l]]
-        chunk = precoded[cursor : cursor + c.r]
-        local = lift_to_ext(inst.field, inst.local_gens[inst.layout.class_of[l]])
-        out.extend(local.left_multiply(chunk))
+    for j in inst.layout.class_of:
+        c = inst.spec.classes[j]
+        local = lift_to_ext(field, mds_local_generator(c.r, c.delta, field.base))
+        out.extend(local.left_multiply(precoded[cursor : cursor + c.r]))
         cursor += c.r
     return out
 
@@ -390,7 +405,8 @@ def _check_symbols(n: int, symbols: Iterable[int]) -> list[int]:
 def erank(inst: CodeInstance, symbols: Iterable[int]) -> int:
     """Rank over F_q of the evaluation points carried by the given symbols."""
     idx = _check_symbols(inst.n, symbols)
-    return base_rank(inst.field, [inst.points[i] for i in idx])
+    pk, points = inst._point_packing, inst._points_packed
+    return len(pk.echelon([points[i] for i in idx], pk.length))
 
 
 @dataclass(frozen=True)
@@ -439,21 +455,6 @@ class DecodeResult:
     repaired_locally: tuple[int, ...]
 
 
-def _lagrange_weights(present: Sequence[int], pos: int, q: int) -> list[int]:
-    """L_p(pos) over F_q for each locator p in present: a polynomial of
-    degree < len(present) takes at pos the sum of L_p(pos) times its values
-    at the present locators."""
-    weights = []
-    for p in present:
-        num = den = 1
-        for o in present:
-            if o != p:
-                num = num * (pos - o) % q
-                den = den * (p - o) % q
-        weights.append(num * pow(den, -1, q) % q)
-    return weights
-
-
 def decode_erasures(
     inst: CodeInstance, received: Mapping[int, ExtElem], pattern: ErasurePattern
 ) -> DecodeResult:
@@ -498,8 +499,7 @@ def decode_erasures(
     else:
         phase = "global"
 
-    pk = _packing(inst.base, field.t)
-    points = inst._points_packed
+    pk, points = inst._point_packing, inst._points_packed
     basis: list[tuple] = []
     chosen: list[int] = []
     for i in sorted(known):

@@ -10,7 +10,7 @@ multiplying the entry by the pivot's inverse, so elimination takes no
 inverse; the zero pattern, and hence every pivot and rank, is the same.
 Rows join the basis in the order they arrive, each pivoting on its first
 nonzero column, read off the lowest set bit of the packed row, so the
-length of the basis is the rank (Matrix.rank, RankTracker).  A backward
+length of the basis is the rank (Matrix.rank, base_rank).  A backward
 pass of the same step brings the basis to reduced form, pivots unscaled
 (_Packing.reduced, whose columns the distance oracle walks for a
 generator Matrix), and one batched inversion per solve scales it to
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .fields import PrimeField, _Packing, _packing
+from .fields import _Packing, _packing
 
 
 class SingularMatrix(ValueError):
@@ -129,30 +129,11 @@ def _combine(pk: _Packing, vector: Sequence, packed_rows: Iterable[int]) -> int:
     return acc
 
 
-class RankTracker:
-    """Incremental echelon form of coordinate vectors over F_q."""
-
-    def __init__(self, q: int) -> None:
-        self.q = q
-        self._field = PrimeField(q)
-        self._basis: list[tuple] = []
-        self._pk: _Packing | None = None
-
-    @property
-    def rank(self) -> int:
-        return len(self._basis)
-
-    def add(self, coords: Sequence[int]) -> bool:
-        """Reduce coords against the basis; keep and report True if independent."""
-        pk = self._pk
-        if pk is None or pk.length != len(coords):
-            pk = self._pk = _packing(self._field, len(coords))
-        return pk.extend(self._basis, pk.pack(coords), pk.length)
-
-
 def base_rank(field, points: Iterable) -> int:
-    """Rank over F_q of the coordinate vectors of extension elements."""
-    tracker = RankTracker(field.q)
-    for p in points:
-        tracker.add(p)
-    return tracker.rank
+    """Rank over F_q of coordinate vectors of one length: extension
+    elements of field, or rows of ints mod q when field is F_q itself."""
+    rows = list(points)
+    if not rows:
+        return 0
+    pk = _packing(getattr(field, "base", field), len(rows[0]))
+    return len(pk.echelon(map(pk.pack, rows), pk.length))

@@ -17,19 +17,20 @@ from udlrc import (
     LengthMismatch,
     LocalityClass,
     LocalitySpec,
+    Matrix,
     PrimeField,
-    RankTracker,
     SingularMatrix,
     TooManyClasses,
     Undecodable,
     build_code,
+    base_rank,
     ceil_div,
     distance_bound_udlrc,
     validate_spec,
 )
 from udlrc import analysis, cli
 from udlrc.bounds import PERMUTED_CLASS_LIMIT
-from udlrc.construction import build_layout, lift_to_ext, mds_local_generator
+from udlrc.construction import build_layout, lift_to_ext
 from udlrc.fields import _packing, _poly_divmod, _poly_gcd, _poly_trim
 from udlrc.gabidulin import moore_matrix
 
@@ -198,6 +199,16 @@ def monic_candidates(q, t, count=None):
         yield coeffs + [1]
 
 
+def ref_local_generator(r, delta, base):
+    """The systematic [r + delta - 1, r, delta] generator over the base
+    field as mds_local_generator built it before the Lagrange basis: the
+    Vandermonde matrix on the locators 0..r+delta-2 times the inverse of
+    its first r columns."""
+    w = r + delta - 1
+    vand = Matrix(base, [[pow(x, i, base.q) for x in range(w)] for i in range(r)])
+    return vand.take_columns(range(r)).inverse() @ vand
+
+
 def ref_build_rows(spec):
     """Generator rows of build_code as built before it started from the
     points: the precode Moore matrix on the powers of alpha (through
@@ -212,7 +223,7 @@ def ref_build_rows(spec):
     cursor = 0
     for j in build_layout(spec).class_of:
         c = spec.classes[j]
-        local = lift_to_ext(field, mds_local_generator(c.r, c.delta, base))
+        local = lift_to_ext(field, ref_local_generator(c.r, c.delta, base))
         block = precode_gen.take_columns(range(cursor, cursor + c.r)) @ local
         for row, brow in zip(rows, block.rows):
             row.extend(brow)
@@ -252,11 +263,10 @@ def ref_solve(m, rhs):
 
 def ref_decode_erasures(inst, received, pattern):
     """decode_erasures as it was before the codec packed a built code once:
-    each repaired group inverts r present columns of its local generator
-    over F_q and lifts the product, every point is packed again into a
-    RankTracker, the chosen generator columns are solved through
-    ref_solve, and the message is re-encoded through the unpacked
-    generator."""
+    each repaired group inverts r present columns of ref_local_generator
+    over F_q and lifts the product, the symbols are picked by base_rank on
+    the points, the chosen generator columns are solved through ref_solve,
+    and the message is re-encoded through the unpacked generator."""
     field = inst.field
     remaining = pattern.remaining
     if set(received) != set(remaining):
@@ -271,7 +281,7 @@ def ref_decode_erasures(inst, received, pattern):
         c = inst.spec.classes[inst.layout.class_of[l]]
         if len(missing) > c.delta - 1:
             continue
-        local = inst.local_gens[inst.layout.class_of[l]]
+        local = ref_local_generator(c.r, c.delta, field.base)
         present = [pos for pos, i in enumerate(group) if i in known][: c.r]
         coeffs = local.take_columns(present).inverse() @ local
         values = lift_to_ext(field, coeffs).left_multiply([known[group[p]] for p in present])
@@ -287,15 +297,14 @@ def ref_decode_erasures(inst, received, pattern):
     else:
         phase = "global"
 
-    tracker = RankTracker(field.q)
     chosen = []
     for i in sorted(known):
-        if tracker.add(inst.points[i]):
+        if base_rank(field, [inst.points[j] for j in chosen + [i]]) > len(chosen):
             chosen.append(i)
             if len(chosen) == inst.k:
                 break
     if len(chosen) < inst.k:
-        raise Undecodable(tracker.rank, inst.k)
+        raise Undecodable(len(chosen), inst.k)
 
     message = tuple(ref_solve(inst.gen.take_columns(chosen).transpose(), [known[i] for i in chosen]))
     codeword = tuple(inst.gen.left_multiply(list(message)))

@@ -19,6 +19,7 @@ from udlrc import (
     Undecodable,
     base_rank,
     build_code,
+    default_points,
     decode_erasures,
     encode,
     encode_via_pipeline,
@@ -42,6 +43,7 @@ from conftest import (
     ref_build_rows,
     ref_decode_erasures,
     ref_left_multiply,
+    ref_local_generator,
     usual_grid,
 )
 
@@ -150,6 +152,35 @@ def test_mds_local_generator_field_too_small():
         mds_local_generator(3, 4, PrimeField(5))
 
 
+@pytest.mark.parametrize(
+    "r, delta, message",
+    [
+        (0, 2, "locality r must be >= 1, got 0"),
+        (-1, 3, "locality r must be >= 1, got -1"),
+        (2, 1, "local distance delta must be >= 2, got 1"),
+    ],
+)
+def test_mds_local_generator_refuses_what_a_locality_class_refuses(r, delta, message):
+    # These once returned an empty matrix, an empty matrix and the 2 x 2 identity.
+    for refuse in (lambda: mds_local_generator(r, delta, PrimeField(5)), lambda: LocalityClass(r, delta, 4)):
+        with pytest.raises(SpecInvalid) as raised:
+            refuse()
+        assert str(raised.value) == message
+
+
+def test_mds_local_generator_is_the_vandermonde_route():
+    # The Lagrange columns equal the Vandermonde matrix times the inverse of
+    # its first r columns, on every (r, delta) a prime q <= 13 admits.
+    checked = 0
+    for q in (2, 3, 5, 7, 11, 13):
+        base = PrimeField(q)
+        for w in range(2, q + 1):
+            for r in range(1, w):
+                assert mds_local_generator(r, w - r + 1, base) == ref_local_generator(r, w - r + 1, base), (q, r, w)
+                checked += 1
+    assert checked == 168
+
+
 def test_build_reference_frozen_points(ref_instance):
     # evaluation points composed from the local generators by hand
     assert ref_instance.points == (
@@ -162,7 +193,7 @@ def test_build_reference_frozen_points(ref_instance):
         (0, 0, 0, 0, 1),
         (0, 0, 1, 2, 3),
     )
-    assert list(ref_instance.gab_points) == [
+    assert list(default_points(ref_instance.field, ref_instance.spec.n_gab)) == [
         (1, 0, 0, 0, 0),
         (0, 1, 0, 0, 0),
         (0, 0, 1, 0, 0),
@@ -195,8 +226,9 @@ def test_build_full_rank(ref_instance, ref_full_instance):
 
 
 def test_group_point_basis(ref_instance):
-    assert ref_instance.group_point_basis(0) == tuple(ref_instance.gab_points[i] for i in (0, 1))
-    assert ref_instance.group_point_basis(1) == tuple(ref_instance.gab_points[i] for i in (2, 3, 4))
+    gab_points = default_points(ref_instance.field, ref_instance.spec.n_gab)
+    assert ref_instance.group_point_basis(0) == tuple(gab_points[i] for i in (0, 1))
+    assert ref_instance.group_point_basis(1) == tuple(gab_points[i] for i in (2, 3, 4))
     with pytest.raises(IndexError):
         ref_instance.group_point_basis(2)
 
@@ -568,9 +600,10 @@ def test_code_at_k_is_the_prefix_of_the_code_at_full_dimension():
 
 
 def test_build_from_the_points_matches_the_block_product_build():
-    # Row 0 is each group's precode points times its local generator and
-    # row j the q-power of row j - 1; the reference multiplies the precode
-    # Moore matrix by each lifted local generator, block by block.
+    # Row 0 is each group's local generator columns placed in its precode
+    # coordinates and row j the q-power of row j - 1; the reference
+    # multiplies the precode Moore matrix by each lifted local generator
+    # (ref_local_generator), block by block.
     choices = [(r, d, m) for r in (1, 2, 3) for d in (2, 3) for m in (1, 2)]
     specs = [load_spec_file(path)[0] for path in sorted((SRC.parent / "perfbench" / "specs").glob("*.json"))]
     assert len(specs) == 5
@@ -587,6 +620,47 @@ def test_build_from_the_points_matches_the_block_product_build():
         rows = ref_build_rows(spec)
         assert inst.gen.rows == rows, spec
         assert inst.points == tuple(rows[0]), spec
+
+
+def test_build_code_places_the_points_without_a_product(monkeypatch):
+    # A count, not a timing: on the repair workload's [12, 6] spec each
+    # point is a local generator column placed in its group's precode
+    # coordinates, so the build makes no product and inverts nothing (3
+    # left_multiply, 2 matrix products and 2 inverses when it multiplied the
+    # precode points by each lifted local generator).
+    repair = load_workloads().Repair
+    spec = LocalitySpec(
+        classes=tuple(LocalityClass.from_groups(*c) for c in repair.CLASSES), k=repair.K, q=repair.Q, t=repair.T
+    )
+    calls = [
+        counting_method(monkeypatch, owner, name)
+        for owner, name in (
+            (fields.ExtField, "mul"),
+            (udlrc.Matrix, "left_multiply"),
+            (udlrc.Matrix, "__matmul__"),
+            (udlrc.Matrix, "inverse"),
+        )
+    ]
+    inst = build_code(spec)
+    assert [len(c) for c in calls] == [0, 0, 0, 0]
+    monkeypatch.undo()
+    assert inst.points == tuple(ref_build_rows(spec)[0])
+
+
+def test_point_ranks_read_the_packed_points(monkeypatch):
+    # erank and the cover traces reduce the instance's packed points and
+    # pack nothing themselves (12 and 15 packed points on the repair code
+    # when erank and the traces packed every point again).
+    inst = load_workloads().Repair(udlrc, 1).inst
+    assert len(inst._points_packed) == inst.n
+    packs = counting_method(monkeypatch, fields._Packing, "pack")
+    assert erank(inst, range(inst.n)) == inst.spec.n_gab
+    traces = [udlrc.class_cover_trace(inst, j) for j in range(1, inst.spec.s + 1)]
+    assert len(packs) == 0
+    monkeypatch.undo()
+    assert erank(inst, range(inst.n)) == base_rank(inst.field, inst.points)
+    for trace in traces:
+        assert trace.granks == tuple(min(inst.k, erank(inst, covered)) for covered in trace.sets)
 
 
 def test_the_generator_follows_the_points():

@@ -1,6 +1,6 @@
 import pytest
 
-from udlrc import ExtField, Matrix, PrimeField, RankTracker, SingularMatrix, base_rank, mds_local_generator
+from udlrc import ExtField, Matrix, PrimeField, SingularMatrix, base_rank, mds_local_generator
 from conftest import counting_method, ref_left_multiply, ref_mul, ref_solve
 
 F5 = PrimeField(5)
@@ -164,14 +164,15 @@ def test_base_rank_invariant_under_permutation_and_scaling(rng):
         assert base_rank(f, scaled) == r
 
 
-def test_rank_tracker_matches_base_rank(rng):
+def test_base_rank_grows_by_at_most_one_per_point(rng):
+    # The view the decoder's pick takes: each point adds 0 or 1 to the rank
+    # of the points before it, and the steps sum to the rank of them all.
     f = ExtField(PrimeField(5), 4)
     for _ in range(30):
         pts = [f.random_element(rng) for _ in range(6)]
-        tracker = RankTracker(f.q)
-        grew = [tracker.add(p) for p in pts]
-        assert tracker.rank == base_rank(f, pts)
-        assert sum(grew) == tracker.rank
+        ranks = [base_rank(f, pts[:i]) for i in range(len(pts) + 1)]
+        assert all(b - a in (0, 1) for a, b in zip(ranks, ranks[1:]))
+        assert ranks[-1] == base_rank(f, pts) == Matrix(f.base, [list(p) for p in pts]).rank()
 
 
 def _assert_rref(basis):
@@ -218,10 +219,7 @@ def test_elimination_order_is_column_order(rng):
         for size in (2, 5, 8):
             vectors = [[rng.randrange(q) for _ in range(t)] for _ in range(size)]
             vectors.append([base.add(a, b) for a, b in zip(vectors[0], vectors[-1])])
-            tracker = RankTracker(q)
-            for v in vectors:
-                tracker.add(v)
-            assert tracker.rank == Matrix(base, vectors).rank()
+            assert base_rank(base, vectors) == Matrix(base, vectors).rank()
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +280,7 @@ def _ref_solve_block(m, right):
     return [[mul(pinv, v) for v in row[n:]] for _, pinv, row in basis]
 
 
-def _ref_tracker_rank(q, vectors):
+def _ref_base_rank(q, vectors):
     base = PrimeField(q)
     return len(_echelon(base, [[c % q for c in v] for v in vectors], len(vectors[0])))
 
@@ -292,8 +290,8 @@ def _coords(field, e):
 
 
 def _check_against_reference(m, rhs):
-    """rank, row_space_basis, solve, inverse and RankTracker.rank of m
-    equal the list-based reference."""
+    """rank, row_space_basis, solve, inverse and the base_rank of m's
+    coordinate vectors equal the list-based reference."""
     field = m.field
     assert m.rank() == _ref_rank(m)
     assert m.row_space_basis().rows == _ref_row_space_basis(m)
@@ -309,12 +307,10 @@ def _check_against_reference(m, rhs):
         else:
             assert m.solve(rhs) == [x for (x,) in expected]
             assert m.inverse().rows == inverse
-    # Each row's coordinate vector over F_q, as RankTracker sees points.
+    # Each row's coordinate vector over F_q, as base_rank sees points.
     vectors = [[c for e in row for c in _coords(field, e)] for row in m.rows]
     if vectors and vectors[0]:
-        tracker = RankTracker(field.q)
-        grew = [tracker.add(v) for v in vectors]
-        assert tracker.rank == sum(grew) == _ref_tracker_rank(field.q, vectors)
+        assert base_rank(field, vectors) == _ref_base_rank(field.q, vectors)
 
 
 def _extreme_elements(field):

@@ -18,7 +18,7 @@ import sys
 import pytest
 
 from conftest import cli_env, counting, counting_cached, load_workloads
-from udlrc import LocalityClass, bounds, build_code, cli
+from udlrc import CodeInstance, LocalityClass, bounds, build_code, cli
 
 workloads = load_workloads()
 CERTIFY_SPECS = ("ref", "ref_full", "three", "reversed", "gf7_9")
@@ -119,24 +119,25 @@ def test_table_sweep_computes_each_class_cap_once(monkeypatch):
     assert max(counts.values()) <= 12
 
 
-@pytest.mark.parametrize("name, expected", [("ref", (4, 0, 2)), ("gf7_9", (5, 0, 3))], ids=["ref", "gf7_9"])
+@pytest.mark.parametrize("name, expected", [("ref", (4, 0, 2, 1)), ("gf7_9", (5, 0, 3, 1))], ids=["ref", "gf7_9"])
 def test_certify_computes_each_fact_once(name, expected, monkeypatch):
     # Counts: the oracle's walks are certify's only top-level point walks
     # (the distance-optimal check reads the oracle's d), the witness reads
     # the cover traces and class ranks certify already holds, and every
-    # rank is read off the points, so no generator is ranked.  When the
-    # ranks went through the generator the counts were (4, 8, 2) and
-    # (5, 13, 3), and when both checks recomputed their facts (5, 13, 3)
-    # and (6, 21, 4).
+    # rank is read off the points, packed once, so no generator is ranked.
+    # When the ranks went through the generator the first three counts
+    # were (4, 8, 2) and (5, 13, 3), and when both checks recomputed their
+    # facts (5, 13, 3) and (6, 21, 4).
     monkeypatch.delenv("UDLRC_BUDGET", raising=False)
     walks = counting(monkeypatch, "_first_deficient", lambda pk, columns, k, size, start, path, basis: not path)
     granks = counting(monkeypatch, "grank")
     traces = counting(monkeypatch, "class_cover_trace")
+    packed = counting_cached(monkeypatch, CodeInstance, ["_points_packed"])
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(["certify", "--spec", str(workloads.SPEC_DIR / f"{name}.json"), "--format", "machine"]) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == workloads.GOLDEN["certify"][name]
-    assert (sum(walks), len(granks), len(traces)) == expected
+    assert (sum(walks), len(granks), len(traces), packed["_points_packed"]) == expected
 
 
 def _digest_without_asserts(argv, code=0) -> str:
