@@ -1,12 +1,13 @@
 """Brute-force certificates and counting arguments for built code instances.
 
 Everything here is an independent check on the construction: exact minimum
-distance by subset enumeration, decodability of symbol sets, locality
-witnesses straight from the definition, the greedy cover chains behind the
-dimension and distance ceilings, and the worst-case erasure patterns that
-certify tightness.  A built code is read through its points, since a
-symbol set has rank min(k, F_q-rank of its points) in it; a bare generator
-Matrix (a punctured code, any other code) is read through its columns.
+distance by a pruned walk over the rank-deficient symbol sets, decodability
+of symbol sets, locality witnesses straight from the definition, the greedy
+cover chains behind the dimension and distance ceilings, and the worst-case
+erasure patterns that certify tightness.  A built code is read through its
+points, since a symbol set has rank min(k, F_q-rank of its points) in it; a
+bare generator Matrix (a punctured code, any other code) is read through its
+columns.
 """
 
 from __future__ import annotations
@@ -72,11 +73,14 @@ def min_distance_oracle(code: CodeInstance | Matrix, budget: int = DEFAULT_ORACL
     is walked over its points as length-t rows over F_q.  A Matrix is
     walked over the columns of its reduced basis over its own field (row
     operations keep every column subset's rank; unit pivot columns skip
-    most elimination steps).  Either walk is depth first in combinations
-    order, so a hit is the lexicographically first deficient subset of its
-    size.  The sizes with a deficient subset form an initial segment that
-    holds k - 1 (Singleton), so the scan runs upward from k - 1 to the
-    first size without a hit, and the last hit, at size n - d, is exact.
+    most elimination steps).  Either is one walk (_walk) over the subsets
+    of rank < k in combinations order.  A largest such set is closed, as a
+    column in its span would join it at the same rank, so two rules cut
+    only branches without one: (a) a column in the path's span is taken,
+    never skipped; (b) a path whose span holds a column it skipped is
+    dropped.  So is a branch that cannot outgrow the largest set so far.
+    The first set of the largest size n - d that the walk meets is the
+    lexicographically first one, the witness of a size-by-size scan.
     """
     if isinstance(code, CodeInstance):
         return _point_oracles(code, budget, [code.k])[0]
@@ -101,45 +105,50 @@ def _point_oracles(inst: CodeInstance, budget: int, ks) -> list[DistanceCertific
 
 
 def _walk(pk, columns, rank, k, budget) -> DistanceCertificate:
-    """The certificate at k of the columns, packed by pk, of rank rank."""
+    """The certificate at k of the columns, packed by pk, of rank rank.
+
+    One depth-first walk over the subsets of rank < k, each column taken
+    before it is skipped, keeps every column's residual against the span
+    of the path: one pivot-scaled elimination step (as in _Packing.reduce)
+    per column when the path's rank grows, so a column is in the span
+    exactly when its residual is zero.
+    """
     n = len(columns)
     if n > budget:
         raise TooLarge(f"n={n} exceeds the enumeration budget {budget}")
     if rank < k:
         raise RankDeficientGenerator(f"generator rank below k={k}")
-    cert = None
-    for size in range(max(k - 1, 0), n):
-        hit = _first_deficient(pk, columns, k, size, 0, [], [])
-        if hit is None:
-            break
-        cert = DistanceCertificate(d=n - size, witness=hit[0], witness_rank=hit[1])
-    if cert is None:
+    elem, negq, canon, bw = pk.elem, pk.negq, pk.canon, pk.bw
+    path: list[int] = []
+    best = [-1, (), 0]  # size, set and rank of the first largest set so far
+
+    def visit(i, r, residuals):
+        taken = len(path)
+        while True:
+            if len(path) > best[0]:
+                best[:] = len(path), tuple(path), r
+            if len(path) + n - i <= best[0]:
+                break
+            row = residuals[i]
+            if not row:  # (a)
+                path.append(i)
+            elif r + 1 < k:
+                low = (row & -row).bit_length() - 1
+                off = low - low % bw
+                p = (row >> off) & elem
+                grown = [canon(p * x + (negq - v) * row) if (v := (x >> off) & elem) else x for x in residuals]
+                if grown[:i].count(0) == len(path):  # (b)
+                    path.append(i)
+                    visit(i + 1, r + 1, grown)
+                    path.pop()
+            i += 1
+        del path[taken:]
+
+    if k:
+        visit(0, 0, columns)
+    if best[0] < 0:
         raise AssertionError("unreachable: any k - 1 columns are rank deficient")
-    return cert
-
-
-def _first_deficient(pk, columns, k, size, start, path, basis):
-    """First subset of the given size, extending path with columns from
-    start on, whose columns have rank < k; returned with its rank.
-
-    columns are rows of pk.length elements packed by pk, and basis is the
-    echelon basis of the path's columns.  Each column joins it by one
-    elimination step on the way down and leaves on the way back; a path
-    that reaches rank k is pruned, since every superset keeps rank k.
-    """
-    if len(path) == size:
-        return tuple(path), len(basis)
-    for i in range(start, len(columns) - size + len(path) + 1):
-        grew = pk.extend(basis, columns[i], pk.length)
-        if len(basis) < k:
-            path.append(i)
-            hit = _first_deficient(pk, columns, k, size, i + 1, path, basis)
-            if hit is not None:
-                return hit
-            path.pop()
-        if grew:
-            basis.pop()
-    return None
+    return DistanceCertificate(d=n - best[0], witness=best[1], witness_rank=best[2])
 
 
 def punctured_code_profile(gen: Matrix, support: Sequence[int], budget: int = DEFAULT_ORACLE_BUDGET):

@@ -13,13 +13,16 @@ from udlrc import (
     BoundReport,
     DecodeResult,
     DimensionInfeasible,
+    DistanceCertificate,
     ExtField,
     LengthMismatch,
     LocalityClass,
     LocalitySpec,
     Matrix,
     PrimeField,
+    RankDeficientGenerator,
     SingularMatrix,
+    TooLarge,
     TooManyClasses,
     Undecodable,
     build_code,
@@ -57,11 +60,11 @@ def load_workloads():
     return module
 
 
-def counting(monkeypatch, name, record=lambda *args: True):
+def counting(monkeypatch, name, record=lambda *args, **kwargs: True):
     """Wrap the function `name` with one counter wherever udlrc.analysis or
     udlrc.cli binds it, so calls through either module (and recursive calls
-    through analysis) are counted.  Returns the list that gets record(*args)
-    on each call."""
+    through analysis) are counted.  Returns the list that gets
+    record(*args, **kwargs) on each call."""
     modules = [module for module in (analysis, cli) if hasattr(module, name)]
     original = getattr(modules[0], name)
     assert all(getattr(module, name) is original for module in modules)
@@ -310,6 +313,58 @@ def ref_decode_erasures(inst, received, pattern):
     codeword = tuple(inst.gen.left_multiply(list(message)))
     assert all(codeword[i] == v for i, v in known.items()), "re-encode disagrees with a known symbol"
     return DecodeResult(message=message, codeword=codeword, phase=phase, repaired_locally=tuple(sorted(repaired)))
+
+
+def ref_first_deficient(pk, columns, k, size, start, path, basis):
+    """First subset of the given size, extending path with columns from
+    start on, whose columns have rank < k; returned with its rank.
+
+    columns are rows of pk.length elements packed by pk, and basis is the
+    echelon basis of the path's columns.  Each column joins it by one
+    elimination step on the way down and leaves on the way back; a path
+    that reaches rank k is pruned, since every superset keeps rank k.
+    """
+    if len(path) == size:
+        return tuple(path), len(basis)
+    for i in range(start, len(columns) - size + len(path) + 1):
+        grew = pk.extend(basis, columns[i], pk.length)
+        if len(basis) < k:
+            path.append(i)
+            hit = ref_first_deficient(pk, columns, k, size, i + 1, path, basis)
+            if hit is not None:
+                return hit
+            path.pop()
+        if grew:
+            basis.pop()
+    return None
+
+
+def ref_walk(pk, columns, rank, k, budget):
+    """analysis._walk as it was before the residual walk: one walk per
+    size, upward from k - 1 to the first size without a deficient subset
+    (the sizes with one form an initial segment), each candidate reduced
+    against the path's whole basis; the last hit is the certificate."""
+    n = len(columns)
+    if n > budget:
+        raise TooLarge(f"n={n} exceeds the enumeration budget {budget}")
+    if rank < k:
+        raise RankDeficientGenerator(f"generator rank below k={k}")
+    cert = None
+    for size in range(max(k - 1, 0), n):
+        hit = ref_first_deficient(pk, columns, k, size, 0, [], [])
+        if hit is None:
+            break
+        cert = DistanceCertificate(d=n - size, witness=hit[0], witness_rank=hit[1])
+    if cert is None:
+        raise AssertionError("unreachable: any k - 1 columns are rank deficient")
+    return cert
+
+
+def ref_point_oracles(inst, budget, ks):
+    """ref_walk at each k of ks on the instance's packed points."""
+    pk, columns = inst._point_packing, inst._points_packed
+    rank = len(pk.echelon(columns, pk.length))
+    return [ref_walk(pk, columns, rank, k, budget) for k in ks]
 
 
 def ref_permuted_tightest_bound(spec):

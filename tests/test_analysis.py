@@ -40,9 +40,18 @@ from udlrc import (
     validate_spec,
     worst_case_pattern,
 )
-from conftest import REVERSED_SPEC, cli_env, counting, load_workloads, usual_grid
+from conftest import (
+    REVERSED_SPEC,
+    cli_env,
+    counting,
+    load_workloads,
+    ref_first_deficient,
+    ref_point_oracles,
+    ref_walk,
+    usual_grid,
+)
 from udlrc import fields
-from udlrc.analysis import _first_deficient, prefix_oracles
+from udlrc.analysis import _walk, prefix_oracles
 from udlrc.linalg import base_rank
 
 F5 = PrimeField(5)
@@ -206,7 +215,7 @@ def _downward_oracle(gen):
     pk = fields._packing(gen.field, k)
     columns = [pk.pack(col) for col in gen.transpose().rows]
     for size in range(n - 1, -1, -1):
-        hit = _first_deficient(pk, columns, k, size, 0, [], [])
+        hit = ref_first_deficient(pk, columns, k, size, 0, [], [])
         if hit is not None:
             return DistanceCertificate(d=n - size, witness=hit[0], witness_rank=hit[1])
     raise AssertionError("unreachable: the empty set is always rank deficient")
@@ -255,40 +264,62 @@ def test_oracle_is_blind_to_row_operations(all_instances, reversed_instance, gf7
             assert cert == _scan_oracle(mixed)
 
 
-def test_oracle_work_on_the_large_reference_code(gf7_9, monkeypatch):
-    # A count of kernel steps, not a timing: the downward scan over raw
-    # columns made 14,911 canon calls here, the upward scan over the
-    # reduced basis 6,250, and the walk over the points makes 724.
+def _count_canon(monkeypatch, extension_only=False):
+    """The list that gets one entry per _Packing.canon call, each one
+    elimination or product step; only over F_(q^t), t > 1, if asked."""
     calls = []
     canon = fields._Packing.canon
 
     def counted(self, x):
-        calls.append(1)
+        if self.t > 1 or not extension_only:
+            calls.append(1)
         return canon(self, x)
 
     monkeypatch.setattr(fields._Packing, "canon", counted)
+    return calls
+
+
+def test_oracle_work_on_the_large_reference_code(gf7_9, monkeypatch):
+    # A count of kernel steps, not a timing: the downward scan over raw
+    # columns made 14,911 canon calls here, the upward scan over the
+    # reduced basis 6,250, the size-by-size walk over the points 654 (the
+    # bound was 8,000), and the residual walk makes 419.
+    calls = _count_canon(monkeypatch)
     assert min_distance_oracle(gf7_9).d == 6
-    assert 0 < len(calls) <= 8000
+    assert 0 < len(calls) <= 460
+
+
+N22_SPEC = LocalitySpec(
+    classes=tuple(LocalityClass.from_groups(r, d, m) for r, d, m in ((1, 3, 2), (2, 3, 2), (3, 2, 2))),
+    k=7,
+    q=7,
+    t=12,
+)
+
+
+@pytest.fixture(scope="module")
+def n22():
+    return build_code(validate_spec(N22_SPEC))
+
+
+def test_oracle_work_on_the_n22_code(n22, monkeypatch):
+    # The size-by-size walk made 16,363 canon calls here, and the residual
+    # walk makes 1,095.
+    calls = _count_canon(monkeypatch)
+    assert (n22.n, min_distance_oracle(n22, 22).d) == (22, distance_bound_udlrc(N22_SPEC).value)
+    assert 0 < len(calls) <= 1200
 
 
 def _reduced_basis_oracle(gen):
-    """The walk the point walk replaced on built codes, and still the path
-    of a generator Matrix: the upward scan over the columns of the
-    generator's reduced basis over its own field."""
+    """The walk the point walk replaced on built codes: the size-by-size
+    walk over the columns of the generator's reduced basis over its own
+    field, which a generator Matrix took until the residual walk."""
     n, k = gen.ncols, gen.nrows
     pn = fields._packing(gen.field, n)
     basis = pn.reduced(map(pn.pack, gen.rows), n)
-    if len(basis) < k:
-        raise RankDeficientGenerator(f"generator rank below k={k}")
     pk = fields._packing(gen.field, k)
     columns = [pk.pack(col) for col in zip(*(pn.unpack(row) for _, row in basis))]
-    cert = None
-    for size in range(max(k - 1, 0), n):
-        hit = _first_deficient(pk, columns, k, size, 0, [], [])
-        if hit is None:
-            break
-        cert = DistanceCertificate(d=n - size, witness=hit[0], witness_rank=hit[1])
-    return cert
+    return ref_walk(pk, columns, len(basis), k, n)
 
 
 @pytest.fixture(scope="module")
@@ -380,6 +411,64 @@ def test_prefix_oracles_match_the_oracle_on_every_prefix(all_instances, grid_ins
     assert prefixes > 500
 
 
+def test_residual_walk_matches_the_size_by_size_walk(all_instances, reversed_instance, gf7_9, n22, grid_instances):
+    # A largest deficient set is closed, so rules (a) and (b) cut only
+    # branches without one, and the first largest set found is the
+    # size-by-size walk's witness: the same certificate at every k.
+    walks = 0
+    for inst in [*grid_instances, *all_instances, reversed_instance, gf7_9]:
+        assert prefix_oracles(inst) == ref_point_oracles(inst, 20, range(1, inst.k + 1))
+        walks += inst.k
+    assert prefix_oracles(n22, 22) == ref_point_oracles(n22, 22, range(1, n22.k + 1))
+    assert walks == 6905
+
+
+def test_residual_walk_on_random_matrices():
+    # Seeded generators over prime fields and GF(q^2) with zero, repeated
+    # and dependent columns: the walk at every k up to the columns' rank
+    # against the size-by-size walk, and min_distance_oracle against the
+    # reference on the reduced basis, which both refuse a rank below k.
+    from udlrc import ExtField
+
+    rng = random.Random(20261026)
+    primes = [PrimeField(2), PrimeField(3), F5, PrimeField(7)]
+    choices = primes + [ExtField(base, 2) for base in primes[:3]]
+    walks, full, deficient = 0, 0, 0
+    for _ in range(700):
+        field = rng.choice(choices)
+        k = rng.randint(1, 5)
+        columns = []
+        for _ in range(rng.randint(1, 10)):
+            kind = rng.random()
+            if kind < 0.15:
+                columns.append([field.zero] * k)
+            elif kind < 0.3 and columns:
+                c = field.random_element(rng)
+                columns.append([field.mul(c, v) for v in rng.choice(columns)])
+            elif kind < 0.45 and len(columns) > 1:
+                a, b = rng.sample(columns, 2)
+                c = field.random_element(rng)
+                columns.append([field.add(u, field.mul(c, v)) for u, v in zip(a, b)])
+            else:
+                columns.append([field.random_element(rng) for _ in range(k)])
+        gen = Matrix(field, [list(row) for row in zip(*columns)])
+        pk = fields._packing(field, k)
+        packed = [pk.pack(col) for col in columns]
+        rank = len(pk.echelon(packed, k))
+        for j in range(1, rank + 1):
+            assert _walk(pk, packed, rank, j, len(packed)) == ref_walk(pk, packed, rank, j, len(packed))
+            walks += 1
+        if rank < k:
+            for oracle in (min_distance_oracle, _reduced_basis_oracle):
+                with pytest.raises(RankDeficientGenerator):
+                    oracle(gen)
+            deficient += 1
+        else:
+            assert min_distance_oracle(gen) == _reduced_basis_oracle(gen)
+            full += 1
+    assert walks > 1500 and full > 200 and deficient > 200
+
+
 def test_points_of_low_rank_raise_on_both_paths():
     from udlrc import ExtField, moore_matrix
 
@@ -410,23 +499,12 @@ def test_a_generator_without_rows_takes_the_generic_path():
             min_distance_oracle(Matrix(field, []))
 
 
-def _count_extension_reduces(monkeypatch):
-    calls = []
-    reduce = fields._Packing.reduce
-
-    def counted(self, row, basis):
-        if self.t > 1:
-            calls.append(1)
-        return reduce(self, row, basis)
-
-    monkeypatch.setattr(fields._Packing, "reduce", counted)
-    return calls
-
-
 def test_large_reference_oracle_makes_no_extension_field_reduce(gf7_9, monkeypatch):
-    # The reduced-basis walk made 2,040 reduce steps over GF(7^9) here.
+    # Elimination steps over GF(7^9), counted as canon calls: the
+    # size-by-size walk of the row-mixed generator made 6,250 of them (in
+    # 2,040 reduce calls), and the residual walk makes 1,272.
     mixed = _random_invertible(gf7_9.gen.field, gf7_9.k, random.Random(20261024)) @ gf7_9.gen
-    calls = _count_extension_reduces(monkeypatch)
+    calls = _count_canon(monkeypatch, extension_only=True)
     assert min_distance_oracle(gf7_9).d == 6
     assert calls == []
     # A row-mixed generator still walks over the extension field.
@@ -838,20 +916,22 @@ def test_certify_reads_the_oracle_certificate_and_the_traces(all_instances, monk
     honest = list(all_instances) + [build_code(validate_spec(gf7_9))]
     honest += [build_code(validate_spec(spec)) for spec in _ordered_small_specs()]
     faulty = [_with_copied_point(inst) for inst in honest if len(inst.layout.groups) > 1]
-    walks = counting(monkeypatch, "_first_deficient", lambda pk, columns, k, size, start, path, basis: not path)
+    # A walk is one _walk call, the oracle's one walk at its k (it was one
+    # _first_deficient call per size before the residual walk).
+    walks = counting(monkeypatch, "_walk")
     walked, passed = [], []
     for inst in honest + faulty:
         cert = min_distance_oracle(inst.gen)
         walks.clear()
         expected = certify_distance_optimal(inst)
-        walked.append(sum(walks) > 0)
+        walked.append(len(walks))
         walks.clear()
         assert certify_distance_optimal(inst, cert=cert) is expected
-        assert sum(walks) == 0
+        assert walks == []
         greedy = worst_case_pattern(inst.layout, inst.n - tightness_budget_size(inst))
         passed.append(erank(inst, greedy.remaining) >= inst.k)
-    assert walked == passed
-    assert walked[: len(honest)] == [True] * len(honest)
+    assert walked == [int(ok) for ok in passed]
+    assert walked[: len(honest)] == [1] * len(honest)
     assert (len(honest), len(faulty), sum(walked[len(honest) :])) == (413, 389, 201)
     for inst in honest:
         traces = [class_cover_trace(inst, j) for j in range(1, inst.spec.s + 1)]

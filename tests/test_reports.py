@@ -17,7 +17,7 @@ import sys
 
 import pytest
 
-from conftest import cli_env, counting, counting_cached, load_workloads
+from conftest import SRC, cli_env, counting, counting_cached, load_workloads
 from udlrc import CodeInstance, LocalityClass, bounds, build_code, cli
 
 workloads = load_workloads()
@@ -119,17 +119,19 @@ def test_table_sweep_computes_each_class_cap_once(monkeypatch):
     assert max(counts.values()) <= 12
 
 
-@pytest.mark.parametrize("name, expected", [("ref", (4, 0, 2, 1)), ("gf7_9", (5, 0, 3, 1))], ids=["ref", "gf7_9"])
+@pytest.mark.parametrize("name, expected", [("ref", (1, 1, 0, 2, 1)), ("gf7_9", (1, 1, 0, 3, 1))], ids=["ref", "gf7_9"])
 def test_certify_computes_each_fact_once(name, expected, monkeypatch):
-    # Counts: the oracle's walks are certify's only top-level point walks
+    # Counts: one oracle call, whose one walk is certify's only point walk
     # (the distance-optimal check reads the oracle's d), the witness reads
     # the cover traces and class ranks certify already holds, and every
     # rank is read off the points, packed once, so no generator is ranked.
-    # When the ranks went through the generator the first three counts
-    # were (4, 8, 2) and (5, 13, 3), and when both checks recomputed their
-    # facts (5, 13, 3) and (6, 21, 4).
+    # Before the residual walk the oracle walked once per size, 4 and 5
+    # top-level walks here.  When the ranks went through the generator the
+    # walk, grank and trace counts were (4, 8, 2) and (5, 13, 3), and when
+    # both checks recomputed their facts (5, 13, 3) and (6, 21, 4).
     monkeypatch.delenv("UDLRC_BUDGET", raising=False)
-    walks = counting(monkeypatch, "_first_deficient", lambda pk, columns, k, size, start, path, basis: not path)
+    oracles = counting(monkeypatch, "min_distance_oracle")
+    walks = counting(monkeypatch, "_walk")
     granks = counting(monkeypatch, "grank")
     traces = counting(monkeypatch, "class_cover_trace")
     packed = counting_cached(monkeypatch, CodeInstance, ["_points_packed"])
@@ -137,7 +139,24 @@ def test_certify_computes_each_fact_once(name, expected, monkeypatch):
     with contextlib.redirect_stdout(out):
         assert cli.main(["certify", "--spec", str(workloads.SPEC_DIR / f"{name}.json"), "--format", "machine"]) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == workloads.GOLDEN["certify"][name]
-    assert (sum(walks), len(granks), len(traces), packed["_points_packed"]) == expected
+    assert (len(oracles), len(walks), len(granks), len(traces), packed["_points_packed"]) == expected
+
+
+REACH_SPEC = SRC.parent / "tests" / "specs" / "reach_n27.json"
+
+
+def test_certify_reaches_an_n27_code_at_budget_27(monkeypatch):
+    # An ordered [27,10] code over GF(7^17) past the default budget: the
+    # residual walk certifies it in about 0.35 s in process, and the
+    # size-by-size walk took about 5.9 s.
+    monkeypatch.delenv("UDLRC_BUDGET", raising=False)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["certify", "--spec", str(REACH_SPEC), "--budget", "27", "--format", "machine"]) == 0
+    assert "meta\tverdict\td-oracle=12 d-cap=12 equal=yes" in out.getvalue().splitlines()
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        "040666b4218c3ab24d8660b325a7f26be021ced65139329a3b42563a29825aba"
+    )
 
 
 def _digest_without_asserts(argv, code=0) -> str:
