@@ -81,6 +81,14 @@ def min_distance_oracle(code: CodeInstance | Matrix, budget: int = DEFAULT_ORACL
     dropped.  So is a branch that cannot outgrow the largest set so far.
     The first set of the largest size n - d that the walk meets is the
     lexicographically first one, the witness of a size-by-size scan.
+    Where no column before an index j shares a nonzero coordinate with a
+    column from j on (a block start: a built code's points place each
+    local group in its own precode coordinates), the columns from j on
+    form a direct summand, so the walk's best extension from j depends
+    only on j and the rank it may still gain, and is walked once.  Ranks
+    inside a block are still found by elimination, so the oracle stays
+    exact on any points; points without an interior block start are
+    walked as one block.
     """
     if isinstance(code, CodeInstance):
         return _point_oracles(code, budget, [code.k])[0]
@@ -93,18 +101,51 @@ def min_distance_oracle(code: CodeInstance | Matrix, budget: int = DEFAULT_ORACL
 
 
 def prefix_oracles(inst: CodeInstance, budget: int = DEFAULT_ORACLE_BUDGET) -> list[DistanceCertificate]:
-    """min_distance_oracle of the code on inst's points at each k = 1 .. inst.k."""
+    """min_distance_oracle of the code on inst's points at each k = 1 .. inst.k.
+
+    A block's best extension at a rank budget is the same at every k, so
+    the walks share one memo of them and each is walked once for all k.
+    """
     return _point_oracles(inst, budget, range(1, inst.k + 1))
 
 
 def _point_oracles(inst: CodeInstance, budget: int, ks) -> list[DistanceCertificate]:
-    """The point walk at each k of ks on the instance's packed points, ranked once."""
+    """The point walk at each k of ks on the instance's packed points,
+    ranked once, with one memo of block extensions for all k."""
     pk, columns = inst._point_packing, inst._points_packed
     rank = len(pk.echelon(columns, pk.length))
-    return [_walk(pk, columns, rank, k, budget) for k in ks]
+    memo: dict = {}
+    return [_walk(pk, columns, rank, k, budget, memo) for k in ks]
 
 
-def _walk(pk, columns, rank, k, budget) -> DistanceCertificate:
+def _block_starts(pk, columns) -> list[int]:
+    """The indices j, 0 and n included, at which no column before j is
+    nonzero at an element position where a column from j on is.
+
+    A canonical element is nonzero exactly when the sum of its t slots is;
+    one product spreads that sum into the element's slot t - 1, and adding
+    2^h - 1 to it (every sum is below 2^h) sets its bit h exactly when it
+    is nonzero, so a column's support is one such bit per element.
+    """
+    t, w, n = pk.t, pk.w, len(columns)
+    h = (t * (pk.q - 1)).bit_length()
+    units = sum(1 << (j * pk.bw) for j in range(pk.length))
+    spread = sum(1 << (j * w) for j in range(t))
+    slots, ones, top = pk.slot * units, ((1 << h) - 1) * units, units << h
+    supports = [((((x * spread) >> ((t - 1) * w)) & slots) + ones) & top for x in columns]
+    after = [0] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        after[j] = after[j + 1] | supports[j]
+    starts, before = [], 0
+    for j in range(n + 1):
+        if not before & after[j]:
+            starts.append(j)
+        if j < n:
+            before |= supports[j]
+    return starts
+
+
+def _walk(pk, columns, rank, k, budget, memo=None) -> DistanceCertificate:
     """The certificate at k of the columns, packed by pk, of rank rank.
 
     One depth-first walk over the subsets of rank < k, each column taken
@@ -112,43 +153,75 @@ def _walk(pk, columns, rank, k, budget) -> DistanceCertificate:
     of the path: one pivot-scaled elimination step (as in _Packing.reduce)
     per column when the path's rank grows, so a column is in the span
     exactly when its residual is zero.
+
+    At a block start j (_block_starts) every pivot so far is zero on the
+    columns from j on, so their residuals are the columns themselves, no
+    later pivot brings a skipped earlier column into the span, and rule
+    (b) needs only the current block's zeros.  The walk from j is then
+    the walk over the columns from j on at rank budget g, whatever the
+    path before j: best_from(j, g) walks it once, keeps the first largest
+    extension in memo (shared by every k of one point set) and the walk
+    before j appends it.  A block is walked on its own residuals, and
+    the memo of every hundredth block start from the end is filled first,
+    so the calls nest through at most a hundred blocks.
     """
     n = len(columns)
     if n > budget:
         raise TooLarge(f"n={n} exceeds the enumeration budget {budget}")
     if rank < k:
         raise RankDeficientGenerator(f"generator rank below k={k}")
-    elem, negq, canon, bw = pk.elem, pk.negq, pk.canon, pk.bw
-    path: list[int] = []
-    best = [-1, (), 0]  # size, set and rank of the first largest set so far
-
-    def visit(i, r, residuals):
-        taken = len(path)
-        while True:
-            if len(path) > best[0]:
-                best[:] = len(path), tuple(path), r
-            if len(path) + n - i <= best[0]:
-                break
-            row = residuals[i]
-            if not row:  # (a)
-                path.append(i)
-            elif r + 1 < k:
-                low = (row & -row).bit_length() - 1
-                off = low - low % bw
-                p = (row >> off) & elem
-                grown = [canon(p * x + (negq - v) * row) if (v := (x >> off) & elem) else x for x in residuals]
-                if grown[:i].count(0) == len(path):  # (b)
-                    path.append(i)
-                    visit(i + 1, r + 1, grown)
-                    path.pop()
-            i += 1
-        del path[taken:]
-
-    if k:
-        visit(0, 0, columns)
-    if best[0] < 0:
+    if not k:
         raise AssertionError("unreachable: any k - 1 columns are rank deficient")
-    return DistanceCertificate(d=n - best[0], witness=best[1], witness_rank=best[2])
+    memo = {} if memo is None else memo
+    starts = _block_starts(pk, columns)
+    end_of = dict(zip(starts, starts[1:]))
+    elem, negq, canon, bw = pk.elem, pk.negq, pk.canon, pk.bw
+
+    def best_from(j, g):
+        """Size, set and rank of the first largest set of the columns from
+        the block start j on whose rank is at most g."""
+        if (j, g) in memo:
+            return memo[j, g]
+        e = end_of[j]
+        path: list[int] = []
+        best = [-1, (), 0]
+
+        def visit(i, r, residuals):
+            taken = len(path)
+            while True:
+                if len(path) > best[0]:
+                    best[:] = len(path), tuple(path), r
+                if len(path) + n - i <= best[0]:
+                    break
+                if i == e:
+                    size, rest, gain = best_from(e, g - r)
+                    if len(path) + size > best[0]:
+                        best[:] = len(path) + size, (*path, *rest), r + gain
+                    break
+                row = residuals[i - j]
+                if not row:  # (a)
+                    path.append(i)
+                elif r < g:
+                    low = (row & -row).bit_length() - 1
+                    off = low - low % bw
+                    p = (row >> off) & elem
+                    grown = [canon(p * x + (negq - v) * row) if (v := (x >> off) & elem) else x for x in residuals]
+                    if grown[: i - j].count(0) == len(path):  # (b)
+                        path.append(i)
+                        visit(i + 1, r + 1, grown)
+                        path.pop()
+                i += 1
+            del path[taken:]
+
+        visit(j, 0, columns[j:e])
+        memo[j, g] = found = tuple(best)
+        return found
+
+    for j in starts[-101:0:-100]:
+        for g in range(k):
+            best_from(j, g)
+    size, witness, witness_rank = best_from(0, k - 1)
+    return DistanceCertificate(d=n - size, witness=witness, witness_rank=witness_rank)
 
 
 def punctured_code_profile(gen: Matrix, support: Sequence[int], budget: int = DEFAULT_ORACLE_BUDGET):

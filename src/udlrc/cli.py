@@ -162,15 +162,17 @@ def _resolve_budget(args) -> int:
 
 def _message_for(args, spec, inst, file_seed):
     """Message symbols from --message or a seeded generator for --random."""
+    # Built first, so a field the modulus search refuses exits 5 before any flag check.
+    field = inst.field
     if args.message and args.random:
         raise SpecFileError("--message and --random are mutually exclusive")
     if not args.message and not args.random:
         raise SpecFileError("one of --message or --random is required")
     if args.message:
-        return load_symbols(args.message, inst.field, spec.k), None
+        return load_symbols(args.message, field, spec.k), None
     seed = args.seed if args.seed is not None else (file_seed if file_seed is not None else 0)
     rng = random.Random(seed)
-    return [inst.field.random_element(rng) for _ in range(spec.k)], seed
+    return [field.random_element(rng) for _ in range(spec.k)], seed
 
 
 def _parse_erasures(text: str | None, n: int) -> ErasurePattern:

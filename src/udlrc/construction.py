@@ -285,9 +285,20 @@ class CodeInstance:
     """
 
     spec: LocalitySpec
-    field: ExtField
     layout: LocalGroupLayout
     points: tuple[ExtElem, ...]
+
+    @cached_property
+    def field(self) -> ExtField:
+        """GF(q^t) of the spec, built on first use.
+
+        The points are coordinate tuples over F_q and every point rank is
+        taken over F_q, so the layout, the points and every check that
+        reads only ranks (erank, the cover chains, the oracle, certify)
+        need no modulus; the generator, the codec and build's modulus row
+        build the field, through the same modulus search.
+        """
+        return ExtField(PrimeField(self.spec.q), self.spec.t)
 
     @property
     def n(self) -> int:
@@ -317,10 +328,10 @@ class CodeInstance:
         pk = _packing(self.field, self.k + 1)
         return [pk.pack(column) for column in zip(*self.gen.rows)]
 
-    @property
+    @cached_property
     def _point_packing(self) -> _Packing:
         """The layout of a point's coordinate vector: t wide over F_q."""
-        return _packing(self.field.base, self.field.t)
+        return _packing(PrimeField(self.spec.q), self.spec.t)
 
     @cached_property
     def _points_packed(self) -> list[int]:
@@ -347,14 +358,15 @@ def build_code(spec: LocalitySpec) -> CodeInstance:
     gets column x in coordinates o..o+r-1 and zeros elsewhere.  The
     generator's entries lie in F_q, which the q-power map fixes, so every
     symbol is f(y_i) for the same F_q-linear f, and the generator
-    (CodeInstance.gen) is the q-power tower of the points.
+    (CodeInstance.gen) is the q-power tower of the points.  No extension
+    field is built here: the points are tuples over F_q.
     """
     validate_spec(spec)
-    field = ExtField(PrimeField(spec.q), spec.t)
+    base = PrimeField(spec.q)
     layout = build_layout(spec)
-    columns = [list(zip(*mds_local_generator(c.r, c.delta, field.base).rows)) for c in spec.classes]
+    columns = [list(zip(*mds_local_generator(c.r, c.delta, base).rows)) for c in spec.classes]
 
-    zero = field.zero
+    zero = (0,) * spec.t
     points: list[ExtElem] = []
     offset = 0
     for j in layout.class_of:
@@ -362,7 +374,7 @@ def build_code(spec: LocalitySpec) -> CodeInstance:
         points.extend(zero[:offset] + column + zero[offset + r :] for column in columns[j])
         offset += r
 
-    return CodeInstance(spec=spec, field=field, layout=layout, points=tuple(points))
+    return CodeInstance(spec=spec, layout=layout, points=tuple(points))
 
 
 def encode(inst: CodeInstance, message: Sequence[ExtElem]) -> list[ExtElem]:

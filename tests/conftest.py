@@ -360,6 +360,48 @@ def ref_walk(pk, columns, rank, k, budget):
     return cert
 
 
+def ref_residual_walk(pk, columns, rank, k, budget):
+    """analysis._walk as it was before it memoized at block starts: one
+    residual walk over all the columns at k, every column's residual
+    updated at each pivot and rule (b) counted over every earlier column."""
+    n = len(columns)
+    if n > budget:
+        raise TooLarge(f"n={n} exceeds the enumeration budget {budget}")
+    if rank < k:
+        raise RankDeficientGenerator(f"generator rank below k={k}")
+    elem, negq, canon, bw = pk.elem, pk.negq, pk.canon, pk.bw
+    path = []
+    best = [-1, (), 0]  # size, set and rank of the first largest set so far
+
+    def visit(i, r, residuals):
+        taken = len(path)
+        while True:
+            if len(path) > best[0]:
+                best[:] = len(path), tuple(path), r
+            if len(path) + n - i <= best[0]:
+                break
+            row = residuals[i]
+            if not row:  # (a)
+                path.append(i)
+            elif r + 1 < k:
+                low = (row & -row).bit_length() - 1
+                off = low - low % bw
+                p = (row >> off) & elem
+                grown = [canon(p * x + (negq - v) * row) if (v := (x >> off) & elem) else x for x in residuals]
+                if grown[:i].count(0) == len(path):  # (b)
+                    path.append(i)
+                    visit(i + 1, r + 1, grown)
+                    path.pop()
+            i += 1
+        del path[taken:]
+
+    if k:
+        visit(0, 0, columns)
+    if best[0] < 0:
+        raise AssertionError("unreachable: any k - 1 columns are rank deficient")
+    return DistanceCertificate(d=n - best[0], witness=best[1], witness_rank=best[2])
+
+
 def ref_point_oracles(inst, budget, ks):
     """ref_walk at each k of ks on the instance's packed points."""
     pk, columns = inst._point_packing, inst._points_packed

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
@@ -47,11 +48,12 @@ from conftest import (
     load_workloads,
     ref_first_deficient,
     ref_point_oracles,
+    ref_residual_walk,
     ref_walk,
     usual_grid,
 )
 from udlrc import fields
-from udlrc.analysis import _walk, prefix_oracles
+from udlrc.analysis import _block_starts, _walk, prefix_oracles
 from udlrc.linalg import base_rank
 
 F5 = PrimeField(5)
@@ -283,10 +285,22 @@ def test_oracle_work_on_the_large_reference_code(gf7_9, monkeypatch):
     # A count of kernel steps, not a timing: the downward scan over raw
     # columns made 14,911 canon calls here, the upward scan over the
     # reduced basis 6,250, the size-by-size walk over the points 654 (the
-    # bound was 8,000), and the residual walk makes 419.
+    # bound was 8,000), the residual walk over all the columns 419 (the
+    # bound was 460), and the walk memoized at block starts makes 151.
     calls = _count_canon(monkeypatch)
     assert min_distance_oracle(gf7_9).d == 6
-    assert 0 < len(calls) <= 460
+    assert 0 < len(calls) <= 200
+
+
+def test_prefix_oracles_walk_each_block_once_for_all_k(gf7_9, monkeypatch):
+    # The walks at k = 1 .. 6 share one memo of block extensions: 225
+    # canon calls, against 537 for six separate oracle calls.
+    calls = _count_canon(monkeypatch)
+    certs = prefix_oracles(gf7_9)
+    shared = len(calls)
+    calls.clear()
+    assert [min_distance_oracle(_at_k(gf7_9, k)) for k in range(1, gf7_9.k + 1)] == certs
+    assert 0 < shared < len(calls)
 
 
 N22_SPEC = LocalitySpec(
@@ -303,11 +317,26 @@ def n22():
 
 
 def test_oracle_work_on_the_n22_code(n22, monkeypatch):
-    # The size-by-size walk made 16,363 canon calls here, and the residual
-    # walk makes 1,095.
+    # The size-by-size walk made 16,363 canon calls here, the residual
+    # walk over all the columns 1,095 (the bound was 1,200), and the walk
+    # memoized at block starts makes 380.
     calls = _count_canon(monkeypatch)
     assert (n22.n, min_distance_oracle(n22, 22).d) == (22, distance_bound_udlrc(N22_SPEC).value)
-    assert 0 < len(calls) <= 1200
+    assert 0 < len(calls) <= 500
+
+
+REACH_N27 = Path(__file__).resolve().parent / "specs" / "reach_n27.json"
+
+
+def test_oracle_work_on_the_n27_code(monkeypatch):
+    # The size-by-size walk made 780,975 canon calls on this [27,10] code,
+    # the residual walk over all the columns 101,353, and the walk
+    # memoized at block starts makes 1,150.
+    spec = load_spec_file(REACH_N27)[0]
+    inst = build_code(validate_spec(spec))
+    calls = _count_canon(monkeypatch)
+    assert min_distance_oracle(inst, 27).d == distance_bound_udlrc(spec).value == 12
+    assert 0 < len(calls) <= 1500
 
 
 def _reduced_basis_oracle(gen):
@@ -469,6 +498,116 @@ def test_residual_walk_on_random_matrices():
     assert walks > 1500 and full > 200 and deficient > 200
 
 
+def _residual_walks(inst, ks):
+    """ref_residual_walk at each k of ks on the instance's packed points."""
+    pk, columns = inst._point_packing, inst._points_packed
+    rank = len(pk.echelon(columns, pk.length))
+    return [ref_residual_walk(pk, columns, rank, k, inst.n) for k in ks]
+
+
+def test_block_walk_matches_the_residual_walk_on_the_grid(grid_instances):
+    # Every grid code at k = n_gab, at every k: the memo shared by the
+    # walks of prefix_oracles gives each walk's certificate.
+    full = [inst for inst in grid_instances if inst.k == inst.spec.n_gab]
+    assert len(full) == 490
+    for inst in full:
+        assert prefix_oracles(inst) == _residual_walks(inst, range(1, inst.k + 1))
+
+
+def _perturbed(inst, rng):
+    """inst on points changed one to three times: a point made zero, two
+    points of different groups swapped (a group's block is then not
+    contiguous), or a point plus a multiple of another group's point (two
+    groups' blocks merge)."""
+    q, points = inst.spec.q, list(inst.points)
+    group_of = inst.layout.group_of
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.sample(range(inst.n), 2)
+        kind = rng.randrange(3)
+        if kind == 0:
+            points[i] = (0,) * len(points[i])
+        elif kind == 1 and group_of(i) != group_of(j):
+            points[i], points[j] = points[j], points[i]
+        elif group_of(i) != group_of(j):
+            c = rng.randrange(1, q)
+            points[i] = tuple((a + c * b) % q for a, b in zip(points[i], points[j]))
+    return _on_points(inst, points)
+
+
+def test_block_walk_matches_the_residual_walk_on_perturbed_points(grid_instances):
+    # Seeded changes to the grid's points move, split and merge the blocks
+    # and lower the rank; at every k up to the points' rank both walks give
+    # the same certificate, and past it both refuse.
+    rng = random.Random(20261101)
+    multi = [inst for inst in grid_instances if len(inst.layout.groups) > 1 and inst.k == inst.spec.n_gab]
+    fewer, more, deficient = 0, 0, 0
+    for _ in range(1200):
+        inst = rng.choice(multi)
+        changed = _perturbed(inst, rng)
+        pk, columns = changed._point_packing, changed._points_packed
+        rank = len(pk.echelon(columns, pk.length))
+        top = min(inst.k, rank)
+        assert prefix_oracles(_at_k(changed, top)) == _residual_walks(changed, range(1, top + 1))
+        if rank < inst.k:
+            deficient += 1
+            for walk in (_walk, ref_residual_walk):
+                with pytest.raises(RankDeficientGenerator):
+                    walk(pk, columns, rank, inst.k, inst.n)
+        starts = len(_block_starts(pk, columns))
+        built = len(_block_starts(pk, inst._points_packed))
+        fewer += starts < built
+        more += starts > built
+    assert fewer > 300 and more > 100 and deficient > 10
+
+
+def _naive_block_starts(field, k, columns):
+    """The block starts from each column's set of nonzero positions."""
+    supports = [{e for e in range(k) if column[e] != field.zero} for column in columns]
+    n = len(columns)
+    return [j for j in range(n + 1) if not set().union(*supports[:j]) & set().union(*supports[j:])]
+
+
+def test_block_starts_are_the_splits_of_disjoint_supports():
+    # Over prime fields and GF(q^2), where a nonzero element may have a
+    # zero first slot, with zero columns and sparse ones.
+    from udlrc import ExtField
+
+    rng = random.Random(20261102)
+    primes = [PrimeField(2), PrimeField(3), F5, PrimeField(7)]
+    choices = primes + [ExtField(base, 2) for base in primes[:3]]
+    interior = 0
+    for _ in range(600):
+        field = rng.choice(choices)
+        k = rng.randint(1, 6)
+        columns = []
+        for _ in range(rng.randint(0, 9)):
+            width = rng.randint(0, k)
+            at = rng.randint(0, k - width)
+            columns.append([field.random_element(rng) if at <= e < at + width else field.zero for e in range(k)])
+        pk = fields._packing(field, k)
+        starts = _block_starts(pk, [pk.pack(column) for column in columns])
+        assert starts == _naive_block_starts(field, k, columns)
+        interior += len(starts) > 2
+    assert interior > 200
+
+
+def test_walk_nests_through_at_most_a_hundred_blocks():
+    # 600 blocks of two parallel columns: without the memo filled from the
+    # end every hundred blocks, the calls at k = 2 nest through all 600
+    # blocks and pass the interpreter's recursion limit.
+    m = 600
+    pk = fields._packing(PrimeField(3), m)
+    columns = []
+    for i in range(m):
+        unit = [0] * m
+        unit[i] = 1
+        columns += [pk.pack(unit), pk.pack([2 * v for v in unit])]
+    assert len(_block_starts(pk, columns)) == m + 1
+    cert = _walk(pk, columns, m, 2, 2 * m)
+    assert cert == ref_residual_walk(pk, columns, m, 2, 2 * m)
+    assert (cert.d, cert.witness_rank) == (2 * m - 2, 1)
+
+
 def test_points_of_low_rank_raise_on_both_paths():
     from udlrc import ExtField, moore_matrix
 
@@ -476,7 +615,10 @@ def test_points_of_low_rank_raise_on_both_paths():
     built = build_code(validate_spec(spec))
     f5_5, f5_2 = built.field, ExtField(F5, 2)
     duplicated = _on_points(built, [f5_5.one, f5_5.alpha, f5_5.alpha, f5_5.one])
-    beyond_t = dataclasses.replace(built, field=f5_2, points=(f5_2.one, f5_2.alpha, (1, 1), (2, 3)))
+    # The field is the spec's GF(q^t), so points over GF(5^2) take t = 2.
+    beyond_t = dataclasses.replace(
+        built, spec=dataclasses.replace(spec, t=2), points=(f5_2.one, f5_2.alpha, (1, 1), (2, 3))
+    )
     rng = random.Random(20261023)
     for inst in (duplicated, beyond_t):
         gen = inst.gen
@@ -502,14 +644,16 @@ def test_a_generator_without_rows_takes_the_generic_path():
 def test_large_reference_oracle_makes_no_extension_field_reduce(gf7_9, monkeypatch):
     # Elimination steps over GF(7^9), counted as canon calls: the
     # size-by-size walk of the row-mixed generator made 6,250 of them (in
-    # 2,040 reduce calls), and the residual walk makes 1,272.
+    # 2,040 reduce calls), and the residual walk makes 1,272.  Its columns
+    # have no interior block start, so they are walked as one block, and
+    # rule (b) is what keeps the count there (2,820 without it).
     mixed = _random_invertible(gf7_9.gen.field, gf7_9.k, random.Random(20261024)) @ gf7_9.gen
     calls = _count_canon(monkeypatch, extension_only=True)
     assert min_distance_oracle(gf7_9).d == 6
     assert calls == []
     # A row-mixed generator still walks over the extension field.
     assert min_distance_oracle(mixed).d == 6
-    assert len(calls) > 1000
+    assert 1000 < len(calls) <= 1300
 
 
 # Row 0 of the mixed generator vanishes at column 0, so a walk over that

@@ -647,6 +647,31 @@ def test_build_code_places_the_points_without_a_product(monkeypatch):
     assert inst.points == tuple(ref_build_rows(spec)[0])
 
 
+def test_a_code_past_the_modulus_search_is_built_and_ranked_without_its_field(monkeypatch):
+    # n_gab = 140 over GF(11): the modulus search refuses t >= 64 there,
+    # yet the build, erank and the cover chains read only the points, so
+    # none of them searches for a modulus or builds GF(11^140).
+    from udlrc import check_cover_trace, class_cover_trace
+
+    spec = LocalitySpec(
+        classes=tuple(LocalityClass.from_groups(r, d, m) for r, d, m in ((2, 3, 20), (3, 3, 20), (4, 2, 10))),
+        k=100,
+        q=11,
+        t=140,
+    )
+    inits = counting_method(monkeypatch, fields.ExtField, "__init__")
+    inst = build_code(validate_spec(spec))
+    assert (inst.n, spec.n_gab) == (230, 140)
+    assert erank(inst, range(inst.n)) == 140
+    for j, c in enumerate(spec.classes, 1):
+        trace = class_cover_trace(inst, j)
+        assert check_cover_trace(trace, c.r, c.delta) == []
+        assert trace.granks[-1] == c.k_cap
+    assert inits == [] and "field" not in vars(inst)
+    with pytest.raises(fields.ModulusSearchTooLarge):
+        inst.field
+
+
 def test_point_ranks_read_the_packed_points(monkeypatch):
     # erank and the cover traces reduce the instance's packed points and
     # pack nothing themselves (12 and 15 packed points on the repair code

@@ -4,7 +4,8 @@ under python -O; the codec's encode and decode reports, plain and under
 python -O; the oracle sweep's builds, the bounds-only sweep's tables,
 classes, class caps and precondition errors, and certify's point walks,
 grank calls and cover traces, counted; certify and the oracle sweep shown
-to build no generator; and the `bounds` reports on the benchmark's spec
+to build no generator and no extension field; certify past the default
+budget at n = 27 and n = 84; and the `bounds` reports on the benchmark's spec
 files and on an 8-class spec, pinned to their recorded digests.
 """
 
@@ -14,11 +15,12 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from conftest import SRC, cli_env, counting, counting_cached, load_workloads
-from udlrc import CodeInstance, LocalityClass, bounds, build_code, cli
+from conftest import SRC, cli_env, counting, counting_cached, counting_method, load_workloads
+from udlrc import CodeInstance, ExtField, LocalityClass, bounds, build_code, cli, fields
 
 workloads = load_workloads()
 CERTIFY_SPECS = ("ref", "ref_full", "three", "reversed", "gf7_9")
@@ -143,12 +145,14 @@ def test_certify_computes_each_fact_once(name, expected, monkeypatch):
 
 
 REACH_SPEC = SRC.parent / "tests" / "specs" / "reach_n27.json"
+REACH_N84_SPEC = SRC.parent / "tests" / "specs" / "reach_n84.json"
 
 
 def test_certify_reaches_an_n27_code_at_budget_27(monkeypatch):
     # An ordered [27,10] code over GF(7^17) past the default budget: the
-    # residual walk certifies it in about 0.35 s in process, and the
-    # size-by-size walk took about 5.9 s.
+    # walk memoized at block starts certifies it in about 4 ms in process,
+    # the residual walk over all the columns took about 0.3 s and the
+    # size-by-size walk about 5.9 s.
     monkeypatch.delenv("UDLRC_BUDGET", raising=False)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -157,6 +161,56 @@ def test_certify_reaches_an_n27_code_at_budget_27(monkeypatch):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
         "040666b4218c3ab24d8660b325a7f26be021ced65139329a3b42563a29825aba"
     )
+
+
+def test_certify_reaches_an_n84_code_at_budget_84(monkeypatch):
+    # An ordered [84,40] code with 18 local groups over GF(11^60): each
+    # group is a block of the walk, walked once per rank budget, and no
+    # extension field is built, so certify takes about 30 ms in process.
+    # The residual walk over all the columns gave no answer within 60 s.
+    monkeypatch.delenv("UDLRC_BUDGET", raising=False)
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["certify", "--spec", str(REACH_N84_SPEC), "--budget", "84", "--format", "machine"]) == 0
+    assert time.perf_counter() - start < 2.0
+    assert "meta\tverdict\td-oracle=19 d-cap=19 equal=yes" in out.getvalue().splitlines()
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        "5386a00381b428d4912e9ae79889ac7f4347cb7d2e4f53ea06cce9e12cfbfe99"
+    )
+
+
+def test_certify_and_the_oracle_sweep_build_no_extension_field(monkeypatch):
+    # Every check certify and the oracle sweep run reads point ranks over
+    # F_q, so no modulus is searched and no GF(q^t) is built on the five
+    # benchmark specs and the sweep's 17 codes; each built one cost 20 to
+    # 35 microseconds per certify.
+    monkeypatch.delenv("UDLRC_BUDGET", raising=False)
+    searches = []
+    search = fields.find_irreducible
+
+    def counted_search(q, t):
+        searches.append((q, t))
+        return search(q, t)
+
+    monkeypatch.setattr(fields, "find_irreducible", counted_search)
+    inits = counting_method(monkeypatch, ExtField, "__init__")
+    built = []
+
+    def record(spec):
+        built.append(build_code(spec))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_code", record)
+    argvs = [argv for (group, _), argv in CASES if group == "certify"] + [workloads.Sweep.ORACLE]
+    for key, argv in zip([*CERTIFY_SPECS, "oracle"], argvs):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0
+        group = "certify" if key in CERTIFY_SPECS else "sweep"
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == workloads.GOLDEN[group][key]
+    assert (len(built), searches, inits) == (len(CERTIFY_SPECS) + 17, [], [])
+    assert all("field" not in vars(inst) for inst in built)
 
 
 def _digest_without_asserts(argv, code=0) -> str:

@@ -242,6 +242,25 @@ def test_field_setup_over_the_search_limit_exits_five(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
 
 
+def test_only_the_commands_that_read_the_field_search_for_its_modulus(tmp_path, capsys):
+    # Certify reads point ranks over F_q alone, so GF(1000000007^5), which
+    # the modulus search refuses, stops build and the codec with exit 5
+    # (the codec before it checks its flags) and not certify.
+    doc = {"q": 1000000007, "t": 5, "k": 2, "classes": [{"r": 2, "delta": 3, "m": 1}]}
+    spec = _spec_file(tmp_path, doc)
+    for argv in (
+        ["build", "--spec", spec],
+        ["encode", "--spec", spec, "--random"],
+        ["encode", "--spec", spec, "--random", "--message", spec],
+        ["decode", "--spec", spec, "--random", "--erase", "0"],
+    ):
+        code, err = _run(argv, capsys)
+        assert code == 5
+        assert "degree 5 over GF(1000000007)" in err
+    assert cli.main(["certify", "--spec", spec, "--format", "machine"]) == 0
+    assert "meta\tverdict\td-oracle=3 d-cap=3 equal=yes" in capsys.readouterr().out.splitlines()
+
+
 def test_field_setup_over_the_work_budget_exits_five(tmp_path, capsys):
     # One Rabin test of a degree-400 candidate costs more than the whole
     # set-up budget, so the modulus search stops before its first test.
