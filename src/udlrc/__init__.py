@@ -17,16 +17,11 @@ from .analysis import (
     certify_distance_optimal,
     check_cover_trace,
     class_cover_trace,
-    class_rank_caps,
     class_symbols,
-    decodable,
     grank,
-    locality_witness_search,
     min_distance_oracle,
-    punctured_code_profile,
     rank_deficiency_witness,
     tightness_budget_size,
-    transform_pattern,
     worst_case_pattern,
 )
 from .bounds import (
@@ -76,7 +71,6 @@ from .gabidulin import (
     TooManyPoints,
     default_points,
     gabidulin_encode,
-    interpolate,
     lin_eval,
     moore_matrix,
 )

@@ -1,19 +1,18 @@
 """Brute-force certificates and counting arguments for built code instances.
 
 Everything here is an independent check on the construction: exact minimum
-distance by a pruned walk over the rank-deficient symbol sets, decodability
-of symbol sets, locality witnesses straight from the definition, the greedy
+distance by a pruned walk over the rank-deficient symbol sets, the greedy
 cover chains behind the dimension and distance ceilings, and the worst-case
-erasure patterns that certify tightness.  A built code is read through its
-points, since a symbol set has rank min(k, F_q-rank of its points) in it; a
-bare generator Matrix (a punctured code, any other code) is read through its
-columns.
+erasure patterns that certify tightness.  No locality is checked here: the
+local groups' (r, delta) locality is taken from the construction.  A built
+code is read through its points, since a symbol set has rank min(k, F_q-rank
+of its points) in it; a bare generator Matrix (any other code) is read
+through its columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .bounds import ceil_div, distance_bound_measured, distance_bound_udlrc
@@ -48,11 +47,6 @@ class CountOutOfRange(ValueError):
 def grank(gen: Matrix, symbols: Iterable[int]) -> int:
     """Rank of the generator restricted to the given symbol columns."""
     return gen.take_columns(sorted(set(symbols))).rank()
-
-
-def decodable(gen: Matrix, symbols: Iterable[int]) -> bool:
-    """Whether erasure correction is possible from exactly these symbols."""
-    return grank(gen, symbols) == gen.nrows
 
 
 @dataclass(frozen=True)
@@ -224,47 +218,6 @@ def _walk(pk, columns, rank, k, budget, memo=None) -> DistanceCertificate:
     return DistanceCertificate(d=n - size, witness=witness, witness_rank=witness_rank)
 
 
-def punctured_code_profile(gen: Matrix, support: Sequence[int], budget: int = DEFAULT_ORACLE_BUDGET):
-    """(dimension, distance) of the code restricted to the support columns.
-
-    Distance is None for a zero-dimensional restriction.
-    """
-    basis = gen.take_columns(sorted(set(support))).row_space_basis()
-    if basis.nrows == 0:
-        return 0, None
-    return basis.nrows, min_distance_oracle(basis, budget).d
-
-
-def locality_witness_search(
-    gen: Matrix,
-    i: int,
-    support: Sequence[int],
-    r: int,
-    delta: int,
-    max_support: int = 16,
-) -> tuple[int, ...] | None:
-    """Smallest set S within the support with i in S, |S| <= r + delta - 1,
-    and punctured distance >= delta; None when no such set exists.
-
-    Sets are scanned by size then lexicographically, so the result is
-    deterministic.  Zero columns simply force the search to larger sets.
-    """
-    support = sorted(set(support))
-    if i not in support:
-        raise ValueError(f"symbol {i} is not in the candidate support")
-    if len(support) > max_support:
-        raise TooLarge(f"support of size {len(support)} exceeds the search budget {max_support}")
-    others = [j for j in support if j != i]
-    limit = min(r + delta - 1, len(support))
-    for size in range(1, limit + 1):
-        for extra in combinations(others, size - 1):
-            candidate = tuple(sorted((i,) + extra))
-            dim, dist = punctured_code_profile(gen, candidate)
-            if dim > 0 and dist is not None and dist >= delta:
-                return candidate
-    return None
-
-
 @dataclass(frozen=True)
 class CoverTrace:
     """The greedy chain of group-covered sets produced for one class.
@@ -359,31 +312,6 @@ def check_cover_trace(trace: CoverTrace, r: int, delta: int) -> list[str]:
     return violations
 
 
-@dataclass(frozen=True)
-class ClassRankCap:
-    """Measured class rank against its dimension cap."""
-
-    class_index: int  # 1-based
-    grank: int
-    cap: int
-
-    @property
-    def within_cap(self) -> bool:
-        return self.grank <= self.cap
-
-
-def class_rank_caps(inst: CodeInstance) -> list[ClassRankCap]:
-    """Measure the generator rank of every class against its cap.
-
-    On a built instance the cap can never be exceeded; at full precode
-    dimension (k = n_gab) every class meets its cap with equality.
-    """
-    return [
-        ClassRankCap(class_index=j, grank=min(inst.k, erank(inst, class_symbols(inst, j))), cap=c.k_cap)
-        for j, c in enumerate(inst.spec.classes, 1)
-    ]
-
-
 def rank_deficiency_witness(inst: CodeInstance, traces: Sequence[CoverTrace] | None = None) -> tuple[int, ...]:
     """A large symbol set whose restricted rank stays below k.
 
@@ -429,50 +357,6 @@ def worst_case_pattern(layout: LocalGroupLayout, e: int) -> ErasurePattern:
         raise CountOutOfRange(f"erasure count {e} outside [0, {n}]")
     order = [i for group in layout.groups for i in group]
     return ErasurePattern.from_remaining(n, order[: n - e])
-
-
-def transform_pattern(layout: LocalGroupLayout, remaining: Iterable[int]) -> list[ErasurePattern]:
-    """Shift a remaining set group by group into the greedy pattern.
-
-    While an earlier group has holes and a later group still holds symbols,
-    move as many symbols as possible from the later group into the earlier
-    one (lowest indices on both sides), recording the pattern after each
-    move.  A final in-group shuffle aligns the partial group to its lowest
-    indices; every move keeps the cardinality and never increases the
-    remaining point rank.  Returns the recorded sequence; empty when the
-    input is already greedy.
-    """
-    n = layout.n
-    current = set(remaining)
-    for i in current:
-        if not 0 <= i < n:
-            raise IndexError(f"remaining index {i} out of range for n={n}")
-    steps: list[ErasurePattern] = []
-    groups = [set(g) for g in layout.groups]
-    while True:
-        move = None
-        for l1 in range(len(groups)):
-            if len(current & groups[l1]) == len(groups[l1]):
-                continue
-            for l2 in range(l1 + 1, len(groups)):
-                if current & groups[l2]:
-                    move = (l1, l2)
-                    break
-            if move:
-                break
-        if move is None:
-            break
-        l1, l2 = move
-        holes = sorted(groups[l1] - current)
-        donors = sorted(current & groups[l2])
-        delta = min(len(holes), len(donors))
-        current |= set(holes[:delta])
-        current -= set(donors[:delta])
-        steps.append(ErasurePattern.from_remaining(n, current))
-    greedy = worst_case_pattern(layout, n - len(current))
-    if current != set(greedy.remaining):
-        steps.append(greedy)
-    return steps
 
 
 def tightness_budget_size(inst: CodeInstance) -> int:

@@ -480,7 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_decode.add_argument("--erase", help="comma-separated erased symbol indices")
 
     p_certify = command("certify", cmd_certify, "run every certification check")
-    p_certify.add_argument("--budget", type=int, help="largest n the oracle enumerates (default 20)")
+    p_certify.add_argument(
+        "--budget", type=int, help=f"largest n the oracle enumerates (default {DEFAULT_ORACLE_BUDGET})"
+    )
 
     p_sweep = sub.add_parser("sweep", help="tabulate bounds over parameter ranges")
     p_sweep.add_argument("--q", type=int, required=True, help="base field size (prime)")

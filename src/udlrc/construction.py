@@ -339,14 +339,6 @@ class CodeInstance:
         pk = self._point_packing
         return [pk.pack(y) for y in self.points]
 
-    def group_point_basis(self, l: int) -> tuple[ExtElem, ...]:
-        """The precode points backing group l, a basis of its point span."""
-        if not 0 <= l < len(self.layout.groups):
-            raise IndexError(f"group index {l} out of range")
-        offset = sum(self.spec.classes[self.layout.class_of[m]].r for m in range(l))
-        c = self.spec.classes[self.layout.class_of[l]]
-        return tuple(default_points(self.field, self.spec.n_gab)[offset : offset + c.r])
-
 
 def build_code(spec: LocalitySpec) -> CodeInstance:
     """Run the three construction steps on the points.

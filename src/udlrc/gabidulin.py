@@ -3,9 +3,10 @@
 A message (a_1, ..., a_k) over F_{q^t} defines f(x) = sum_i a_i x^(q^(i-1)).
 The q-power map is additive, so f is F_q-linear in x: evaluating it at n
 points whose coordinate vectors have full rank over F_q gives a codeword
-whose every k symbols at rank-k points pin f down exactly.  Recovery solves
-the Moore system M a = v with M[i][j] = y_i^(q^j), which is invertible
-precisely when the points y_i are independent over F_q.
+whose every k symbols at rank-k points pin f down exactly.  Recovery (the
+decoder in construction) solves the Moore system M a = v with
+M[i][j] = y_i^(q^j), which is invertible precisely when the points y_i are
+independent over F_q.
 """
 
 from __future__ import annotations
@@ -105,18 +106,3 @@ def gabidulin_encode(message: Sequence[ExtElem], pts: EvaluationPoints) -> list[
     f = LinearizedPoly(pts.field, tuple(message))
     return [lin_eval(f, x) for x in pts]
 
-
-def interpolate(field: ExtField, pairs: Sequence[tuple[ExtElem, ExtElem]]) -> LinearizedPoly:
-    """Recover the degree-(k-1) q-power polynomial from k (point, value) pairs.
-
-    The points must be independent over the base field; the Moore system is
-    singular exactly when they are not.
-    """
-    points = [p for p, _ in pairs]
-    values = [v for _, v in pairs]
-    k = len(pairs)
-    if base_rank(field, points) != k:
-        raise RankDeficientPoints("interpolation points must be independent over the base field")
-    system = moore_matrix(field, points, k)
-    coeffs = system.solve(values)
-    return LinearizedPoly(field, tuple(coeffs))

@@ -15,8 +15,8 @@ pass of the same step brings the basis to reduced form, pivots unscaled
 (_Packing.reduced, whose columns the distance oracle walks for a
 generator Matrix), and one batched inversion per solve scales it to
 RREF: the pivots' product is inverted once, and each row's inverse is
-peeled off it (solve, inverse, row_space_basis, and the decoder's
-message solve on its pre-packed rows).
+peeled off it (solve, inverse, and the decoder's message solve on its
+pre-packed rows).
 Rows are packed on entry to an elimination and unpacked on exit, so
 elements keep their public form.  A fixed pivot rule keeps every run
 identical; exact arithmetic has no stability concerns.
@@ -105,11 +105,6 @@ class Matrix:
 
     def inverse(self) -> "Matrix":
         return Matrix(self.field, self._solve_block(Matrix.identity(self.field, self.nrows).rows))
-
-    def row_space_basis(self) -> "Matrix":
-        """Reduced row echelon basis of the row space, zero rows dropped."""
-        pk = _packing(self.field, self.ncols)
-        return Matrix(self.field, [pk.unpack(row) for row in pk.reduced_echelon(map(pk.pack, self.rows), self.ncols)])
 
 
 def _solve_packed(pk: _Packing, rows: Iterable[int], n: int) -> list[int]:

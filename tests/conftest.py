@@ -3,7 +3,7 @@ import os
 import random
 from collections import Counter
 from functools import cached_property
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import prod
 from pathlib import Path
 
@@ -14,13 +14,16 @@ from udlrc import (
     DecodeResult,
     DimensionInfeasible,
     DistanceCertificate,
+    ErasurePattern,
     ExtField,
     LengthMismatch,
+    LinearizedPoly,
     LocalityClass,
     LocalitySpec,
     Matrix,
     PrimeField,
     RankDeficientGenerator,
+    RankDeficientPoints,
     SingularMatrix,
     TooLarge,
     TooManyClasses,
@@ -29,9 +32,12 @@ from udlrc import (
     base_rank,
     ceil_div,
     distance_bound_udlrc,
+    min_distance_oracle,
     validate_spec,
+    worst_case_pattern,
 )
 from udlrc import analysis, cli
+from udlrc.analysis import DEFAULT_ORACLE_BUDGET
 from udlrc.bounds import PERMUTED_CLASS_LIMIT
 from udlrc.construction import build_layout, lift_to_ext
 from udlrc.fields import _packing, _poly_divmod, _poly_gcd, _poly_trim
@@ -315,6 +321,23 @@ def ref_decode_erasures(inst, received, pattern):
     return DecodeResult(message=message, codeword=codeword, phase=phase, repaired_locally=tuple(sorted(repaired)))
 
 
+def ref_interpolate(field, pairs):
+    """Recover the degree-(k-1) q-power polynomial from k (point, value) pairs.
+
+    The points must be independent over the base field; the Moore system is
+    singular exactly when they are not.  gabidulin.interpolate as it was
+    before the decoder solved its own rows of the Moore system.
+    """
+    points = [p for p, _ in pairs]
+    values = [v for _, v in pairs]
+    k = len(pairs)
+    if base_rank(field, points) != k:
+        raise RankDeficientPoints("interpolation points must be independent over the base field")
+    system = moore_matrix(field, points, k)
+    coeffs = system.solve(values)
+    return LinearizedPoly(field, tuple(coeffs))
+
+
 def ref_first_deficient(pk, columns, k, size, start, path, basis):
     """First subset of the given size, extending path with columns from
     start on, whose columns have rank < k; returned with its rank.
@@ -407,6 +430,93 @@ def ref_point_oracles(inst, budget, ks):
     pk, columns = inst._point_packing, inst._points_packed
     rank = len(pk.echelon(columns, pk.length))
     return [ref_walk(pk, columns, rank, k, budget) for k in ks]
+
+
+def reduced_basis(m):
+    """The reduced row echelon basis of m's row space, zero rows dropped,
+    from the packed kernel that solve and inverse run on."""
+    pk = _packing(m.field, m.ncols)
+    return Matrix(m.field, [pk.unpack(row) for row in pk.reduced_echelon(map(pk.pack, m.rows), m.ncols)])
+
+
+def ref_punctured_code_profile(gen, support, budget=DEFAULT_ORACLE_BUDGET):
+    """(dimension, distance) of the code restricted to the support columns.
+
+    Distance is None for a zero-dimensional restriction.
+    """
+    basis = reduced_basis(gen.take_columns(sorted(set(support))))
+    if basis.nrows == 0:
+        return 0, None
+    return basis.nrows, min_distance_oracle(basis, budget).d
+
+
+def ref_locality_witness_search(gen, i, support, r, delta, max_support=16):
+    """Smallest set S within the support with i in S, |S| <= r + delta - 1,
+    and punctured distance >= delta; None when no such set exists.
+
+    Sets are scanned by size then lexicographically, so the result is
+    deterministic.  Zero columns simply force the search to larger sets.
+    The exhaustive locality check from the definition, over a generator.
+    """
+    support = sorted(set(support))
+    if i not in support:
+        raise ValueError(f"symbol {i} is not in the candidate support")
+    if len(support) > max_support:
+        raise TooLarge(f"support of size {len(support)} exceeds the search budget {max_support}")
+    others = [j for j in support if j != i]
+    limit = min(r + delta - 1, len(support))
+    for size in range(1, limit + 1):
+        for extra in combinations(others, size - 1):
+            candidate = tuple(sorted((i,) + extra))
+            dim, dist = ref_punctured_code_profile(gen, candidate)
+            if dim > 0 and dist is not None and dist >= delta:
+                return candidate
+    return None
+
+
+def ref_transform_pattern(layout, remaining):
+    """Shift a remaining set group by group into the greedy pattern.
+
+    While an earlier group has holes and a later group still holds symbols,
+    move as many symbols as possible from the later group into the earlier
+    one (lowest indices on both sides), recording the pattern after each
+    move.  A final in-group shuffle aligns the partial group to its lowest
+    indices; every move keeps the cardinality and never increases the
+    remaining point rank.  Returns the recorded sequence; empty when the
+    input is already greedy.  The exchange argument behind
+    worst_case_pattern, run step by step.
+    """
+    n = layout.n
+    current = set(remaining)
+    for i in current:
+        if not 0 <= i < n:
+            raise IndexError(f"remaining index {i} out of range for n={n}")
+    steps = []
+    groups = [set(g) for g in layout.groups]
+    while True:
+        move = None
+        for l1 in range(len(groups)):
+            if len(current & groups[l1]) == len(groups[l1]):
+                continue
+            for l2 in range(l1 + 1, len(groups)):
+                if current & groups[l2]:
+                    move = (l1, l2)
+                    break
+            if move:
+                break
+        if move is None:
+            break
+        l1, l2 = move
+        holes = sorted(groups[l1] - current)
+        donors = sorted(current & groups[l2])
+        delta = min(len(holes), len(donors))
+        current |= set(holes[:delta])
+        current -= set(donors[:delta])
+        steps.append(ErasurePattern.from_remaining(n, current))
+    greedy = worst_case_pattern(layout, n - len(current))
+    if current != set(greedy.remaining):
+        steps.append(greedy)
+    return steps
 
 
 def ref_permuted_tightest_bound(spec):

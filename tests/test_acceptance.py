@@ -29,11 +29,10 @@ from udlrc import (
     grank,
     min_distance_oracle,
     rank_deficiency_witness,
-    transform_pattern,
     validate_spec,
     worst_case_pattern,
 )
-from conftest import REF_SPEC, cli_env
+from conftest import REF_SPEC, cli_env, ref_transform_pattern
 
 
 def test_acceptance_1_distance_cap_tight_on_reference(ref_instance):
@@ -80,7 +79,7 @@ def test_acceptance_4_greedy_pattern_is_worst_case_exhaustive(ref_instance):
         for remaining in combinations(range(n), n - e):
             assert erank(ref_instance, remaining) >= floor_rank[e]
             ranks = [erank(ref_instance, remaining)]
-            for pattern in transform_pattern(layout, remaining):
+            for pattern in ref_transform_pattern(layout, remaining):
                 ranks.append(erank(ref_instance, pattern.remaining))
             assert all(a >= b for a, b in zip(ranks, ranks[1:]))
             subsets_checked += 1

@@ -24,20 +24,15 @@ from udlrc import (
     certify_distance_optimal,
     check_cover_trace,
     class_cover_trace,
-    class_rank_caps,
     class_symbols,
-    decodable,
     distance_bound_udlrc,
     distance_bound_measured,
     erank,
     grank,
     load_spec_file,
-    locality_witness_search,
     min_distance_oracle,
-    punctured_code_profile,
     rank_deficiency_witness,
     tightness_budget_size,
-    transform_pattern,
     validate_spec,
     worst_case_pattern,
 )
@@ -47,8 +42,11 @@ from conftest import (
     counting,
     load_workloads,
     ref_first_deficient,
+    ref_locality_witness_search,
     ref_point_oracles,
+    ref_punctured_code_profile,
     ref_residual_walk,
+    ref_transform_pattern,
     ref_walk,
     usual_grid,
 )
@@ -78,13 +76,14 @@ def test_grank_equals_capped_erank_exhaustive(ref_instance, single_instance):
 
 
 def test_decodable_predicates_agree(ref_instance):
+    gen = ref_instance.gen
     for size in range(9):
         for subset in combinations(range(8), size):
-            by_grank = decodable(ref_instance.gen, subset)
+            by_grank = grank(gen, subset) == gen.nrows
             by_erank = erank(ref_instance, subset) >= ref_instance.k
             assert by_grank == by_erank
-    assert decodable(ref_instance.gen, range(8))
-    assert not decodable(ref_instance.gen, (0, 1, 2))  # fewer than k symbols
+    assert grank(gen, range(8)) == gen.nrows
+    assert grank(gen, (0, 1, 2)) < gen.nrows  # fewer than k symbols
 
 
 def test_min_distance_oracle_identity_and_budget():
@@ -750,8 +749,8 @@ def test_redundancy_inequality_on_deficient_sets(ref_instance):
 
 def test_punctured_code_profile_zero_column():
     gen = Matrix(F5, [[0, 1, 0], [0, 0, 1]])
-    assert punctured_code_profile(gen, (0,)) == (0, None)
-    dim, dist = punctured_code_profile(gen, (0, 1, 2))
+    assert ref_punctured_code_profile(gen, (0,)) == (0, None)
+    dim, dist = ref_punctured_code_profile(gen, (0, 1, 2))
     assert (dim, dist) == (2, 1)
 
 
@@ -760,7 +759,7 @@ def test_locality_witness_search_reference(ref_instance):
     for l, group in enumerate(ref_instance.layout.groups):
         c = spec.classes[ref_instance.layout.class_of[l]]
         for i in group:
-            witness = locality_witness_search(
+            witness = ref_locality_witness_search(
                 ref_instance.gen, i, class_symbols(ref_instance, ref_instance.layout.class_of[l] + 1), c.r, c.delta
             )
             assert witness == group  # the containing group is the smallest witness here
@@ -768,24 +767,24 @@ def test_locality_witness_search_reference(ref_instance):
 
 def test_locality_witness_search_none_on_identity():
     ident = Matrix.identity(F5, 3)
-    assert locality_witness_search(ident, 0, (0, 1, 2), 1, 2) is None
+    assert ref_locality_witness_search(ident, 0, (0, 1, 2), 1, 2) is None
 
 
 def test_locality_witness_search_zero_column_cases():
     # a zero column never carries distance by itself; larger sets can
     gen = Matrix(F5, [[0, 1, 1]])
-    assert locality_witness_search(gen, 0, (0, 1, 2), 2, 2) == (0, 1, 2)
+    assert ref_locality_witness_search(gen, 0, (0, 1, 2), 2, 2) == (0, 1, 2)
     gen2 = Matrix(F5, [[0, 1, 0], [0, 0, 1]])
-    assert locality_witness_search(gen2, 0, (0, 1, 2), 1, 2) is None
+    assert ref_locality_witness_search(gen2, 0, (0, 1, 2), 1, 2) is None
 
 
 def test_locality_witness_search_guards():
     gen = Matrix.identity(F5, 3)
     with pytest.raises(ValueError):
-        locality_witness_search(gen, 5, (0, 1, 2), 1, 2)
+        ref_locality_witness_search(gen, 5, (0, 1, 2), 1, 2)
     wide = Matrix.identity(F5, 3)
     with pytest.raises(TooLarge):
-        locality_witness_search(wide, 0, tuple(range(3)), 1, 2, max_support=2)
+        ref_locality_witness_search(wide, 0, tuple(range(3)), 1, 2, max_support=2)
 
 
 def test_cover_trace_reference(ref_instance):
@@ -853,23 +852,29 @@ def test_tight_step_count(single_instance):
     assert trace.steps == 2
 
 
+def _class_ranks(inst):
+    """Each class's rank, min(k, F_q-rank of its points), against its cap."""
+    return [
+        (min(inst.k, erank(inst, class_symbols(inst, j))), c.k_cap) for j, c in enumerate(inst.spec.classes, 1)
+    ]
+
+
 def test_class_rank_caps(ref_instance, ref_full_instance, all_instances):
-    rows = class_rank_caps(ref_instance)
-    assert [(r.grank, r.cap) for r in rows] == [(2, 2), (3, 3)]
-    assert all(r.within_cap for r in rows)
-    full_rows = class_rank_caps(ref_full_instance)
-    assert all(r.grank == r.cap for r in full_rows)
+    rows = _class_ranks(ref_instance)
+    assert rows == [(2, 2), (3, 3)]
+    full_rows = _class_ranks(ref_full_instance)
+    assert all(rank == cap for rank, cap in full_rows)
     for inst in all_instances:
-        rows = class_rank_caps(inst)
-        assert all(r.within_cap for r in rows)
-        assert sum(r.grank for r in rows) >= inst.k
+        rows = _class_ranks(inst)
+        assert all(rank <= cap for rank, cap in rows)
+        assert sum(rank for rank, _ in rows) >= inst.k
 
 
 def test_cover_trace_ends_at_the_class_rank(all_instances):
     for inst in all_instances:
-        caps = class_rank_caps(inst)
+        ranks = _class_ranks(inst)
         for j in range(1, inst.spec.s + 1):
-            assert class_cover_trace(inst, j).granks[-1] == caps[j - 1].grank
+            assert class_cover_trace(inst, j).granks[-1] == ranks[j - 1][0]
 
 
 def test_rank_deficiency_witness_reference(ref_instance):
@@ -925,14 +930,14 @@ def test_worst_case_pattern_minimizes_rank(ref_instance):
 def test_transform_pattern_terminates_at_greedy(ref_instance):
     layout = ref_instance.layout
     # already greedy: nothing recorded
-    assert transform_pattern(layout, (0, 1, 2, 3, 4)) == []
+    assert ref_transform_pattern(layout, (0, 1, 2, 3, 4)) == []
     # group-2 symbols migrate into group 1, then align inside the group
-    steps = transform_pattern(layout, (5, 7))
+    steps = ref_transform_pattern(layout, (5, 7))
     assert steps[-1].remaining == (0, 1)
-    steps = transform_pattern(layout, (0, 1, 2, 3, 5, 7))
+    steps = ref_transform_pattern(layout, (0, 1, 2, 3, 5, 7))
     assert steps[-1].remaining == (0, 1, 2, 3, 4, 5)
     for remaining in combinations(range(8), 4):
-        steps = transform_pattern(layout, remaining)
+        steps = ref_transform_pattern(layout, remaining)
         expected = worst_case_pattern(layout, 4).remaining
         final = steps[-1].remaining if steps else remaining
         assert tuple(final) == expected
@@ -943,7 +948,7 @@ def test_transform_pattern_rank_never_increases(ref_instance):
     for size in range(9):
         for remaining in combinations(range(8), size):
             ranks = [erank(ref_instance, remaining)]
-            for pattern in transform_pattern(layout, remaining):
+            for pattern in ref_transform_pattern(layout, remaining):
                 assert len(pattern.remaining) == size
                 ranks.append(erank(ref_instance, pattern.remaining))
             assert all(a >= b for a, b in zip(ranks, ranks[1:]))
@@ -1079,7 +1084,7 @@ def test_certify_reads_the_oracle_certificate_and_the_traces(all_instances, monk
     assert (len(honest), len(faulty), sum(walked[len(honest) :])) == (413, 389, 201)
     for inst in honest:
         traces = [class_cover_trace(inst, j) for j in range(1, inst.spec.s + 1)]
-        assert [trace.granks[-1] for trace in traces] == [c.grank for c in class_rank_caps(inst)]
+        assert [trace.granks[-1] for trace in traces] == [rank for rank, _ in _class_ranks(inst)]
         assert rank_deficiency_witness(inst, traces) == rank_deficiency_witness(inst)
 
 
@@ -1132,7 +1137,7 @@ def test_transform_pattern_on_unequal_group_widths(three_instance):
     for size in range(n + 1):
         for remaining in combinations(range(n), size):
             ranks = [erank(three_instance, remaining)]
-            steps = transform_pattern(layout, remaining)
+            steps = ref_transform_pattern(layout, remaining)
             for pattern in steps:
                 assert len(pattern.remaining) == size
                 ranks.append(erank(three_instance, pattern.remaining))

@@ -44,6 +44,7 @@ from conftest import (
     ref_decode_erasures,
     ref_left_multiply,
     ref_local_generator,
+    ref_punctured_code_profile,
     usual_grid,
 )
 
@@ -225,14 +226,6 @@ def test_build_full_rank(ref_instance, ref_full_instance):
     assert ref_full_instance.gen.rank() == 5
 
 
-def test_group_point_basis(ref_instance):
-    gab_points = default_points(ref_instance.field, ref_instance.spec.n_gab)
-    assert ref_instance.group_point_basis(0) == tuple(gab_points[i] for i in (0, 1))
-    assert ref_instance.group_point_basis(1) == tuple(gab_points[i] for i in (2, 3, 4))
-    with pytest.raises(IndexError):
-        ref_instance.group_point_basis(2)
-
-
 def test_encode_zero_and_length_check(ref_instance):
     field = ref_instance.field
     assert encode(ref_instance, [field.zero] * 4) == [field.zero] * 8
@@ -289,12 +282,10 @@ def test_erank_direct_sum_matches_pooled(all_instances):
 
 
 def test_group_punctured_distance_meets_delta(ref_instance, three_instance):
-    from udlrc import punctured_code_profile
-
     for inst in (ref_instance, three_instance):
         for l, group in enumerate(inst.layout.groups):
             c = inst.spec.classes[inst.layout.class_of[l]]
-            dim, dist = punctured_code_profile(inst.gen, group)
+            dim, dist = ref_punctured_code_profile(inst.gen, group)
             assert dim == min(inst.k, c.r)
             assert dist is not None and dist >= c.delta
 
@@ -409,13 +400,11 @@ def test_decode_rejects_mismatched_received(ref_instance):
 
 def test_locality_definition_checklist(ref_instance):
     # every symbol sits in a short group whose punctured distance reaches delta
-    from udlrc import punctured_code_profile
-
     spec = ref_instance.spec
     for l, group in enumerate(ref_instance.layout.groups):
         c = spec.classes[ref_instance.layout.class_of[l]]
         assert len(group) == c.r + c.delta - 1
-        _, dist = punctured_code_profile(ref_instance.gen, group)
+        _, dist = ref_punctured_code_profile(ref_instance.gen, group)
         for i in group:
             assert i in group
             assert dist >= c.delta

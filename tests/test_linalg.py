@@ -1,7 +1,7 @@
 import pytest
 
 from udlrc import ExtField, Matrix, PrimeField, SingularMatrix, base_rank, mds_local_generator
-from conftest import counting_method, ref_left_multiply, ref_mul, ref_solve
+from conftest import counting_method, reduced_basis, ref_left_multiply, ref_mul, ref_solve
 
 F5 = PrimeField(5)
 F8 = ExtField(PrimeField(2), 3)
@@ -134,7 +134,7 @@ def test_take_columns_and_transpose():
 def test_row_space_basis_preserves_rank(rng):
     for _ in range(10):
         m = random_matrix(F8, 4, 6, rng)
-        basis = m.row_space_basis()
+        basis = reduced_basis(m)
         assert basis.nrows == m.rank()
         if basis.nrows:
             assert basis.rank() == m.rank()
@@ -198,7 +198,7 @@ def test_elimination_order_is_column_order(rng):
                     m.rows[3] = list(m.rows[0])
                     for row in m.rows:
                         row[1] = field.zero
-                basis = m.row_space_basis()
+                basis = reduced_basis(m)
                 _assert_rref(basis)
                 assert basis.nrows == m.rank()
                 assert Matrix(field, m.rows + basis.rows).rank() == m.rank()
@@ -290,11 +290,11 @@ def _coords(field, e):
 
 
 def _check_against_reference(m, rhs):
-    """rank, row_space_basis, solve, inverse and the base_rank of m's
+    """rank, the reduced basis, solve, inverse and the base_rank of m's
     coordinate vectors equal the list-based reference."""
     field = m.field
     assert m.rank() == _ref_rank(m)
-    assert m.row_space_basis().rows == _ref_row_space_basis(m)
+    assert reduced_basis(m).rows == _ref_row_space_basis(m)
     if m.nrows == m.ncols and m.nrows:
         n = m.nrows
         expected = _ref_solve_block(m, [[v] for v in rhs])
