@@ -78,14 +78,15 @@ def min_distance_oracle(code: CodeInstance | Matrix, budget: int = DEFAULT_ORACL
     Where no column before an index j shares a nonzero coordinate with a
     column from j on (a block start: a built code's points place each
     local group in its own precode coordinates), the columns from j on
-    form a direct summand, so the walk's best extension from j depends
-    only on j and the rank it may still gain, and is walked once.  Ranks
-    inside a block are still found by elimination, so the oracle stays
-    exact on any points; points without an interior block start are
-    walked as one block.
+    form a direct summand, so the walk through the block from j is the
+    same whatever rank the walk may still gain, and one pass walks each
+    block once for every such rank.  Ranks inside a block are still found
+    by elimination, so the oracle stays exact on any points; points
+    without an interior block start are walked as one block.
     """
     if isinstance(code, CodeInstance):
-        return _point_oracles(code, budget, [code.k])[0]
+        pk, columns = code._point_packing, code._points_packed
+        return _walk(pk, columns, len(pk.echelon(columns, pk.length)), code.k, budget)
     n, k = code.ncols, code.nrows
     pn = _packing(code.field, n)
     rows = [pn.unpack(row) for _, row in pn.reduced(map(pn.pack, code.rows), n)]
@@ -97,19 +98,11 @@ def min_distance_oracle(code: CodeInstance | Matrix, budget: int = DEFAULT_ORACL
 def prefix_oracles(inst: CodeInstance, budget: int = DEFAULT_ORACLE_BUDGET) -> list[DistanceCertificate]:
     """min_distance_oracle of the code on inst's points at each k = 1 .. inst.k.
 
-    A block's best extension at a rank budget is the same at every k, so
-    the walks share one memo of them and each is walked once for all k.
+    A block's walk is the same at every k, so one pass over the blocks
+    serves them all.
     """
-    return _point_oracles(inst, budget, range(1, inst.k + 1))
-
-
-def _point_oracles(inst: CodeInstance, budget: int, ks) -> list[DistanceCertificate]:
-    """The point walk at each k of ks on the instance's packed points,
-    ranked once, with one memo of block extensions for all k."""
     pk, columns = inst._point_packing, inst._points_packed
-    rank = len(pk.echelon(columns, pk.length))
-    memo: dict = {}
-    return [_walk(pk, columns, rank, k, budget, memo) for k in ks]
+    return _walk(pk, columns, len(pk.echelon(columns, pk.length)), inst.k, budget, prefix=True)
 
 
 def _block_starts(pk, columns) -> list[int]:
@@ -139,8 +132,9 @@ def _block_starts(pk, columns) -> list[int]:
     return starts
 
 
-def _walk(pk, columns, rank, k, budget, memo=None) -> DistanceCertificate:
-    """The certificate at k of the columns, packed by pk, of rank rank.
+def _walk(pk, columns, rank, k, budget, prefix=False):
+    """The certificate at k of the columns, packed by pk, of rank rank, or
+    with prefix the list of certificates at each of 1 .. k.
 
     One depth-first walk over the subsets of rank < k, each column taken
     before it is skipped, keeps every column's residual against the span
@@ -151,51 +145,54 @@ def _walk(pk, columns, rank, k, budget, memo=None) -> DistanceCertificate:
     At a block start j (_block_starts) every pivot so far is zero on the
     columns from j on, so their residuals are the columns themselves, no
     later pivot brings a skipped earlier column into the span, and rule
-    (b) needs only the current block's zeros.  The walk from j is then
-    the walk over the columns from j on at rank budget g, whatever the
-    path before j: best_from(j, g) walks it once, keeps the first largest
-    extension in memo (shared by every k of one point set) and the walk
-    before j appends it.  A block is walked on its own residuals, and
-    the memo of every hundredth block start from the end is filled first,
-    so the calls nest through at most a hundred blocks.
+    (b) needs only the current block's zeros.  So the walk through a block
+    is the same at every rank budget g left to it, and only what a path of
+    rank r appends at the block's end, the next block's first largest set
+    at g - r, depends on g.  One pass from the last block to the first
+    walks each block once, up to its largest budget (k - 1, or the count
+    of columns from j on, past which all budgets walk alike), and keeps
+    the first largest set at each budget: only a larger one replaces it.
+    Best sizes grow with g, so a branch is cut when it cannot outgrow the
+    best at the lowest budget at or above r that the block may be asked
+    for: k - 1 (0 with prefix) less the columns before the block, or 0.
     """
     n = len(columns)
     if n > budget:
         raise TooLarge(f"n={n} exceeds the enumeration budget {budget}")
     if rank < k:
-        raise RankDeficientGenerator(f"generator rank below k={k}")
+        raise RankDeficientGenerator(f"generator rank below k={rank + 1 if prefix else k}")
     if not k:
         raise AssertionError("unreachable: any k - 1 columns are rank deficient")
-    memo = {} if memo is None else memo
+    first = 1 if prefix else k
     starts = _block_starts(pk, columns)
-    end_of = dict(zip(starts, starts[1:]))
     elem, negq, canon, bw = pk.elem, pk.negq, pk.canon, pk.bw
-
-    def best_from(j, g):
-        """Size, set and rank of the first largest set of the columns from
-        the block start j on whose rank is at most g."""
-        if (j, g) in memo:
-            return memo[j, g]
-        e = end_of[j]
-        path: list[int] = []
-        best = [-1, (), 0]
+    path: list[int] = []
+    tail = [(0, 0, ())]  # per budget: size, rank and set as (block's part, next block's parts)
+    for j, e in reversed(list(zip(starts, starts[1:]))):
+        least, cap, last = max(0, first - 1 - j), min(k - 1, n - j), len(tail) - 1
+        best = [(-1,)] * (cap + 1)
 
         def visit(i, r, residuals):
             taken = len(path)
             while True:
-                if len(path) > best[0]:
-                    best[:] = len(path), tuple(path), r
-                if len(path) + n - i <= best[0]:
+                size, floor = len(path), max(r, least)
+                if size > best[floor][0]:
+                    found, g = (size, r, (tuple(path), ())), floor
+                    while g <= cap and size > best[g][0]:
+                        best[g] = found
+                        g += 1
+                if size + n - i <= best[floor][0]:
                     break
                 if i == e:
-                    size, rest, gain = best_from(e, g - r)
-                    if len(path) + size > best[0]:
-                        best[:] = len(path) + size, (*path, *rest), r + gain
+                    for g in range(floor, cap + 1):
+                        rest = tail[min(g - r, last)]
+                        if size + rest[0] > best[g][0]:
+                            best[g] = (size + rest[0], r + rest[1], (tuple(path), rest[2]))
                     break
                 row = residuals[i - j]
                 if not row:  # (a)
                     path.append(i)
-                elif r < g:
+                elif r < cap:
                     low = (row & -row).bit_length() - 1
                     off = low - low % bw
                     p = (row >> off) & elem
@@ -208,14 +205,15 @@ def _walk(pk, columns, rank, k, budget, memo=None) -> DistanceCertificate:
             del path[taken:]
 
         visit(j, 0, columns[j:e])
-        memo[j, g] = found = tuple(best)
-        return found
-
-    for j in starts[-101:0:-100]:
-        for g in range(k):
-            best_from(j, g)
-    size, witness, witness_rank = best_from(0, k - 1)
-    return DistanceCertificate(d=n - size, witness=witness, witness_rank=witness_rank)
+        tail = best
+    certs = []
+    for size, gain, parts in tail[first - 1 :]:
+        witness: list[int] = []
+        while parts:
+            here, parts = parts
+            witness += here
+        certs.append(DistanceCertificate(d=n - size, witness=tuple(witness), witness_rank=gain))
+    return certs if prefix else certs[0]
 
 
 @dataclass(frozen=True)

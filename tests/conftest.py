@@ -425,6 +425,87 @@ def ref_residual_walk(pk, columns, rank, k, budget):
     return DistanceCertificate(d=n - best[0], witness=best[1], witness_rank=best[2])
 
 
+def ref_block_walk(pk, columns, rank, k, budget, memo=None):
+    """analysis._walk as it was before one pass walked each block once for
+    every rank budget: the certificate at k of the columns, packed by pk,
+    of rank rank.
+
+    One depth-first walk over the subsets of rank < k, each column taken
+    before it is skipped, keeps every column's residual against the span
+    of the path: one pivot-scaled elimination step (as in _Packing.reduce)
+    per column when the path's rank grows, so a column is in the span
+    exactly when its residual is zero.
+
+    At a block start j (_block_starts) every pivot so far is zero on the
+    columns from j on, so their residuals are the columns themselves, no
+    later pivot brings a skipped earlier column into the span, and rule
+    (b) needs only the current block's zeros.  The walk from j is then
+    the walk over the columns from j on at rank budget g, whatever the
+    path before j: best_from(j, g) walks it once, keeps the first largest
+    extension in memo (shared by every k of one point set) and the walk
+    before j appends it.  A block is walked on its own residuals, and
+    the memo of every hundredth block start from the end is filled first,
+    so the calls nest through at most a hundred blocks.
+    """
+    n = len(columns)
+    if n > budget:
+        raise TooLarge(f"n={n} exceeds the enumeration budget {budget}")
+    if rank < k:
+        raise RankDeficientGenerator(f"generator rank below k={k}")
+    if not k:
+        raise AssertionError("unreachable: any k - 1 columns are rank deficient")
+    memo = {} if memo is None else memo
+    starts = analysis._block_starts(pk, columns)
+    end_of = dict(zip(starts, starts[1:]))
+    elem, negq, canon, bw = pk.elem, pk.negq, pk.canon, pk.bw
+
+    def best_from(j, g):
+        """Size, set and rank of the first largest set of the columns from
+        the block start j on whose rank is at most g."""
+        if (j, g) in memo:
+            return memo[j, g]
+        e = end_of[j]
+        path: list[int] = []
+        best = [-1, (), 0]
+
+        def visit(i, r, residuals):
+            taken = len(path)
+            while True:
+                if len(path) > best[0]:
+                    best[:] = len(path), tuple(path), r
+                if len(path) + n - i <= best[0]:
+                    break
+                if i == e:
+                    size, rest, gain = best_from(e, g - r)
+                    if len(path) + size > best[0]:
+                        best[:] = len(path) + size, (*path, *rest), r + gain
+                    break
+                row = residuals[i - j]
+                if not row:  # (a)
+                    path.append(i)
+                elif r < g:
+                    low = (row & -row).bit_length() - 1
+                    off = low - low % bw
+                    p = (row >> off) & elem
+                    grown = [canon(p * x + (negq - v) * row) if (v := (x >> off) & elem) else x for x in residuals]
+                    if grown[: i - j].count(0) == len(path):  # (b)
+                        path.append(i)
+                        visit(i + 1, r + 1, grown)
+                        path.pop()
+                i += 1
+            del path[taken:]
+
+        visit(j, 0, columns[j:e])
+        memo[j, g] = found = tuple(best)
+        return found
+
+    for j in starts[-101:0:-100]:
+        for g in range(k):
+            best_from(j, g)
+    size, witness, witness_rank = best_from(0, k - 1)
+    return DistanceCertificate(d=n - size, witness=witness, witness_rank=witness_rank)
+
+
 def ref_point_oracles(inst, budget, ks):
     """ref_walk at each k of ks on the instance's packed points."""
     pk, columns = inst._point_packing, inst._points_packed

@@ -41,6 +41,7 @@ from conftest import (
     cli_env,
     counting,
     load_workloads,
+    ref_block_walk,
     ref_first_deficient,
     ref_locality_witness_search,
     ref_point_oracles,
@@ -285,21 +286,23 @@ def test_oracle_work_on_the_large_reference_code(gf7_9, monkeypatch):
     # columns made 14,911 canon calls here, the upward scan over the
     # reduced basis 6,250, the size-by-size walk over the points 654 (the
     # bound was 8,000), the residual walk over all the columns 419 (the
-    # bound was 460), and the walk memoized at block starts makes 151.
+    # bound was 460), the walk memoized at block starts 151 (the bound was
+    # 200), and one pass over the blocks makes 87.
     calls = _count_canon(monkeypatch)
     assert min_distance_oracle(gf7_9).d == 6
-    assert 0 < len(calls) <= 200
+    assert 0 < len(calls) <= 100
 
 
 def test_prefix_oracles_walk_each_block_once_for_all_k(gf7_9, monkeypatch):
-    # The walks at k = 1 .. 6 share one memo of block extensions: 225
-    # canon calls, against 537 for six separate oracle calls.
+    # One pass over the blocks serves k = 1 .. 6: 87 canon calls (225
+    # when the six walks shared a memo of block extensions), against 383
+    # for six separate oracle calls.
     calls = _count_canon(monkeypatch)
     certs = prefix_oracles(gf7_9)
     shared = len(calls)
     calls.clear()
     assert [min_distance_oracle(_at_k(gf7_9, k)) for k in range(1, gf7_9.k + 1)] == certs
-    assert 0 < shared < len(calls)
+    assert 0 < shared <= 100 < len(calls)
 
 
 N22_SPEC = LocalitySpec(
@@ -317,11 +320,12 @@ def n22():
 
 def test_oracle_work_on_the_n22_code(n22, monkeypatch):
     # The size-by-size walk made 16,363 canon calls here, the residual
-    # walk over all the columns 1,095 (the bound was 1,200), and the walk
-    # memoized at block starts makes 380.
+    # walk over all the columns 1,095 (the bound was 1,200), the walk
+    # memoized at block starts 380 (the bound was 500), and one pass over
+    # the blocks makes 152.
     calls = _count_canon(monkeypatch)
     assert (n22.n, min_distance_oracle(n22, 22).d) == (22, distance_bound_udlrc(N22_SPEC).value)
-    assert 0 < len(calls) <= 500
+    assert 0 < len(calls) <= 180
 
 
 REACH_N27 = Path(__file__).resolve().parent / "specs" / "reach_n27.json"
@@ -329,13 +333,34 @@ REACH_N27 = Path(__file__).resolve().parent / "specs" / "reach_n27.json"
 
 def test_oracle_work_on_the_n27_code(monkeypatch):
     # The size-by-size walk made 780,975 canon calls on this [27,10] code,
-    # the residual walk over all the columns 101,353, and the walk
-    # memoized at block starts makes 1,150.
+    # the residual walk over all the columns 101,353, the walk memoized at
+    # block starts 1,150 (the bound was 1,500), and one pass over the
+    # blocks makes 325.
     spec = load_spec_file(REACH_N27)[0]
     inst = build_code(validate_spec(spec))
     calls = _count_canon(monkeypatch)
     assert min_distance_oracle(inst, 27).d == distance_bound_udlrc(spec).value == 12
-    assert 0 < len(calls) <= 1500
+    assert 0 < len(calls) <= 400
+
+
+@pytest.mark.parametrize(
+    "name, n, d, bound",
+    [("reach_n84.json", 84, 19, 1300), ("reach_n230.json", 230, 53, 3500)],
+    ids=["n84", "n230"],
+)
+def test_oracle_work_on_the_large_reach_codes(name, n, d, bound, monkeypatch):
+    # The walk memoized at block starts walked each block once per rank
+    # budget: 10,577 canon calls on the [84,40] code and 83,002 on the
+    # [230,100] code, each block rank at most 4.  One pass over the blocks
+    # makes 1,074 and 2,940, and one prefix_oracles call as many (24,734
+    # and 172,522 with the shared memo).
+    spec = load_spec_file(REACH_N27.parent / name)[0]
+    inst = build_code(validate_spec(spec))
+    calls = _count_canon(monkeypatch)
+    assert min_distance_oracle(inst, n).d == distance_bound_udlrc(spec).value == d
+    single = len(calls)
+    assert prefix_oracles(inst, n)[-1].d == d
+    assert 0 < single <= bound and len(calls) - single <= bound
 
 
 def _reduced_basis_oracle(gen):
@@ -559,6 +584,109 @@ def test_block_walk_matches_the_residual_walk_on_perturbed_points(grid_instances
     assert fewer > 300 and more > 100 and deficient > 10
 
 
+def _block_walks(pk, columns, rank, ks, n):
+    """ref_block_walk at each k of ks, the walks sharing one memo of block
+    extensions as prefix_oracles' walks did."""
+    memo: dict = {}
+    return [ref_block_walk(pk, columns, rank, k, n, memo) for k in ks]
+
+
+def test_one_pass_matches_the_block_walk_on_the_grid(grid_instances):
+    # Every grid code, at its own k and in one prefix_oracles pass for
+    # every k up to it: the same size, witness and witness rank as the
+    # walk that walked each block once per rank budget.
+    walks = 0
+    for inst in grid_instances:
+        pk, columns = inst._point_packing, inst._points_packed
+        rank = len(pk.echelon(columns, pk.length))
+        certs = _block_walks(pk, columns, rank, range(1, inst.k + 1), inst.n)
+        assert prefix_oracles(inst) == certs
+        assert min_distance_oracle(inst) == certs[-1]
+        walks += inst.k
+    assert (len(grid_instances), walks) == (2298, 6878)
+
+
+def test_one_pass_matches_the_block_walk_on_perturbed_points(grid_instances):
+    # Seeded changes that move, split and merge the blocks and lower the
+    # rank: the same certificates at every k up to the points' rank, alone
+    # and in one pass, and past it the same refusal at the same first k.
+    rng = random.Random(20261103)
+    multi = [inst for inst in grid_instances if len(inst.layout.groups) > 1 and inst.k == inst.spec.n_gab]
+    deficient = 0
+    for _ in range(1200):
+        inst = rng.choice(multi)
+        changed = _perturbed(inst, rng)
+        pk, columns = changed._point_packing, changed._points_packed
+        rank = len(pk.echelon(columns, pk.length))
+        top = min(inst.k, rank)
+        certs = _block_walks(pk, columns, rank, range(1, top + 1), inst.n)
+        assert prefix_oracles(_at_k(changed, top)) == certs
+        assert [min_distance_oracle(_at_k(changed, k)) for k in range(1, top + 1)] == certs
+        with pytest.raises(TooLarge):
+            prefix_oracles(changed, inst.n - 1)
+        if rank < inst.k:
+            deficient += 1
+            for oracle, k in ((prefix_oracles, rank + 1), (min_distance_oracle, inst.k)):
+                with pytest.raises(RankDeficientGenerator) as exc:
+                    oracle(changed)
+                with pytest.raises(RankDeficientGenerator) as ref:
+                    ref_block_walk(pk, columns, rank, k, inst.n)
+                assert str(exc.value) == str(ref.value) == f"generator rank below k={k}"
+    assert deficient > 10
+
+
+def test_one_pass_matches_the_block_walk_on_random_matrices():
+    # Seeded columns over GF(2), GF(3), GF(5), GF(7), GF(4), GF(9) and
+    # GF(25), each block on its own window of coordinates, with zero,
+    # repeated and dependent columns, some shuffled across blocks: one
+    # walk at every k up to the rank and one pass for all of them.
+    from udlrc import ExtField
+
+    rng = random.Random(20261104)
+    primes = [PrimeField(2), PrimeField(3), F5, PrimeField(7)]
+    choices = primes + [ExtField(base, 2) for base in primes[:3]]
+    walks, interior, seen = 0, 0, set()
+    for _ in range(1500):
+        field = rng.choice(choices)
+        seen.add(field.q ** getattr(field, "t", 1))
+        k = rng.randint(1, 7)
+        cuts = sorted(rng.sample(range(1, k), rng.randint(0, min(2, k - 1))))
+        columns = []
+        for lo, hi in zip([0, *cuts], [*cuts, k]):
+            block = []
+            for _ in range(rng.randint(1, 4)):
+                kind = rng.random()
+                if kind < 0.15:
+                    block.append([field.zero] * k)
+                elif kind < 0.3 and block:
+                    c = field.random_element(rng)
+                    block.append([field.mul(c, v) for v in rng.choice(block)])
+                elif kind < 0.45 and len(block) > 1:
+                    a, b = rng.sample(block, 2)
+                    c = field.random_element(rng)
+                    block.append([field.add(u, field.mul(c, v)) for u, v in zip(a, b)])
+                else:
+                    block.append([field.random_element(rng) if lo <= e < hi else field.zero for e in range(k)])
+            columns += block
+        if rng.random() < 0.3:
+            rng.shuffle(columns)
+        pk = fields._packing(field, k)
+        packed = [pk.pack(column) for column in columns]
+        n, rank = len(packed), len(pk.echelon(packed, k))
+        certs = _block_walks(pk, packed, rank, range(1, rank + 1), n)
+        assert [_walk(pk, packed, rank, j, n) for j in range(1, rank + 1)] == certs
+        if rank:  # a pass to k = 0 is refused as unreachable, as one walk at k = 0 is
+            assert _walk(pk, packed, rank, rank, n, prefix=True) == certs
+        # A pass up to k = rank + 2 refuses at the first k past the rank.
+        with pytest.raises(RankDeficientGenerator, match=f"k={rank + 1}$"):
+            _walk(pk, packed, rank, rank + 2, n, prefix=True)
+        with pytest.raises(RankDeficientGenerator, match=f"k={rank + 1}$"):
+            ref_block_walk(pk, packed, rank, rank + 1, n)
+        walks += rank
+        interior += len(_block_starts(pk, packed)) > 2
+    assert walks > 3000 and interior > 800 and seen == {2, 3, 4, 5, 7, 9, 25}
+
+
 def _naive_block_starts(field, k, columns):
     """The block starts from each column's set of nonzero positions."""
     supports = [{e for e in range(k) if column[e] != field.zero} for column in columns]
@@ -591,9 +719,11 @@ def test_block_starts_are_the_splits_of_disjoint_supports():
 
 
 def test_walk_nests_through_at_most_a_hundred_blocks():
-    # 600 blocks of two parallel columns: without the memo filled from the
-    # end every hundred blocks, the calls at k = 2 nest through all 600
-    # blocks and pass the interpreter's recursion limit.
+    # 600 blocks of two parallel columns: when each block's walk called
+    # the next block's, the calls at k = 2 nested through all 600 blocks
+    # and passed the interpreter's recursion limit unless a memo was
+    # filled from the end every hundred blocks.  One pass from the last
+    # block to the first makes no call across blocks.
     m = 600
     pk = fields._packing(PrimeField(3), m)
     columns = []
@@ -645,7 +775,10 @@ def test_large_reference_oracle_makes_no_extension_field_reduce(gf7_9, monkeypat
     # size-by-size walk of the row-mixed generator made 6,250 of them (in
     # 2,040 reduce calls), and the residual walk makes 1,272.  Its columns
     # have no interior block start, so they are walked as one block, and
-    # rule (b) is what keeps the count there (2,820 without it).
+    # rule (b) is what keeps the count there (2,820 without it).  One pass
+    # over the blocks cuts a branch against the best set at k - 1, the one
+    # budget asked of the block; cut against the best at the branch's own
+    # rank, it made 8,401.
     mixed = _random_invertible(gf7_9.gen.field, gf7_9.k, random.Random(20261024)) @ gf7_9.gen
     calls = _count_canon(monkeypatch, extension_only=True)
     assert min_distance_oracle(gf7_9).d == 6

@@ -146,6 +146,7 @@ def test_certify_computes_each_fact_once(name, expected, monkeypatch):
 
 REACH_SPEC = SRC.parent / "tests" / "specs" / "reach_n27.json"
 REACH_N84_SPEC = SRC.parent / "tests" / "specs" / "reach_n84.json"
+REACH_N230_SPEC = SRC.parent / "tests" / "specs" / "reach_n230.json"
 
 
 def test_certify_reaches_an_n27_code_at_budget_27(monkeypatch):
@@ -165,9 +166,11 @@ def test_certify_reaches_an_n27_code_at_budget_27(monkeypatch):
 
 def test_certify_reaches_an_n84_code_at_budget_84(monkeypatch):
     # An ordered [84,40] code with 18 local groups over GF(11^60): each
-    # group is a block of the walk, walked once per rank budget, and no
-    # extension field is built, so certify takes about 30 ms in process.
-    # The residual walk over all the columns gave no answer within 60 s.
+    # group is a block of the walk, walked once for all rank budgets
+    # together, and no extension field is built, so certify takes about
+    # 8 ms in process (about 17 ms when each block was walked once per
+    # rank budget).  The residual walk over all the columns gave no
+    # answer within 60 s.
     monkeypatch.delenv("UDLRC_BUDGET", raising=False)
     out = io.StringIO()
     start = time.perf_counter()
@@ -178,6 +181,36 @@ def test_certify_reaches_an_n84_code_at_budget_84(monkeypatch):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
         "5386a00381b428d4912e9ae79889ac7f4347cb7d2e4f53ea06cce9e12cfbfe99"
     )
+
+
+def test_certify_reaches_an_n230_code_at_budget_230(monkeypatch):
+    # An ordered [230,100] code with 50 local groups over GF(11^140), its
+    # report recorded when each block was walked once per rank budget
+    # (about 0.2 s in process); one pass over the blocks takes about 40 ms.
+    monkeypatch.delenv("UDLRC_BUDGET", raising=False)
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["certify", "--spec", str(REACH_N230_SPEC), "--budget", "230", "--format", "machine"]) == 0
+    assert time.perf_counter() - start < 2.0
+    assert "meta\tverdict\td-oracle=53 d-cap=53 equal=yes" in out.getvalue().splitlines()
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        "d6add8c8b4b1e79a1717f446d4b615341e1e0ff61a844e96e3c60e63153fe66c"
+    )
+
+
+def test_oracle_sweep_walks_once_per_class_tuple(monkeypatch):
+    # The oracle sweep builds 17 codes, one per class tuple, and one pass
+    # over each code's blocks serves every k of its table (one walk per k,
+    # 80 in all, when the walks shared a memo of block extensions).
+    monkeypatch.delenv("UDLRC_BUDGET", raising=False)
+    walks = counting(monkeypatch, "_walk")
+    built = counting(monkeypatch, "build_code")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(workloads.Sweep.ORACLE) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == workloads.GOLDEN["sweep"]["oracle"]
+    assert len(walks) == len(built) == 17
 
 
 def test_certify_and_the_oracle_sweep_build_no_extension_field(monkeypatch):
