@@ -10,10 +10,10 @@ input (an unreadable input file and an unwritable --output included), 4
 when a check needs the ordered condition, or 5 for an enumeration over its
 budget (the oracle size, the 8-class permutation search, the field-modulus
 search).  Reports are deterministic: same inputs, byte-identical output.
-The oracle budget (largest n the distance oracle will enumerate) defaults
-to 20 and can be set per run with --budget or globally with the
-UDLRC_BUDGET variable; certify's exhaustive distance-optimality check
-runs under the same budget and reads the oracle's d instead of walking.
+The oracle budget (largest n the distance oracle will enumerate) is
+--budget alone: default 20 for certify, off (0) for sweep.  certify's
+exhaustive distance-optimality check runs under the same budget and
+reads the oracle's d instead of walking.
 certify and sweep read a built code's points and never build its
 generator: a symbol set's rank is min(k, F_q-rank of its points).
 """
@@ -21,7 +21,6 @@ generator: a symbol set's rank is min(k, F_q-rank of its points).
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 from functools import cache
@@ -147,19 +146,6 @@ def _nonnegative(value: int, name: str) -> int:
     return value
 
 
-def _resolve_budget(args) -> int:
-    if getattr(args, "budget", None) is not None:
-        return _nonnegative(args.budget, "--budget")
-    env = os.environ.get("UDLRC_BUDGET")
-    if env is None:
-        return DEFAULT_ORACLE_BUDGET
-    try:
-        budget = int(env)
-    except ValueError:
-        raise SpecFileError(f"UDLRC_BUDGET must be an integer, got {env!r}") from None
-    return _nonnegative(budget, "UDLRC_BUDGET")
-
-
 def _message_for(args, spec, inst, file_seed):
     """Message symbols from --message or a seeded generator for --random."""
     # Built first, so a field the modulus search refuses exits 5 before any flag check.
@@ -274,7 +260,7 @@ def cmd_decode(args, report, spec, file_seed) -> str:
 
 
 def cmd_certify(args, report, spec, file_seed) -> str:
-    budget = _resolve_budget(args)
+    budget = _nonnegative(args.budget, "--budget")
     if spec.n > budget:
         report.add("note", "budget", f"n={spec.n} exceeds the oracle budget {budget}")
         return "budget-exceeded"
@@ -411,7 +397,7 @@ def cmd_sweep(args, report) -> str:
         return LocalityClass.from_groups(r, d, m), m * (r + d - 1), m * r, f"({r},{d},{m})"
 
     s = args.classes
-    budget = _nonnegative(args.budget, "--budget") if args.budget is not None else 0
+    budget = _nonnegative(args.budget, "--budget")
     # The q rule drops choices unchecked, so each range's least value is
     # checked first, the other two at their least valid values.
     facts(rs[0] if rs else 1, deltas[0] if deltas else 2, ms[0] if ms else 1)
@@ -481,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_certify = command("certify", cmd_certify, "run every certification check")
     p_certify.add_argument(
-        "--budget", type=int, help=f"largest n the oracle enumerates (default {DEFAULT_ORACLE_BUDGET})"
+        "--budget", type=int, default=DEFAULT_ORACLE_BUDGET, help="largest n the oracle enumerates (default %(default)s)"
     )
 
     p_sweep = sub.add_parser("sweep", help="tabulate bounds over parameter ranges")
@@ -490,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--r", required=True, help="locality range, INT or LO:HI")
     p_sweep.add_argument("--delta", required=True, help="local distance range, INT or LO:HI")
     p_sweep.add_argument("--m", required=True, help="group count range, INT or LO:HI")
-    p_sweep.add_argument("--budget", type=int, help="oracle build budget per row (default 0: off)")
+    p_sweep.add_argument("--budget", type=int, default=0, help="oracle build budget per row (default 0: off)")
     p_sweep.add_argument("--format", choices=("text", "machine"), default="text")
     p_sweep.set_defaults(func=cmd_sweep)
 

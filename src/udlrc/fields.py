@@ -260,7 +260,7 @@ class ExtField:
         self.zero: ExtElem = (0,) * t
         self.one: ExtElem = ((1,) + (0,) * (t - 1))
         self.alpha: ExtElem = (-modulus[0] % self.q,) if t == 1 else ((0, 1) + (0,) * (t - 2))
-        self._pk = pk = _Packing(self.q, modulus, 1, self)
+        self._pk = pk = _packing(self, 1)
         step = pk.pow(pk.pack_elem(self.alpha), self.q)
         self._frob = [pk.pack_elem(self.one)]  # alpha^(iq) for i < t, packed
         for _ in range(t - 1):

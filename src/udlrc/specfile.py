@@ -102,6 +102,14 @@ def _json_int(value, where: str) -> int:
     return value
 
 
+def _digit(value, q: int, where: str) -> int:
+    """A JSON integer in [0, q): a base-q digit as written, never reduced."""
+    digit = _json_int(value, where)
+    if not 0 <= digit < q:
+        raise SpecFileError(f"{where} must be in [0, {q}), got {digit}")
+    return digit
+
+
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     """A JSON object as a dict; a repeated key is an error."""
     return _fields(pairs, (), tuple(key for key, _ in pairs))
@@ -180,5 +188,5 @@ def load_symbols(path: str | Path, field: ExtField, expected: int) -> list[ExtEl
     for idx, digits in enumerate(doc):
         if not isinstance(digits, list) or len(digits) != field.t:
             raise SpecFileError(f"symbol {idx}: expected {field.t} digits")
-        out.append(field.element([_json_int(v, f"symbol {idx}: digit {j}") for j, v in enumerate(digits)]))
+        out.append(field.element([_digit(v, field.q, f"symbol {idx}: digit {j}") for j, v in enumerate(digits)]))
     return out

@@ -24,10 +24,9 @@ from udlrc import (
 EXIT_CODES = {0, 2, 3, 4, 5}
 
 
-def test_cli_exits_with_a_documented_code(tmp_path, monkeypatch):
+def test_cli_exits_with_a_documented_code(tmp_path):
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
-    monkeypatch.delenv("UDLRC_BUDGET", raising=False)
     spec_path = tmp_path / "spec.json"
     message_path = tmp_path / "message.json"
 

@@ -36,8 +36,7 @@ CASES = [
 
 
 @pytest.mark.parametrize("key, argv", CASES, ids=["-".join(key) for key, _ in CASES])
-def test_report_matches_recorded_digest(key, argv, monkeypatch):
-    monkeypatch.delenv("UDLRC_BUDGET", raising=False)
+def test_report_matches_recorded_digest(key, argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(argv) == 0
@@ -48,7 +47,6 @@ def test_report_matches_recorded_digest(key, argv, monkeypatch):
 def test_oracle_sweep_builds_once_per_class_tuple(monkeypatch):
     # A count, not a timing: the benchmark's oracle sweep has 80 oracle rows
     # in 17 class tuples, and builds each tuple's code once, at its last k.
-    monkeypatch.delenv("UDLRC_BUDGET", raising=False)
     built = counting(monkeypatch, "build_code", lambda spec: spec.k)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -61,7 +59,6 @@ def test_oracle_sweep_builds_once_per_class_tuple(monkeypatch):
 def test_certify_and_the_oracle_sweep_build_no_generator(monkeypatch):
     # A built code is its points: certify on the five benchmark specs and
     # the oracle sweep read them and never compute an instance's gen.
-    monkeypatch.delenv("UDLRC_BUDGET", raising=False)
     built = []
 
     def record(spec):
@@ -131,7 +128,6 @@ def test_certify_computes_each_fact_once(name, expected, monkeypatch):
     # top-level walks here.  When the ranks went through the generator the
     # walk, grank and trace counts were (4, 8, 2) and (5, 13, 3), and when
     # both checks recomputed their facts (5, 13, 3) and (6, 21, 4).
-    monkeypatch.delenv("UDLRC_BUDGET", raising=False)
     oracles = counting(monkeypatch, "min_distance_oracle")
     walks = counting(monkeypatch, "_walk")
     granks = counting(monkeypatch, "grank")
@@ -149,12 +145,11 @@ REACH_N84_SPEC = SRC.parent / "tests" / "specs" / "reach_n84.json"
 REACH_N230_SPEC = SRC.parent / "tests" / "specs" / "reach_n230.json"
 
 
-def test_certify_reaches_an_n27_code_at_budget_27(monkeypatch):
+def test_certify_reaches_an_n27_code_at_budget_27():
     # An ordered [27,10] code over GF(7^17) past the default budget: the
     # walk memoized at block starts certifies it in about 4 ms in process,
     # the residual walk over all the columns took about 0.3 s and the
     # size-by-size walk about 5.9 s.
-    monkeypatch.delenv("UDLRC_BUDGET", raising=False)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(["certify", "--spec", str(REACH_SPEC), "--budget", "27", "--format", "machine"]) == 0
@@ -164,14 +159,13 @@ def test_certify_reaches_an_n27_code_at_budget_27(monkeypatch):
     )
 
 
-def test_certify_reaches_an_n84_code_at_budget_84(monkeypatch):
+def test_certify_reaches_an_n84_code_at_budget_84():
     # An ordered [84,40] code with 18 local groups over GF(11^60): each
     # group is a block of the walk, walked once for all rank budgets
     # together, and no extension field is built, so certify takes about
     # 8 ms in process (about 17 ms when each block was walked once per
     # rank budget).  The residual walk over all the columns gave no
     # answer within 60 s.
-    monkeypatch.delenv("UDLRC_BUDGET", raising=False)
     out = io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out):
@@ -183,11 +177,10 @@ def test_certify_reaches_an_n84_code_at_budget_84(monkeypatch):
     )
 
 
-def test_certify_reaches_an_n230_code_at_budget_230(monkeypatch):
+def test_certify_reaches_an_n230_code_at_budget_230():
     # An ordered [230,100] code with 50 local groups over GF(11^140), its
     # report recorded when each block was walked once per rank budget
     # (about 0.2 s in process); one pass over the blocks takes about 40 ms.
-    monkeypatch.delenv("UDLRC_BUDGET", raising=False)
     out = io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out):
@@ -203,7 +196,6 @@ def test_oracle_sweep_walks_once_per_class_tuple(monkeypatch):
     # The oracle sweep builds 17 codes, one per class tuple, and one pass
     # over each code's blocks serves every k of its table (one walk per k,
     # 80 in all, when the walks shared a memo of block extensions).
-    monkeypatch.delenv("UDLRC_BUDGET", raising=False)
     walks = counting(monkeypatch, "_walk")
     built = counting(monkeypatch, "build_code")
     out = io.StringIO()
@@ -218,7 +210,6 @@ def test_certify_and_the_oracle_sweep_build_no_extension_field(monkeypatch):
     # F_q, so no modulus is searched and no GF(q^t) is built on the five
     # benchmark specs and the sweep's 17 codes; each built one cost 20 to
     # 35 microseconds per certify.
-    monkeypatch.delenv("UDLRC_BUDGET", raising=False)
     searches = []
     search = fields.find_irreducible
 
@@ -247,10 +238,8 @@ def test_certify_and_the_oracle_sweep_build_no_extension_field(monkeypatch):
 
 
 def _digest_without_asserts(argv, code=0) -> str:
-    env = cli_env()
-    env.pop("UDLRC_BUDGET", None)
     result = subprocess.run(
-        [sys.executable, "-O", "-m", "udlrc", *argv], capture_output=True, env=env, check=False
+        [sys.executable, "-O", "-m", "udlrc", *argv], capture_output=True, env=cli_env(), check=False
     )
     assert result.returncode == code, result.stderr
     return hashlib.sha256(result.stdout).hexdigest()

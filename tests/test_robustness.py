@@ -67,17 +67,24 @@ def test_symbol_digit_must_be_an_integer(digit, tmp_path, capsys):
     assert "symbol 2: digit 3 must be an integer" in err
 
 
-def test_negative_certify_budget(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("UDLRC_BUDGET", raising=False)
+@pytest.mark.parametrize("digit", [7, -1])
+def test_symbol_digit_must_lie_in_the_base_field(digit, tmp_path, capsys):
+    # A digit outside [0, q) is refused, not reduced mod q into another message.
+    message = [[0, 1, 2, 3, 4] for _ in range(4)]
+    message[2][3] = digit
+    path = tmp_path / "message.json"
+    path.write_text(json.dumps(message))
+    code, err = _run(["encode", "--spec", _spec_file(tmp_path, REF), "--message", str(path)], capsys)
+    assert code == 2
+    assert f"symbol 2: digit 3 must be in [0, 5), got {digit}" in err
+
+
+def test_negative_certify_budget(tmp_path, capsys):
     spec = _spec_file(tmp_path, REF)
     code, err = _run(["certify", "--spec", spec, "--budget", "-3"], capsys)
     assert code == 2
     assert "--budget must be a non-negative integer, got -3" in err
-    monkeypatch.setenv("UDLRC_BUDGET", "-1")
-    code, err = _run(["certify", "--spec", spec], capsys)
-    assert code == 2
-    assert "UDLRC_BUDGET must be a non-negative integer, got -1" in err
-    # An explicit budget still wins over the environment, and zero is a budget.
+    # Zero is a budget.
     code, _ = _run(["certify", "--spec", spec, "--budget", "0"], capsys)
     assert code == 5
 

@@ -119,3 +119,31 @@ def test_no_module_imports_a_name_it_never_reads():
     assert len(modules) == 9
     unread = {p.name: unread_imports(p.read_text()) for p in modules}
     assert unread == {p.name: [] for p in modules}
+
+
+ENVIRONMENT_NAMES = ("environ", "environb", "getenv", "getenvb")
+
+
+def environment_reads(source: str) -> list[tuple[int, str]]:
+    """Each line where a module names a reader of the process environment:
+    `os.environ` or `os.getenv` as an attribute, or bare after `from os import`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_NAMES:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id in ENVIRONMENT_NAMES:
+            found.append((node.lineno, node.id))
+    return sorted(found)
+
+
+def test_environment_reads_finds_each_reader():
+    source = 'import os\nfrom os import getenv\nx = os.environ.get("A")\ny = getenv("B")\nz = os.path.sep\n'
+    assert environment_reads(source) == [(3, "environ"), (4, "getenv")]
+
+
+def test_no_module_reads_the_environment():
+    # A report depends only on argv and the files it names.
+    modules = sorted((SRC / "udlrc").glob("*.py"))
+    assert len(modules) == 10
+    reads = {p.name: environment_reads(p.read_text()) for p in modules}
+    assert reads == {p.name: [] for p in modules}
