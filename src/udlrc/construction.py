@@ -26,6 +26,7 @@ rather than every call.
 from __future__ import annotations
 
 import operator
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -33,6 +34,12 @@ from typing import Iterable, Mapping, Sequence
 from .fields import PRIME_CHECK_LIMIT, ExtElem, ExtField, PrimeField, _Packing, _packing, is_prime
 from .gabidulin import default_points, gabidulin_encode, moore_matrix
 from .linalg import Matrix, _combine, _solve_packed
+
+
+# The packed size, in bytes, of the Moore-block inverses one instance keeps
+# for decode_erasures.  One inverse takes k^2 packed elements: about 2.4 KB
+# on a [12,6] code over GF(5^8), about 1.6 MB on an n = 84 code over GF(11^60).
+_INVERSES_BYTES = 16 << 20
 
 
 class SpecInvalid(ValueError):
@@ -323,10 +330,17 @@ class CodeInstance:
 
     @cached_property
     def _moore_packed(self) -> list[int]:
-        """Symbol i's generator column packed k + 1 wide, the last slot
-        left empty for a right-hand side: its row of the message system."""
+        """Symbol i's generator column packed k wide: its row of the message
+        system.  The slots from k on are empty, so a decode appends the
+        symbol's value at slot k (width k + 1) or a unit row (width 2k)."""
         pk = _packing(self.field, self.k + 1)
         return [pk.pack(column) for column in zip(*self.gen.rows)]
+
+    @cached_property
+    def _inverses(self) -> OrderedDict:
+        """decode_erasures' information sets, least recently used first:
+        None for a set decoded once, then its Moore block's inverse."""
+        return OrderedDict()
 
     @cached_property
     def _point_packing(self) -> _Packing:
@@ -374,6 +388,10 @@ def encode(inst: CodeInstance, message: Sequence[ExtElem]) -> list[ExtElem]:
     rows, weighted by the message symbols and summed, one fold per symbol."""
     if len(message) != inst.k:
         raise LengthMismatch(f"message length {len(message)} != k = {inst.k}")
+    t = inst.spec.t
+    for j, v in enumerate(message):
+        if len(v) != t:
+            raise LengthMismatch(f"message symbol {j} has {len(v)} coordinates, not t = {t}")
     pk = _packing(inst.field, inst.n)
     return pk.unpack(_combine(pk, message, inst._gen_packed))
 
@@ -459,6 +477,38 @@ class DecodeResult:
     repaired_locally: tuple[int, ...]
 
 
+def _solve_message(inst: CodeInstance, chosen: tuple[int, ...], values: list[ExtElem]) -> tuple[ExtElem, ...]:
+    """The message whose codeword takes the values on the chosen symbols,
+    through the instance's kept inverse of their Moore block A (see
+    decode_erasures for when a set is inverted and kept)."""
+    field, k = inst.field, inst.k
+    rows, inverses = inst._moore_packed, inst._inverses
+    if chosen in inverses:
+        inverses.move_to_end(chosen)
+        columns = inverses[chosen]
+        if columns is None:
+            # Row j of the reduced [A | I] is [e_j | row j of A^-1]; column
+            # i of A^-1, packed k wide, weights value i in every message symbol.
+            pk = _packing(field, 2 * k)
+            bw, elem = pk.bw, pk.elem
+            solved = _solve_packed(pk, [rows[s] | 1 << (k + i) * bw for i, s in enumerate(chosen)], k)
+            columns = inverses[chosen] = [
+                sum(((row >> (k + i) * bw) & elem) << j * bw for j, row in enumerate(solved)) for i in range(k)
+            ]
+        pk = _packing(field, k)
+        return tuple(pk.unpack(_combine(pk, values, columns)))
+    pk = _packing(field, k + 1)
+    shift = k * pk.bw
+    solved = _solve_packed(pk, [rows[s] | pk.pack_elem(v) << shift for s, v in zip(chosen, values)], k)
+    # Each set in the map is charged its inverse's packed size from its first decode on.
+    capacity = _INVERSES_BYTES * 8 // (k * k * pk.bw)
+    if capacity:
+        while len(inverses) >= capacity:
+            inverses.popitem(last=False)
+        inverses[chosen] = None
+    return tuple(pk.unpack_elem(row >> shift) for row in solved)
+
+
 def decode_erasures(
     inst: CodeInstance, received: Mapping[int, ExtElem], pattern: ErasurePattern
 ) -> DecodeResult:
@@ -469,11 +519,19 @@ def decode_erasures(
     see mds_local_generator) at the locator pos, so a missing symbol is the
     F_q-combination of r present symbols with their Lagrange weights at pos.
     Second pass greedily collects symbols whose points extend an independent
-    set over F_q until rank k, then solves the chosen symbols' rows of the
-    Moore system for the message, with one field inversion.  Raises
-    Undecodable with the remaining rank when the pattern is unrecoverable.
+    set over F_q until rank k, the information set, and solves the chosen
+    symbols' rows A of the Moore system for the message.  The first decode
+    of a set eliminates [A | b] with one field inversion; the second
+    eliminates [A | I] instead and keeps A^-1 on the instance, so every
+    later decode of the set is A^-1 b, one packed combine with no
+    elimination and no inversion.  The kept sets are bounded by
+    _INVERSES_BYTES of packed inverses, the least recently used dropped
+    first.  Raises Undecodable with the remaining rank when the pattern is
+    unrecoverable.
     """
     field, k = inst.field, inst.k
+    if pattern.n != inst.n:
+        raise LengthMismatch(f"pattern length {pattern.n} != n = {inst.n}")
     remaining = pattern.remaining
     if set(received) != set(remaining):
         raise LengthMismatch("received symbols must cover exactly the remaining positions")
@@ -516,11 +574,7 @@ def decode_erasures(
         # their groups' received points.
         raise Undecodable(len(basis), k)
 
-    pk = _packing(field, k + 1)
-    shift = k * pk.bw
-    rows = inst._moore_packed
-    solved = _solve_packed(pk, [rows[i] | pk.pack_elem(known[i]) << shift for i in chosen], k)
-    message = tuple(pk.unpack_elem(row >> shift) for row in solved)
+    message = _solve_message(inst, tuple(chosen), [known[i] for i in chosen])
     codeword = tuple(encode(inst, message))
     if __debug__:
         assert all(codeword[i] == v for i, v in known.items()), "re-encode disagrees with a known symbol"

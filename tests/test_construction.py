@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import udlrc
-from udlrc import fields
+from udlrc import construction, fields
 from udlrc import (
     ErasurePattern,
     FieldTooSmall,
@@ -231,6 +231,11 @@ def test_encode_zero_and_length_check(ref_instance):
     assert encode(ref_instance, [field.zero] * 4) == [field.zero] * 8
     with pytest.raises(LengthMismatch):
         encode(ref_instance, [field.zero] * 3)
+    # A symbol of the wrong length, short (was padded with zeros) or long
+    # (was folded mod the modulus), encoded another message.
+    for coords in (3, 9):
+        with pytest.raises(LengthMismatch, match="symbol 2"):
+            encode(ref_instance, [field.one] * 2 + [(1,) * coords, field.one])
 
 
 def test_encode_paths_agree(ref_instance, rng):
@@ -396,6 +401,12 @@ def test_decode_rejects_mismatched_received(ref_instance):
     pattern = ErasurePattern.from_erased(8, (0,))
     with pytest.raises(LengthMismatch):
         decode_erasures(ref_instance, {i: field.zero for i in range(8)}, pattern)
+    # A pattern sized for another code: on the [12,6] repair code, n = 10
+    # left symbols 10 and 11 unreceived yet decoded, n = 13 read past the end.
+    inst = load_workloads().Repair(udlrc, 1).inst
+    for n in (10, 13):
+        with pytest.raises(LengthMismatch):
+            decode_erasures(inst, {i: inst.field.zero for i in range(n)}, ErasurePattern.from_erased(n, ()))
 
 
 def test_locality_definition_checklist(ref_instance):
@@ -480,6 +491,74 @@ def test_a_decode_makes_one_field_inversion(erased, phase, monkeypatch):
     assert (len(invs), len(packs)) == (1, 0)
 
 
+@pytest.mark.parametrize("erased, phase", [((0, 5), "local"), ((0, 1, 2), "global")], ids=["local", "global"])
+def test_a_repeat_decode_is_one_packed_combine(erased, phase, monkeypatch):
+    # The second decode of an information set keeps the inverse of its Moore
+    # block, so the third solves no system: no field inversion, no
+    # elimination and no packed row (1, 1 and 0 on a first or second decode).
+    inst = load_workloads().Repair(udlrc, 1).inst
+    rng = random.Random(8)
+    pattern = ErasurePattern.from_erased(inst.n, erased)
+    decodes = []
+    for _ in range(3):
+        message = [inst.field.random_element(rng) for _ in range(inst.k)]
+        codeword = encode(inst, message)
+        received = {i: codeword[i] for i in pattern.remaining}
+        decodes.append((message, received, ref_decode_erasures(inst, received, pattern)))
+    for message, received, expected in decodes[:2]:
+        assert decode_erasures(inst, received, pattern) == expected
+    invs = counting_method(monkeypatch, fields.ExtField, "inv")
+    eliminations = counting_method(monkeypatch, fields._Packing, "reduced_echelon")
+    packs = counting_method(monkeypatch, fields._Packing, "pack")
+    message, received, expected = decodes[2]
+    result = decode_erasures(inst, received, pattern)
+    assert result == expected and result.phase == phase and list(result.message) == message
+    assert (len(invs), len(eliminations), len(packs)) == (0, 0, 0)
+
+
+def test_kept_inverses_stay_within_their_budget(monkeypatch):
+    # The kept inverses are bounded by one module constant of packed bytes,
+    # 16 MiB: every one of the repair code's sets, each k^2 = 36 packed
+    # elements of 555 bits.  Lowered to three inverses, the map never holds
+    # more, drops the least recently used set, and every decode still
+    # equals the reference decode.
+    assert construction._INVERSES_BYTES == 16 << 20
+    inst = load_workloads().Repair(udlrc, 1).inst
+    bits = inst.k * inst.k * fields._packing(inst.field, inst.k).bw
+    assert bits == 19_980
+    monkeypatch.setattr(construction, "_INVERSES_BYTES", 3 * bits // 8 + 1)
+    rng = random.Random(2600)
+
+    def decode(code, pattern):
+        """Decode one seeded message; returns the most recently used set."""
+        codeword = encode(code, [inst.field.random_element(rng) for _ in range(inst.k)])
+        received = {i: codeword[i] for i in pattern.remaining}
+        assert decode_erasures(code, received, pattern) == ref_decode_erasures(code, received, pattern)
+        assert len(code._inverses) * bits <= 8 * construction._INVERSES_BYTES
+        return next(reversed(code._inverses), None)
+
+    patterns = [p for p in _repair_patterns(inst, rng, 40) if erasure_decodable(inst, p)]
+    first = {}  # set -> the first pattern that used it
+    inverted = 0
+    # Each pattern twice in a row, so its set is inverted before it is dropped.
+    for pattern in [p for p in patterns for _ in range(2)] * 2:
+        used = decode(inst, pattern)
+        first.setdefault(used, pattern)
+        inverted += inst._inverses[used] is not None
+    assert len(first) > 3 and len(inst._inverses) == 3 and inverted >= len(patterns)
+    # After sets a, b, c, a, d the map keeps c, a, d: b was the least recently used.
+    fresh = replace(inst)
+    a, b, c, d = list(first)[:4]
+    for key in (a, b, c, a, d):
+        assert decode(fresh, first[key]) == key
+    assert list(fresh._inverses) == [c, a, d]
+    # A budget below one inverse keeps no set.
+    monkeypatch.setattr(construction, "_INVERSES_BYTES", bits // 8)
+    fresh = replace(inst)
+    for pattern in patterns[:5] * 2:
+        assert decode(fresh, pattern) is None
+
+
 def _repair_patterns(inst, rng, count):
     """Seeded erasure patterns of the repair workload's three kinds: local
     (every group loses at most delta - 1), global (one group loses more,
@@ -510,19 +589,32 @@ def _decode_outcome(decode, inst, received, pattern):
 
 def _differential_decodes(inst, rng, count):
     """Decode count seeded patterns with decode_erasures and with the
-    reference decode; returns the outcomes seen (phases and undecodable)."""
+    reference decode; returns the outcomes seen (phases and undecodable).
+
+    Each pattern is decoded with three seeded messages, so an information
+    set goes through its first, second and later decodes.  Each is then
+    decoded on a copy whose points are scaled by one field element: the
+    same ranks, hence the same information sets, on other Moore blocks, so
+    an inverse carried over from the instance would decode wrongly."""
+    field = inst.field
+    c = field.zero
+    while c in (field.zero, field.one):
+        c = field.random_element(rng)
+    scaled = replace(inst, points=tuple(field.mul(c, y) for y in inst.points))
     seen = set()
     for pattern in _repair_patterns(inst, rng, count):
-        message = [inst.field.random_element(rng) for _ in range(inst.k)]
-        codeword = encode(inst, message)
-        received = {i: codeword[i] for i in pattern.remaining}
-        got = _decode_outcome(decode_erasures, inst, received, pattern)
-        assert got == _decode_outcome(ref_decode_erasures, inst, received, pattern), sorted(pattern.erased)
-        if isinstance(got, tuple):
-            seen.add("undecodable")
-        else:
-            assert list(got.message) == message and list(got.codeword) == codeword
-            seen.add(got.phase)
+        for code in (inst, scaled):
+            for _ in range(3):
+                message = [field.random_element(rng) for _ in range(inst.k)]
+                codeword = encode(code, message)
+                received = {i: codeword[i] for i in pattern.remaining}
+                got = _decode_outcome(decode_erasures, code, received, pattern)
+                assert got == _decode_outcome(ref_decode_erasures, code, received, pattern), sorted(pattern.erased)
+                if isinstance(got, tuple):
+                    seen.add("undecodable")
+                else:
+                    assert list(got.message) == message and list(got.codeword) == codeword
+                    seen.add(got.phase)
     return seen
 
 
