@@ -38,7 +38,6 @@ from .bounds import (
     distance_bound_udlrc,
     distance_bound_unequal_r,
     permuted_tightest_bound,
-    pivot_class,
 )
 from .construction import (
     CodeInstance,

@@ -116,8 +116,7 @@ def _block_starts(pk, columns) -> list[int]:
     """
     t, w, n = pk.t, pk.w, len(columns)
     h = (t * (pk.q - 1)).bit_length()
-    units = sum(1 << (j * pk.bw) for j in range(pk.length))
-    spread = sum(1 << (j * w) for j in range(t))
+    units, spread = pk.units, sum(1 << (j * w) for j in range(t))
     slots, ones, top = pk.slot * units, ((1 << h) - 1) * units, units << h
     supports = [((((x * spread) >> ((t - 1) * w)) & slots) + ones) & top for x in columns]
     after = [0] * (n + 1)
@@ -162,7 +161,7 @@ def _walk(pk, columns, rank, k, budget, prefix=False):
     if rank < k:
         raise RankDeficientGenerator(f"generator rank below k={rank + 1 if prefix else k}")
     if not k:
-        raise AssertionError("unreachable: any k - 1 columns are rank deficient")
+        raise ValueError("k = 0: a code of dimension 0 has no rank-deficient symbol set")
     first = 1 if prefix else k
     starts = _block_starts(pk, columns)
     elem, negq, canon, bw = pk.elem, pk.negq, pk.canon, pk.bw
@@ -371,11 +370,12 @@ def certify_distance_optimal(
 
     Checks that every symbol set of the critical size tau = n + 1 - ceiling
     has points of F_q-rank at least k: by the greedy worst-case pattern
-    (which minimizes remaining rank), and for n within the oracle budget
-    exhaustively: the deficient sizes end at n - d, so that check is
-    d >= n + 1 - tau, with d from cert, the oracle's certificate of inst,
-    or from the oracle when cert is None.  Requires the ordered parameter
-    condition, under which the greedy pattern argument is valid.
+    (which minimizes remaining rank), and then exhaustively: the deficient
+    sizes end at n - d, so that check is d >= n + 1 - tau, with d from cert,
+    the oracle's certificate of inst, whatever n is, or from the oracle when
+    cert is None, which raises TooLarge for n over budget.  Requires the
+    ordered parameter condition, under which the greedy pattern argument is
+    valid.
     """
     spec = inst.spec
     if not spec.ordered_condition:
@@ -384,7 +384,8 @@ def certify_distance_optimal(
         )
     tau = tightness_budget_size(inst)
     greedy = worst_case_pattern(inst.layout, spec.n - tau)
-    ok = erank(inst, greedy.remaining) >= spec.k
-    if ok and spec.n <= budget:
-        ok = (cert if cert is not None else min_distance_oracle(inst, budget)).d >= spec.n + 1 - tau
-    return ok
+    if erank(inst, greedy.remaining) < spec.k:
+        return False
+    if cert is None:
+        cert = min_distance_oracle(inst, budget)
+    return cert.d >= spec.n + 1 - tau

@@ -94,11 +94,6 @@ def dimension_bound(spec: LocalitySpec) -> int:
     return sum(spec.k_caps)
 
 
-def pivot_class(spec: LocalitySpec) -> int:
-    """1-based index of the first class whose cumulative caps reach k."""
-    return distance_bound_udlrc(spec).pivot
-
-
 def distance_bound_udlrc(spec: LocalitySpec) -> BoundReport:
     """Distance ceiling for unequal disjoint localities: distance_bound_measured
     with every class at its dimension cap,

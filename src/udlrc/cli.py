@@ -266,63 +266,38 @@ def cmd_certify(args, report, spec, file_seed) -> str:
         return "budget-exceeded"
 
     inst = build_code(spec)
+    failed = False
+
+    def check(name: str, ok: bool, detail: str) -> None:
+        nonlocal failed
+        failed |= not ok
+        report.add("check", name, "PASS" if ok else "FAIL", detail)
+
     # A finished cover chain ends at its class's rank.
     traces = [class_cover_trace(inst, j) for j in range(1, spec.s + 1)]
     granks = [trace.granks[-1] for trace in traces]
     full = spec.k == spec.n_gab
     caps_ok = all(g == cap if full else g <= cap for g, cap in zip(granks, spec.k_caps))
-    failed = not caps_ok
-    report.add(
-        "check",
-        "class-rank-caps",
-        "PASS" if caps_ok else "FAIL",
-        "granks=" + ",".join(map(str, granks)) + " caps=" + ",".join(map(str, spec.k_caps)),
-    )
-
+    check("class-rank-caps", caps_ok, f"granks={','.join(map(str, granks))} caps={','.join(map(str, spec.k_caps))}")
     for j, (c, trace) in enumerate(zip(spec.classes, traces), 1):
         violations = check_cover_trace(trace, c.r, c.delta)
-        failed |= bool(violations)
-        report.add(
-            "check",
-            f"cover-chain-{j}",
-            "PASS" if not violations else "FAIL",
-            f"steps={trace.steps}" + ("" if not violations else " " + "; ".join(violations)),
-        )
+        detail = f"steps={trace.steps}" + ("" if not violations else " " + "; ".join(violations))
+        check(f"cover-chain-{j}", not violations, detail)
 
     cert = min_distance_oracle(inst, budget=budget)
-    report.add(
-        "check",
-        "distance-oracle",
-        "PASS",
-        f"d={cert.d} witness-size={len(cert.witness)} witness-rank={cert.witness_rank}",
-    )
+    detail = f"d={cert.d} witness-size={len(cert.witness)} witness-rank={cert.witness_rank}"
+    report.add("check", "distance-oracle", "PASS", detail)
 
     witness = rank_deficiency_witness(inst, traces)
     wrank = min(spec.k, erank(inst, witness))
     slack = len(witness) - wrank
-    witness_ok = (
-        wrank <= spec.k - 1
-        and spec.n - len(witness) >= cert.d
-        and cert.d <= spec.n - spec.k + 1 - slack
-    )
-    failed |= not witness_ok
-    report.add(
-        "check",
-        "deficiency-witness",
-        "PASS" if witness_ok else "FAIL",
-        f"size={len(witness)} grank={wrank}",
-    )
+    witness_ok = wrank <= spec.k - 1 and spec.n - len(witness) >= cert.d and cert.d <= spec.n - spec.k + 1 - slack
+    check("deficiency-witness", witness_ok, f"size={len(witness)} grank={wrank}")
 
     bound = distance_bound_udlrc(spec)
     if spec.ordered_condition:
         optimal = certify_distance_optimal(inst, budget=budget, cert=cert)
-        failed |= not optimal
-        report.add(
-            "check",
-            "distance-optimal",
-            "PASS" if optimal else "FAIL",
-            f"tau={tightness_budget_size(inst)}",
-        )
+        check("distance-optimal", optimal, f"tau={tightness_budget_size(inst)}")
         equal = cert.d == bound.value
         failed |= not equal
         report.add("meta", "verdict", f"d-oracle={cert.d} d-cap={bound.value} equal={'yes' if equal else 'no'}")
@@ -353,26 +328,18 @@ def _kept_tuples(choices, s: int, q: int):
     extends leads to a kept tuple, and it checks at most s * len(choices)
     choices between two kept tuples."""
     size = len(choices)
-    fits = [q >= r + d - 1 for r, d, _ in choices]
-    picks: list[int] = []  # the choice of each class of the prefix
-    i = 0  # the next choice to try for class len(picks)
-    while True:
-        least_r, most_d = choices[picks[-1]][:2] if picks else (-inf, inf)
-        while i < size and not (fits[i] and choices[i][0] >= least_r and choices[i][1] <= most_d):
-            i += 1
-        if i == size:
-            if not picks:
-                return
-            i = picks.pop() + 1
-        elif len(picks) == s - 1:
-            position = 0
-            for j in picks:
-                position = position * size + j
-            yield position * size + i, (*picks, i)
-            i += 1
-        else:
-            picks.append(i)
-            i = 0
+    fits = [i for i, (r, d, _) in enumerate(choices) if q >= r + d - 1]
+
+    def walk(position, picks, least_r, most_d):
+        if len(picks) == s:
+            yield position, picks
+            return
+        for i in fits:
+            r, d, _ = choices[i]
+            if r >= least_r and d <= most_d:
+                yield from walk(position * size + i, (*picks, i), r, d)
+
+    return walk(0, (), -inf, inf)
 
 
 def cmd_sweep(args, report) -> str:

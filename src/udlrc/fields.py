@@ -10,8 +10,9 @@ exact: no floats, no tolerances, and comparisons are plain equality.
 This module owns the one multiplication of F_(q^t): ExtField.mul and
 ExtField.pow, every matrix product and every elimination step, the field's
 set-up (x^q, the Frobenius step) and the modulus search's Rabin test run on
-the packed kernel below.  Only the test's gcds stay on coefficient lists,
-since the kernel cannot divide.
+the packed kernel below.  What divides stays on coefficient lists, since the
+kernel cannot: the test's gcds, ExtField.inv's extended Euclid and each
+layout's Barrett constant mu.
 A packed row of L elements of F_(q^t) is one Python int: element j owns a
 block of 2t - 1 slots of W bits starting at bit j(2t - 1)W, and its t
 coordinates sit in the block's low slots, constant term first, with the
@@ -419,12 +420,13 @@ class _Packing:
         assert q << b <= 1 << s and max(v1, (t - 1) * v1 * c, v2, v2 * m) < 1 << w
         self.s, self.m = s, m
         self.bw = bw = (2 * t - 1) * w
-        blocks = sum(1 << (j * bw) for j in range(length))
+        # A 1 at the low bit of every block: the geometric sum of 2^(j * bw).
+        self.units = units = ((1 << (length * bw)) - 1) // ((1 << bw) - 1)
         self.w, self.slot = w, (1 << w) - 1
         self.shifts = tuple(range(0, t * w, w))
         self.elem = (1 << (t * w)) - 1
-        self.low = self.elem * blocks
-        self.quot = sum(((1 << (w - s)) - 1) << i for i in self.shifts) * blocks
+        self.low = self.elem * units
+        self.quot = sum(((1 << (w - s)) - 1) << i for i in self.shifts) * units
         self.negq = sum(q << i for i in self.shifts)
         if t > 1:
             # Polynomial Barrett: with mu = x^(2t-2) div the modulus and
@@ -434,7 +436,7 @@ class _Packing:
             # Slots are not reduced in between: over the integers each one
             # stays congruent mod q to its value over F_q.
             self.hi_shift, self.quo_shift = t * w, (t - 2) * w
-            self.high = ((1 << ((t - 1) * w)) - 1) * blocks
+            self.high = ((1 << ((t - 1) * w)) - 1) * units
             self.mu = self.pack_elem(_poly_divmod([0] * (2 * t - 2) + [1], modulus, q)[0])
             self.red = self.pack_elem([-v for v in modulus[:t]])
 

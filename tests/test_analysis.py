@@ -675,7 +675,7 @@ def test_one_pass_matches_the_block_walk_on_random_matrices():
         n, rank = len(packed), len(pk.echelon(packed, k))
         certs = _block_walks(pk, packed, rank, range(1, rank + 1), n)
         assert [_walk(pk, packed, rank, j, n) for j in range(1, rank + 1)] == certs
-        if rank:  # a pass to k = 0 is refused as unreachable, as one walk at k = 0 is
+        if rank:  # a pass to k = 0 is refused with a ValueError, as one walk at k = 0 is
             assert _walk(pk, packed, rank, rank, n, prefix=True) == certs
         # A pass up to k = rank + 2 refuses at the first k past the rank.
         with pytest.raises(RankDeficientGenerator, match=f"k={rank + 1}$"):
@@ -763,10 +763,12 @@ def test_points_of_low_rank_raise_on_both_paths():
 
 
 def test_a_generator_without_rows_takes_the_generic_path():
+    # k = 0 is refused with a ValueError that names it (it once reached an
+    # assertion marked unreachable).
     from udlrc import ExtField
 
     for field in (F5, ExtField(F5, 3)):
-        with pytest.raises(AssertionError, match="unreachable"):
+        with pytest.raises(ValueError, match="^k = 0: "):
             min_distance_oracle(Matrix(field, []))
 
 
@@ -1186,6 +1188,20 @@ def test_certify_walk_matches_the_subset_loop(all_instances):
     assert verdicts == [_loop_certify(inst) for inst in faulty]
     # On 299 of them some tau-set of points falls below rank k.
     assert verdicts.count(False) == 299
+
+
+def test_certify_reads_a_given_certificate_whatever_n_is():
+    # A given certificate is read past the budget too: d = 0 fails at the
+    # default budget as at budget 27 (the budget once gated it, and the
+    # greedy pattern alone certified the code).  Without one, the oracle
+    # refuses n over its budget.
+    inst = build_code(validate_spec(load_spec_file(REACH_N27)[0]))
+    zero = DistanceCertificate(d=0, witness=(), witness_rank=0)
+    assert certify_distance_optimal(inst, cert=zero) is False
+    assert certify_distance_optimal(inst, budget=27, cert=zero) is False
+    assert certify_distance_optimal(inst, budget=27) is True
+    with pytest.raises(TooLarge, match="n=27 exceeds the enumeration budget 20"):
+        certify_distance_optimal(inst)
 
 
 def test_certify_reads_the_oracle_certificate_and_the_traces(all_instances, monkeypatch):

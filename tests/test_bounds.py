@@ -18,7 +18,6 @@ from udlrc import (
     distance_bound_udlrc,
     distance_bound_unequal_r,
     permuted_tightest_bound,
-    pivot_class,
 )
 import udlrc.bounds as bounds_module
 from conftest import (
@@ -53,11 +52,11 @@ def test_dimension_bound():
 
 
 def test_pivot_class():
-    assert pivot_class(two_class(4)) == 2
-    assert pivot_class(two_class(2)) == 1  # first cap suffices
-    assert pivot_class(two_class(5)) == 2  # full sum needed
+    assert distance_bound_udlrc(two_class(4)).pivot == 2
+    assert distance_bound_udlrc(two_class(2)).pivot == 1  # first cap suffices
+    assert distance_bound_udlrc(two_class(5)).pivot == 2  # full sum needed
     with pytest.raises(DimensionInfeasible):
-        pivot_class(two_class(6))
+        distance_bound_udlrc(two_class(6)).pivot
 
 
 def test_distance_cap_reference_values():

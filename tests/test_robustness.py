@@ -7,7 +7,9 @@ a report ends with.  Every case runs the CLI in process."""
 import dataclasses
 import hashlib
 import json
+import random
 import time
+from itertools import product
 
 import pytest
 
@@ -87,6 +89,20 @@ def test_negative_certify_budget(tmp_path, capsys):
     # Zero is a budget.
     code, _ = _run(["certify", "--spec", spec, "--budget", "0"], capsys)
     assert code == 5
+
+
+def test_certify_is_near_linear_in_t(tmp_path, capsys):
+    # The packed layout's unit row was a sum of t shifted ones and was built
+    # twice per certify, quadratic in t: 4.4 s at t = 80,000, 13 s at
+    # 160,000.  At t = 10^6 every row but spec and digest is the t = 5 one.
+    reports = []
+    for t in (5, 1_000_000):
+        start = time.perf_counter()
+        code = cli.main(["certify", "--spec", _spec_file(tmp_path, {**REF, "t": t}), "--format", "machine"])
+        assert (code, time.perf_counter() - start < 5.0) == (0, True)
+        rows = capsys.readouterr().out.splitlines()
+        reports.append([row for row in rows if row.split("\t")[1] not in ("spec", "digest")])
+    assert reports[0] == reports[1] and len(reports[0]) == 10
 
 
 def test_negative_sweep_budget(capsys):
@@ -190,6 +206,42 @@ def test_sweep_matches_the_product_loop(argv, status, fmt, capsys):
     report = cli.Report("sweep", fmt)
     report.add("status", ref_cmd_sweep(cli.build_parser().parse_args(argv), report))
     assert (code, out) == (cli.STATUS_CODES[status], report.render())
+
+
+def _ref_kept_tuples(choices, s, q):
+    """Every combination of product(range(len(choices)), repeat=s) with its
+    position, kept when r is nondecreasing, delta nonincreasing and
+    q >= r + delta - 1 in every class."""
+    for position, picks in enumerate(product(range(len(choices)), repeat=s)):
+        rs, ds = [choices[i][0] for i in picks], [choices[i][1] for i in picks]
+        if (
+            all(a <= b for a, b in zip(rs, rs[1:]))
+            and all(a >= b for a, b in zip(ds, ds[1:]))
+            and all(q >= r + d - 1 for r, d in zip(rs, ds))
+        ):
+            yield position, picks
+
+
+def test_kept_tuples_match_the_product_filter():
+    # 400 seeded (choices, s <= 5, q) inputs, choices as sweep makes them
+    # from its three ranges (the m range empty a quarter of the time), cut
+    # to at most 3,000 combinations.
+    rng = random.Random(2017)
+    kept = empty = none = partial = 0
+    for _ in range(400):
+        s, r, d = rng.randint(1, 5), rng.randint(0, 4), rng.randint(1, 5)
+        ms = range(1, rng.choice((1, 2, 2, 3)))
+        choices = list(product(range(r, r + rng.randint(1, 4)), range(d, d + rng.randint(1, 3)), ms))
+        while len(choices) ** s > 3000:
+            choices.pop(rng.randrange(len(choices)))
+        q = rng.choice((2, 3, 5, 7, 11))
+        got = list(cli._kept_tuples(choices, s, q))
+        assert got == list(_ref_kept_tuples(choices, s, q))
+        kept += len(got)
+        empty += not choices
+        none += bool(choices) and not got
+        partial += s >= 3 and 0 < len(got) < len(choices) ** s
+    assert kept > 8000 and min(empty, none) > 90 and partial > 100
 
 
 def test_sweep_class_cap_names_the_flag(capsys):
