@@ -67,11 +67,11 @@ def min_distance_oracle(code: CodeInstance | Matrix, budget: int = DEFAULT_ORACL
     is walked over its points as length-t rows over F_q.  A Matrix is
     walked over the columns of its reduced basis over its own field (row
     operations keep every column subset's rank; unit pivot columns skip
-    most elimination steps).  Either is one walk (_walk) over the subsets
-    of rank < k in combinations order.  A largest such set is closed, as a
-    column in its span would join it at the same rank, so two rules cut
-    only branches without one: (a) a column in the path's span is taken,
-    never skipped; (b) a path whose span holds a column it skipped is
+    most elimination steps).  Either is one walk (_walk at first = k) over
+    the subsets of rank < k in combinations order.  A largest such set is
+    closed, as a column in its span would join it at the same rank, so two
+    rules cut only branches without one: (a) a column in the path's span is
+    taken, never skipped; (b) a path whose span holds a column it skipped is
     dropped.  So is a branch that cannot outgrow the largest set so far.
     The first set of the largest size n - d that the walk meets is the
     lexicographically first one, the witness of a size-by-size scan.
@@ -86,13 +86,13 @@ def min_distance_oracle(code: CodeInstance | Matrix, budget: int = DEFAULT_ORACL
     """
     if isinstance(code, CodeInstance):
         pk, columns = code._point_packing, code._points_packed
-        return _walk(pk, columns, len(pk.echelon(columns, pk.length)), code.k, budget)
+        return _walk(pk, columns, len(pk.echelon(columns, pk.length)), code.k, code.k, budget)[0]
     n, k = code.ncols, code.nrows
     pn = _packing(code.field, n)
     rows = [pn.unpack(row) for _, row in pn.reduced(map(pn.pack, code.rows), n)]
     pk = _packing(code.field, k)
     columns = [pk.pack([row[j] for row in rows]) for j in range(n)]
-    return _walk(pk, columns, len(rows), k, budget)
+    return _walk(pk, columns, len(rows), k, k, budget)[0]
 
 
 def prefix_oracles(inst: CodeInstance, budget: int = DEFAULT_ORACLE_BUDGET) -> list[DistanceCertificate]:
@@ -102,7 +102,7 @@ def prefix_oracles(inst: CodeInstance, budget: int = DEFAULT_ORACLE_BUDGET) -> l
     serves them all.
     """
     pk, columns = inst._point_packing, inst._points_packed
-    return _walk(pk, columns, len(pk.echelon(columns, pk.length)), inst.k, budget, prefix=True)
+    return _walk(pk, columns, len(pk.echelon(columns, pk.length)), 1, inst.k, budget)
 
 
 def _block_starts(pk, columns) -> list[int]:
@@ -131,9 +131,9 @@ def _block_starts(pk, columns) -> list[int]:
     return starts
 
 
-def _walk(pk, columns, rank, k, budget, prefix=False):
-    """The certificate at k of the columns, packed by pk, of rank rank, or
-    with prefix the list of certificates at each of 1 .. k.
+def _walk(pk, columns, rank, first, k, budget):
+    """The certificates at each of first .. k of the columns, packed by pk,
+    of rank rank, in a list.
 
     One depth-first walk over the subsets of rank < k, each column taken
     before it is skipped, keeps every column's residual against the span
@@ -153,20 +153,19 @@ def _walk(pk, columns, rank, k, budget, prefix=False):
     the first largest set at each budget: only a larger one replaces it.
     Best sizes grow with g, so a branch is cut when it cannot outgrow the
     best at the lowest budget at or above r that the block may be asked
-    for: k - 1 (0 with prefix) less the columns before the block, or 0.
+    for: first - 1 less the columns before the block, or 0.
     """
     n = len(columns)
     if n > budget:
         raise TooLarge(f"n={n} exceeds the enumeration budget {budget}")
     if rank < k:
-        raise RankDeficientGenerator(f"generator rank below k={rank + 1 if prefix else k}")
+        raise RankDeficientGenerator(f"generator rank below k={max(first, rank + 1)}")
     if not k:
         raise ValueError("k = 0: a code of dimension 0 has no rank-deficient symbol set")
-    first = 1 if prefix else k
     starts = _block_starts(pk, columns)
     elem, negq, canon, bw = pk.elem, pk.negq, pk.canon, pk.bw
     path: list[int] = []
-    tail = [(0, 0, ())]  # per budget: size, rank and set as (block's part, next block's parts)
+    tail = [(0, 0, ())]  # per budget: size, rank and set
     for j, e in reversed(list(zip(starts, starts[1:]))):
         least, cap, last = max(0, first - 1 - j), min(k - 1, n - j), len(tail) - 1
         best = [(-1,)] * (cap + 1)
@@ -176,7 +175,7 @@ def _walk(pk, columns, rank, k, budget, prefix=False):
             while True:
                 size, floor = len(path), max(r, least)
                 if size > best[floor][0]:
-                    found, g = (size, r, (tuple(path), ())), floor
+                    found, g = (size, r, tuple(path)), floor
                     while g <= cap and size > best[g][0]:
                         best[g] = found
                         g += 1
@@ -186,7 +185,7 @@ def _walk(pk, columns, rank, k, budget, prefix=False):
                     for g in range(floor, cap + 1):
                         rest = tail[min(g - r, last)]
                         if size + rest[0] > best[g][0]:
-                            best[g] = (size + rest[0], r + rest[1], (tuple(path), rest[2]))
+                            best[g] = (size + rest[0], r + rest[1], tuple(path) + rest[2])
                     break
                 row = residuals[i - j]
                 if not row:  # (a)
@@ -205,14 +204,7 @@ def _walk(pk, columns, rank, k, budget, prefix=False):
 
         visit(j, 0, columns[j:e])
         tail = best
-    certs = []
-    for size, gain, parts in tail[first - 1 :]:
-        witness: list[int] = []
-        while parts:
-            here, parts = parts
-            witness += here
-        certs.append(DistanceCertificate(d=n - size, witness=tuple(witness), witness_rank=gain))
-    return certs if prefix else certs[0]
+    return [DistanceCertificate(n - size, witness, gain) for size, gain, witness in tail[first - 1 :]]
 
 
 @dataclass(frozen=True)
@@ -260,7 +252,6 @@ def class_cover_trace(inst: CodeInstance, j: int) -> CoverTrace:
     current: frozenset[int] = frozenset()
     sets = [current]
     picks: list[int] = []
-    sizes = [0]
     granks_ = [0]
     for i in class_symbols(inst, j):
         if granks_[-1] == inst.k:
@@ -273,13 +264,12 @@ def class_cover_trace(inst: CodeInstance, j: int) -> CoverTrace:
         current = current | frozenset(group)
         sets.append(current)
         picks.append(i)
-        sizes.append(len(current))
         granks_.append(min(inst.k, len(basis)))
     return CoverTrace(
         class_index=j,
         sets=tuple(sets),
         picks=tuple(picks),
-        sizes=tuple(sizes),
+        sizes=tuple(map(len, sets)),
         granks=tuple(granks_),
     )
 

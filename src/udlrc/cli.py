@@ -6,10 +6,15 @@ undecodable 3 (an erasure pattern past repair), mismatch or fail 4 (a
 round trip or a certification check that failed), budget-exceeded 5
 (certify's oracle size, sweep's work cap).  A command stopped by an error
 prints one error line and no report, and exits 2 for a bad description or
-input (an unreadable input file and an unwritable --output included), 4
-when a check needs the ordered condition, or 5 for an enumeration over its
-budget (the oracle size, the 8-class permutation search, the field-modulus
-search).  Reports are deterministic: same inputs, byte-identical output.
+input (an unreadable input file and an unwritable --output included) or 5
+for a search over its budget (the 8-class permutation search, the
+field-modulus search; build, encode and decode run it, cached for
+inst.field, before any flag check and before the code places its n
+length-t points).  certify checks n against the oracle budget and the
+ordered condition before the checks that need them: n over the budget ends
+its report with budget-exceeded, and without the ordered condition the
+distance-optimal check is a SKIP row.  Reports are deterministic: same
+inputs, byte-identical output.
 The oracle budget (largest n the distance oracle will enumerate) is
 --budget alone: default 20 for certify, off (0) for sweep.  certify's
 exhaustive distance-optimality check runs under the same budget and
@@ -63,7 +68,7 @@ from .construction import (
     erank,
     validate_spec,
 )
-from .fields import PRIME_CHECK_LIMIT, ModulusSearchTooLarge, is_prime
+from .fields import PRIME_CHECK_LIMIT, ModulusSearchTooLarge, find_irreducible, is_prime
 from .specfile import (
     SpecFileError,
     dump_symbols,
@@ -81,6 +86,8 @@ EXIT_BUDGET = 5
 
 # One row per exit code, the first match wins (OSError, UnicodeDecodeError: an
 # unreadable input file or an unwritable --output).  Anything else is a bug.
+# No command reaches OrderedConditionRequired or TooLarge; their rows give
+# the library functions that raise them their exit codes.
 EXIT_CODES = (
     ((SpecFileError, SpecInvalid, DimensionInfeasible, OSError, UnicodeDecodeError), EXIT_SPEC_ERROR),
     ((OrderedConditionRequired,), EXIT_CERTIFY_FAIL),
@@ -148,7 +155,6 @@ def _nonnegative(value: int, name: str) -> int:
 
 def _message_for(args, spec, inst, file_seed):
     """Message symbols from --message or a seeded generator for --random."""
-    # Built first, so a field the modulus search refuses exits 5 before any flag check.
     field = inst.field
     if args.message and args.random:
         raise SpecFileError("--message and --random are mutually exclusive")
@@ -200,6 +206,7 @@ def cmd_bounds(args, report, spec, file_seed) -> str:
 
 
 def cmd_build(args, report, spec, file_seed) -> str:
+    find_irreducible(spec.q, spec.t)
     inst = build_code(spec)
     report.add("meta", "n", spec.n)
     report.add("meta", "k", spec.k)
@@ -221,6 +228,7 @@ def cmd_build(args, report, spec, file_seed) -> str:
 
 
 def cmd_encode(args, report, spec, file_seed) -> str:
+    find_irreducible(spec.q, spec.t)
     inst = build_code(spec)
     message, seed = _message_for(args, spec, inst, file_seed)
     codeword = encode(inst, message)
@@ -236,6 +244,7 @@ def cmd_encode(args, report, spec, file_seed) -> str:
 
 
 def cmd_decode(args, report, spec, file_seed) -> str:
+    find_irreducible(spec.q, spec.t)
     inst = build_code(spec)
     message, seed = _message_for(args, spec, inst, file_seed)
     pattern = _parse_erasures(args.erase, spec.n)

@@ -535,7 +535,11 @@ def decode_erasures(
     remaining = pattern.remaining
     if set(received) != set(remaining):
         raise LengthMismatch("received symbols must cover exactly the remaining positions")
-    known: dict[int, ExtElem] = {i: field.element(received[i]) for i in remaining}
+    t, known = field.t, {}
+    for i in remaining:
+        if len(v := received[i]) != t:
+            raise LengthMismatch(f"received symbol {i} has {len(v)} coordinates, not t = {t}")
+        known[i] = field.element(v)
 
     single = _packing(field, 1)
     repaired: list[int] = []

@@ -380,6 +380,25 @@ class ExtField:
 # ---------------------------------------------------------------------------
 # The packed kernel: every product in F_q and F_{q^t}.
 
+def _join(parts: Sequence[int], width: int) -> int:
+    """sum(part << (i * width)) over the parts, joined by halves: a shift
+    copies its whole operand, so joining one part at a time is quadratic."""
+    if len(parts) == 1:
+        return parts[0]
+    half = len(parts) // 2
+    return _join(parts[:half], width) | (_join(parts[half:], width) << (half * width))
+
+
+def _split(x: int, width: int, count: int) -> list[int]:
+    """The count parts of x, each width bits (the last one all bits above),
+    low first, split by halves as _join joins them."""
+    if count == 1 or not x:
+        return [x] + [0] * (count - 1)
+    half = count // 2
+    low = x & ((1 << (half * width)) - 1)
+    return _split(low, width, half) + _split(x >> (half * width), width, count - half)
+
+
 class _Packing:
     """The packed layout of rows of one length over F_q (modulus None, int
     elements) or over F_q[x]/(modulus) for a monic modulus of degree t
@@ -474,7 +493,14 @@ class _Packing:
         return tuple([(x >> i) & slot for i in self.shifts])
 
     def pack(self, row: Sequence) -> int:
+        """Element j of the row in block j.  Each shift copies the int built
+        so far, so a longer row is packed in chunks of 64 elements, only
+        those with a nonzero element, and the chunks joined by halves."""
         bw, x = self.bw, 0
+        if len(row) > 64:
+            nonzero = (lambda c: any(map(any, c))) if self.tuples else any
+            chunks = (row[j : j + 64] for j in range(0, len(row), 64))
+            return _join([self.pack(c) if nonzero(c) else 0 for c in chunks], 64 * bw)
         if self.tuples:
             pack_elem = self.pack_elem
             for e in reversed(row):
@@ -486,9 +512,16 @@ class _Packing:
         return x
 
     def unpack(self, x: int, start: int = 0) -> list:
-        """Elements start.. of the row."""
-        bw, unpack_elem = self.bw, self.unpack_elem
-        return [unpack_elem(x >> (j * bw)) for j in range(start, self.length)]
+        """Elements start.. of the row; more than 64 of them are split by
+        halves into chunks of 64, as pack joins them, each read as a short
+        row."""
+        bw, unpack_elem, count = self.bw, self.unpack_elem, self.length - start
+        if count <= 64:
+            return [unpack_elem(x >> (j * bw)) for j in range(start, self.length)]
+        zero, out = [unpack_elem(0)] * 64, []
+        for c in _split(x >> (start * bw), 64 * bw, (count + 63) // 64):
+            out += [unpack_elem(c >> (j * bw)) for j in range(64)] if c else zero
+        return out[:count]
 
     def reduce(self, row: int, basis: Sequence[tuple]) -> int:
         """Clear from row the pivot column of each basis entry, in basis order.

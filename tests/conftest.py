@@ -161,6 +161,20 @@ def ref_frobenius(field, a, i):
     return a
 
 
+def ref_pack(pk, row):
+    """_Packing.pack as one loop over the whole row, the path its chunked
+    join replaced: each shift copies the int built so far."""
+    x = 0
+    for e in reversed(row):
+        x = (x << pk.bw) | pk.pack_elem(e)
+    return x
+
+
+def ref_unpack(pk, x, start=0):
+    """_Packing.unpack as one shift of the whole row per element."""
+    return [pk.unpack_elem(x >> (j * pk.bw)) for j in range(start, pk.length)]
+
+
 def _ref_poly_powmod(base, e, m, q):
     """base^e mod the monic m over F_q, schoolbook products."""
 

@@ -509,7 +509,7 @@ def test_residual_walk_on_random_matrices():
         packed = [pk.pack(col) for col in columns]
         rank = len(pk.echelon(packed, k))
         for j in range(1, rank + 1):
-            assert _walk(pk, packed, rank, j, len(packed)) == ref_walk(pk, packed, rank, j, len(packed))
+            assert _walk(pk, packed, rank, j, j, len(packed))[0] == ref_walk(pk, packed, rank, j, len(packed))
             walks += 1
         if rank < k:
             for oracle in (min_distance_oracle, _reduced_basis_oracle):
@@ -574,9 +574,10 @@ def test_block_walk_matches_the_residual_walk_on_perturbed_points(grid_instances
         assert prefix_oracles(_at_k(changed, top)) == _residual_walks(changed, range(1, top + 1))
         if rank < inst.k:
             deficient += 1
-            for walk in (_walk, ref_residual_walk):
-                with pytest.raises(RankDeficientGenerator):
-                    walk(pk, columns, rank, inst.k, inst.n)
+            with pytest.raises(RankDeficientGenerator):
+                _walk(pk, columns, rank, inst.k, inst.k, inst.n)
+            with pytest.raises(RankDeficientGenerator):
+                ref_residual_walk(pk, columns, rank, inst.k, inst.n)
         starts = len(_block_starts(pk, columns))
         built = len(_block_starts(pk, inst._points_packed))
         fewer += starts < built
@@ -674,12 +675,12 @@ def test_one_pass_matches_the_block_walk_on_random_matrices():
         packed = [pk.pack(column) for column in columns]
         n, rank = len(packed), len(pk.echelon(packed, k))
         certs = _block_walks(pk, packed, rank, range(1, rank + 1), n)
-        assert [_walk(pk, packed, rank, j, n) for j in range(1, rank + 1)] == certs
+        assert [_walk(pk, packed, rank, j, j, n)[0] for j in range(1, rank + 1)] == certs
         if rank:  # a pass to k = 0 is refused with a ValueError, as one walk at k = 0 is
-            assert _walk(pk, packed, rank, rank, n, prefix=True) == certs
+            assert _walk(pk, packed, rank, 1, rank, n) == certs
         # A pass up to k = rank + 2 refuses at the first k past the rank.
         with pytest.raises(RankDeficientGenerator, match=f"k={rank + 1}$"):
-            _walk(pk, packed, rank, rank + 2, n, prefix=True)
+            _walk(pk, packed, rank, 1, rank + 2, n)
         with pytest.raises(RankDeficientGenerator, match=f"k={rank + 1}$"):
             ref_block_walk(pk, packed, rank, rank + 1, n)
         walks += rank
@@ -732,7 +733,7 @@ def test_walk_nests_through_at_most_a_hundred_blocks():
         unit[i] = 1
         columns += [pk.pack(unit), pk.pack([2 * v for v in unit])]
     assert len(_block_starts(pk, columns)) == m + 1
-    cert = _walk(pk, columns, m, 2, 2 * m)
+    cert = _walk(pk, columns, m, 2, 2, 2 * m)[0]
     assert cert == ref_residual_walk(pk, columns, m, 2, 2 * m)
     assert (cert.d, cert.witness_rank) == (2 * m - 2, 1)
 

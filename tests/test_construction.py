@@ -407,6 +407,13 @@ def test_decode_rejects_mismatched_received(ref_instance):
     for n in (10, 13):
         with pytest.raises(LengthMismatch):
             decode_erasures(inst, {i: inst.field.zero for i in range(n)}, ErasurePattern.from_erased(n, ()))
+    # A received symbol of the wrong length is named, as encode names a
+    # message symbol; it was a bare ValueError from the field.
+    for width in (3, 9):
+        received = {i: inst.field.zero for i in range(12)}
+        received[4] = (0,) * width
+        with pytest.raises(LengthMismatch, match=f"^received symbol 4 has {width} coordinates, not t = 8$"):
+            decode_erasures(inst, received, ErasurePattern.from_erased(12, ()))
 
 
 def test_locality_definition_checklist(ref_instance):

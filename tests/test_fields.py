@@ -7,7 +7,7 @@ from udlrc import ExtField, ModulusSearchTooLarge, PrimeField, find_irreducible,
 from udlrc.fields import MODULUS_SEARCH_BUDGET, PRIME_CHECK_LIMIT
 from udlrc.fields import _is_irreducible
 from udlrc import fields
-from conftest import monic_candidates, ref_frobenius, ref_is_irreducible, ref_mul, ref_pow
+from conftest import monic_candidates, ref_frobenius, ref_is_irreducible, ref_mul, ref_pack, ref_pow, ref_unpack
 
 
 def test_prime_check():
@@ -403,3 +403,40 @@ def test_frobenius_is_one_packed_step_and_no_field_mul(monkeypatch):
     monkeypatch.setattr(fields.ExtField, "mul", counted_mul)
     assert f.frobenius(x) == expected
     assert calls == {"canon": 1, "mul": 0}
+
+
+def test_pack_and_unpack_match_the_one_loop_reference():
+    # Rows of 0 .. 200 elements, from all zero to dense, over F_5 and
+    # GF(7^3): past 64 elements pack joins chunks of 64 by halves, skipping
+    # the all-zero ones, and unpack splits the row the same way.
+    rng = random.Random(20261019)
+    choices = [PrimeField(5), ExtField(PrimeField(7), 3)]
+    chunked = sparse = 0
+    for _ in range(600):
+        field = rng.choice(choices)
+        n = rng.randint(0, 200)
+        density = rng.choice([0.0, 0.01, 0.05, 0.5, 1.0])
+        row = [field.random_element(rng) if rng.random() < density else field.zero for _ in range(n)]
+        pk = fields._packing(field, n)
+        x = pk.pack(row)
+        assert x == ref_pack(pk, row)
+        for start in (0, 1, rng.randint(0, n), max(0, n - 65), n):
+            assert pk.unpack(x, start) == ref_unpack(pk, x, start) == row[start:]
+        chunked += n > 64
+        sparse += n > 64 and 0 < density < 0.5
+    assert chunked > 300 and sparse > 100
+
+
+def test_a_long_dense_row_packs_and_unpacks_within_a_second():
+    # One shift per element copied the whole int built so far: a dense
+    # row of 100,000 elements over F_5 took 2.5 s to pack and 2.1 s to
+    # unpack that way.
+    field = PrimeField(5)
+    rng = random.Random(23)
+    row = [rng.randrange(1, 5) for _ in range(100_000)]
+    pk = fields._packing(field, len(row))
+    start = time.perf_counter()
+    x = pk.pack(row)
+    packed = time.perf_counter()
+    assert pk.unpack(x) == row
+    assert (packed - start < 1.0, time.perf_counter() - packed < 1.0) == (True, True)

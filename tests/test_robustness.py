@@ -332,6 +332,22 @@ def test_field_setup_over_the_work_budget_exits_five(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
 
 
+def test_a_refused_field_stops_the_codec_before_any_point_is_placed(tmp_path, capsys, monkeypatch):
+    # build_code places n length-t points, about 80 bytes per unit of t on
+    # the reference spec: at t = 10^9 it would fill the machine before the
+    # modulus search refused the field.  The search runs first, so
+    # build_code is never called.
+    def placing(spec):
+        raise AssertionError("build_code ran before the modulus search")
+
+    monkeypatch.setattr(cli, "build_code", placing)
+    spec = _spec_file(tmp_path, {**REF, "t": 10**9})
+    for argv in (["build"], ["encode", "--random"], ["decode", "--random", "--erase", "0"]):
+        code, err = _run([argv[0], "--spec", spec, *argv[1:]], capsys)
+        assert code == 5
+        assert err.count("error:") == 1 and "degree 1000000000 over GF(5)" in err
+
+
 @pytest.mark.parametrize(
     "q,code",
     [(2**61 - 1, 0), ((2**31 - 1) * (2**31 - 19), 2), (PRIME_CHECK_LIMIT, 2), (2**89 - 1, 2)],
