@@ -20,7 +20,8 @@ The oracle budget (largest n the distance oracle will enumerate) is
 exhaustive distance-optimality check runs under the same budget and
 reads the oracle's d instead of walking.
 certify and sweep read a built code's points and never build its
-generator: a symbol set's rank is min(k, F_q-rank of its points).
+generator: a symbol set's rank is min(k, F_q-rank of its points).  No
+point has a nonzero coordinate past n_gab, so both build at t = n_gab.
 """
 
 from __future__ import annotations
@@ -274,7 +275,7 @@ def cmd_certify(args, report, spec, file_seed) -> str:
         report.add("note", "budget", f"n={spec.n} exceeds the oracle budget {budget}")
         return "budget-exceeded"
 
-    inst = build_code(spec)
+    inst = build_code(LocalitySpec(spec.classes, spec.k, spec.q, spec.n_gab))
     failed = False
 
     def check(name: str, ok: bool, detail: str) -> None:

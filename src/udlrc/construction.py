@@ -385,7 +385,8 @@ def build_code(spec: LocalitySpec) -> CodeInstance:
 
 def encode(inst: CodeInstance, message: Sequence[ExtElem]) -> list[ExtElem]:
     """message times the generator matrix: the instance's packed generator
-    rows, weighted by the message symbols and summed, one fold per symbol."""
+    rows, weighted by the message symbols and summed, one fold per pair of
+    symbols (linalg._combine)."""
     if len(message) != inst.k:
         raise LengthMismatch(f"message length {len(message)} != k = {inst.k}")
     t = inst.spec.t

@@ -418,9 +418,11 @@ class _Packing:
         # Largest slot value at each step, every operand canonical (<= c):
         # - A step forms p * row + (q - v) * prow, p the pivot of prow and v
         #   the row's entry under it; a product slot sums at most t terms,
-        #   so every slot is at most v1 = t*c*c + t*q*c.  A product step
-        #   (ExtField.mul, Matrix.left_multiply) adds one product (slots <=
-        #   t*c*c) to a canonical accumulator (slots <= c), within v1 too, and
+        #   so every slot is at most v1 = t*c*c + t*q*c.  A combine step
+        #   (linalg._combine: encode, Matrix.left_multiply, a kept-inverse
+        #   decode) adds two products (slots <= t*c*c each) to a canonical
+        #   accumulator (slots <= c): at most 2*t*c*c + c, the pair bound,
+        #   within v1 since t >= 1.  ExtField.mul forms one product, and
         #   ExtField.frobenius sums t coordinates times images (<= t*c*c).
         # - Folding (t > 1) takes the high part h (slots t..2t-2, each
         #   <= v1), the quotient of h * x^t by the modulus as the slots
@@ -436,6 +438,7 @@ class _Packing:
         s = b + q.bit_length()
         m = (1 << s) // q + 1
         w = (v2 * m).bit_length()
+        assert 2 * t * c * c + c <= v1
         assert q << b <= 1 << s and max(v1, (t - 1) * v1 * c, v2, v2 * m) < 1 << w
         self.s, self.m = s, m
         self.bw = bw = (2 * t - 1) * w
@@ -514,13 +517,15 @@ class _Packing:
     def unpack(self, x: int, start: int = 0) -> list:
         """Elements start.. of the row; more than 64 of them are split by
         halves into chunks of 64, as pack joins them, each read as a short
-        row."""
-        bw, unpack_elem, count = self.bw, self.unpack_elem, self.length - start
+        row.  Each element's block is masked to its t low slots before
+        unpack_elem splits it, so the slot shifts work on t*W bits, not on
+        the rest of the row."""
+        bw, elem, unpack_elem, count = self.bw, self.elem, self.unpack_elem, self.length - start
         if count <= 64:
-            return [unpack_elem(x >> (j * bw)) for j in range(start, self.length)]
+            return [unpack_elem((x >> (j * bw)) & elem) for j in range(start, self.length)]
         zero, out = [unpack_elem(0)] * 64, []
         for c in _split(x >> (start * bw), 64 * bw, (count + 63) // 64):
-            out += [unpack_elem(c >> (j * bw)) for j in range(64)] if c else zero
+            out += [unpack_elem((c >> (j * bw)) & elem) for j in range(64)] if c else zero
         return out[:count]
 
     def reduce(self, row: int, basis: Sequence[tuple]) -> int:

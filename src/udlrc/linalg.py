@@ -24,6 +24,7 @@ identical; exact arithmetic has no stability concerns.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -117,10 +118,15 @@ def _solve_packed(pk: _Packing, rows: Iterable[int], n: int) -> list[int]:
 
 
 def _combine(pk: _Packing, vector: Sequence, packed_rows: Iterable[int]) -> int:
-    """The packed sum of the packed rows weighted by the vector's elements."""
-    acc = 0
-    for v, row in zip(vector, packed_rows):
-        acc = pk.canon(acc + pk.pack_elem(v) * row)
+    """The packed sum of the packed rows weighted by the vector's elements.
+
+    The products are added two at a time to the canonical accumulator, one
+    canon per pair and one for an odd last term: the slot bound holds a
+    canonical accumulator plus two products (see _Packing.__init__)."""
+    canon, acc = pk.canon, 0
+    products = map(operator.mul, map(pk.pack_elem, vector), packed_rows)
+    for product in products:
+        acc = canon(acc + product + next(products, 0))
     return acc
 
 

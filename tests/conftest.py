@@ -175,6 +175,15 @@ def ref_unpack(pk, x, start=0):
     return [pk.unpack_elem(x >> (j * pk.bw)) for j in range(start, pk.length)]
 
 
+def ref_combine(pk, vector, packed_rows):
+    """linalg._combine with one canon per term, the loop its pairing of
+    products replaced."""
+    acc = 0
+    for v, row in zip(vector, packed_rows):
+        acc = pk.canon(acc + pk.pack_elem(v) * row)
+    return acc
+
+
 def _ref_poly_powmod(base, e, m, q):
     """base^e mod the monic m over F_q, schoolbook products."""
 

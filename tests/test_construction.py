@@ -438,7 +438,8 @@ def test_single_layout_multi_group(single_instance):
 
 def test_encode_is_k_packed_steps_and_no_field_mul(monkeypatch):
     # A count, not a timing: on the benchmark's [12,6] GF(5^8) repair code
-    # one encode folds one packed row per message symbol and calls no
+    # one encode adds the k packed products two at a time, one canon per
+    # pair (k = 6 when each product was folded on its own), and calls no
     # element-by-element product.
     inst = load_workloads().Repair(udlrc, 1).inst
     rng = random.Random(7)
@@ -458,7 +459,7 @@ def test_encode_is_k_packed_steps_and_no_field_mul(monkeypatch):
     monkeypatch.setattr(fields._Packing, "canon", counted_canon)
     monkeypatch.setattr(fields.ExtField, "mul", counted_mul)
     assert encode(inst, message) == expected
-    assert calls == {"canon": inst.k, "mul": 0}
+    assert inst.k == 6 and calls == {"canon": 3, "mul": 0}
 
 
 def test_a_second_encode_packs_only_the_message(monkeypatch):
@@ -503,6 +504,8 @@ def test_a_repeat_decode_is_one_packed_combine(erased, phase, monkeypatch):
     # The second decode of an information set keeps the inverse of its Moore
     # block, so the third solves no system: no field inversion, no
     # elimination and no packed row (1, 1 and 0 on a first or second decode).
+    # Its canon count is exact: the message combine and the re-encode each
+    # take one canon per pair of products (21 and 15 at one per product).
     inst = load_workloads().Repair(udlrc, 1).inst
     rng = random.Random(8)
     pattern = ErasurePattern.from_erased(inst.n, erased)
@@ -517,10 +520,12 @@ def test_a_repeat_decode_is_one_packed_combine(erased, phase, monkeypatch):
     invs = counting_method(monkeypatch, fields.ExtField, "inv")
     eliminations = counting_method(monkeypatch, fields._Packing, "reduced_echelon")
     packs = counting_method(monkeypatch, fields._Packing, "pack")
+    canons = counting_method(monkeypatch, fields._Packing, "canon")
     message, received, expected = decodes[2]
     result = decode_erasures(inst, received, pattern)
     assert result == expected and result.phase == phase and list(result.message) == message
     assert (len(invs), len(eliminations), len(packs)) == (0, 0, 0)
+    assert len(canons) == {"local": 15, "global": 9}[phase]
 
 
 def test_kept_inverses_stay_within_their_budget(monkeypatch):

@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
 from udlrc import ExtField, Matrix, PrimeField, SingularMatrix, base_rank, mds_local_generator
-from conftest import counting_method, reduced_basis, ref_left_multiply, ref_mul, ref_solve
+from udlrc.fields import _packing
+from udlrc.linalg import _combine
+from conftest import counting_method, reduced_basis, ref_combine, ref_left_multiply, ref_mul, ref_solve
 
 F5 = PrimeField(5)
 F8 = ExtField(PrimeField(2), 3)
@@ -449,6 +453,37 @@ def test_matmul_matches_elementwise_row_by_row(field, rng):
             product = left @ m
             assert product.field == field
             assert product.rows == [ref_left_multiply(m, row) for row in left.rows]
+
+
+COMBINE_FIELDS = [(2, 1), (5, 1), (2, 7), (3, 5), (5, 8), (11, 60)]
+
+
+@pytest.mark.parametrize("q, t", COMBINE_FIELDS, ids=[f"gf{q}_{t}" for q, t in COMBINE_FIELDS])
+def test_combine_matches_one_canon_per_term(q, t):
+    # The combine adds its products two at a time, one canon per pair;
+    # the reference folds each product on its own.  Every length 0 .. 7,
+    # odd and even, on all-(q - 1) operands (the slot bound's worst case)
+    # and on seeded ones, over int (t = 1) and tuple packings.
+    field = PrimeField(q) if t == 1 else ExtField(PrimeField(q), t)
+    full = q - 1 if t == 1 else (q - 1,) * t
+    rng, pk = random.Random(q * 1000 + t), _packing(field, 3)
+    for length in range(8):
+        operands = [([full] * length, [[full] * 3 for _ in range(length)])]
+        operands += [
+            ([field.random_element(rng) for _ in range(length)],
+             [[field.random_element(rng) for _ in range(3)] for _ in range(length)])
+            for _ in range(3)
+        ]
+        for vector, rows in operands:
+            packed = [pk.pack(row) for row in rows]
+            combined = _combine(pk, vector, packed)
+            assert combined == ref_combine(pk, vector, packed)
+            expected = ref_left_multiply(Matrix(field, rows), vector) if rows else [field.zero] * 3
+            assert pk.unpack(combined) == expected
+    # The same pairing through Matrix.left_multiply, with an odd row count.
+    m = Matrix(field, [[full] * 4] * 3 + [[field.random_element(rng) for _ in range(4)] for _ in range(4)])
+    for vector in ([full] * 7, [field.random_element(rng) for _ in range(7)]):
+        assert m.left_multiply(vector) == ref_left_multiply(m, vector)
 
 
 def test_packed_kernel_property():

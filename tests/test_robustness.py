@@ -91,10 +91,20 @@ def test_negative_certify_budget(tmp_path, capsys):
     assert code == 5
 
 
-def test_certify_is_near_linear_in_t(tmp_path, capsys):
+def test_certify_is_near_linear_in_t(tmp_path, capsys, monkeypatch):
     # The packed layout's unit row was a sum of t shifted ones and was built
     # twice per certify, quadratic in t: 4.4 s at t = 80,000, 13 s at
     # 160,000.  At t = 10^6 every row but spec and digest is the t = 5 one.
+    # No check reads past the first n_gab coordinates of a point or needs
+    # the field, so the code is built at t = n_gab = 5: built at t = 10^6,
+    # its 8 points took about 0.4 s and 103 MB peak.
+    build_code, asked = cli.build_code, []
+
+    def recording(spec):
+        asked.append(spec.t)
+        return build_code(spec)
+
+    monkeypatch.setattr(cli, "build_code", recording)
     reports = []
     for t in (5, 1_000_000):
         start = time.perf_counter()
@@ -103,6 +113,7 @@ def test_certify_is_near_linear_in_t(tmp_path, capsys):
         rows = capsys.readouterr().out.splitlines()
         reports.append([row for row in rows if row.split("\t")[1] not in ("spec", "digest")])
     assert reports[0] == reports[1] and len(reports[0]) == 10
+    assert asked == [5, 5]
 
 
 def test_negative_sweep_budget(capsys):
