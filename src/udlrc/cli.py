@@ -17,8 +17,7 @@ distance-optimal check is a SKIP row.  Reports are deterministic: same
 inputs, byte-identical output.
 The oracle budget (largest n the distance oracle will enumerate) is
 --budget alone: default 20 for certify, off (0) for sweep.  certify's
-exhaustive distance-optimality check runs under the same budget and
-reads the oracle's d instead of walking.
+exhaustive distance-optimality check reads the oracle's d, not a walk.
 certify and sweep read a built code's points and never build its
 generator: a symbol set's rank is min(k, F_q-rank of its points).  No
 point has a nonzero coordinate past n_gab, so both build at t = n_gab.
@@ -306,7 +305,7 @@ def cmd_certify(args, report, spec, file_seed) -> str:
 
     bound = distance_bound_udlrc(spec)
     if spec.ordered_condition:
-        optimal = certify_distance_optimal(inst, budget=budget, cert=cert)
+        optimal = certify_distance_optimal(inst, cert=cert)
         check("distance-optimal", optimal, f"tau={tightness_budget_size(inst)}")
         equal = cert.d == bound.value
         failed |= not equal

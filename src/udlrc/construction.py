@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .fields import PRIME_CHECK_LIMIT, ExtElem, ExtField, PrimeField, _Packing, _packing, is_prime
 from .gabidulin import default_points, gabidulin_encode, moore_matrix
-from .linalg import Matrix, _combine, _solve_packed
+from .linalg import Matrix, _check_indices, _combine, _solve_packed
 
 
 # The packed size, in bytes, of the Moore-block inverses one instance keeps
@@ -383,16 +383,20 @@ def build_code(spec: LocalitySpec) -> CodeInstance:
     return CodeInstance(spec=spec, layout=layout, points=tuple(points))
 
 
-def encode(inst: CodeInstance, message: Sequence[ExtElem]) -> list[ExtElem]:
-    """message times the generator matrix: the instance's packed generator
-    rows, weighted by the message symbols and summed, one fold per pair of
-    symbols (linalg._combine)."""
+def _check_message(inst: CodeInstance, message: Sequence[ExtElem]) -> None:
     if len(message) != inst.k:
         raise LengthMismatch(f"message length {len(message)} != k = {inst.k}")
     t = inst.spec.t
     for j, v in enumerate(message):
         if len(v) != t:
             raise LengthMismatch(f"message symbol {j} has {len(v)} coordinates, not t = {t}")
+
+
+def encode(inst: CodeInstance, message: Sequence[ExtElem]) -> list[ExtElem]:
+    """message times the generator matrix: the instance's packed generator
+    rows, weighted by the message symbols and summed, one fold per pair of
+    symbols (linalg._combine).  A malformed message raises LengthMismatch."""
+    _check_message(inst, message)
     pk = _packing(inst.field, inst.n)
     return pk.unpack(_combine(pk, message, inst._gen_packed))
 
@@ -400,11 +404,10 @@ def encode(inst: CodeInstance, message: Sequence[ExtElem]) -> list[ExtElem]:
 def encode_via_pipeline(inst: CodeInstance, message: Sequence[ExtElem]) -> list[ExtElem]:
     """The two-stage route: precode, then expand each group with its MDS code.
 
-    Agrees with encode() on every message; both are kept so the agreement
-    stays testable.
+    Agrees with encode() on every message, and refuses what it refuses;
+    both are kept so the agreement stays testable.
     """
-    if len(message) != inst.k:
-        raise LengthMismatch(f"message length {len(message)} != k = {inst.k}")
+    _check_message(inst, message)
     field = inst.field
     precoded = gabidulin_encode(list(message), default_points(field, inst.spec.n_gab))
     out: list[ExtElem] = []
@@ -417,32 +420,22 @@ def encode_via_pipeline(inst: CodeInstance, message: Sequence[ExtElem]) -> list[
     return out
 
 
-def _check_symbols(n: int, symbols: Iterable[int]) -> list[int]:
-    idx = sorted(set(symbols))
-    if idx and (idx[0] < 0 or idx[-1] >= n):
-        bad = idx[0] if idx[0] < 0 else idx[-1]
-        raise IndexError(f"symbol index {bad} out of range for n={n}")
-    return idx
-
-
 def erank(inst: CodeInstance, symbols: Iterable[int]) -> int:
-    """Rank over F_q of the evaluation points carried by the given symbols."""
-    idx = _check_symbols(inst.n, symbols)
+    """Rank over F_q of the points of the given symbols; one out of range raises IndexError."""
+    idx = _check_indices(inst.n, symbols, "symbol")
     pk, points = inst._point_packing, inst._points_packed
     return len(pk.echelon([points[i] for i in idx], pk.length))
 
 
 @dataclass(frozen=True)
 class ErasurePattern:
-    """A set of erased symbol indices together with its complement."""
+    """Erased symbol indices and their complement; an index outside range(n) raises IndexError."""
 
     n: int
     erased: frozenset[int]
 
     def __post_init__(self) -> None:
-        for i in self.erased:
-            if not 0 <= i < self.n:
-                raise IndexError(f"erased index {i} out of range for n={self.n}")
+        _check_indices(self.n, self.erased, "erased")
 
     @classmethod
     def from_erased(cls, n: int, erased: Iterable[int]) -> "ErasurePattern":
@@ -450,11 +443,7 @@ class ErasurePattern:
 
     @classmethod
     def from_remaining(cls, n: int, remaining: Iterable[int]) -> "ErasurePattern":
-        keep = frozenset(remaining)
-        for i in keep:
-            if not 0 <= i < n:
-                raise IndexError(f"remaining index {i} out of range for n={n}")
-        return cls(n, frozenset(range(n)) - keep)
+        return cls(n, frozenset(range(n)).difference(_check_indices(n, remaining, "remaining")))
 
     @property
     def remaining(self) -> tuple[int, ...]:
@@ -465,8 +454,14 @@ class ErasurePattern:
         return tuple(sorted(self.erased))
 
 
+def _check_pattern(inst: CodeInstance, pattern: ErasurePattern) -> None:
+    if pattern.n != inst.n:
+        raise LengthMismatch(f"pattern length {pattern.n} != n = {inst.n}")
+
+
 def erasure_decodable(inst: CodeInstance, pattern: ErasurePattern) -> bool:
-    """Whether the remaining symbols still span the full message space."""
+    """Whether the remaining symbols span the message space; a pattern of another length raises LengthMismatch."""
+    _check_pattern(inst, pattern)
     return erank(inst, pattern.remaining) >= inst.k
 
 
@@ -528,11 +523,10 @@ def decode_erasures(
     elimination and no inversion.  The kept sets are bounded by
     _INVERSES_BYTES of packed inverses, the least recently used dropped
     first.  Raises Undecodable with the remaining rank when the pattern is
-    unrecoverable.
+    unrecoverable, and LengthMismatch when it or the received symbols are malformed.
     """
     field, k = inst.field, inst.k
-    if pattern.n != inst.n:
-        raise LengthMismatch(f"pattern length {pattern.n} != n = {inst.n}")
+    _check_pattern(inst, pattern)
     remaining = pattern.remaining
     if set(received) != set(remaining):
         raise LengthMismatch("received symbols must cover exactly the remaining positions")

@@ -499,13 +499,11 @@ class _Packing:
         """Element j of the row in block j.  Each shift copies the int built
         so far, so a longer row is packed in chunks of 64 elements, only
         those with a nonzero element, and the chunks joined by halves."""
-        bw, x = self.bw, 0
+        bw, x, pack_elem = self.bw, 0, self.pack_elem
         if len(row) > 64:
-            nonzero = (lambda c: any(map(any, c))) if self.tuples else any
             chunks = (row[j : j + 64] for j in range(0, len(row), 64))
-            return _join([self.pack(c) if nonzero(c) else 0 for c in chunks], 64 * bw)
+            return _join([self.pack(c) if any(map(pack_elem, c)) else 0 for c in chunks], 64 * bw)
         if self.tuples:
-            pack_elem = self.pack_elem
             for e in reversed(row):
                 x = (x << bw) | pack_elem(e)
         else:

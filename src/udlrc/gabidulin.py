@@ -32,7 +32,7 @@ class TooManyPoints(ValueError):
 
 @dataclass(frozen=True)
 class LinearizedPoly:
-    """f(x) = sum_i coeffs[i] * x^(q^i), coefficients over F_{q^t}."""
+    """f(x) = sum_i coeffs[i] * x^(q^i), coefficients over F_{q^t}; one not t long raises ValueError."""
 
     field: ExtField
     coeffs: tuple[ExtElem, ...]
@@ -40,6 +40,7 @@ class LinearizedPoly:
     def __post_init__(self) -> None:
         if len(self.coeffs) < 1:
             raise ValueError("a data polynomial needs at least one coefficient")
+        object.__setattr__(self, "coeffs", tuple(map(self.field.element, self.coeffs)))
 
 
 def lin_eval(f: LinearizedPoly, x: ExtElem) -> ExtElem:
@@ -54,10 +55,10 @@ def lin_eval(f: LinearizedPoly, x: ExtElem) -> ExtElem:
 
 
 class EvaluationPoints:
-    """A tuple of extension elements of full rank over the base field."""
+    """A tuple of extension elements of full rank over the base field; one not t long raises ValueError."""
 
     def __init__(self, field: ExtField, points: Sequence[ExtElem]) -> None:
-        points = tuple(points)
+        points = tuple(map(field.element, points))
         if len(points) > field.t:
             raise TooManyPoints(f"at most t = {field.t} independent points exist, asked for {len(points)}")
         if base_rank(field, points) != len(points):
@@ -89,9 +90,9 @@ def default_points(field: ExtField, n: int) -> EvaluationPoints:
 
 
 def moore_matrix(field: ExtField, points: Sequence[ExtElem], ncols: int) -> Matrix:
-    """Rows indexed by points, columns by q-powers: M[i][j] = points[i]^(q^j)."""
+    """Rows indexed by points, columns by q-powers: M[i][j] = points[i]^(q^j); one not t long raises ValueError."""
     rows = []
-    for y in points:
+    for y in map(field.element, points):
         row = [y] if ncols else []
         while len(row) < ncols:
             row.append(field.frobenius(row[-1]))

@@ -62,10 +62,9 @@ class Matrix:
         return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
     def take_columns(self, cols: Iterable[int]) -> "Matrix":
+        """The given columns in the given order; one out of range raises IndexError."""
         sel = list(cols)
-        for c in sel:
-            if not 0 <= c < self.ncols:
-                raise IndexError(f"column {c} out of range for {self.ncols} columns")
+        _check_indices(self.ncols, sel, "column")
         return Matrix(self.field, [[row[c] for c in sel] for row in self.rows])
 
     def transpose(self) -> "Matrix":
@@ -131,10 +130,15 @@ def _combine(pk: _Packing, vector: Sequence, packed_rows: Iterable[int]) -> int:
 
 
 def base_rank(field, points: Iterable) -> int:
-    """Rank over F_q of coordinate vectors of one length: extension
-    elements of field, or rows of ints mod q when field is F_q itself."""
-    rows = list(points)
-    if not rows:
-        return 0
-    pk = _packing(getattr(field, "base", field), len(rows[0]))
-    return len(pk.echelon(map(pk.pack, rows), pk.length))
+    """Rank over F_q of coordinate vectors of one length, else ValueError:
+    extension elements of field, or rows of ints mod q when field is F_q itself."""
+    return Matrix(getattr(field, "base", field), list(points)).rank()
+
+
+def _check_indices(n: int, indices: Iterable[int], name: str) -> list[int]:
+    """The distinct indices, ascending; the first outside range(n) raises IndexError naming it."""
+    idx = sorted(set(indices))
+    if idx and (idx[0] < 0 or idx[-1] >= n):
+        bad = idx[0] if idx[0] < 0 else next(i for i in idx if i >= n)
+        raise IndexError(f"{name} index {bad} out of range for n={n}")
+    return idx

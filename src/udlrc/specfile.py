@@ -15,7 +15,8 @@ key/value text file and a JSON document carrying the same fields.
 
 Every number, symbol digits included, must be an integer; in JSON a float,
 string, boolean or null in its place is an error.  So is an unknown or a
-repeated key, at the top level or in a class, in either format.
+repeated key, at the top level or in a class, in either format.  Text keys
+and class entry names are read in lower case (Q: 5, R=2); JSON keys are not.
 
 Symbols (extension field elements) serialize as base-q digit lists with the
 constant coordinate first, so a message or codeword file is a JSON array of
@@ -76,6 +77,7 @@ def parse_spec_text(text: str) -> tuple[LocalitySpec, int | None]:
                 if "=" not in token:
                     raise SpecFileError(f"{where}class entries look like 'r=2 delta=3 m=1', got {token!r}")
                 name, _, num = token.partition("=")
+                name = name.lower()
                 entries.append((name, _parse_int(num, line_no, name)))
             c = _fields(entries, ("r", "delta", "m"), where=where)
             classes.append((c["r"], c["delta"], c["m"]))

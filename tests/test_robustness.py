@@ -8,11 +8,13 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 import time
 from itertools import product
 
 import pytest
 
+import udlrc as u
 from conftest import ref_cmd_sweep
 from udlrc import cli
 from udlrc.analysis import OrderedConditionRequired, TooLarge
@@ -454,6 +456,62 @@ def test_spec_file_refuses_unknown_and_repeated_keys(name, content, reason, tmp_
     assert err == f"error: {path}: {reason}\n"
 
 
+def test_text_spec_keys_are_read_in_lower_case_and_json_keys_are_not(tmp_path, capsys):
+    lower = "q: 5\nt: 5\nk: 4\nseed: 7\n" + CLASSES_TEXT
+    reports = []
+    for name, text in (("lower.spec", lower), ("upper.spec", lower.upper())):
+        path = tmp_path / name
+        path.write_text(text)
+        assert cli.main(["certify", "--spec", str(path)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1] and "digest: d5e99209163d\n" in reports[0]
+    path = tmp_path / "upper.json"
+    path.write_text('{"Q": 5, "t": 5, "k": 4, ' + CLASSES_JSON + "}")
+    assert _run(["bounds", "--spec", str(path)], capsys) == (2, f"error: {path}: unknown key 'Q'\n")
+
+
+F55 = u.ExtField(u.PrimeField(5), 5)
+
+# (entry, input, exception, message fragment): every public builder that
+# reads a symbol, row, index or pattern refuses a malformed one through the
+# rule its siblings share.  The input is a call on the [8,4] reference code.
+MALFORMED = [
+    ("base_rank", lambda inst: u.base_rank(u.PrimeField(5), [[1], [0, 0, 1]]), ValueError, "same length"),
+    ("EvaluationPoints", lambda inst: u.EvaluationPoints(F55, [(1, 0, 0), (0, 1, 0)]), ValueError,
+     "needs 5 coordinates, got 3"),
+    ("encode_via_pipeline-short", lambda inst: u.encode_via_pipeline(inst, [(1, 2, 3)] + [F55.one] * 3),
+     u.LengthMismatch, "message symbol 0 has 3 coordinates, not t = 5"),
+    ("encode_via_pipeline-long", lambda inst: u.encode_via_pipeline(inst, [F55.one] * 3 + [(1,) * 7]),
+     u.LengthMismatch, "message symbol 3 has 7 coordinates, not t = 5"),
+    ("moore_matrix", lambda inst: u.moore_matrix(F55, [(1, 2, 3)], 3), ValueError, "needs 5 coordinates, got 3"),
+    ("LinearizedPoly", lambda inst: u.lin_eval(u.LinearizedPoly(F55, ((1, 2),)), F55.one), ValueError,
+     "needs 5 coordinates, got 2"),
+    ("erasure_decodable", lambda inst: u.erasure_decodable(inst, u.ErasurePattern.from_erased(4, [0])),
+     u.LengthMismatch, "pattern length 4 != n = 8"),
+    ("encode-length", lambda inst: u.encode(inst, [F55.one] * 3), u.LengthMismatch, "message length 3 != k = 4"),
+    ("encode-symbol", lambda inst: u.encode(inst, [(1, 2, 3)] + [F55.one] * 3), u.LengthMismatch,
+     "message symbol 0 has 3 coordinates, not t = 5"),
+    ("decode_erasures", lambda inst: u.decode_erasures(inst, {}, u.ErasurePattern.from_erased(4, range(4))),
+     u.LengthMismatch, "pattern length 4 != n = 8"),
+    ("Matrix", lambda inst: u.Matrix(u.PrimeField(5), [[1], [0, 0, 1]]), ValueError, "same length"),
+    ("erank", lambda inst: u.erank(inst, [3, 12, 9]), IndexError, "symbol index 9 out of range for n=8"),
+    ("erank-negative", lambda inst: u.erank(inst, [-1, 8]), IndexError, "symbol index -1 out of range for n=8"),
+    ("grank", lambda inst: u.grank(inst.gen, [0, 8]), IndexError, "column index 8 out of range for n=8"),
+    ("from_erased", lambda inst: u.ErasurePattern.from_erased(8, [9, 0]), IndexError,
+     "erased index 9 out of range for n=8"),
+    ("from_remaining", lambda inst: u.ErasurePattern.from_remaining(8, [8]), IndexError,
+     "remaining index 8 out of range for n=8"),
+    ("take_columns", lambda inst: u.Matrix(u.PrimeField(5), [[1, 2]]).take_columns([0, 2]), IndexError,
+     "column index 2 out of range for n=2"),
+]
+
+
+@pytest.mark.parametrize("entry, call, exc, fragment", MALFORMED, ids=[row[0] for row in MALFORMED])
+def test_builders_refuse_malformed_input(entry, call, exc, fragment, ref_instance):
+    with pytest.raises(exc, match=re.escape(fragment)):
+        call(ref_instance)
+
+
 @pytest.mark.parametrize(
     "argv, text",
     [
@@ -517,7 +575,7 @@ STATUS_TABLE = [
     ("ok", ["bounds", "--spec", "{spec}"], None, 0),
     ("undecodable", ["decode", "--spec", "{spec}", "--random", "--erase", "5,6,7"], None, 3),
     ("mismatch", ["decode", "--spec", "{spec}", "--random", "--erase", "0"], ("decode_erasures", _mismatched_decode), 4),
-    ("fail", ["certify", "--spec", "{spec}"], ("certify_distance_optimal", lambda inst, budget, cert: False), 4),
+    ("fail", ["certify", "--spec", "{spec}"], ("certify_distance_optimal", lambda inst, cert: False), 4),
     ("budget-exceeded", ["certify", "--spec", "{spec}", "--budget", "1"], None, 5),
     ("budget-exceeded", _sweep(2, 4, "2:4", "2:9", "1:9"), None, 5),
 ]
