@@ -304,31 +304,34 @@ def rank_deficiency_witness(inst: CodeInstance, traces: Sequence[CoverTrace] | N
 
     Takes all classes before the measured pivot, plus the cover-chain prefix
     of the pivot class that stops just short of contributing the missing
-    rank.  The result always has rank at most k - 1 and at least
+    rank.  The result has rank at most k - 1 and at least
     sum_{j < pivot} (n_j - rank_j) + l * (delta_pivot - 1) redundant symbols,
     so it lower-bounds how far the distance sits below Singleton.  traces
     are the classes' cover traces in class order, computed when not given.
+    Both claims hold when the pivot's cover chain keeps its growth claims
+    (check_cover_trace), as on the construction's points; each is checked,
+    and a failed one raises ValueError naming the pivot class.
     """
     if traces is None:
         traces = [class_cover_trace(inst, j) for j in range(1, inst.spec.s + 1)]
     granks_ = [trace.granks[-1] for trace in traces]
-    assert sum(granks_) >= inst.k, "a full-rank generator reaches k over all classes"
     bound = distance_bound_measured(inst.spec, granks_)
     sigma = bound.pivot
     piv = inst.spec.classes[sigma - 1]
+    # l >= 0, since the classes before the pivot have ranks summing below k.
     l = ceil_div(inst.k - sum(granks_[: sigma - 1]), piv.r) - 1
     trace = traces[sigma - 1]
-    assert 0 <= l < trace.steps, "the chain always runs one step past the stop index"
-    witness: set[int] = set()
-    for j in range(1, sigma):
-        witness.update(class_symbols(inst, j))
-    witness.update(trace.sets[l])
-    out = tuple(sorted(witness))
-    got = min(inst.k, erank(inst, out))
-    assert got <= inst.k - 1, "witness construction must stay rank deficient"
-    # The bound's terms are the head slack and the pivot's l * (delta - 1).
-    assert len(out) - got >= sum(bound.per_class_terms), "witness redundancy below its floor"
-    return out
+    if l < trace.steps:
+        witness = set(trace.sets[l])
+        for j in range(1, sigma):
+            witness.update(class_symbols(inst, j))
+        out = tuple(sorted(witness))
+        got = min(inst.k, erank(inst, out))
+        # The bound's terms are the head slack and the pivot's l * (delta - 1).
+        if got < inst.k and len(out) - got >= sum(bound.per_class_terms):
+            return out
+    violations = "; ".join(check_cover_trace(trace, piv.r, piv.delta))
+    raise ValueError(f"class {sigma}'s cover chain breaks its growth claims: {violations}")
 
 
 def worst_case_pattern(layout: LocalGroupLayout, e: int) -> ErasurePattern:
@@ -353,19 +356,16 @@ def tightness_budget_size(inst: CodeInstance) -> int:
     return spec.n + 1 - distance_bound_udlrc(spec).value
 
 
-def certify_distance_optimal(
-    inst: CodeInstance, budget: int = DEFAULT_ORACLE_BUDGET, cert: DistanceCertificate | None = None
-) -> bool:
+def certify_distance_optimal(inst: CodeInstance, budget: int = DEFAULT_ORACLE_BUDGET) -> bool:
     """Certify that the built code meets its distance ceiling with equality.
 
     Checks that every symbol set of the critical size tau = n + 1 - ceiling
-    has points of F_q-rank at least k: by the greedy worst-case pattern
-    (which minimizes remaining rank), and then exhaustively: the deficient
-    sizes end at n - d, so that check is d >= n + 1 - tau, with d from cert,
-    the oracle's certificate of inst, whatever n is, or from the oracle when
-    cert is None, which raises TooLarge for n over budget.  Requires the
-    ordered parameter condition, under which the greedy pattern argument is
-    valid.
+    has points of F_q-rank at least k, which holds exactly when
+    d >= n + 1 - tau.  The greedy worst-case pattern (which minimizes
+    remaining rank) fails a code without a walk; otherwise d comes only from
+    the code's own oracle walk, which raises TooLarge for n over budget.
+    Requires the ordered parameter condition, under which the greedy
+    pattern argument is valid.
     """
     spec = inst.spec
     if not spec.ordered_condition:
@@ -376,6 +376,4 @@ def certify_distance_optimal(
     greedy = worst_case_pattern(inst.layout, spec.n - tau)
     if erank(inst, greedy.remaining) < spec.k:
         return False
-    if cert is None:
-        cert = min_distance_oracle(inst, budget)
-    return cert.d >= spec.n + 1 - tau
+    return min_distance_oracle(inst, budget).d >= spec.n + 1 - tau

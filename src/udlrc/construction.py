@@ -227,11 +227,9 @@ class LocalGroupLayout:
         return owner
 
     def group_of(self, i: int) -> int:
-        """Index of the group containing symbol i."""
-        try:
-            return self._owner[i]
-        except KeyError:
-            raise IndexError(f"symbol index {i} out of range") from None
+        """Index of the group containing symbol i; one out of range raises IndexError."""
+        _check_indices(self.n, (i,), "symbol")
+        return self._owner[i]
 
 
 def build_layout(spec: LocalitySpec) -> LocalGroupLayout:
@@ -289,6 +287,10 @@ class CodeInstance:
     Symbol i is f(points[i]) for the message's q-power polynomial f, so
     the points are the code: gen is derived from them, and
     dataclasses.replace(inst, points=...) is the code on other points.
+    Two functions read the construction's structure as well: the local
+    phase of decode_erasures, which repairs only the groups whose points
+    keep it (checked per group), and analysis.rank_deficiency_witness,
+    which raises ValueError where the points break its cover chain.
     """
 
     spec: LocalitySpec
@@ -352,6 +354,21 @@ class CodeInstance:
         """The points packed by _point_packing; every point rank is taken on them."""
         pk = self._point_packing
         return [pk.pack(y) for y in self.points]
+
+    @cached_property
+    def _local_groups(self) -> frozenset[int]:
+        """The groups whose points are their local generator's columns
+        applied to their first r points, as build_code places them: on
+        these alone every symbol is the group's local polynomial at its
+        locator, which decode_erasures' local phase reads."""
+        pk, points, q = self._point_packing, self._points_packed, self.spec.q
+        out = set()
+        for l, group in enumerate(self.layout.groups):
+            r = self.spec.classes[self.layout.class_of[l]].r
+            head = [points[i] for i in group[:r]]
+            if all(_combine(pk, _lagrange_weights(range(r), x, q), head) == points[i] for x, i in enumerate(group)):
+                out.add(l)
+        return frozenset(out)
 
 
 def build_code(spec: LocalitySpec) -> CodeInstance:
@@ -514,6 +531,8 @@ def decode_erasures(
     A group's symbol at position pos is its local polynomial (degree < r,
     see mds_local_generator) at the locator pos, so a missing symbol is the
     F_q-combination of r present symbols with their Lagrange weights at pos.
+    A group whose points break that (CodeInstance._local_groups, checked
+    once per instance) is left to the second pass.
     Second pass greedily collects symbols whose points extend an independent
     set over F_q until rank k, the information set, and solves the chosen
     symbols' rows A of the Moore system for the message.  The first decode
@@ -543,7 +562,7 @@ def decode_erasures(
         if not missing:
             continue
         c = inst.spec.classes[inst.layout.class_of[l]]
-        if len(missing) > c.delta - 1:
+        if len(missing) > c.delta - 1 or l not in inst._local_groups:
             continue
         present = [pos for pos, i in enumerate(group) if i in known][: c.r]
         values = [single.pack_elem(known[group[p]]) for p in present]

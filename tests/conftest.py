@@ -1,6 +1,10 @@
+import dataclasses
 import importlib.util
+import json
 import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from functools import cached_property
 from itertools import combinations, permutations, product
@@ -55,6 +59,29 @@ def cli_env(extra=None) -> dict:
     env.update(extra or {})
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     return env
+
+
+def without_asserts(module: str, function: str):
+    """The JSON value module.function() returns in a python -O child started
+    in the tests directory, so that no assert runs while it is computed."""
+    code = f"import json, {module}; print(json.dumps({module}.{function}()))"
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], cwd=Path(__file__).parent, env=cli_env(), capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def one_point_moves(inst, count, rng):
+    """count codes on inst's points with one point replaced, made with
+    dataclasses.replace: each draws the symbol from rng, then its new point,
+    an element of inst's field."""
+    field = inst.field
+    for _ in range(count):
+        points = list(inst.points)
+        i = rng.randrange(inst.n)
+        points[i] = field.random_element(rng)
+        yield dataclasses.replace(inst, points=tuple(points))
 
 
 def load_workloads():

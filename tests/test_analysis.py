@@ -1,9 +1,11 @@
 import contextlib
 import dataclasses
+import inspect
 import io
 import random
 import subprocess
 import sys
+from collections import Counter
 from itertools import combinations, product
 from pathlib import Path
 
@@ -41,6 +43,7 @@ from conftest import (
     cli_env,
     counting,
     load_workloads,
+    one_point_moves,
     ref_block_walk,
     ref_first_deficient,
     ref_locality_witness_search,
@@ -50,6 +53,7 @@ from conftest import (
     ref_transform_pattern,
     ref_walk,
     usual_grid,
+    without_asserts,
 )
 from udlrc import fields
 from udlrc.analysis import _block_starts, _walk, prefix_oracles
@@ -1035,6 +1039,60 @@ def test_rank_deficiency_witness_k_one():
     assert rank_deficiency_witness(inst) == ()
 
 
+def _witness_outcomes():
+    """How rank_deficiency_witness answers on seeded one-point moves: 500 of
+    each benchmark spec's code, and 10 of each of 300 seeded grid specs'
+    codes.  Each answer is a witness that keeps both its claims (rank below
+    k, redundancy at least the measured bound's terms), one that breaks one,
+    or the ValueError's message up to its first colon."""
+    spec_dir = load_workloads().SPEC_DIR
+    setups = {
+        name: ([build_code(validate_spec(load_spec_file(spec_dir / f"{name}.json")[0]))], 500, random.Random(0))
+        for name in ("ref", "ref_full", "three", "reversed", "gf7_9")
+    }
+    rng = random.Random(0)
+    setups["grid"] = ([build_code(spec) for spec in rng.sample(list(usual_grid()), 300)], 10, rng)
+    outcomes = {}
+    for name, (codes, count, rng) in setups.items():
+        tally = Counter()
+        for other in (moved for inst in codes for moved in one_point_moves(inst, count, rng)):
+            try:
+                witness = rank_deficiency_witness(other)
+            except ValueError as exc:
+                tally[str(exc).partition(":")[0]] += 1
+                continue
+            granks = [class_cover_trace(other, j).granks[-1] for j in range(1, other.spec.s + 1)]
+            floor = sum(distance_bound_measured(other.spec, granks).per_class_terms)
+            wrank = min(other.k, erank(other, witness))
+            tally["witness" if wrank < other.k and len(witness) - wrank >= floor else "broken"] += 1
+        outcomes[name] = dict(tally)
+    return outcomes
+
+
+BREAKS = "class {}'s cover chain breaks its growth claims"
+WITNESS_OUTCOMES = {
+    "ref": {"witness": 500},
+    "ref_full": {"witness": 500},
+    "three": {"witness": 500},
+    "reversed": {"witness": 246, BREAKS.format(1): 254},
+    "gf7_9": {"witness": 500},
+    "grid": {"witness": 2538, BREAKS.format(1): 261, BREAKS.format(2): 192, BREAKS.format(3): 9},
+}
+
+
+def test_witness_on_moved_points_keeps_its_claims_or_raises():
+    # On 254 moves of the reversed code, class 1's chain gains rank 4 > r = 3
+    # in one step, so no prefix stops short of k; the witness was then the
+    # whole group, of rank k, wherever python -O stripped the checks.  On
+    # the grid, some prefixes reach rank k or fall short of the redundancy.
+    assert _witness_outcomes() == WITNESS_OUTCOMES
+    assert without_asserts("test_analysis", "_witness_outcomes") == WITNESS_OUTCOMES
+    inst = build_code(validate_spec(REVERSED_SPEC))
+    moved = next(m for m in one_point_moves(inst, 500, random.Random(0)) if class_cover_trace(m, 1).granks[-1] == 4)
+    with pytest.raises(ValueError, match=r"^class 1's cover chain breaks its growth claims: step 1: rank gain 4 exceeds r=3"):
+        rank_deficiency_witness(moved)
+
+
 def test_measured_bound_sound_on_reference(ref_instance):
     granks = [grank(ref_instance.gen, class_symbols(ref_instance, j)) for j in (1, 2)]
     bound = distance_bound_measured(ref_instance.spec, granks)
@@ -1191,26 +1249,32 @@ def test_certify_walk_matches_the_subset_loop(all_instances):
     assert verdicts.count(False) == 299
 
 
-def test_certify_reads_a_given_certificate_whatever_n_is():
-    # A given certificate is read past the budget too: d = 0 fails at the
-    # default budget as at budget 27 (the budget once gated it, and the
-    # greedy pattern alone certified the code).  Without one, the oracle
-    # refuses n over its budget.
+def test_certify_reads_d_from_its_own_walk_only():
+    # No caller supplies d: within the budget the code's own walk certifies
+    # it, and past the budget the oracle refuses n.
+    assert "cert" not in inspect.signature(certify_distance_optimal).parameters
     inst = build_code(validate_spec(load_spec_file(REACH_N27)[0]))
-    zero = DistanceCertificate(d=0, witness=(), witness_rank=0)
-    assert certify_distance_optimal(inst, cert=zero) is False
-    assert certify_distance_optimal(inst, budget=27, cert=zero) is False
     assert certify_distance_optimal(inst, budget=27) is True
     with pytest.raises(TooLarge, match="n=27 exceeds the enumeration budget 20"):
         certify_distance_optimal(inst)
 
 
+def test_certify_fails_every_move_that_lowers_d():
+    # 2,000 seeded one-point moves of the [8,4] code: 104 lower d below its
+    # ceiling 3, and the verdict is False on each.  When a certificate could
+    # be passed in, the reference code's own turned 83 of them to True.
+    ref = build_code(validate_spec(load_spec_file(load_workloads().SPEC_DIR / "ref.json")[0]))
+    cap = distance_bound_udlrc(ref.spec).value
+    lowered = [m for m in one_point_moves(ref, 2000, random.Random(0)) if min_distance_oracle(m).d < cap]
+    assert (cap, len(lowered)) == (3, 104)
+    assert not any(certify_distance_optimal(m) for m in lowered)
+
+
 def test_certify_reads_the_oracle_certificate_and_the_traces(all_instances, monkeypatch):
-    # Given the oracle's certificate, certify_distance_optimal runs no walk,
-    # on a built code and on one whose points were changed after the build
-    # (its gen follows its points); without it, the oracle walks exactly
-    # when the greedy check passes.  Given the cover traces, the witness
-    # is the one it computes.
+    # certify_distance_optimal runs the oracle's walk exactly when the greedy
+    # check passes, on a built code and on one whose points were changed
+    # after the build.  Given the cover traces, the witness is the one it
+    # computes.
     gf7_9 = load_spec_file(load_workloads().SPEC_DIR / "gf7_9.json")[0]
     honest = list(all_instances) + [build_code(validate_spec(gf7_9))]
     honest += [build_code(validate_spec(spec)) for spec in _ordered_small_specs()]
@@ -1220,13 +1284,9 @@ def test_certify_reads_the_oracle_certificate_and_the_traces(all_instances, monk
     walks = counting(monkeypatch, "_walk")
     walked, passed = [], []
     for inst in honest + faulty:
-        cert = min_distance_oracle(inst.gen)
         walks.clear()
-        expected = certify_distance_optimal(inst)
+        certify_distance_optimal(inst)
         walked.append(len(walks))
-        walks.clear()
-        assert certify_distance_optimal(inst, cert=cert) is expected
-        assert walks == []
         greedy = worst_case_pattern(inst.layout, inst.n - tightness_budget_size(inst))
         passed.append(erank(inst, greedy.remaining) >= inst.k)
     assert walked == [int(ok) for ok in passed]

@@ -318,10 +318,13 @@ def test_bounds_single_class_rows_agree(workdir):
 
 
 def test_certification_failure_exits_four(workdir, monkeypatch, capsys):
-    # unreachable through honest builds, so force one check to report failure
+    # unreachable through honest builds, so raise the ceiling one past the oracle's d = 3
+    import dataclasses
+
     import udlrc.cli as cli
 
-    monkeypatch.setattr(cli, "certify_distance_optimal", lambda inst, cert: False)
+    cap = cli.distance_bound_udlrc
+    monkeypatch.setattr(cli, "distance_bound_udlrc", lambda spec: dataclasses.replace(cap(spec), value=4))
     code = cli.main(["certify", "--spec", str(workdir / "ref.spec")])
     out = capsys.readouterr().out
     assert code == 4

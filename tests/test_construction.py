@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations, product
 from pathlib import Path
@@ -40,12 +41,14 @@ from conftest import (
     SRC,
     counting_method,
     load_workloads,
+    one_point_moves,
     ref_build_rows,
     ref_decode_erasures,
     ref_left_multiply,
     ref_local_generator,
     ref_punctured_code_profile,
     usual_grid,
+    without_asserts,
 )
 
 
@@ -414,6 +417,39 @@ def test_decode_rejects_mismatched_received(ref_instance):
         received[4] = (0,) * width
         with pytest.raises(LengthMismatch, match=f"^received symbol 4 has {width} coordinates, not t = 8$"):
             decode_erasures(inst, received, ErasurePattern.from_erased(12, ()))
+
+
+def _decode_outcomes():
+    """How decode_erasures answers on 300 seeded one-point moves of the
+    [8,4] reference code, each with a seeded message and 1 to 3 seeded
+    erasures: the right message, a wrong one, or Undecodable."""
+    inst = build_code(validate_spec(REF_SPEC))
+    rng, tally = random.Random(0), Counter()
+    for other in one_point_moves(inst, 300, rng):
+        message = [inst.field.random_element(rng) for _ in range(inst.k)]
+        pattern = ErasurePattern.from_erased(inst.n, rng.sample(range(inst.n), rng.randint(1, 3)))
+        codeword = encode(other, message)
+        try:
+            result = decode_erasures(other, {i: codeword[i] for i in pattern.remaining}, pattern)
+        except Undecodable:
+            tally["undecodable"] += 1
+            continue
+        tally["right" if list(result.message) == message else "wrong"] += 1
+    return dict(tally)
+
+
+def test_decode_on_moved_points_repairs_only_the_groups_that_keep_their_local_code():
+    # A moved point breaks its group's local code, which the local phase
+    # read from the construction: 167 of these decodes failed the re-encode
+    # assert, and under python -O 116 returned a wrong message.
+    assert _decode_outcomes() == {"right": 297, "undecodable": 3}
+    assert without_asserts("test_construction", "_decode_outcomes") == {"right": 297, "undecodable": 3}
+    inst = build_code(validate_spec(REF_SPEC))
+    assert inst._local_groups == {0, 1}
+    points = list(inst.points)
+    points[5] = points[4]
+    moved = replace(inst, points=tuple(points))
+    assert moved._local_groups == {0}
 
 
 def test_locality_definition_checklist(ref_instance):

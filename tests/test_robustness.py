@@ -503,6 +503,7 @@ MALFORMED = [
      "remaining index 8 out of range for n=8"),
     ("take_columns", lambda inst: u.Matrix(u.PrimeField(5), [[1, 2]]).take_columns([0, 2]), IndexError,
      "column index 2 out of range for n=2"),
+    ("group_of", lambda inst: inst.layout.group_of(99), IndexError, "symbol index 99 out of range for n=8"),
 ]
 
 
@@ -569,13 +570,19 @@ def _mismatched_decode(inst, received, pattern):
     return dataclasses.replace(result, message=result.message[::-1])
 
 
+def _raised_cap(spec):
+    """The dist-cap one past the code's d, so certify's distance-optimal row fails."""
+    cap = u.distance_bound_udlrc(spec)
+    return dataclasses.replace(cap, value=cap.value + 1)
+
+
 # The status each command ends its report with, and its exit code, written
 # out here rather than read from cli.STATUS_CODES.
 STATUS_TABLE = [
     ("ok", ["bounds", "--spec", "{spec}"], None, 0),
     ("undecodable", ["decode", "--spec", "{spec}", "--random", "--erase", "5,6,7"], None, 3),
     ("mismatch", ["decode", "--spec", "{spec}", "--random", "--erase", "0"], ("decode_erasures", _mismatched_decode), 4),
-    ("fail", ["certify", "--spec", "{spec}"], ("certify_distance_optimal", lambda inst, cert: False), 4),
+    ("fail", ["certify", "--spec", "{spec}"], ("distance_bound_udlrc", _raised_cap), 4),
     ("budget-exceeded", ["certify", "--spec", "{spec}", "--budget", "1"], None, 5),
     ("budget-exceeded", _sweep(2, 4, "2:4", "2:9", "1:9"), None, 5),
 ]

@@ -1,4 +1,5 @@
-"""What the package ships: its public names, and no import it never reads."""
+"""What the package ships: its public names, no import it never reads, no
+read of the environment, and no result that only an assert guards."""
 
 import ast
 import types
@@ -146,3 +147,52 @@ def test_no_module_reads_the_environment():
     assert len(modules) == 10
     reads = {p.name: environment_reads(p.read_text()) for p in modules}
     assert reads == {p.name: [] for p in modules}
+
+
+def bare_asserts(source: str) -> list[tuple[int, str]]:
+    """(line, enclosing class and function) of each assert that python -O
+    strips with nothing in its place: every one outside the body of an
+    `if __debug__:`."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, ast.Assert):
+            found.append((node.lineno, scope))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        debug = isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "__debug__"
+        for child in node.orelse if debug else ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_bare_asserts_finds_each_stripped_check():
+    source = (
+        "assert A\n"
+        "class C:\n"
+        "    def f(self):\n"
+        "        if __debug__:\n"
+        "            assert B\n"
+        "        else:\n"
+        "            assert D\n"
+        "        if x:\n"
+        "            assert E\n"
+        "def g():\n"
+        "    assert F\n"
+    )
+    assert bare_asserts(source) == [(1, ""), (7, "C.f"), (9, "C.f"), (11, "g")]
+
+
+# _Packing.__init__ asserts its slot bound, which depends only on q and t.
+ASSERTS_ALLOWED_IN = {"_Packing.__init__"}
+
+
+def test_no_result_is_guarded_only_by_an_assert():
+    # Under python -O a bare assert is gone, so a library check stands in the
+    # code as a raise, or reruns an answer under `if __debug__:`.
+    modules = sorted((SRC / "udlrc").glob("*.py"))
+    assert len(modules) == 10
+    found = {p.name: [a for a in bare_asserts(p.read_text()) if a[1] not in ASSERTS_ALLOWED_IN] for p in modules}
+    assert found == {p.name: [] for p in modules}
