@@ -37,7 +37,7 @@ from .linalg import Matrix, _check_indices, _combine, _solve_packed
 
 
 # The packed size, in bytes, of the Moore-block inverses one instance keeps
-# for decode_erasures.  One inverse takes k^2 packed elements: about 2.4 KB
+# for decode_erasures.  One inverse takes k^2 packed elements: about 2.5 KB
 # on a [12,6] code over GF(5^8), about 1.6 MB on an n = 84 code over GF(11^60).
 _INVERSES_BYTES = 16 << 20
 
@@ -366,6 +366,7 @@ class CodeInstance:
         for l, group in enumerate(self.layout.groups):
             r = self.spec.classes[self.layout.class_of[l]].r
             head = [points[i] for i in group[:r]]
+            # The weights are ints mod q, their own packed form on this prime layout.
             if all(_combine(pk, _lagrange_weights(range(r), x, q), head) == points[i] for x, i in enumerate(group)):
                 out.add(l)
         return frozenset(out)
@@ -415,7 +416,7 @@ def encode(inst: CodeInstance, message: Sequence[ExtElem]) -> list[ExtElem]:
     symbols (linalg._combine).  A malformed message raises LengthMismatch."""
     _check_message(inst, message)
     pk = _packing(inst.field, inst.n)
-    return pk.unpack(_combine(pk, message, inst._gen_packed))
+    return pk.unpack(_combine(pk, map(pk.pack_elem, message), inst._gen_packed))
 
 
 def encode_via_pipeline(inst: CodeInstance, message: Sequence[ExtElem]) -> list[ExtElem]:
@@ -490,10 +491,10 @@ class DecodeResult:
     repaired_locally: tuple[int, ...]
 
 
-def _solve_message(inst: CodeInstance, chosen: tuple[int, ...], values: list[ExtElem]) -> tuple[ExtElem, ...]:
-    """The message whose codeword takes the values on the chosen symbols,
-    through the instance's kept inverse of their Moore block A (see
-    decode_erasures for when a set is inverted and kept)."""
+def _solve_message(inst: CodeInstance, chosen: tuple[int, ...], values: list[int]) -> int:
+    """The message, packed k wide, whose codeword takes the packed values on
+    the chosen symbols, through the instance's kept inverse of their Moore
+    block A (see decode_erasures for when a set is inverted and kept)."""
     field, k = inst.field, inst.k
     rows, inverses = inst._moore_packed, inst._inverses
     if chosen in inverses:
@@ -508,18 +509,18 @@ def _solve_message(inst: CodeInstance, chosen: tuple[int, ...], values: list[Ext
             columns = inverses[chosen] = [
                 sum(((row >> (k + i) * bw) & elem) << j * bw for j, row in enumerate(solved)) for i in range(k)
             ]
-        pk = _packing(field, k)
-        return tuple(pk.unpack(_combine(pk, values, columns)))
+        return _combine(_packing(field, k), values, columns)
     pk = _packing(field, k + 1)
-    shift = k * pk.bw
-    solved = _solve_packed(pk, [rows[s] | pk.pack_elem(v) << shift for s, v in zip(chosen, values)], k)
+    bw = pk.bw
+    solved = _solve_packed(pk, [rows[s] | v << k * bw for s, v in zip(chosen, values)], k)
     # Each set in the map is charged its inverse's packed size from its first decode on.
-    capacity = _INVERSES_BYTES * 8 // (k * k * pk.bw)
+    capacity = _INVERSES_BYTES * 8 // (k * k * bw)
     if capacity:
         while len(inverses) >= capacity:
             inverses.popitem(last=False)
         inverses[chosen] = None
-    return tuple(pk.unpack_elem(row >> shift) for row in solved)
+    # Row j is [e_j | message symbol j]: its last block moves to block j.
+    return sum((row >> k * bw) << j * bw for j, row in enumerate(solved))
 
 
 def decode_erasures(
@@ -527,6 +528,10 @@ def decode_erasures(
 ) -> DecodeResult:
     """Recover the message (and the full codeword) from a partial codeword.
 
+    Each received symbol is packed once, reduced mod q, and the decode
+    stays packed until its result: the message and the re-encoded
+    codeword (one packed combine with the generator rows) are unpacked
+    once each.
     First pass repairs every group with at most delta - 1 missing symbols.
     A group's symbol at position pos is its local polynomial (degree < r,
     see mds_local_generator) at the locator pos, so a missing symbol is the
@@ -549,13 +554,12 @@ def decode_erasures(
     remaining = pattern.remaining
     if set(received) != set(remaining):
         raise LengthMismatch("received symbols must cover exactly the remaining positions")
-    t, known = field.t, {}
+    t, single, known = field.t, _packing(field, 1), {}
     for i in remaining:
         if len(v := received[i]) != t:
             raise LengthMismatch(f"received symbol {i} has {len(v)} coordinates, not t = {t}")
-        known[i] = field.element(v)
+        known[i] = single.pack_elem(v)
 
-    single = _packing(field, 1)
     repaired: list[int] = []
     for l, group in enumerate(inst.layout.groups):
         missing = [pos for pos, i in enumerate(group) if i not in known]
@@ -565,11 +569,11 @@ def decode_erasures(
         if len(missing) > c.delta - 1 or l not in inst._local_groups:
             continue
         present = [pos for pos, i in enumerate(group) if i in known][: c.r]
-        values = [single.pack_elem(known[group[p]]) for p in present]
+        values = [known[group[p]] for p in present]
         # r <= n_gab <= t, so the sum of r products stays within the slot bound.
         for pos in missing:
             weights = _lagrange_weights(present, pos, field.q)
-            known[group[pos]] = single.unpack_elem(single.canon(sum(map(operator.mul, weights, values))))
+            known[group[pos]] = single.canon(sum(map(operator.mul, weights, values)))
             repaired.append(group[pos])
 
     if not pattern.erased:
@@ -593,12 +597,15 @@ def decode_erasures(
         raise Undecodable(len(basis), k)
 
     message = _solve_message(inst, tuple(chosen), [known[i] for i in chosen])
-    codeword = tuple(encode(inst, message))
+    pk = _packing(field, inst.n)
+    bw, elem = pk.bw, pk.elem
+    codeword = _combine(pk, [(message >> j * bw) & elem for j in range(k)], inst._gen_packed)
     if __debug__:
-        assert all(codeword[i] == v for i, v in known.items()), "re-encode disagrees with a known symbol"
+        agree = all((codeword >> i * bw) & elem == v for i, v in known.items())
+        assert agree, "re-encode disagrees with a known symbol"
     return DecodeResult(
-        message=message,
-        codeword=codeword,
+        message=tuple(_packing(field, k).unpack(message)),
+        codeword=tuple(pk.unpack(codeword)),
         phase=phase,
         repaired_locally=tuple(sorted(repaired)),
     )

@@ -14,9 +14,10 @@ the packed kernel below.  What divides stays on coefficient lists, since the
 kernel cannot: the test's gcds, ExtField.inv's extended Euclid and each
 layout's Barrett constant mu.
 A packed row of L elements of F_(q^t) is one Python int: element j owns a
-block of 2t - 1 slots of W bits starting at bit j(2t - 1)W, and its t
-coordinates sit in the block's low slots, constant term first, with the
-high slots zero.  A prime-field element is the t = 1 case, one slot per
+block of bw bits starting at bit j*bw, 2t - 1 slots of W bits (padded to
+whole bytes when q < 256 and t > 1, see _Packing), and its t coordinates
+sit in the block's low slots, constant term first, with the high slots
+zero.  A prime-field element is the t = 1 case, one slot per
 block and nothing to fold.  One big-int product of a packed element and a
 packed row multiplies every element of the row by it as polynomials, each
 product (degree <= 2t - 2) filling its own block.  Folding the high slots
@@ -404,6 +405,14 @@ class _Packing:
     elements) or over F_q[x]/(modulus) for a monic modulus of degree t
     (coordinate tuples), and the product and elimination kernel over it.
 
+    An extension layout with q < 256 is bytewise: its block width bw,
+    2t - 1 slots of W bits, is padded to whole bytes (at most 7 bits, W
+    unchanged), so that unpack reads a slot position of a row as one byte
+    per element (a coordinate is below 256 and W >= 9 for t >= 2).  Prime
+    layouts (t = 1) stay unpadded: they hold the points and the distance
+    oracle's residuals, which padding would widen by up to a third.  So do
+    layouts with q >= 256, whose coordinates do not fit a byte.
+
     field is the field context whose inverse reduced_echelon takes; the
     products need none.  A basis entry is (pivot offset, packed row): the
     offset is the bit where the pivot's block starts, so entries sort by
@@ -432,6 +441,8 @@ class _Packing:
         # - Barrett takes a slot x <= v2 < 2^b to x - q*((x*m) >> s), which
         #   is x mod q exactly because 2^s >= q * 2^b.  Its product x*m is
         #   the largest slot of the kernel, below 2^W.
+        # - A bytewise block's padding sits above its 2t - 1 slots, where no
+        #   step writes, so the bounds are the same on every layout.
         v1 = t * c * c + t * q * c
         v2 = v1 + (t - 1) ** 2 * v1 * c * c
         b = v2.bit_length()
@@ -441,7 +452,8 @@ class _Packing:
         assert 2 * t * c * c + c <= v1
         assert q << b <= 1 << s and max(v1, (t - 1) * v1 * c, v2, v2 * m) < 1 << w
         self.s, self.m = s, m
-        self.bw = bw = (2 * t - 1) * w
+        self.bytewise = self.tuples and t > 1 and q < 256
+        self.bw = bw = -(-(2 * t - 1) * w // 8) * 8 if self.bytewise else (2 * t - 1) * w
         # A 1 at the low bit of every block: the geometric sum of 2^(j * bw).
         self.units = units = ((1 << (length * bw)) - 1) // ((1 << bw) - 1)
         self.w, self.slot = w, (1 << w) - 1
@@ -513,12 +525,23 @@ class _Packing:
         return x
 
     def unpack(self, x: int, start: int = 0) -> list:
-        """Elements start.. of the row; more than 64 of them are split by
-        halves into chunks of 64, as pack joins them, each read as a short
-        row.  Each element's block is masked to its t low slots before
-        unpack_elem splits it, so the slot shifts work on t*W bits, not on
-        the rest of the row."""
+        """Elements start.. of the canonical row x.
+
+        A bytewise layout reads slot position i of every element at once:
+        x >> i*W in little-endian bytes holds coordinate i of element j at
+        byte j*bw/8, so one to_bytes and one stepped slice per position
+        give t columns, zipped into the elements.  Otherwise more than 64
+        elements are split by halves into chunks of 64, as pack joins them,
+        each read as a short row, and each element's block is masked to
+        its t low slots before unpack_elem splits it, so the slot shifts
+        work on t*W bits, not on the rest of the row."""
         bw, elem, unpack_elem, count = self.bw, self.elem, self.unpack_elem, self.length - start
+        if self.bytewise:
+            if count <= 0:
+                return []
+            x >>= start * bw
+            size, step = count * bw // 8, bw // 8
+            return list(zip(*[(x >> i).to_bytes(size, "little")[::step] for i in self.shifts]))
         if count <= 64:
             return [unpack_elem((x >> (j * bw)) & elem) for j in range(start, self.length)]
         zero, out = [unpack_elem(0)] * 64, []

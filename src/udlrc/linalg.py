@@ -75,14 +75,14 @@ class Matrix:
             raise ValueError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
         pk = _packing(other.field, other.ncols)
         packed = [pk.pack(row) for row in other.rows]
-        return Matrix(self.field, [pk.unpack(_combine(pk, row, packed)) for row in self.rows])
+        return Matrix(self.field, [pk.unpack(_combine(pk, map(pk.pack_elem, row), packed)) for row in self.rows])
 
     def left_multiply(self, vector: Sequence) -> list:
         """Row vector times matrix."""
         if len(vector) != self.nrows:
             raise ValueError(f"vector length {len(vector)} does not match {self.nrows} rows")
         pk = _packing(self.field, self.ncols)
-        return pk.unpack(_combine(pk, vector, map(pk.pack, self.rows)))
+        return pk.unpack(_combine(pk, map(pk.pack_elem, vector), map(pk.pack, self.rows)))
 
     def rank(self) -> int:
         pk = _packing(self.field, self.ncols)
@@ -116,14 +116,14 @@ def _solve_packed(pk: _Packing, rows: Iterable[int], n: int) -> list[int]:
     return basis
 
 
-def _combine(pk: _Packing, vector: Sequence, packed_rows: Iterable[int]) -> int:
-    """The packed sum of the packed rows weighted by the vector's elements.
+def _combine(pk: _Packing, weights: Iterable[int], packed_rows: Iterable[int]) -> int:
+    """The packed sum of the packed rows weighted by the packed elements.
 
     The products are added two at a time to the canonical accumulator, one
     canon per pair and one for an odd last term: the slot bound holds a
     canonical accumulator plus two products (see _Packing.__init__)."""
     canon, acc = pk.canon, 0
-    products = map(operator.mul, map(pk.pack_elem, vector), packed_rows)
+    products = map(operator.mul, weights, packed_rows)
     for product in products:
         acc = canon(acc + product + next(products, 0))
     return acc

@@ -542,6 +542,11 @@ def test_a_repeat_decode_is_one_packed_combine(erased, phase, monkeypatch):
     # elimination and no packed row (1, 1 and 0 on a first or second decode).
     # Its canon count is exact: the message combine and the re-encode each
     # take one canon per pair of products (21 and 15 at one per product).
+    # It stays packed from the received symbols to the result: each is
+    # packed once, and only the message and the codeword are unpacked, as
+    # two rows (10/17/20/2 element, pack_elem, unpack_elem and unpack calls
+    # on the local set and 9/12/18/2 on the global one when each symbol
+    # went through ExtField.element and the message was re-encoded unpacked).
     inst = load_workloads().Repair(udlrc, 1).inst
     rng = random.Random(8)
     pattern = ErasurePattern.from_erased(inst.n, erased)
@@ -557,23 +562,48 @@ def test_a_repeat_decode_is_one_packed_combine(erased, phase, monkeypatch):
     eliminations = counting_method(monkeypatch, fields._Packing, "reduced_echelon")
     packs = counting_method(monkeypatch, fields._Packing, "pack")
     canons = counting_method(monkeypatch, fields._Packing, "canon")
+    conversions = [
+        counting_method(monkeypatch, owner, name)
+        for owner, name in ((fields.ExtField, "element"), (fields._Packing, "pack_elem"),
+                            (fields._Packing, "unpack_elem"), (fields._Packing, "unpack"))
+    ]
     message, received, expected = decodes[2]
     result = decode_erasures(inst, received, pattern)
     assert result == expected and result.phase == phase and list(result.message) == message
     assert (len(invs), len(eliminations), len(packs)) == (0, 0, 0)
     assert len(canons) == {"local": 15, "global": 9}[phase]
+    assert [len(calls) for calls in conversions] == [0, len(pattern.remaining), 0, 2]
+    assert len(pattern.remaining) == {"local": 10, "global": 9}[phase]
+
+
+@pytest.mark.skipif(not __debug__, reason="the re-encode check is an assert, stripped under python -O")
+def test_a_word_off_the_code_fails_the_re_encode_check():
+    # One received coordinate altered, with 0 to 2 erasures on the
+    # benchmark's [12,6] code: the decoded message re-encodes to a codeword
+    # that disagrees with some received symbol, which the plain-run check
+    # compares block by block.
+    inst = load_workloads().Repair(udlrc, 1).inst
+    rng, q = random.Random(3200), inst.spec.q
+    for _ in range(40):
+        codeword = encode(inst, [inst.field.random_element(rng) for _ in range(inst.k)])
+        pattern = ErasurePattern.from_erased(inst.n, rng.sample(range(inst.n), rng.randint(0, 2)))
+        received = {i: codeword[i] for i in pattern.remaining}
+        i, j = rng.choice(pattern.remaining), rng.randrange(inst.spec.t)
+        received[i] = tuple((v + rng.randrange(1, q)) % q if c == j else v for c, v in enumerate(received[i]))
+        with pytest.raises(AssertionError, match="^re-encode disagrees with a known symbol$"):
+            decode_erasures(inst, received, pattern)
 
 
 def test_kept_inverses_stay_within_their_budget(monkeypatch):
     # The kept inverses are bounded by one module constant of packed bytes,
     # 16 MiB: every one of the repair code's sets, each k^2 = 36 packed
-    # elements of 555 bits.  Lowered to three inverses, the map never holds
-    # more, drops the least recently used set, and every decode still
-    # equals the reference decode.
+    # elements of 560 bits (15 slots of 37 bits, padded to whole bytes).
+    # Lowered to three inverses, the map never holds more, drops the least
+    # recently used set, and every decode still equals the reference decode.
     assert construction._INVERSES_BYTES == 16 << 20
     inst = load_workloads().Repair(udlrc, 1).inst
     bits = inst.k * inst.k * fields._packing(inst.field, inst.k).bw
-    assert bits == 19_980
+    assert bits == 20_160
     monkeypatch.setattr(construction, "_INVERSES_BYTES", 3 * bits // 8 + 1)
     rng = random.Random(2600)
 
@@ -600,8 +630,9 @@ def test_kept_inverses_stay_within_their_budget(monkeypatch):
     for key in (a, b, c, a, d):
         assert decode(fresh, first[key]) == key
     assert list(fresh._inverses) == [c, a, d]
-    # A budget below one inverse keeps no set.
-    monkeypatch.setattr(construction, "_INVERSES_BYTES", bits // 8)
+    # A budget below one inverse keeps no set: one byte short of it, as
+    # bits is a whole number of bytes.
+    monkeypatch.setattr(construction, "_INVERSES_BYTES", (bits - 1) // 8)
     fresh = replace(inst)
     for pattern in patterns[:5] * 2:
         assert decode(fresh, pattern) is None

@@ -406,11 +406,15 @@ def test_frobenius_is_one_packed_step_and_no_field_mul(monkeypatch):
 
 
 def test_pack_and_unpack_match_the_one_loop_reference():
-    # Rows of 0 .. 200 elements, from all zero to dense, over F_5 and
-    # GF(7^3): past 64 elements pack joins chunks of 64 by halves, skipping
-    # the all-zero ones, and unpack splits the row the same way.
+    # Rows of 0 .. 200 elements, from all zero to dense: past 64 elements
+    # pack joins chunks of 64 by halves, skipping the all-zero ones.  Over
+    # F_5 and GF(257^2) unpack splits the row the same way; GF(7^3), GF(2^5)
+    # and GF(251^2), bytewise at both ends of a byte, read it by slot
+    # position.  start runs up to n, and past it on an empty row.
     rng = random.Random(20261019)
-    choices = [PrimeField(5), ExtField(PrimeField(7), 3)]
+    choices = [PrimeField(5), ExtField(PrimeField(7), 3), ExtField(PrimeField(2), 5),
+               ExtField(PrimeField(251), 2), ExtField(PrimeField(257), 2)]
+    assert [fields._packing(f, 1).bytewise for f in choices] == [False, True, True, True, False]
     chunked = sparse = 0
     for _ in range(600):
         field = rng.choice(choices)

@@ -476,7 +476,7 @@ def test_combine_matches_one_canon_per_term(q, t):
         ]
         for vector, rows in operands:
             packed = [pk.pack(row) for row in rows]
-            combined = _combine(pk, vector, packed)
+            combined = _combine(pk, [pk.pack_elem(v) for v in vector], packed)
             assert combined == ref_combine(pk, vector, packed)
             expected = ref_left_multiply(Matrix(field, rows), vector) if rows else [field.zero] * 3
             assert pk.unpack(combined) == expected
