@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .fields import PRIME_CHECK_LIMIT, ExtElem, ExtField, PrimeField, _Packing, _packing, is_prime
 from .gabidulin import default_points, gabidulin_encode, moore_matrix
-from .linalg import Matrix, _check_indices, _combine, _solve_packed
+from .linalg import Matrix, _check_indices, _solve_packed
 
 
 # The packed size, in bytes, of the Moore-block inverses one instance keeps
@@ -367,7 +367,7 @@ class CodeInstance:
             r = self.spec.classes[self.layout.class_of[l]].r
             head = [points[i] for i in group[:r]]
             # The weights are ints mod q, their own packed form on this prime layout.
-            if all(_combine(pk, _lagrange_weights(range(r), x, q), head) == points[i] for x, i in enumerate(group)):
+            if all(pk.combine(_lagrange_weights(range(r), x, q), head) == points[i] for x, i in enumerate(group)):
                 out.add(l)
         return frozenset(out)
 
@@ -413,10 +413,10 @@ def _check_message(inst: CodeInstance, message: Sequence[ExtElem]) -> None:
 def encode(inst: CodeInstance, message: Sequence[ExtElem]) -> list[ExtElem]:
     """message times the generator matrix: the instance's packed generator
     rows, weighted by the message symbols and summed, one fold per pair of
-    symbols (linalg._combine).  A malformed message raises LengthMismatch."""
+    symbols (_Packing.combine).  A malformed message raises LengthMismatch."""
     _check_message(inst, message)
     pk = _packing(inst.field, inst.n)
-    return pk.unpack(_combine(pk, map(pk.pack_elem, message), inst._gen_packed))
+    return pk.unpack(pk.combine(map(pk.pack_elem, message), inst._gen_packed))
 
 
 def encode_via_pipeline(inst: CodeInstance, message: Sequence[ExtElem]) -> list[ExtElem]:
@@ -509,7 +509,7 @@ def _solve_message(inst: CodeInstance, chosen: tuple[int, ...], values: list[int
             columns = inverses[chosen] = [
                 sum(((row >> (k + i) * bw) & elem) << j * bw for j, row in enumerate(solved)) for i in range(k)
             ]
-        return _combine(_packing(field, k), values, columns)
+        return _packing(field, k).combine(values, columns)
     pk = _packing(field, k + 1)
     bw = pk.bw
     solved = _solve_packed(pk, [rows[s] | v << k * bw for s, v in zip(chosen, values)], k)
@@ -599,7 +599,7 @@ def decode_erasures(
     message = _solve_message(inst, tuple(chosen), [known[i] for i in chosen])
     pk = _packing(field, inst.n)
     bw, elem = pk.bw, pk.elem
-    codeword = _combine(pk, [(message >> j * bw) & elem for j in range(k)], inst._gen_packed)
+    codeword = pk.combine([(message >> j * bw) & elem for j in range(k)], inst._gen_packed)
     if __debug__:
         agree = all((codeword >> i * bw) & elem == v for i, v in known.items())
         assert agree, "re-encode disagrees with a known symbol"

@@ -14,13 +14,13 @@ the packed kernel below.  What divides stays on coefficient lists, since the
 kernel cannot: the test's gcds, ExtField.inv's extended Euclid and each
 layout's Barrett constant mu.
 A packed row of L elements of F_(q^t) is one Python int: element j owns a
-block of bw bits starting at bit j*bw, 2t - 1 slots of W bits (padded to
-whole bytes when q < 256 and t > 1, see _Packing), and its t coordinates
-sit in the block's low slots, constant term first, with the high slots
-zero.  A prime-field element is the t = 1 case, one slot per
-block and nothing to fold.  One big-int product of a packed element and a
-packed row multiplies every element of the row by it as polynomials, each
-product (degree <= 2t - 2) filling its own block.  Folding the high slots
+block of bw bits starting at bit j*bw, 2t - 1 slots of W bits padded to
+whole bytes (see _Packing), and its t coordinates sit in the block's low
+slots, constant term first, with the high slots zero.  A prime-field
+element is the t = 1 case, one slot per block and nothing to fold.  One
+big-int product of a packed element and a packed row multiplies every
+element of the row by it as polynomials, each product (degree <= 2t - 2)
+filling its own block.  Folding the high slots
 back through x^t mod the modulus and one slotwise Barrett step mod q make
 the row canonical again; ExtField.mul is the one-element row.  The q-power
 map is F_q-linear and fixes F_q, so ExtField.frobenius is t small ints times
@@ -381,37 +381,16 @@ class ExtField:
 # ---------------------------------------------------------------------------
 # The packed kernel: every product in F_q and F_{q^t}.
 
-def _join(parts: Sequence[int], width: int) -> int:
-    """sum(part << (i * width)) over the parts, joined by halves: a shift
-    copies its whole operand, so joining one part at a time is quadratic."""
-    if len(parts) == 1:
-        return parts[0]
-    half = len(parts) // 2
-    return _join(parts[:half], width) | (_join(parts[half:], width) << (half * width))
-
-
-def _split(x: int, width: int, count: int) -> list[int]:
-    """The count parts of x, each width bits (the last one all bits above),
-    low first, split by halves as _join joins them."""
-    if count == 1 or not x:
-        return [x] + [0] * (count - 1)
-    half = count // 2
-    low = x & ((1 << (half * width)) - 1)
-    return _split(low, width, half) + _split(x >> (half * width), width, count - half)
-
-
 class _Packing:
     """The packed layout of rows of one length over F_q (modulus None, int
     elements) or over F_q[x]/(modulus) for a monic modulus of degree t
     (coordinate tuples), and the product and elimination kernel over it.
 
-    An extension layout with q < 256 is bytewise: its block width bw,
-    2t - 1 slots of W bits, is padded to whole bytes (at most 7 bits, W
-    unchanged), so that unpack reads a slot position of a row as one byte
-    per element (a coordinate is below 256 and W >= 9 for t >= 2).  Prime
-    layouts (t = 1) stay unpadded: they hold the points and the distance
-    oracle's residuals, which padding would widen by up to a third.  So do
-    layouts with q >= 256, whose coordinates do not fit a byte.
+    Every block, 2t - 1 slots of W bits, is padded to a whole number of
+    bytes (at most 7 bits, W unchanged), so that pack and unpack move a
+    slot position of a long row as cb stepped byte slices, cb the bytes a
+    coordinate below q needs: a slot is at least cb bytes wide for t >= 2,
+    and the one slot of a t = 1 block has only padding above it.
 
     field is the field context whose inverse reduced_echelon takes; the
     products need none.  A basis entry is (pivot offset, packed row): the
@@ -428,8 +407,7 @@ class _Packing:
         # - A step forms p * row + (q - v) * prow, p the pivot of prow and v
         #   the row's entry under it; a product slot sums at most t terms,
         #   so every slot is at most v1 = t*c*c + t*q*c.  A combine step
-        #   (linalg._combine: encode, Matrix.left_multiply, a kept-inverse
-        #   decode) adds two products (slots <= t*c*c each) to a canonical
+        #   adds two products (slots <= t*c*c each) to a canonical
         #   accumulator (slots <= c): at most 2*t*c*c + c, the pair bound,
         #   within v1 since t >= 1.  ExtField.mul forms one product, and
         #   ExtField.frobenius sums t coordinates times images (<= t*c*c).
@@ -441,8 +419,8 @@ class _Packing:
         # - Barrett takes a slot x <= v2 < 2^b to x - q*((x*m) >> s), which
         #   is x mod q exactly because 2^s >= q * 2^b.  Its product x*m is
         #   the largest slot of the kernel, below 2^W.
-        # - A bytewise block's padding sits above its 2t - 1 slots, where no
-        #   step writes, so the bounds are the same on every layout.
+        # - A block's padding sits above its 2t - 1 slots, where no step
+        #   writes, so the bounds do not depend on it.
         v1 = t * c * c + t * q * c
         v2 = v1 + (t - 1) ** 2 * v1 * c * c
         b = v2.bit_length()
@@ -452,8 +430,9 @@ class _Packing:
         assert 2 * t * c * c + c <= v1
         assert q << b <= 1 << s and max(v1, (t - 1) * v1 * c, v2, v2 * m) < 1 << w
         self.s, self.m = s, m
-        self.bytewise = self.tuples and t > 1 and q < 256
-        self.bw = bw = -(-(2 * t - 1) * w // 8) * 8 if self.bytewise else (2 * t - 1) * w
+        self.step = -(-(2 * t - 1) * w // 8)
+        self.bw = bw = 8 * self.step
+        self.cb = -(-c.bit_length() // 8)
         # A 1 at the low bit of every block: the geometric sum of 2^(j * bw).
         self.units = units = ((1 << (length * bw)) - 1) // ((1 << bw) - 1)
         self.w, self.slot = w, (1 << w) - 1
@@ -492,6 +471,18 @@ class _Packing:
             e >>= 1
         return result
 
+    def combine(self, weights: Iterable[int], packed_rows: Iterable[int]) -> int:
+        """The packed sum of the packed rows weighted by the packed elements.
+
+        The products are added two at a time to the canonical accumulator,
+        one canon per pair and one for an odd last term: the slot bound
+        holds a canonical accumulator plus two products (see __init__)."""
+        canon, acc = self.canon, 0
+        products = map(operator.mul, weights, packed_rows)
+        for product in products:
+            acc = canon(acc + product + next(products, 0))
+        return acc
+
     def pack_elem(self, e) -> int:
         if not self.tuples:
             return e % self.q
@@ -509,17 +500,24 @@ class _Packing:
 
     def pack(self, row: Sequence) -> int:
         """Element j of the row in block j.  Each shift copies the int built
-        so far, so a longer row is packed in chunks of 64 elements, only
-        those with a nonzero element, and the chunks joined by halves."""
-        bw, x, pack_elem = self.bw, 0, self.pack_elem
+        so far, so a row of more than 64 elements is packed a slot position
+        at a time instead: coordinate i of every element laid out as cb
+        stepped byte slices, read as one int and shifted to slot i."""
+        bw, x, q = self.bw, 0, self.q
         if len(row) > 64:
-            chunks = (row[j : j + 64] for j in range(0, len(row), 64))
-            return _join([self.pack(c) if any(map(pack_elem, c)) else 0 for c in chunks], 64 * bw)
+            step, size = self.step, len(row) * self.step
+            for i, column in zip(self.shifts, zip(*row) if self.tuples else [row]):
+                column = [v % q for v in column]
+                data = bytearray(size)
+                for b in range(self.cb):
+                    data[b::step] = bytes([v >> 8 * b & 255 for v in column])
+                x |= int.from_bytes(data, "little") << i
+            return x
         if self.tuples:
+            pack_elem = self.pack_elem
             for e in reversed(row):
                 x = (x << bw) | pack_elem(e)
         else:
-            q = self.q
             for e in reversed(row):
                 x = (x << bw) | (e % q)
         return x
@@ -527,27 +525,20 @@ class _Packing:
     def unpack(self, x: int, start: int = 0) -> list:
         """Elements start.. of the canonical row x.
 
-        A bytewise layout reads slot position i of every element at once:
-        x >> i*W in little-endian bytes holds coordinate i of element j at
-        byte j*bw/8, so one to_bytes and one stepped slice per position
-        give t columns, zipped into the elements.  Otherwise more than 64
-        elements are split by halves into chunks of 64, as pack joins them,
-        each read as a short row, and each element's block is masked to
-        its t low slots before unpack_elem splits it, so the slot shifts
-        work on t*W bits, not on the rest of the row."""
-        bw, elem, unpack_elem, count = self.bw, self.elem, self.unpack_elem, self.length - start
-        if self.bytewise:
-            if count <= 0:
-                return []
-            x >>= start * bw
-            size, step = count * bw // 8, bw // 8
-            return list(zip(*[(x >> i).to_bytes(size, "little")[::step] for i in self.shifts]))
-        if count <= 64:
-            return [unpack_elem((x >> (j * bw)) & elem) for j in range(start, self.length)]
-        zero, out = [unpack_elem(0)] * 64, []
-        for c in _split(x >> (start * bw), 64 * bw, (count + 63) // 64):
-            out += [unpack_elem((c >> (j * bw)) & elem) for j in range(64)] if c else zero
-        return out[:count]
+        Slot position i of every element is read at once: x >> i*W in
+        little-endian bytes holds coordinate i of element j in the cb bytes
+        from byte j*bw/8, so one to_bytes and cb stepped slices per position
+        give t columns, zipped into the elements."""
+        count, step = max(self.length - start, 0), self.step
+        x >>= start * self.bw
+        columns = []
+        for i in self.shifts:
+            data = (x >> i).to_bytes(count * step, "little")
+            column = data[::step]
+            for b in range(1, self.cb):
+                column = [v | u << 8 * b for v, u in zip(column, data[b::step])]
+            columns.append(column)
+        return list(zip(*columns)) if self.tuples else list(columns[0])
 
     def reduce(self, row: int, basis: Sequence[tuple]) -> int:
         """Clear from row the pivot column of each basis entry, in basis order.

@@ -24,7 +24,6 @@ identical; exact arithmetic has no stability concerns.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -47,6 +46,12 @@ class Matrix:
             w = len(self.rows[0])
             if any(len(r) != w for r in self.rows):
                 raise ValueError("rows must all have the same length")
+        t = getattr(self.field, "t", None)
+        if t is not None:  # an extension field: every element a t-tuple
+            for i, row in enumerate(self.rows):
+                for j, v in enumerate(row):
+                    if len(v) != t:
+                        raise ValueError(f"row {i}, column {j} has {len(v)} coordinates, not t = {t}")
 
     @property
     def nrows(self) -> int:
@@ -75,14 +80,14 @@ class Matrix:
             raise ValueError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
         pk = _packing(other.field, other.ncols)
         packed = [pk.pack(row) for row in other.rows]
-        return Matrix(self.field, [pk.unpack(_combine(pk, map(pk.pack_elem, row), packed)) for row in self.rows])
+        return Matrix(self.field, [pk.unpack(pk.combine(map(pk.pack_elem, row), packed)) for row in self.rows])
 
     def left_multiply(self, vector: Sequence) -> list:
         """Row vector times matrix."""
         if len(vector) != self.nrows:
             raise ValueError(f"vector length {len(vector)} does not match {self.nrows} rows")
         pk = _packing(self.field, self.ncols)
-        return pk.unpack(_combine(pk, map(pk.pack_elem, vector), map(pk.pack, self.rows)))
+        return pk.unpack(pk.combine(map(pk.pack_elem, vector), map(pk.pack, self.rows)))
 
     def rank(self) -> int:
         pk = _packing(self.field, self.ncols)
@@ -114,19 +119,6 @@ def _solve_packed(pk: _Packing, rows: Iterable[int], n: int) -> list[int]:
     if len(basis) < n:
         raise SingularMatrix(f"matrix rank {len(basis)} < {n}")
     return basis
-
-
-def _combine(pk: _Packing, weights: Iterable[int], packed_rows: Iterable[int]) -> int:
-    """The packed sum of the packed rows weighted by the packed elements.
-
-    The products are added two at a time to the canonical accumulator, one
-    canon per pair and one for an odd last term: the slot bound holds a
-    canonical accumulator plus two products (see _Packing.__init__)."""
-    canon, acc = pk.canon, 0
-    products = map(operator.mul, weights, packed_rows)
-    for product in products:
-        acc = canon(acc + product + next(products, 0))
-    return acc
 
 
 def base_rank(field, points: Iterable) -> int:

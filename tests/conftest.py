@@ -189,8 +189,8 @@ def ref_frobenius(field, a, i):
 
 
 def ref_pack(pk, row):
-    """_Packing.pack as one loop over the whole row, the path its chunked
-    join replaced: each shift copies the int built so far."""
+    """_Packing.pack as one loop over the whole row, the path its byte
+    slices replace past 64 elements: each shift copies the int built so far."""
     x = 0
     for e in reversed(row):
         x = (x << pk.bw) | pk.pack_elem(e)
@@ -203,7 +203,7 @@ def ref_unpack(pk, x, start=0):
 
 
 def ref_combine(pk, vector, packed_rows):
-    """linalg._combine with one canon per term, the loop its pairing of
+    """_Packing.combine with one canon per term, the loop its pairing of
     products replaced."""
     acc = 0
     for v, row in zip(vector, packed_rows):

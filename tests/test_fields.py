@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 
@@ -407,16 +408,20 @@ def test_frobenius_is_one_packed_step_and_no_field_mul(monkeypatch):
 
 def test_pack_and_unpack_match_the_one_loop_reference():
     # Rows of 0 .. 200 elements, from all zero to dense: past 64 elements
-    # pack joins chunks of 64 by halves, skipping the all-zero ones.  Over
-    # F_5 and GF(257^2) unpack splits the row the same way; GF(7^3), GF(2^5)
-    # and GF(251^2), bytewise at both ends of a byte, read it by slot
-    # position.  start runs up to n, and past it on an empty row.
+    # pack lays the row out by slot position in byte slices, the way
+    # unpack reads every row.  The fields take one, two and three bytes
+    # per coordinate, and include F_2, whose one slot (W = 5) is narrower
+    # than a byte, and extensions of degree 1, 2, 3 and 5.  start runs up
+    # to n, and past it on an empty row.
     rng = random.Random(20261019)
-    choices = [PrimeField(5), ExtField(PrimeField(7), 3), ExtField(PrimeField(2), 5),
-               ExtField(PrimeField(251), 2), ExtField(PrimeField(257), 2)]
-    assert [fields._packing(f, 1).bytewise for f in choices] == [False, True, True, True, False]
-    chunked = sparse = 0
-    for _ in range(600):
+    choices = [PrimeField(5), PrimeField(2), PrimeField(257), PrimeField(65537), ExtField(PrimeField(7), 3),
+               ExtField(PrimeField(2), 5), ExtField(PrimeField(251), 2), ExtField(PrimeField(257), 2),
+               ExtField(PrimeField(5), 1), ExtField(PrimeField(65537), 2)]
+    layouts = [fields._packing(f, 1) for f in choices]
+    assert all(pk.bw % 8 == 0 for pk in layouts)
+    assert [pk.cb for pk in layouts] == [1, 1, 2, 3, 1, 1, 1, 2, 1, 3] and layouts[1].w == 5
+    long = sparse = 0
+    for _ in range(1000):
         field = rng.choice(choices)
         n = rng.randint(0, 200)
         density = rng.choice([0.0, 0.01, 0.05, 0.5, 1.0])
@@ -426,21 +431,49 @@ def test_pack_and_unpack_match_the_one_loop_reference():
         assert x == ref_pack(pk, row)
         for start in (0, 1, rng.randint(0, n), max(0, n - 65), n):
             assert pk.unpack(x, start) == ref_unpack(pk, x, start) == row[start:]
-        chunked += n > 64
+        long += n > 64
         sparse += n > 64 and 0 < density < 0.5
-    assert chunked > 300 and sparse > 100
+    assert long > 500 and sparse > 150
 
 
-def test_a_long_dense_row_packs_and_unpacks_within_a_second():
+LONG_ROW_FIELDS = [PrimeField(5), PrimeField(65537), ExtField(PrimeField(7), 3)]
+
+
+@pytest.mark.parametrize("field", LONG_ROW_FIELDS, ids=["f5", "f65537", "gf7_3"])
+def test_a_long_dense_row_packs_and_unpacks_within_a_second(field):
     # One shift per element copied the whole int built so far: a dense
     # row of 100,000 elements over F_5 took 2.5 s to pack and 2.1 s to
     # unpack that way.
-    field = PrimeField(5)
     rng = random.Random(23)
-    row = [rng.randrange(1, 5) for _ in range(100_000)]
+    row = [field.random_element(rng) for _ in range(100_000)]
     pk = fields._packing(field, len(row))
     start = time.perf_counter()
     x = pk.pack(row)
     packed = time.perf_counter()
     assert pk.unpack(x) == row
     assert (packed - start < 1.0, time.perf_counter() - packed < 1.0) == (True, True)
+
+
+LAYOUT_QS = [q for q in range(2, 300) if is_prime(q)] + [65537, 1000003]
+LAYOUT_TS = [*range(1, 21), 60]
+# sha256 of repr([(q, t, W), ...]) over LAYOUT_QS x LAYOUT_TS, taken while
+# only some blocks were padded: padding a block must leave W as it was.
+W_TABLE_SHA256 = "a5195e4c4a02ba98ddd56ebea780962b3f27fb52ee2868a8a371691a9b30775e"
+
+
+def test_every_layout_pads_its_blocks_to_whole_bytes_and_keeps_its_slot_width():
+    # unpack reads coordinate i of a block as the cb bytes from slot i's
+    # start, which hold nothing else: for t >= 2 the slot is that wide,
+    # and the one slot of a t = 1 block has only padding above it.
+    table = []
+    for q in LAYOUT_QS:
+        for t in LAYOUT_TS:
+            layouts = [fields._Packing(q, (0,) * t + (1,), 1)] + [fields._Packing(q, None, 1)] * (t == 1)
+            w = layouts[0].w
+            for pk in layouts:
+                assert pk.w == w and pk.bw % 8 == 0 and 0 <= pk.bw - (2 * t - 1) * w < 8
+                assert pk.step == pk.bw // 8 >= pk.cb == ((q - 1).bit_length() + 7) // 8
+                assert t == 1 or w >= 8 * pk.cb
+            table.append((q, t, w))
+    assert len(table) == 1344
+    assert hashlib.sha256(repr(table).encode()).hexdigest() == W_TABLE_SHA256

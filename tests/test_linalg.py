@@ -4,7 +4,6 @@ import pytest
 
 from udlrc import ExtField, Matrix, PrimeField, SingularMatrix, base_rank, mds_local_generator
 from udlrc.fields import _packing
-from udlrc.linalg import _combine
 from conftest import counting_method, reduced_basis, ref_combine, ref_left_multiply, ref_mul, ref_solve
 
 F5 = PrimeField(5)
@@ -476,7 +475,7 @@ def test_combine_matches_one_canon_per_term(q, t):
         ]
         for vector, rows in operands:
             packed = [pk.pack(row) for row in rows]
-            combined = _combine(pk, [pk.pack_elem(v) for v in vector], packed)
+            combined = pk.combine([pk.pack_elem(v) for v in vector], packed)
             assert combined == ref_combine(pk, vector, packed)
             expected = ref_left_multiply(Matrix(field, rows), vector) if rows else [field.zero] * 3
             assert pk.unpack(combined) == expected

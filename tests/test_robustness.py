@@ -494,6 +494,10 @@ MALFORMED = [
     ("decode_erasures", lambda inst: u.decode_erasures(inst, {}, u.ErasurePattern.from_erased(4, range(4))),
      u.LengthMismatch, "pattern length 4 != n = 8"),
     ("Matrix", lambda inst: u.Matrix(u.PrimeField(5), [[1], [0, 0, 1]]), ValueError, "same length"),
+    ("Matrix-long-element", lambda inst: u.Matrix(F55, [[(1,) * 12, F55.zero, F55.zero]]).left_multiply([F55.one]),
+     ValueError, "row 0, column 0 has 12 coordinates, not t = 5"),
+    ("Matrix-short-element", lambda inst: u.Matrix(F55, [[(1, 2, 3)]]).rank(), ValueError,
+     "row 0, column 0 has 3 coordinates, not t = 5"),
     ("erank", lambda inst: u.erank(inst, [3, 12, 9]), IndexError, "symbol index 9 out of range for n=8"),
     ("erank-negative", lambda inst: u.erank(inst, [-1, 8]), IndexError, "symbol index -1 out of range for n=8"),
     ("grank", lambda inst: u.grank(inst.gen, [0, 8]), IndexError, "column index 8 out of range for n=8"),
