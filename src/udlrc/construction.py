@@ -37,8 +37,8 @@ from .linalg import Matrix, _check_indices, _solve_packed
 
 
 # The packed size, in bytes, of the Moore-block inverses one instance keeps
-# for decode_erasures.  One inverse takes k^2 packed elements: about 2.5 KB
-# on a [12,6] code over GF(5^8), about 1.6 MB on an n = 84 code over GF(11^60).
+# for decode_erasures.  One inverse takes k^2 packed elements: about 1.2 KB
+# on a [12,6] code over GF(5^8), about 0.7 MB on an n = 84 code over GF(11^60).
 _INVERSES_BYTES = 16 << 20
 
 

@@ -20,19 +20,22 @@ slots, constant term first, with the high slots zero.  A prime-field
 element is the t = 1 case, one slot per block and nothing to fold.  One
 big-int product of a packed element and a packed row multiplies every
 element of the row by it as polynomials, each product (degree <= 2t - 2)
-filling its own block.  Folding the high slots
-back through x^t mod the modulus and one slotwise Barrett step mod q make
-the row canonical again; ExtField.mul is the one-element row.  The q-power
-map is F_q-linear and fixes F_q, so ExtField.frobenius is t small ints times
-the packed images alpha^(jq), built once per field, and one canon (repeated
+filling its own block.  A slotwise Barrett step reduces every slot mod q,
+the high slots fold back through x^t mod the modulus (their quotient by the
+modulus reduced mod q in turn), and a last Barrett step makes the row
+canonical again; ExtField.mul is the one-element row.  The q-power map is
+F_q-linear and fixes F_q, so ExtField.frobenius is t small ints times the
+packed images alpha^(jq), built once per field, and one canon (repeated
 squaring took about log2(q) + popcount(q) products).
 
 The slot bound: with canonical operands (coordinates <= q - 1), no slot
 of any intermediate reaches 2^W, so no slot ever carries into the next.
-W is derived from (q, t) alone; _Packing states the largest value of each
-step and asserts the bound when it builds a layout.  Layouts are cached
-per field and row length; the Rabin test builds one per candidate modulus
-and caches none.
+Since the fold multiplies only slots reduced mod q, the largest slot is one
+product's slot times the Barrett constant, which sets W: folding unreduced
+slots would need about twice as many bits.  W is derived from (q, t) alone; _Packing
+states the largest value of each step and asserts the bound when it builds
+a layout.  Layouts are cached per field and row length; the Rabin test
+builds one per candidate modulus and caches none.
 """
 
 from __future__ import annotations
@@ -50,10 +53,10 @@ ExtElem = tuple[int, ...]
 # one product for its layout and bitlen(q) products for each Rabin round (a
 # power x^(q^d) and a gcd), each charge made before the round runs; most
 # candidates stop at the first round.  Measured on an x86 core: GF(11^60)
-# costs 106M (0.2 s); GF(7^50), GF(5^40), GF(3^90) and every q <= 23 with
+# costs 106M (0.18 s); GF(7^50), GF(5^40), GF(3^90) and every q <= 23 with
 # t <= 16 fit; the slowest refusal found, over q up to 2^81 and t up to
-# 1000, is GF(3^180) at about 0.7 s, and GF(13^94) and GF(1000000007^5)
-# give up within 0.2 s.
+# 1000, is GF(3^180) at about 0.6 s, and GF(13^94) and GF(1000000007^5)
+# give up within 0.15 s.
 MODULUS_SEARCH_BUDGET = 150_000_000
 
 
@@ -411,43 +414,47 @@ class _Packing:
         #   accumulator (slots <= c): at most 2*t*c*c + c, the pair bound,
         #   within v1 since t >= 1.  ExtField.mul forms one product, and
         #   ExtField.frobenius sums t coordinates times images (<= t*c*c).
-        # - Folding (t > 1) takes the high part h (slots t..2t-2, each
-        #   <= v1), the quotient of h * x^t by the modulus as the slots
-        #   t-2.. of h * mu (each <= (t-1)*v1*c), and adds that quotient
-        #   times x^t mod the modulus to the low slots, each then at most
-        #   v2 = v1 + (t-1)^2 * v1 * c^2.  The high slots are masked off.
-        # - Barrett takes a slot x <= v2 < 2^b to x - q*((x*m) >> s), which
-        #   is x mod q exactly because 2^s >= q * 2^b.  Its product x*m is
-        #   the largest slot of the kernel, below 2^W.
+        # - Folding (t > 1) first reduces every slot mod q.  The quotient of
+        #   h * x^t by the modulus, h the high part (slots t..2t-2), is then
+        #   the slots t-2.. of h * mu, each <= (t-1)*c*c, and is reduced mod
+        #   q too; the quotient times x^t mod the modulus adds at most
+        #   (t-1)*c*c to each low slot, at most (t-1)*c*c + c <= v1 in all.
+        #   The high slots are masked off.
+        # - So no slot reaching a Barrett step exceeds v1 < 2^b.  Barrett
+        #   takes it to x - q*((x*m) >> s), which is x mod q exactly because
+        #   2^s >= q * 2^b.  Its product x*m is the largest slot of the
+        #   kernel, below 2^W.
+        # - For t >= 2, W is at least 8*cb: unpack reads cb whole bytes from
+        #   each slot's start, which must hold nothing of the next slot.
         # - A block's padding sits above its 2t - 1 slots, where no step
         #   writes, so the bounds do not depend on it.
         v1 = t * c * c + t * q * c
-        v2 = v1 + (t - 1) ** 2 * v1 * c * c
-        b = v2.bit_length()
+        b = v1.bit_length()
         s = b + q.bit_length()
         m = (1 << s) // q + 1
-        w = (v2 * m).bit_length()
-        assert 2 * t * c * c + c <= v1
-        assert q << b <= 1 << s and max(v1, (t - 1) * v1 * c, v2, v2 * m) < 1 << w
+        self.cb = cb = -(-c.bit_length() // 8)
+        w = max((v1 * m).bit_length(), 8 * cb if t > 1 else 0)
+        assert 2 * t * c * c + c <= v1 and (t - 1) * c * c + c <= v1
+        assert q << b <= 1 << s and v1 * m < 1 << w and (t == 1 or w >= 8 * cb)
         self.s, self.m = s, m
         self.step = -(-(2 * t - 1) * w // 8)
         self.bw = bw = 8 * self.step
-        self.cb = -(-c.bit_length() // 8)
         # A 1 at the low bit of every block: the geometric sum of 2^(j * bw).
         self.units = units = ((1 << (length * bw)) - 1) // ((1 << bw) - 1)
         self.w, self.slot = w, (1 << w) - 1
         self.shifts = tuple(range(0, t * w, w))
         self.elem = (1 << (t * w)) - 1
         self.low = self.elem * units
-        self.quot = sum(((1 << (w - s)) - 1) << i for i in self.shifts) * units
+        # The Barrett quotient's bits in every one of the 2t - 1 slots.
+        self.quot = sum(((1 << (w - s)) - 1) << i for i in range(0, (2 * t - 1) * w, w)) * units
         self.negq = sum(q << i for i in self.shifts)
         if t > 1:
             # Polynomial Barrett: with mu = x^(2t-2) div the modulus and
             # deg h <= t-2, (h * mu) div x^(t-2) is exactly the quotient of
             # h * x^t by the modulus, and the remainder is minus that
             # quotient times the modulus's low part, i.e. times x^t mod it.
-            # Slots are not reduced in between: over the integers each one
-            # stays congruent mod q to its value over F_q.
+            # Each slot stays congruent mod q to its value over F_q, so
+            # reducing slots mod q in between changes nothing mod q.
             self.hi_shift, self.quo_shift = t * w, (t - 2) * w
             self.high = ((1 << ((t - 1) * w)) - 1) * units
             self.mu = self.pack_elem(_poly_divmod([0] * (2 * t - 2) + [1], modulus, q)[0])
@@ -456,8 +463,10 @@ class _Packing:
     def canon(self, x: int) -> int:
         """x with every block folded and every slot reduced mod q."""
         if self.t > 1:
-            h = (x >> self.hi_shift) & self.high
-            h = ((h * self.mu) >> self.quo_shift) & self.high
+            m, s, quot, q = self.m, self.s, self.quot, self.q
+            x -= ((x * m >> s) & quot) * q
+            h = ((((x >> self.hi_shift) & self.high) * self.mu) >> self.quo_shift) & self.high
+            h -= ((h * m >> s) & quot) * q
             x = (x & self.low) + (h * self.red & self.low)
         return x - ((x * self.m >> self.s) & self.quot) * self.q
 

@@ -143,29 +143,29 @@ def counting_cached(monkeypatch, owner, names):
     return counts
 
 
+def ref_mulmod(a, b, modulus, q):
+    """a * b mod the monic modulus of degree t over F_q, as t coordinates,
+    for coefficient sequences a and b (low first): the schoolbook product,
+    then long division by the modulus from the top coefficient down.  The
+    modulus need not be irreducible."""
+    t = len(modulus) - 1
+    conv = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            conv[i : i + len(b)] = [u + x * y for u, y in zip(conv[i : i + len(b)], b)]
+    for top in range(len(conv) - 1, t - 1, -1):
+        if c := conv[top] % q:
+            conv[top - t : top] = [u - c * m for u, m in zip(conv[top - t : top], modulus)]
+    return tuple(v % q for v in conv[:t]) + (0,) * (t - len(conv))
+
+
 def ref_mul(field, a, b):
     """Schoolbook product, the path the packed ExtField.mul replaced:
-    convolve the coordinates, then fold each coefficient of degree t + j
-    back through x^(t+j) mod the modulus, highest first.  Prime-field
-    elements multiply as ints."""
-    q = field.q
+    ref_mulmod by the field's modulus.  Prime-field elements multiply as
+    ints."""
     if not isinstance(a, tuple):
-        return a * b % q
-    t = field.t
-    x_to_t = [-v % q for v in field.modulus[:t]]
-    red = [x_to_t]  # red[j] = x^(t+j) mod the modulus
-    for _ in range(t - 2):
-        prev = red[-1]
-        red.append([((prev[i - 1] if i else 0) + prev[-1] * x_to_t[i]) % q for i in range(t)])
-    conv = [0] * (2 * t - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            conv[i + j] += ai * bj
-    for idx in range(2 * t - 2, t - 1, -1):
-        c = conv[idx] % q
-        for i in range(t):
-            conv[i] += c * red[idx - t][i]
-    return tuple(v % q for v in conv[:t])
+        return a * b % field.q
+    return ref_mulmod(a, b, field.modulus, field.q)
 
 
 def ref_pow(field, a, e):
@@ -213,19 +213,11 @@ def ref_combine(pk, vector, packed_rows):
 
 def _ref_poly_powmod(base, e, m, q):
     """base^e mod the monic m over F_q, schoolbook products."""
-
-    def mulmod(a, b):
-        res = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                res[i + j] += ai * bj
-        return _poly_divmod(res, m, q)[1]
-
     result, acc = [1], _poly_divmod(base, m, q)[1]
     while e:
         if e & 1:
-            result = mulmod(result, acc)
-        acc = mulmod(acc, acc)
+            result = ref_mulmod(result, acc, m, q)
+        acc = ref_mulmod(acc, acc, m, q)
         e >>= 1
     return result
 

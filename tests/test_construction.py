@@ -597,13 +597,14 @@ def test_a_word_off_the_code_fails_the_re_encode_check():
 def test_kept_inverses_stay_within_their_budget(monkeypatch):
     # The kept inverses are bounded by one module constant of packed bytes,
     # 16 MiB: every one of the repair code's sets, each k^2 = 36 packed
-    # elements of 560 bits (15 slots of 37 bits, padded to whole bytes).
+    # elements of 272 bits (15 slots of 18 bits, padded to whole bytes;
+    # 560 bits, slots of 37, while the fold left its slots unreduced).
     # Lowered to three inverses, the map never holds more, drops the least
     # recently used set, and every decode still equals the reference decode.
     assert construction._INVERSES_BYTES == 16 << 20
     inst = load_workloads().Repair(udlrc, 1).inst
     bits = inst.k * inst.k * fields._packing(inst.field, inst.k).bw
-    assert bits == 20_160
+    assert bits == 9_792
     monkeypatch.setattr(construction, "_INVERSES_BYTES", 3 * bits // 8 + 1)
     rng = random.Random(2600)
 

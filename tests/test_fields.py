@@ -8,7 +8,16 @@ from udlrc import ExtField, ModulusSearchTooLarge, PrimeField, find_irreducible,
 from udlrc.fields import MODULUS_SEARCH_BUDGET, PRIME_CHECK_LIMIT
 from udlrc.fields import _is_irreducible
 from udlrc import fields
-from conftest import monic_candidates, ref_frobenius, ref_is_irreducible, ref_mul, ref_pack, ref_pow, ref_unpack
+from conftest import (
+    monic_candidates,
+    ref_frobenius,
+    ref_is_irreducible,
+    ref_mul,
+    ref_mulmod,
+    ref_pack,
+    ref_pow,
+    ref_unpack,
+)
 
 
 def test_prime_check():
@@ -456,9 +465,26 @@ def test_a_long_dense_row_packs_and_unpacks_within_a_second(field):
 
 LAYOUT_QS = [q for q in range(2, 300) if is_prime(q)] + [65537, 1000003]
 LAYOUT_TS = [*range(1, 21), 60]
-# sha256 of repr([(q, t, W), ...]) over LAYOUT_QS x LAYOUT_TS, taken while
-# only some blocks were padded: padding a block must leave W as it was.
-W_TABLE_SHA256 = "a5195e4c4a02ba98ddd56ebea780962b3f27fb52ee2868a8a371691a9b30775e"
+# sha256 of repr([(q, t, W), ...]) over LAYOUT_QS x LAYOUT_TS, split at t = 1.
+# The t = 1 rows were taken while only some blocks were padded, and before
+# the fold reduced its slots mod q: the prime layouts, which every certify
+# and sweep kernel uses, keep their W.  The t >= 2 rows were taken when the
+# fold began reducing mod q before each of its products.
+W_PRIME_SHA256 = "a7a79fd203aaf5acd22d4c888fee23eafb189deadb2fa3a0006c5affea045ee6"
+W_EXT_SHA256 = "ba9f4038ae36a2bcee27e53e9f7211d0b9646edd50544b85ae92d41e6acb090f"
+# The t >= 2 rows of the same table when W held the fold's unreduced bound,
+# as computed by unreduced_fold_width.
+W_EXT_UNREDUCED_SHA256 = "6521a4b854391fb8a6dc3cb5f80efd6fb116bcef57573243819c2f87a2214d3f"
+
+
+def unreduced_fold_width(q, t):
+    """W when the fold multiplied unreduced slots by mu and by the
+    modulus's low part: every low slot then reached v1 + (t-1)^2 v1 c^2."""
+    c = q - 1
+    v1 = t * c * c + t * q * c
+    v2 = v1 + (t - 1) ** 2 * v1 * c * c
+    s = v2.bit_length() + q.bit_length()
+    return (v2 * ((1 << s) // q + 1)).bit_length()
 
 
 def test_every_layout_pads_its_blocks_to_whole_bytes_and_keeps_its_slot_width():
@@ -476,4 +502,57 @@ def test_every_layout_pads_its_blocks_to_whole_bytes_and_keeps_its_slot_width():
                 assert t == 1 or w >= 8 * pk.cb
             table.append((q, t, w))
     assert len(table) == 1344
-    assert hashlib.sha256(repr(table).encode()).hexdigest() == W_TABLE_SHA256
+    prime = [row for row in table if row[1] == 1]
+    ext = [row for row in table if row[1] > 1]
+    unreduced = [(q, t, unreduced_fold_width(q, t)) for q, t, _ in ext]
+    assert hashlib.sha256(repr(prime).encode()).hexdigest() == W_PRIME_SHA256
+    assert hashlib.sha256(repr(ext).encode()).hexdigest() == W_EXT_SHA256
+    assert hashlib.sha256(repr(unreduced).encode()).hexdigest() == W_EXT_UNREDUCED_SHA256
+    assert all(w <= old for (_, _, w), (_, _, old) in zip(ext, unreduced))
+
+
+def test_the_kernel_is_exact_at_every_slot_bound():
+    # Each shape of sum the kernel canonicalizes, at its largest slots
+    # (every operand coordinate q - 1) and at seeded operands, against
+    # ref_mulmod: one product (ExtField.mul), a canonical accumulator plus
+    # two products (combine), the step p * row + (negq - v) * prow
+    # (reduce; at the largest slots v = 1, so negq - v is q in all but one
+    # slot), and sums of r <= t scalar-times-element products (frobenius,
+    # t of them, and a local repair).  One seeded monic modulus per (q, t),
+    # on every extension layout the width table covers.
+    rng = random.Random(3400)
+    cases = 0
+    for q in LAYOUT_QS:
+        c = q - 1
+        for t in LAYOUT_TS[1:]:
+            modulus = [rng.randrange(q) for _ in range(t)] + [1]
+            pk = fields._Packing(q, modulus, 2)
+            full = (c,) * t
+            one = (1,) + (0,) * (t - 1)
+            a, b, e = (tuple(rng.randrange(q) for _ in range(t)) for _ in range(3))
+            v = (1,) + e[1:]
+            products = {}
+
+            def mulmod(x, y):
+                if (x, y) not in products:
+                    products[x, y] = ref_mulmod(x, y, modulus, q)
+                return products[x, y]
+
+            def lin(weights, elems):
+                return tuple(sum(col) % q for col in zip(*[[w * u for u in x] for w, x in zip(weights, elems)]))
+
+            # (x, y) multiply; p is the pivot and w the entry under it.
+            for x, y, p, w in ((full, full, full, one), (a, b, a, v)):
+                px, py = pk.pack_elem(x), pk.pack_elem(y)
+                xy = mulmod(x, y)
+                assert pk.unpack_elem(pk.canon(px * py)) == xy
+                pair = pk.combine([px] * 4, [pk.pack([y, full])] * 4)
+                assert pk.unpack(pair) == [lin([4], [xy]), lin([4], [mulmod(x, full)])]
+                step = pk.reduce(pk.pack([w, full]), [(0, pk.pack([p, y]))])
+                assert pk.unpack(step) == [(0,) * t, lin([1, -1], [mulmod(p, full), mulmod(w, y)])]
+                r = rng.randint(1, t)
+                for scalars, elem, packed in (([c] * t, x, px), ([c] * r, y, py)):
+                    total = pk.canon(sum(s * packed for s in scalars))
+                    assert pk.unpack_elem(total) == lin(scalars, [elem] * len(scalars))
+                cases += 1
+    assert cases == 2 * len(LAYOUT_QS) * (len(LAYOUT_TS) - 1) == 2560

@@ -5,7 +5,8 @@ python -O; the oracle sweep's builds, the bounds-only sweep's tables,
 classes, class caps and precondition errors, and certify's point walks,
 grank calls and cover traces, counted; certify and the oracle sweep shown
 to build no generator and no extension field; certify past the default
-budget at n = 27 and n = 84; and the `bounds` reports on the benchmark's spec
+budget at n = 27 and n = 84, and the codec's reports on those two specs;
+and the `bounds` reports on the benchmark's spec
 files and on an 8-class spec, pinned to their recorded digests.
 """
 
@@ -190,6 +191,38 @@ def test_certify_reaches_an_n230_code_at_budget_230():
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
         "d6add8c8b4b1e79a1717f446d4b615341e1e0ff61a844e96e3c60e63153fe66c"
     )
+
+
+# The codec on the reach specs, recorded before the fold reduced its slots
+# mod q: (spec, argv, stdout digest).  A decode --random erases nothing, so
+# each one solves the Moore system of an information set in full; on n = 84
+# that is a 40 x 40 system over GF(11^60).
+REACH_CODEC_REPORTS = {
+    "n27-encode": (
+        REACH_SPEC,
+        ["encode", "--random"],
+        "5b44c1cc02087c3d6b9260994636dac9bbaf1b761aaa7050ebd0aef5ac73382b",
+    ),
+    "n27-decode": (
+        REACH_SPEC,
+        ["decode", "--random", "--format", "machine"],
+        "2f3d8959d78a08f1117f63cf215c1ed78a92964fba87641b8653af57c65175ed",
+    ),
+    "n84-decode": (
+        REACH_N84_SPEC,
+        ["decode", "--random"],
+        "6874aed11f0380bc9363bb7486859e40e34ba7d0e03906a9ed58e29b027f2eb2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", REACH_CODEC_REPORTS)
+def test_reach_codec_report_matches_recorded_digest(name):
+    spec, argv, digest = REACH_CODEC_REPORTS[name]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main([argv[0], "--spec", str(spec), *argv[1:]]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
 def test_oracle_sweep_walks_once_per_class_tuple(monkeypatch):
