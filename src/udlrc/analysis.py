@@ -89,10 +89,8 @@ def min_distance_oracle(code: CodeInstance | Matrix, budget: int = DEFAULT_ORACL
         return _walk(pk, columns, len(pk.echelon(columns, pk.length)), code.k, code.k, budget)[0]
     n, k = code.ncols, code.nrows
     pn = _packing(code.field, n)
-    rows = [pn.unpack(row) for _, row in pn.reduced(map(pn.pack, code.rows), n)]
-    pk = _packing(code.field, k)
-    columns = [pk.pack([row[j] for row in rows]) for j in range(n)]
-    return _walk(pk, columns, len(rows), k, k, budget)[0]
+    rows = [row for _, row in pn.reduced(map(pn.pack, code.rows), n)]
+    return _walk(_packing(code.field, k), pn.columns(rows, range(n)), len(rows), k, k, budget)[0]
 
 
 def prefix_oracles(inst: CodeInstance, budget: int = DEFAULT_ORACLE_BUDGET) -> list[DistanceCertificate]:

@@ -326,17 +326,10 @@ class CodeInstance:
     # first use and kept: a call then packs only its own symbols.
     @cached_property
     def _gen_packed(self) -> list[int]:
-        """The generator rows, packed n wide."""
+        """The generator rows, packed n wide; a decode reads its Moore rows
+        out of them as columns."""
         pk = _packing(self.field, self.n)
         return [pk.pack(row) for row in self.gen.rows]
-
-    @cached_property
-    def _moore_packed(self) -> list[int]:
-        """Symbol i's generator column packed k wide: its row of the message
-        system.  The slots from k on are empty, so a decode appends the
-        symbol's value at slot k (width k + 1) or a unit row (width 2k)."""
-        pk = _packing(self.field, self.k + 1)
-        return [pk.pack(column) for column in zip(*self.gen.rows)]
 
     @cached_property
     def _inverses(self) -> OrderedDict:
@@ -495,8 +488,7 @@ def _solve_message(inst: CodeInstance, chosen: tuple[int, ...], values: list[int
     """The message, packed k wide, whose codeword takes the packed values on
     the chosen symbols, through the instance's kept inverse of their Moore
     block A (see decode_erasures for when a set is inverted and kept)."""
-    field, k = inst.field, inst.k
-    rows, inverses = inst._moore_packed, inst._inverses
+    field, k, inverses = inst.field, inst.k, inst._inverses
     if chosen in inverses:
         inverses.move_to_end(chosen)
         columns = inverses[chosen]
@@ -504,23 +496,22 @@ def _solve_message(inst: CodeInstance, chosen: tuple[int, ...], values: list[int
             # Row j of the reduced [A | I] is [e_j | row j of A^-1]; column
             # i of A^-1, packed k wide, weights value i in every message symbol.
             pk = _packing(field, 2 * k)
-            bw, elem = pk.bw, pk.elem
-            solved = _solve_packed(pk, [rows[s] | 1 << (k + i) * bw for i, s in enumerate(chosen)], k)
-            columns = inverses[chosen] = [
-                sum(((row >> (k + i) * bw) & elem) << j * bw for j, row in enumerate(solved)) for i in range(k)
-            ]
+            rows = pk.columns(inst._gen_packed, chosen)
+            solved = _solve_packed(pk, [row | 1 << (k + i) * pk.bw for i, row in enumerate(rows)], k)
+            columns = inverses[chosen] = pk.columns(solved, range(k, 2 * k))
         return _packing(field, k).combine(values, columns)
+    # Symbol s's row of A is column s of the generator, packed k wide.
     pk = _packing(field, k + 1)
     bw = pk.bw
-    solved = _solve_packed(pk, [rows[s] | v << k * bw for s, v in zip(chosen, values)], k)
+    solved = _solve_packed(pk, [row | v << k * bw for row, v in zip(pk.columns(inst._gen_packed, chosen), values)], k)
     # Each set in the map is charged its inverse's packed size from its first decode on.
     capacity = _INVERSES_BYTES * 8 // (k * k * bw)
     if capacity:
         while len(inverses) >= capacity:
             inverses.popitem(last=False)
         inverses[chosen] = None
-    # Row j is [e_j | message symbol j]: its last block moves to block j.
-    return sum((row >> k * bw) << j * bw for j, row in enumerate(solved))
+    # Row j is [e_j | message symbol j]: the message is the last column.
+    return pk.columns(solved, [k])[0]
 
 
 def decode_erasures(

@@ -15,7 +15,8 @@ kernel cannot: the test's gcds, ExtField.inv's extended Euclid and each
 layout's Barrett constant mu.
 A packed row of L elements of F_(q^t) is one Python int: element j owns a
 block of bw bits starting at bit j*bw, 2t - 1 slots of W bits padded to
-whole bytes (see _Packing), and its t coordinates sit in the block's low
+whole bytes (a long row packs by joining those bytes and unpacks by slot
+position, see _Packing), and its t coordinates sit in the block's low
 slots, constant term first, with the high slots zero.  A prime-field
 element is the t = 1 case, one slot per block and nothing to fold.  One
 big-int product of a packed element and a packed row multiplies every
@@ -390,10 +391,12 @@ class _Packing:
     (coordinate tuples), and the product and elimination kernel over it.
 
     Every block, 2t - 1 slots of W bits, is padded to a whole number of
-    bytes (at most 7 bits, W unchanged), so that pack and unpack move a
-    slot position of a long row as cb stepped byte slices, cb the bytes a
-    coordinate below q needs: a slot is at least cb bytes wide for t >= 2,
-    and the one slot of a t = 1 block has only padding above it.
+    bytes (at most 7 bits, W unchanged), step bytes in all.  So a long row
+    packs as its elements' blocks joined as bytes, columns moves blocks
+    between rows as byte slices, and unpack reads a slot position of a row
+    as cb stepped byte slices, cb the bytes a coordinate below q needs: a
+    slot is at least cb bytes wide for t >= 2, and the one slot of a t = 1
+    block has only padding above it.
 
     field is the field context whose inverse reduced_echelon takes; the
     products need none.  A basis entry is (pivot offset, packed row): the
@@ -509,19 +512,13 @@ class _Packing:
 
     def pack(self, row: Sequence) -> int:
         """Element j of the row in block j.  Each shift copies the int built
-        so far, so a row of more than 64 elements is packed a slot position
-        at a time instead: coordinate i of every element laid out as cb
-        stepped byte slices, read as one int and shifted to slot i."""
+        so far, so a row of more than 64 elements is packed as the step
+        bytes of each element's block, joined and read as one int."""
         bw, x, q = self.bw, 0, self.q
         if len(row) > 64:
-            step, size = self.step, len(row) * self.step
-            for i, column in zip(self.shifts, zip(*row) if self.tuples else [row]):
-                column = [v % q for v in column]
-                data = bytearray(size)
-                for b in range(self.cb):
-                    data[b::step] = bytes([v >> 8 * b & 255 for v in column])
-                x |= int.from_bytes(data, "little") << i
-            return x
+            step = self.step
+            elems = map(self.pack_elem, row) if self.tuples else [e % q for e in row]
+            return int.from_bytes(b"".join([e.to_bytes(step, "little") for e in elems]), "little")
         if self.tuples:
             pack_elem = self.pack_elem
             for e in reversed(row):
@@ -530,6 +527,15 @@ class _Packing:
             for e in reversed(row):
                 x = (x << bw) | (e % q)
         return x
+
+    def columns(self, rows: Sequence[int], picks: Iterable[int]) -> list[int]:
+        """Column c of the stacked canonical rows for each c in picks, as a
+        packed row: its block j is block c of rows[j].  Every layout of one
+        field has this block width, so the rows may be of any length."""
+        step, picks = self.step, list(picks)
+        size = (max(picks, default=-1) + 1) * step
+        data = [row.to_bytes(max(size, -(-row.bit_length() // 8)), "little") for row in rows]
+        return [int.from_bytes(b"".join([d[c * step : c * step + step] for d in data]), "little") for c in picks]
 
     def unpack(self, x: int, start: int = 0) -> list:
         """Elements start.. of the canonical row x.

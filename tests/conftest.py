@@ -189,8 +189,8 @@ def ref_frobenius(field, a, i):
 
 
 def ref_pack(pk, row):
-    """_Packing.pack as one loop over the whole row, the path its byte
-    slices replace past 64 elements: each shift copies the int built so far."""
+    """_Packing.pack as one loop over the whole row, the path its joined
+    blocks replace past 64 elements: each shift copies the int built so far."""
     x = 0
     for e in reversed(row):
         x = (x << pk.bw) | pk.pack_elem(e)

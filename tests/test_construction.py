@@ -513,6 +513,24 @@ def test_a_second_encode_packs_only_the_message(monkeypatch):
     assert (len(packs), len(elems)) == (0, inst.k)
 
 
+def test_a_first_decode_reads_its_moore_rows_from_the_packed_generator(monkeypatch):
+    # The packed generator rows that encode combines are the code's one
+    # packed generator: a set's first decode takes its Moore rows out of
+    # them as columns.  Once an encode has packed the rows and
+    # erasure_decodable the points, a first decode packs no row (12, one
+    # per symbol, when the instance also kept the transposed Moore rows).
+    inst = load_workloads().Repair(udlrc, 1).inst
+    rng = random.Random(3500)
+    codeword = encode(inst, [inst.field.random_element(rng) for _ in range(inst.k)])
+    pattern = ErasurePattern.from_erased(inst.n, (0, 5))
+    assert erasure_decodable(inst, pattern)
+    received = {i: codeword[i] for i in pattern.remaining}
+    expected = ref_decode_erasures(inst, received, pattern)
+    packs = counting_method(monkeypatch, fields._Packing, "pack")
+    assert decode_erasures(inst, received, pattern) == expected
+    assert list(inst._inverses.values()) == [None] and len(packs) == 0
+
+
 @pytest.mark.parametrize("erased, phase", [((0, 5), "local"), ((0, 1, 2), "global")], ids=["local", "global"])
 def test_a_decode_makes_one_field_inversion(erased, phase, monkeypatch):
     # On the benchmark's [12,6] code: the local pass takes its Lagrange

@@ -417,18 +417,27 @@ def test_frobenius_is_one_packed_step_and_no_field_mul(monkeypatch):
 
 def test_pack_and_unpack_match_the_one_loop_reference():
     # Rows of 0 .. 200 elements, from all zero to dense: past 64 elements
-    # pack lays the row out by slot position in byte slices, the way
-    # unpack reads every row.  The fields take one, two and three bytes
-    # per coordinate, and include F_2, whose one slot (W = 5) is narrower
-    # than a byte, and extensions of degree 1, 2, 3 and 5.  start runs up
-    # to n, and past it on an empty row.
+    # pack joins each element's whole-byte block, and unpack reads every
+    # row by slot position in byte slices.  Every field also packs dense
+    # rows of 63, 64, 65 and 84 elements, on both sides of that switch.
+    # The fields take one, two and three bytes per coordinate, and include
+    # F_2, whose one slot (W = 5) is narrower than a byte, and extensions
+    # of degree 1, 2, 3, 5 and 20.  start runs up to n, and past it on an
+    # empty row.
     rng = random.Random(20261019)
     choices = [PrimeField(5), PrimeField(2), PrimeField(257), PrimeField(65537), ExtField(PrimeField(7), 3),
                ExtField(PrimeField(2), 5), ExtField(PrimeField(251), 2), ExtField(PrimeField(257), 2),
-               ExtField(PrimeField(5), 1), ExtField(PrimeField(65537), 2)]
+               ExtField(PrimeField(5), 1), ExtField(PrimeField(65537), 2), ExtField(PrimeField(5), 20)]
     layouts = [fields._packing(f, 1) for f in choices]
     assert all(pk.bw % 8 == 0 for pk in layouts)
-    assert [pk.cb for pk in layouts] == [1, 1, 2, 3, 1, 1, 1, 2, 1, 3] and layouts[1].w == 5
+    assert [pk.cb for pk in layouts] == [1, 1, 2, 3, 1, 1, 1, 2, 1, 3, 1] and layouts[1].w == 5
+    for field in choices:
+        for n in (63, 64, 65, 84):
+            row = [field.random_element(rng) for _ in range(n)]
+            pk = fields._packing(field, n)
+            x = pk.pack(row)
+            assert x == ref_pack(pk, row)
+            assert pk.unpack(x) == ref_unpack(pk, x) == row
     long = sparse = 0
     for _ in range(1000):
         field = rng.choice(choices)
@@ -443,6 +452,36 @@ def test_pack_and_unpack_match_the_one_loop_reference():
         long += n > 64
         sparse += n > 64 and 0 < density < 0.5
     assert long > 500 and sparse > 150
+
+
+def test_columns_match_packing_the_transposed_rows():
+    # Stacks of 0 .. 8 rows, each of its own length from 0 to 200 elements
+    # (past 64 packed by joined blocks), read through a layout of yet
+    # another length: every layout of one field has the same block width.
+    # Column c of a row shorter than c + 1 is zero.  Picks may be empty,
+    # out of order, repeated, or past every row.
+    rng = random.Random(20261020)
+    choices = [PrimeField(2), PrimeField(5), PrimeField(65537), ExtField(PrimeField(7), 3),
+               ExtField(PrimeField(5), 8), ExtField(PrimeField(5), 20)]
+    long = 0
+    for _ in range(300):
+        field = rng.choice(choices)
+        stack = []
+        for _ in range(rng.randint(0, 8)):
+            density = rng.choice([0.0, 0.1, 1.0])
+            n = rng.choice([0, 1, rng.randint(0, 64), rng.randint(65, 200)])
+            stack.append([field.random_element(rng) if rng.random() < density else field.zero for _ in range(n)])
+        packed = [fields._packing(field, len(row)).pack(row) for row in stack]
+        width = max(map(len, stack), default=0)
+        picks = rng.choice([[], list(range(width)), rng.sample(range(width + 2), min(width + 2, 5)),
+                            [rng.randrange(width + 2) for _ in range(6)]])
+        out = fields._packing(field, len(stack))
+        unpacked = [fields._packing(field, len(row)).unpack(x) for row, x in zip(stack, packed)]
+        expected = [ref_pack(out, [row[c] if c < len(row) else field.zero for row in unpacked]) for c in picks]
+        pk = fields._packing(field, rng.randint(1, 5))
+        assert pk.columns(packed, picks) == expected
+        long += any(len(row) > 64 for row in stack) and bool(picks)
+    assert long > 50
 
 
 LONG_ROW_FIELDS = [PrimeField(5), PrimeField(65537), ExtField(PrimeField(7), 3)]
