@@ -1,8 +1,10 @@
 """Local and global erasure repair on the [8, 4] two-class code.
 
-Small erasure bursts inside one group resolve locally from that group's MDS
-layer; anything else falls back to point-rank accounting and polynomial
-interpolation.  Run with `python3 demos/03_erasure_repair.py`.
+Small erasure bursts inside one group are determined by that group's MDS
+layer and count as repaired locally; every decode solves the message from k
+received symbols of F_q-independent points and re-encodes it, and a pattern
+whose received points span less than k is undecodable.  Run with
+`python3 demos/03_erasure_repair.py`.
 """
 
 import random

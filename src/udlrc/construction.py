@@ -25,7 +25,6 @@ rather than every call.
 
 from __future__ import annotations
 
-import operator
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
@@ -40,6 +39,12 @@ from .linalg import Matrix, _check_indices, _solve_packed
 # for decode_erasures.  One inverse takes k^2 packed elements: about 1.2 KB
 # on a [12,6] code over GF(5^8), about 0.7 MB on an n = 84 code over GF(11^60).
 _INVERSES_BYTES = 16 << 20
+
+# The erasure patterns whose decode plan one instance keeps: every pattern
+# of a code with n <= 12.  A kept plan, its erased set included, takes about
+# 0.9 KB on a [12,6] code and 1.6 KB on an n = 84 code with a few erasures,
+# so the map holds at most about 4 and 7 MB.
+_PLANS = 1 << 12
 
 
 class SpecInvalid(ValueError):
@@ -287,10 +292,11 @@ class CodeInstance:
     Symbol i is f(points[i]) for the message's q-power polynomial f, so
     the points are the code: gen is derived from them, and
     dataclasses.replace(inst, points=...) is the code on other points.
-    Two functions read the construction's structure as well: the local
-    phase of decode_erasures, which repairs only the groups whose points
-    keep it (checked per group), and analysis.rank_deficiency_witness,
-    which raises ValueError where the points break its cover chain.
+    Two functions read the construction's structure as well:
+    decode_erasures, which counts as repaired locally only the symbols of
+    groups whose points keep their local code (checked per group), and
+    analysis.rank_deficiency_witness, which raises ValueError where the
+    points break its cover chain.
     """
 
     spec: LocalitySpec
@@ -330,6 +336,11 @@ class CodeInstance:
         out of them as columns."""
         pk = _packing(self.field, self.n)
         return [pk.pack(row) for row in self.gen.rows]
+
+    @cached_property
+    def _plans(self) -> OrderedDict:
+        """decode_erasures' plans by erased set, least recently used first."""
+        return OrderedDict()
 
     @cached_property
     def _inverses(self) -> OrderedDict:
@@ -478,6 +489,10 @@ def erasure_decodable(inst: CodeInstance, pattern: ErasurePattern) -> bool:
 
 @dataclass(frozen=True)
 class DecodeResult:
+    """A decode's message and codeword.  repaired_locally names the erased
+    symbols that their group's local code determines from the group's
+    received symbols; the phase is "local" when they are all the erased ones."""
+
     message: tuple[ExtElem, ...]
     codeword: tuple[ExtElem, ...]
     phase: str  # "none", "local", or "global"
@@ -514,89 +529,98 @@ def _solve_message(inst: CodeInstance, chosen: tuple[int, ...], values: list[int
     return pk.columns(solved, [k])[0]
 
 
+def _plan(inst: CodeInstance, pattern: ErasurePattern) -> tuple:
+    """decode_erasures' decisions on one pattern, which read only which
+    symbols were erased: (remaining, chosen, phase, repaired).
+
+    A group with at most delta - 1 missing symbols whose points keep its
+    local code (CodeInstance._local_groups) determines them from its
+    received ones: those are repaired locally.  chosen, the information
+    set, is the received symbols in order whose points extend an
+    independent set over F_q, stopped at k.  A repaired symbol's point
+    lies in the F_q-span of its group's received points, so the received
+    symbols alone have the rank of all the known ones: a chosen shorter
+    than k is the remaining rank."""
+    erased, layout = pattern.erased, inst.layout
+    repaired = []
+    for l, group in enumerate(layout.groups):
+        missing = [i for i in group if i in erased]
+        delta = inst.spec.classes[layout.class_of[l]].delta
+        if missing and len(missing) < delta and l in inst._local_groups:
+            repaired += missing
+    if not erased:
+        phase = "none"
+    elif len(repaired) == len(erased):
+        phase = "local"
+    else:
+        phase = "global"
+    remaining = pattern.remaining
+    pk, points, t = inst._point_packing, inst._points_packed, inst.spec.t
+    basis: list[tuple] = []
+    chosen: list[int] = []
+    for i in remaining:
+        if pk.extend(basis, points[i], t):
+            chosen.append(i)
+            if len(chosen) == inst.k:
+                break
+    return remaining, tuple(chosen), phase, tuple(sorted(repaired))
+
+
 def decode_erasures(
     inst: CodeInstance, received: Mapping[int, ExtElem], pattern: ErasurePattern
 ) -> DecodeResult:
     """Recover the message (and the full codeword) from a partial codeword.
 
-    Each received symbol is packed once, reduced mod q, and the decode
-    stays packed until its result: the message and the re-encoded
-    codeword (one packed combine with the generator rows) are unpacked
-    once each.
-    First pass repairs every group with at most delta - 1 missing symbols.
-    A group's symbol at position pos is its local polynomial (degree < r,
-    see mds_local_generator) at the locator pos, so a missing symbol is the
-    F_q-combination of r present symbols with their Lagrange weights at pos.
-    A group whose points break that (CodeInstance._local_groups, checked
-    once per instance) is left to the second pass.
-    Second pass greedily collects symbols whose points extend an independent
-    set over F_q until rank k, the information set, and solves the chosen
-    symbols' rows A of the Moore system for the message.  The first decode
-    of a set eliminates [A | b] with one field inversion; the second
-    eliminates [A | I] instead and keeps A^-1 on the instance, so every
-    later decode of the set is A^-1 b, one packed combine with no
-    elimination and no inversion.  The kept sets are bounded by
-    _INVERSES_BYTES of packed inverses, the least recently used dropped
-    first.  Raises Undecodable with the remaining rank when the pattern is
-    unrecoverable, and LengthMismatch when it or the received symbols are malformed.
+    A decode is a plan and an apply step.  The plan (_plan) depends only
+    on the pattern: the symbols their groups repair locally, the phase,
+    and the information set, k received symbols whose points are
+    F_q-independent.  The instance keeps the plans of the last _PLANS
+    patterns, the least recently used dropped first.
+    The apply step checks the received symbols, packs only the chosen
+    ones, and solves the chosen symbols' rows A of the Moore system for
+    the message.  The first decode of a set eliminates [A | b] with one
+    field inversion; the second eliminates [A | I] instead and keeps A^-1
+    on the instance, so every later decode of the set is A^-1 b, one
+    packed combine with no elimination and no inversion.  The kept sets
+    are bounded by _INVERSES_BYTES of packed inverses, the least recently
+    used dropped first.  The message is re-encoded (one packed combine
+    with the generator rows), and the message and the codeword are
+    unpacked once each: a repaired symbol is its codeword entry, which is
+    what its group's local code gives.
+    Raises LengthMismatch when the pattern or the received symbols are
+    malformed, and then Undecodable with the remaining rank when the
+    pattern is unrecoverable.
     """
     field, k = inst.field, inst.k
     _check_pattern(inst, pattern)
-    remaining = pattern.remaining
+    # A pattern made directly on a mutable set keys by its value.
+    plans, erased = inst._plans, frozenset(pattern.erased)
+    plan = plans.get(erased)
+    if plan is None:
+        plan = _plan(inst, pattern)
+        if len(plans) >= _PLANS:
+            plans.popitem(last=False)
+        plans[erased] = plan
+    else:
+        plans.move_to_end(erased)
+    remaining, chosen, phase, repaired = plan
     if set(received) != set(remaining):
         raise LengthMismatch("received symbols must cover exactly the remaining positions")
-    t, single, known = field.t, _packing(field, 1), {}
+    t = field.t
     for i in remaining:
         if len(v := received[i]) != t:
             raise LengthMismatch(f"received symbol {i} has {len(v)} coordinates, not t = {t}")
-        known[i] = single.pack_elem(v)
-
-    repaired: list[int] = []
-    for l, group in enumerate(inst.layout.groups):
-        missing = [pos for pos, i in enumerate(group) if i not in known]
-        if not missing:
-            continue
-        c = inst.spec.classes[inst.layout.class_of[l]]
-        if len(missing) > c.delta - 1 or l not in inst._local_groups:
-            continue
-        present = [pos for pos, i in enumerate(group) if i in known][: c.r]
-        values = [known[group[p]] for p in present]
-        # r <= n_gab <= t, so the sum of r products stays within the slot bound.
-        for pos in missing:
-            weights = _lagrange_weights(present, pos, field.q)
-            known[group[pos]] = single.canon(sum(map(operator.mul, weights, values)))
-            repaired.append(group[pos])
-
-    if not pattern.erased:
-        phase = "none"
-    elif len(repaired) == len(pattern.erased):
-        phase = "local"
-    else:
-        phase = "global"
-
-    pk, points = inst._point_packing, inst._points_packed
-    basis: list[tuple] = []
-    chosen: list[int] = []
-    for i in sorted(known):
-        if pk.extend(basis, points[i], field.t):
-            chosen.append(i)
-            if len(chosen) == k:
-                break
     if len(chosen) < k:
-        # Every known point was tried; the repaired ones lie in the span of
-        # their groups' received points.
-        raise Undecodable(len(basis), k)
+        raise Undecodable(len(chosen), k)
 
-    message = _solve_message(inst, tuple(chosen), [known[i] for i in chosen])
+    mk = _packing(field, k)
+    message = _solve_message(inst, chosen, [mk.pack_elem(received[i]) for i in chosen])
     pk = _packing(field, inst.n)
     bw, elem = pk.bw, pk.elem
-    codeword = pk.combine([(message >> j * bw) & elem for j in range(k)], inst._gen_packed)
+    codeword = pk.unpack(pk.combine([(message >> j * bw) & elem for j in range(k)], inst._gen_packed))
     if __debug__:
-        agree = all((codeword >> i * bw) & elem == v for i, v in known.items())
+        q = field.q
+        # A received coordinate need not be reduced mod q.
+        agree = all(codeword[i] == (v := received[i]) or codeword[i] == tuple(x % q for x in v) for i in remaining)
         assert agree, "re-encode disagrees with a known symbol"
-    return DecodeResult(
-        message=tuple(_packing(field, k).unpack(message)),
-        codeword=tuple(pk.unpack(codeword)),
-        phase=phase,
-        repaired_locally=tuple(sorted(repaired)),
-    )
+    return DecodeResult(message=tuple(mk.unpack(message)), codeword=tuple(codeword), phase=phase, repaired_locally=repaired)

@@ -450,6 +450,14 @@ def test_decode_on_moved_points_repairs_only_the_groups_that_keep_their_local_co
     points[5] = points[4]
     moved = replace(inst, points=tuple(points))
     assert moved._local_groups == {0}
+    # A decode counts as repaired locally only the symbols of a group that
+    # keeps its local code: symbol 6 goes to the global phase on the moved
+    # points, symbol 0 stays local.
+    codeword = encode(moved, [moved.field.random_element(random.Random(1)) for _ in range(moved.k)])
+    for erased, phase, repaired in (((6,), "global", ()), ((0,), "local", (0,)), ((0, 6), "global", (0,))):
+        pattern = ErasurePattern.from_erased(moved.n, erased)
+        result = decode_erasures(moved, {i: codeword[i] for i in pattern.remaining}, pattern)
+        assert (result.phase, result.repaired_locally, result.codeword) == (phase, repaired, tuple(codeword))
 
 
 def test_locality_definition_checklist(ref_instance):
@@ -533,9 +541,10 @@ def test_a_first_decode_reads_its_moore_rows_from_the_packed_generator(monkeypat
 
 @pytest.mark.parametrize("erased, phase", [((0, 5), "local"), ((0, 1, 2), "global")], ids=["local", "global"])
 def test_a_decode_makes_one_field_inversion(erased, phase, monkeypatch):
-    # On the benchmark's [12,6] code: the local pass takes its Lagrange
-    # weights over F_q, the message solve inverts its six pivots with one
-    # field inverse, and the instance's packed rows and points are reused,
+    # On the benchmark's [12,6] code: the decode repairs no symbol by its
+    # own arithmetic (its codeword entry is its value), the message solve
+    # inverts its six pivots with one field inverse, and the instance's
+    # packed rows and points are reused,
     # so a decode packs no row (6 inversions, and 36 and 19 packed rows,
     # when each call packed a fresh system and inverted each pivot).
     inst = load_workloads().Repair(udlrc, 1).inst
@@ -559,12 +568,14 @@ def test_a_repeat_decode_is_one_packed_combine(erased, phase, monkeypatch):
     # block, so the third solves no system: no field inversion, no
     # elimination and no packed row (1, 1 and 0 on a first or second decode).
     # Its canon count is exact: the message combine and the re-encode each
-    # take one canon per pair of products (21 and 15 at one per product).
-    # It stays packed from the received symbols to the result: each is
-    # packed once, and only the message and the codeword are unpacked, as
-    # two rows (10/17/20/2 element, pack_elem, unpack_elem and unpack calls
-    # on the local set and 9/12/18/2 on the global one when each symbol
-    # went through ExtField.element and the message was re-encoded unpacked).
+    # take one canon per pair of products, 3 + 3 (15 and 9 while the local
+    # pass repaired each symbol with its own canon, 21 and 15 at one canon
+    # per product).  It stays packed from the received symbols to the
+    # result: only the k chosen symbols are packed (every received one
+    # was), and only the message and the codeword are unpacked, as two rows
+    # (10/17/20/2 element, pack_elem, unpack_elem and unpack calls on the
+    # local set and 9/12/18/2 on the global one when each symbol went
+    # through ExtField.element and the message was re-encoded unpacked).
     inst = load_workloads().Repair(udlrc, 1).inst
     rng = random.Random(8)
     pattern = ErasurePattern.from_erased(inst.n, erased)
@@ -589,8 +600,8 @@ def test_a_repeat_decode_is_one_packed_combine(erased, phase, monkeypatch):
     result = decode_erasures(inst, received, pattern)
     assert result == expected and result.phase == phase and list(result.message) == message
     assert (len(invs), len(eliminations), len(packs)) == (0, 0, 0)
-    assert len(canons) == {"local": 15, "global": 9}[phase]
-    assert [len(calls) for calls in conversions] == [0, len(pattern.remaining), 0, 2]
+    assert len(canons) == 6
+    assert [len(calls) for calls in conversions] == [0, inst.k, 0, 2]
     assert len(pattern.remaining) == {"local": 10, "global": 9}[phase]
 
 
@@ -657,6 +668,118 @@ def test_kept_inverses_stay_within_their_budget(monkeypatch):
         assert decode(fresh, pattern) is None
 
 
+def _repair_decode(inst, rng, pattern):
+    """The received symbols of one seeded codeword of the repair code on the pattern."""
+    codeword = encode(inst, [inst.field.random_element(rng) for _ in range(inst.k)])
+    return {i: codeword[i] for i in pattern.remaining}
+
+
+@pytest.mark.parametrize("erased", [(0, 5), (0, 1, 2), (), (0, 1, 2, 3, 4, 5)], ids=["local", "global", "none", "undecodable"])
+def test_a_repeat_pattern_is_planned_once(erased, monkeypatch):
+    # The information set, the phase and the repaired symbols depend only on
+    # the pattern, so a decode after its first reuses the instance's plan.
+    # Once the set's inverse is kept too, no point is reduced against a
+    # basis and no Lagrange weight is taken (one extend per known point
+    # until rank k, and one weight list per repaired symbol, when every
+    # decode planned again).  An undecodable pattern raises the same rank
+    # from its plan.
+    inst = load_workloads().Repair(udlrc, 1).inst
+    rng = random.Random(3600)
+    pattern = ErasurePattern.from_erased(inst.n, erased)
+    decodes = []
+    for _ in range(3):
+        received = _repair_decode(inst, rng, pattern)
+        decodes.append((received, _decode_outcome(ref_decode_erasures, inst, received, pattern)))
+    for received, expected in decodes[:2]:
+        assert _decode_outcome(decode_erasures, inst, received, pattern) == expected
+    extends = counting_method(monkeypatch, fields._Packing, "extend")
+    weights = counting_method(monkeypatch, construction, "_lagrange_weights")
+    received, expected = decodes[2]
+    assert _decode_outcome(decode_erasures, inst, received, pattern) == expected
+    assert (len(extends), len(weights)) == (0, 0)
+    assert list(inst._plans) == [pattern.erased]
+    # A pattern made directly on a plain set meets the same plan.
+    assert _decode_outcome(decode_erasures, inst, received, ErasurePattern(inst.n, set(erased))) == expected
+    assert list(inst._plans) == [pattern.erased] and not extends
+    if len(erased) == 6:
+        assert {outcome for _, outcome in decodes} == {("undecodable", 5, 6)}
+
+
+def test_a_planned_pattern_still_checks_its_received_symbols():
+    # On a pattern already planned, decodable or not, a missing key, an
+    # extra key and a wrong-length symbol raise LengthMismatch with the
+    # messages of a first decode, before any Undecodable.
+    inst = load_workloads().Repair(udlrc, 1).inst
+    rng = random.Random(3700)
+    for erased in ((0, 5), (0, 1, 2, 3, 4, 5)):
+        pattern = ErasurePattern.from_erased(inst.n, erased)
+        received = _repair_decode(inst, rng, pattern)
+        _decode_outcome(decode_erasures, inst, received, pattern)
+        assert pattern.erased in inst._plans
+        missing = dict(received)
+        del missing[pattern.remaining[-1]]
+        extra = dict(received)
+        extra[erased[0]] = inst.field.zero
+        short = dict(received)
+        short[pattern.remaining[2]] = (0,) * 3
+        both = dict(missing)
+        both[pattern.remaining[0]] = (0,) * 3
+        cover = "^received symbols must cover exactly the remaining positions$"
+        for bad, message in (
+            (missing, cover),
+            (extra, cover),
+            (both, cover),
+            (short, f"^received symbol {pattern.remaining[2]} has 3 coordinates, not t = 8$"),
+        ):
+            with pytest.raises(LengthMismatch, match=message):
+                decode_erasures(inst, bad, pattern)
+
+
+def test_received_coordinates_need_not_be_reduced():
+    # A received coordinate is read mod q, as packing it always did: the
+    # decode and its re-encode check take v + q for v, on a first and a
+    # planned decode of each pattern.
+    inst = load_workloads().Repair(udlrc, 1).inst
+    rng, q = random.Random(3750), inst.spec.q
+    for erased in ((), (0, 5), (0, 1, 2)):
+        pattern = ErasurePattern.from_erased(inst.n, erased)
+        for _ in range(2):
+            received = _repair_decode(inst, rng, pattern)
+            expected = decode_erasures(inst, received, pattern)
+            lifted = {i: tuple(x + q * rng.randint(1, 3) for x in v) for i, v in received.items()}
+            assert decode_erasures(inst, lifted, pattern) == expected
+
+
+def test_kept_plans_stay_within_their_bound(monkeypatch):
+    # The kept plans are bounded by one module constant, 4096 patterns: all
+    # 2^12 erased sets of the repair code.  Lowered to three, the map never
+    # holds more, drops the least recently used pattern, and every decode
+    # still equals the reference decode.
+    inst = load_workloads().Repair(udlrc, 1).inst
+    assert construction._PLANS == 1 << 12 == 2**inst.n
+    monkeypatch.setattr(construction, "_PLANS", 3)
+    rng = random.Random(3800)
+
+    def decode(code, pattern):
+        received = _repair_decode(code, rng, pattern)
+        got = _decode_outcome(decode_erasures, code, received, pattern)
+        assert got == _decode_outcome(ref_decode_erasures, code, received, pattern)
+        assert len(code._plans) <= 3
+        return next(reversed(code._plans))
+
+    patterns = list({p.erased: p for p in _repair_patterns(inst, rng, 20)}.values())
+    assert len(patterns) > 4
+    for pattern in patterns * 2:
+        assert decode(inst, pattern) == pattern.erased
+    assert list(inst._plans) == [p.erased for p in patterns[-3:]]
+    # After patterns a, b, c, a, d the map keeps c, a, d: b was the least recently used.
+    fresh = replace(inst)
+    a, b, c, d = patterns[:4]
+    for pattern in (a, b, c, a, d):
+        decode(fresh, pattern)
+    assert list(fresh._plans) == [c.erased, a.erased, d.erased]
+
+
 def _repair_patterns(inst, rng, count):
     """Seeded erasure patterns of the repair workload's three kinds: local
     (every group loses at most delta - 1), global (one group loses more,
@@ -693,7 +816,8 @@ def _differential_decodes(inst, rng, count):
     set goes through its first, second and later decodes.  Each is then
     decoded on a copy whose points are scaled by one field element: the
     same ranks, hence the same information sets, on other Moore blocks, so
-    an inverse carried over from the instance would decode wrongly."""
+    an inverse carried over from the instance would decode wrongly.  Its
+    checks raise, so that they run under python -O too."""
     field = inst.field
     c = field.zero
     while c in (field.zero, field.one):
@@ -707,11 +831,13 @@ def _differential_decodes(inst, rng, count):
                 codeword = encode(code, message)
                 received = {i: codeword[i] for i in pattern.remaining}
                 got = _decode_outcome(decode_erasures, code, received, pattern)
-                assert got == _decode_outcome(ref_decode_erasures, code, received, pattern), sorted(pattern.erased)
+                if got != _decode_outcome(ref_decode_erasures, code, received, pattern):
+                    raise AssertionError(f"decode differs from the reference on erased {sorted(pattern.erased)}")
                 if isinstance(got, tuple):
                     seen.add("undecodable")
+                elif list(got.message) != message or list(got.codeword) != codeword:
+                    raise AssertionError(f"wrong decode on erased {sorted(pattern.erased)}")
                 else:
-                    assert list(got.message) == message and list(got.codeword) == codeword
                     seen.add(got.phase)
     return seen
 
@@ -733,6 +859,16 @@ def test_decode_matches_the_reference_decode(name):
     assert {"local", "global", "undecodable"} <= seen
 
 
+def _repair_differential():
+    return sorted(_differential_decodes(_named_instance("repair"), random.Random(1900), 120))
+
+
+def test_decode_matches_the_reference_decode_without_asserts():
+    # Under python -O no re-encode check runs, and the decode still equals
+    # the reference decode: nothing in it leans on the assert.
+    assert without_asserts("test_construction", "_repair_differential") == ["global", "local", "none", "undecodable"]
+
+
 def test_decode_matches_the_reference_decode_on_the_grid():
     specs = random.Random(1901).sample(list(usual_grid()), 300)
     rng = random.Random(1902)
@@ -744,8 +880,9 @@ def test_decode_matches_the_reference_decode_on_the_grid():
 
 def test_lagrange_weights_are_the_solved_local_columns():
     # Column pos of the local generator solved on the present columns
-    # writes symbol pos through the present symbols; the decoder takes the
-    # same weights as Lagrange weights on the locators.
+    # writes symbol pos through the present symbols; mds_local_generator
+    # and CodeInstance._local_groups take the same weights as Lagrange
+    # weights on the locators.
     classes = {(c.r, c.delta, spec.q) for spec in usual_grid() for c in spec.classes}
     checked = 0
     for r, delta, q in sorted(classes):
