@@ -9,9 +9,10 @@ exact: no floats, no tolerances, and comparisons are plain equality.
 
 This module owns the one multiplication of F_(q^t): ExtField.mul and
 ExtField.pow, every matrix product and every elimination step, the field's
-set-up (x^q, the Frobenius step) and the modulus search's Rabin test run on
-the packed kernel below.  What divides stays on coefficient lists, since the
-kernel cannot: the test's gcds, ExtField.inv's extended Euclid and each
+set-up (x^q, the Frobenius step), the modulus search's Rabin test and the
+inverses of ExtField.inv and of every solve, a^-1 = a^(q^t - 2) in a group
+of order q^t - 1, run on the packed kernel below.  Only what divides
+polynomials stays on coefficient lists: the Rabin test's gcds and each
 layout's Barrett constant mu.
 A packed row of L elements of F_(q^t) is one Python int: element j owns a
 block of bw bits starting at bit j*bw, 2t - 1 slots of W bits padded to
@@ -310,38 +311,10 @@ class ExtField:
         return pk.unpack_elem(pk.pow(pk.pack_elem(a), e))
 
     def inv(self, a: ExtElem) -> ExtElem:
-        """Inverse by the extended Euclidean algorithm over F_q[x].
-
-        Two remainders r0 = s0 * a and r1 = s1 * a (mod the modulus) start
-        as (modulus, 0) and (a, 1).  Each step cancels the leading term of
-        r0 with a monomial multiple of r1, swapping the pair when r0 drops
-        below r1 in degree.  The modulus is irreducible, so r1 ends as a
-        nonzero constant c and a^-1 = s1 / c.  Every s stays below degree t.
-        """
+        """a^(q^t - 2), one packed power: the group F_(q^t)* has order q^t - 1."""
         if a == self.zero:
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        q, t = self.q, self.t
-        r0, s0, d0 = list(self.modulus), [0] * t, t
-        r1, s1, d1 = list(a), [1] + [0] * (t - 1), t - 1
-        while r1[d1] == 0:
-            d1 -= 1
-        lead = pow(r1[d1], -1, q)
-        while d1:
-            shift = d0 - d1
-            c = r0[d0] * lead % q
-            # The leading term cancels; entries above a degree are never read.
-            for i in range(d1):
-                r0[i + shift] = (r0[i + shift] - c * r1[i]) % q
-            for i in range(t - shift):
-                s0[i + shift] = (s0[i + shift] - c * s1[i]) % q
-            d0 -= 1
-            while r0[d0] == 0:
-                d0 -= 1
-            if d0 < d1:
-                r0, s0, d0, r1, s1, d1 = r1, s1, d1, r0, s0, d0
-                lead = pow(r1[d1], -1, q)
-        lead = pow(r1[0], -1, q)
-        return tuple(v * lead % q for v in s1)
+        return self.pow(a, self.q**self.t - 2)
 
     def div(self, a: ExtElem, b: ExtElem) -> ExtElem:
         return self.mul(a, self.inv(b))
@@ -398,15 +371,17 @@ class _Packing:
     slot is at least cb bytes wide for t >= 2, and the one slot of a t = 1
     block has only padding above it.
 
-    field is the field context whose inverse reduced_echelon takes; the
-    products need none.  A basis entry is (pivot offset, packed row): the
-    offset is the bit where the pivot's block starts, so entries sort by
-    pivot column.  The kernel never writes to its inputs.
+    Products need only a monic modulus; reduced_echelon's inverse, a power,
+    needs an irreducible one, so every layout that eliminates comes from
+    _packing(field, length), and _rabin_rounds' layouts never eliminate.  A
+    basis entry is (pivot offset, packed row): the offset is the bit where
+    the pivot's block starts, so entries sort by pivot column.  The kernel
+    never writes to its inputs.
     """
 
-    def __init__(self, q: int, modulus: Sequence[int] | None, length: int, field=None) -> None:
+    def __init__(self, q: int, modulus: Sequence[int] | None, length: int) -> None:
         t = 1 if modulus is None else len(modulus) - 1
-        self.field, self.q, self.t, self.length = field, q, t, length
+        self.q, self.t, self.length = q, t, length
         self.tuples = modulus is not None
         c = q - 1
         # Largest slot value at each step, every operand canonical (<= c):
@@ -601,19 +576,17 @@ class _Packing:
         """The reduced row echelon form of the packed rows, pivots in the
         first width columns, sorted by pivot column, zero rows dropped.
 
-        The pivots are inverted together with one field inverse
-        (Montgomery's trick): prefix products of the pivots, the inverse of
-        their product, and a walk back that peels one pivot off it per row.
+        The pivots are inverted together with one packed power (Montgomery's
+        trick): prefix products of the pivots, their product's inverse as its
+        (q^t - 2)-th power, and a walk back peeling one pivot off it per row.
         """
         canon, elem = self.canon, self.elem
         basis = self.reduced(rows, width)
-        if not basis:
-            return []
         pivots = [(row >> off) & elem for off, row in basis]
         prefix = [1]  # the packed one: prefix[i] is the product of pivots[:i]
-        for pivot in pivots[:-1]:
+        for pivot in pivots:
             prefix.append(canon(prefix[-1] * pivot))
-        inv = self.pack_elem(self.field.inv(self.unpack_elem(canon(prefix[-1] * pivots[-1]))))
+        inv = self.pow(prefix.pop(), self.q**self.t - 2)
         out = [0] * len(basis)
         for i in range(len(basis) - 1, -1, -1):
             # inv is the inverse of pivots[0] * ... * pivots[i].
@@ -624,4 +597,4 @@ class _Packing:
 
 @lru_cache(maxsize=256)
 def _packing(field, length: int) -> _Packing:
-    return _Packing(field.q, getattr(field, "modulus", None), length, field)
+    return _Packing(field.q, getattr(field, "modulus", None), length)

@@ -14,9 +14,9 @@ length of the basis is the rank (Matrix.rank, base_rank).  A backward
 pass of the same step brings the basis to reduced form, pivots unscaled
 (_Packing.reduced, whose columns the distance oracle walks for a
 generator Matrix), and one batched inversion per solve scales it to
-RREF: the pivots' product is inverted once, and each row's inverse is
-peeled off it (solve, inverse, and the decoder's message solve on the
-columns of the packed generator).
+RREF: the pivots' product is inverted once, as one packed power
+a^(q^t - 2), and each row's inverse is peeled off it (solve, inverse, and
+the decoder's message solve on the columns of the packed generator).
 Rows are packed on entry to an elimination and unpacked on exit, so
 elements keep their public form.  A fixed pivot rule keeps every run
 identical; exact arithmetic has no stability concerns.

@@ -112,14 +112,14 @@ def counting(monkeypatch, name, record=lambda *args, **kwargs: True):
     return calls
 
 
-def counting_method(monkeypatch, owner, name):
+def counting_method(monkeypatch, owner, name, record=lambda *args, **kwargs: 1):
     """Wrap the attribute `name` of the class `owner` with a counter;
-    returns the list that gets one entry per call."""
+    returns the list that gets record(*args, **kwargs) on each call."""
     original = getattr(owner, name)
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(record(*args, **kwargs))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
@@ -295,10 +295,11 @@ def ref_left_multiply(m, vector):
     return out
 
 
-def ref_reduced_echelon(pk, rows, width):
+def ref_reduced_echelon(field, pk, rows, width):
     """_Packing.reduced_echelon as it was before the batched inversion:
-    the reduced basis, each row scaled by the inverse of its own pivot."""
-    field, canon = pk.field, pk.canon
+    the reduced basis, each row scaled by the field's inverse of its own
+    pivot."""
+    canon = pk.canon
     return [canon(pk.pack_elem(field.inv(pk.unpack_elem(row >> off))) * row) for off, row in pk.reduced(rows, width)]
 
 
@@ -306,7 +307,7 @@ def ref_solve(m, rhs):
     """Matrix.solve through ref_reduced_echelon: x with m @ x = rhs."""
     n = m.nrows
     pk = _packing(m.field, n + 1)
-    basis = ref_reduced_echelon(pk, [pk.pack(list(row) + [b]) for row, b in zip(m.rows, rhs)], n)
+    basis = ref_reduced_echelon(m.field, pk, [pk.pack(list(row) + [b]) for row, b in zip(m.rows, rhs)], n)
     if len(basis) < n:
         raise SingularMatrix(f"matrix rank {len(basis)} < {n}")
     return [pk.unpack_elem(row >> (n * pk.bw)) for row in basis]

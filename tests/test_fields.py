@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from udlrc import ExtField, ModulusSearchTooLarge, PrimeField, find_irreducible, is_prime
+from udlrc import ExtField, Matrix, ModulusSearchTooLarge, PrimeField, find_irreducible, is_prime
 from udlrc.fields import MODULUS_SEARCH_BUDGET, PRIME_CHECK_LIMIT
 from udlrc.fields import _is_irreducible
 from udlrc import fields
@@ -263,10 +263,11 @@ def test_ext_field_exhaustive_inverse_gf9():
 
 
 def _assert_inverse_matches_power(f, elements):
-    """inv (extended Euclid) against a^(q^t - 2), the Fermat inverse."""
+    """inv against a^(q^t - 2) by ref_pow, and times x through ref_mul."""
     for x in elements:
         if x != f.zero:
-            assert f.inv(x) == f.pow(x, f.q**f.t - 2), (f, x)
+            y = f.inv(x)
+            assert y == ref_pow(f, x, f.q**f.t - 2) and ref_mul(f, x, y) == f.one, (f, x)
     with pytest.raises(ZeroDivisionError):
         f.inv(f.zero)
 
@@ -280,6 +281,9 @@ def _assert_inverse_matches_power(f, elements):
         ExtField(PrimeField(7), 1),
         ExtField(PrimeField(3), 3, (1, 0, 2, 1)),  # x^3 + 2x^2 + 1, not the default modulus
         ExtField(PrimeField(2), 4, (1, 1, 1, 1, 1)),  # x^4 + x^3 + x^2 + x + 1
+        ExtField(PrimeField(2), 1),  # q^t = 2: the exponent is 0
+        pytest.param(ExtField(PrimeField(2), 4), id="ExtField(q=2, t=4)(1, 1, 0, 0, 1)"),
+        ExtField(PrimeField(3), 1),
     ],
     ids=repr,
 )
@@ -595,3 +599,35 @@ def test_the_kernel_is_exact_at_every_slot_bound():
                     assert pk.unpack_elem(total) == lin(scalars, [elem] * len(scalars))
                 cases += 1
     assert cases == 2 * len(LAYOUT_QS) * (len(LAYOUT_TS) - 1) == 2560
+
+
+@pytest.mark.parametrize(
+    "q, t",
+    [(2, 1), (5, 1), (65537, 1), (1000003, 1), (2, 5), (5, 8), (11, 27)],
+    ids=["F2", "F5", "F65537", "F1000003", "GF(2^5)", "GF(5^8)", "GF(11^27)"],
+)
+def test_a_layout_without_a_field_context_eliminates_to_an_inverse(q, t):
+    # A layout built from (q, modulus, length) alone inverts its pivots on
+    # itself, as one packed power: seeded [A | B], A invertible, reduce to
+    # [I | X].  A times X is checked to be B through ref_mul; the field
+    # context only draws the systems and checks them.
+    field = PrimeField(q) if t == 1 else ExtField(PrimeField(q), t)
+    n, m = 5, 3
+    pk = fields._Packing(q, getattr(field, "modulus", None), n + m)
+    rng = random.Random(q * 100 + t)
+    identity = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
+    solved = 0
+    while solved < 3:
+        a = [[field.random_element(rng) for _ in range(n)] for _ in range(n)]
+        if Matrix(field, a).rank() < n:
+            continue
+        b = [[field.random_element(rng) for _ in range(m)] for _ in range(n)]
+        rows = [pk.unpack(row) for row in pk.reduced_echelon([pk.pack(ra + rb) for ra, rb in zip(a, b)], n)]
+        assert [row[:n] for row in rows] == identity
+        x = [row[n:] for row in rows]
+        for ra, rb in zip(a, b):
+            product = [field.zero] * m
+            for v, rx in zip(ra, x):
+                product = [field.add(p, ref_mul(field, v, u)) for p, u in zip(product, rx)]
+            assert product == rb
+        solved += 1
