@@ -1,8 +1,8 @@
 """Local and global erasure repair on the [8, 4] two-class code.
 
 Small erasure bursts inside one group are determined by that group's MDS
-layer and count as repaired locally; every decode solves the message from k
-received symbols of F_q-independent points and re-encodes it, and a pattern
+layer and count as repaired locally; every decode solves the message and its
+codeword from k received symbols of F_q-independent points, and a pattern
 whose received points span less than k is undecodable.  Run with
 `python3 demos/03_erasure_repair.py`.
 """

@@ -35,9 +35,10 @@ from .gabidulin import default_points, gabidulin_encode, moore_matrix
 from .linalg import Matrix, _check_indices, _solve_packed
 
 
-# The packed size, in bytes, of the Moore-block inverses one instance keeps
-# for decode_erasures.  One inverse takes k^2 packed elements: about 1.2 KB
-# on a [12,6] code over GF(5^8), about 0.7 MB on an n = 84 code over GF(11^60).
+# The packed size, in bytes, of the rows one instance keeps per information
+# set for decode_erasures, [A^-1 | A^-1 G] for its Moore block A: k (k + n)
+# packed elements, about 3.7 KB on a [12,6] code over GF(5^8) (4,569 sets)
+# and about 2.1 MB on an n = 84 code over GF(11^60) (7 sets).
 _INVERSES_BYTES = 16 << 20
 
 # The erasure patterns whose decode plan one instance keeps: every pattern
@@ -157,7 +158,9 @@ class LocalitySpec:
     def s(self) -> int:
         return len(self.classes)
 
-    @property
+    # Read on every decode; cached as LocalityClass caches its derived
+    # fields, outside the frozen fields that equality and hashing see.
+    @cached_property
     def n(self) -> int:
         return sum(c.n for c in self.classes)
 
@@ -345,7 +348,8 @@ class CodeInstance:
     @cached_property
     def _inverses(self) -> OrderedDict:
         """decode_erasures' information sets, least recently used first:
-        None for a set decoded once, then its Moore block's inverse."""
+        None for a set decoded once, then the packed rows of
+        [A^-1 | A^-1 G], A its Moore block and G the generator."""
         return OrderedDict()
 
     @cached_property
@@ -499,34 +503,47 @@ class DecodeResult:
     repaired_locally: tuple[int, ...]
 
 
-def _solve_message(inst: CodeInstance, chosen: tuple[int, ...], values: list[int]) -> int:
-    """The message, packed k wide, whose codeword takes the packed values on
-    the chosen symbols, through the instance's kept inverse of their Moore
-    block A (see decode_erasures for when a set is inverted and kept)."""
-    field, k, inverses = inst.field, inst.k, inst._inverses
+def _with_codeword(inst: CodeInstance, message: int) -> int:
+    """[message | its codeword], packed k + n wide: the message packed k
+    wide and, in the n blocks above it, the encode combine of its blocks
+    with the generator rows.  Every layout of one field has the same block
+    width, so the shift places the codeword."""
+    k, pk = inst.k, _packing(inst.field, inst.n)
+    bw, elem = pk.bw, pk.elem
+    return message | pk.combine([(message >> j * bw) & elem for j in range(k)], inst._gen_packed) << k * bw
+
+
+def _solve_word(inst: CodeInstance, chosen: tuple[int, ...], values: list[int]) -> int:
+    """[message | codeword], packed k + n wide, for the codeword that takes
+    the packed values on the chosen symbols, through the instance's kept
+    rows for their Moore block A (see decode_erasures for when a set's rows
+    are built and kept)."""
+    field, k, n, inverses = inst.field, inst.k, inst.n, inst._inverses
     if chosen in inverses:
         inverses.move_to_end(chosen)
-        columns = inverses[chosen]
-        if columns is None:
+        kept = inverses[chosen]
+        if kept is None:
             # Row j of the reduced [A | I] is [e_j | row j of A^-1]; column
-            # i of A^-1, packed k wide, weights value i in every message symbol.
+            # i of A^-1, packed k wide, weights value i in every message
+            # symbol, so [u_i | u_i G] weights it in the message and, by
+            # linearity, in the codeword.
             pk = _packing(field, 2 * k)
             rows = pk.columns(inst._gen_packed, chosen)
             solved = _solve_packed(pk, [row | 1 << (k + i) * pk.bw for i, row in enumerate(rows)], k)
-            columns = inverses[chosen] = pk.columns(solved, range(k, 2 * k))
-        return _packing(field, k).combine(values, columns)
+            kept = inverses[chosen] = [_with_codeword(inst, u) for u in pk.columns(solved, range(k, 2 * k))]
+        return _packing(field, k + n).combine(values, kept)
     # Symbol s's row of A is column s of the generator, packed k wide.
     pk = _packing(field, k + 1)
     bw = pk.bw
     solved = _solve_packed(pk, [row | v << k * bw for row, v in zip(pk.columns(inst._gen_packed, chosen), values)], k)
-    # Each set in the map is charged its inverse's packed size from its first decode on.
-    capacity = _INVERSES_BYTES * 8 // (k * k * bw)
+    # Each set in the map is charged its kept rows' packed size from its first decode on.
+    capacity = _INVERSES_BYTES * 8 // (k * (k + n) * bw)
     if capacity:
         while len(inverses) >= capacity:
             inverses.popitem(last=False)
         inverses[chosen] = None
     # Row j is [e_j | message symbol j]: the message is the last column.
-    return pk.columns(solved, [k])[0]
+    return _with_codeword(inst, pk.columns(solved, [k])[0])
 
 
 def _plan(inst: CodeInstance, pattern: ErasurePattern) -> tuple:
@@ -578,15 +595,16 @@ def decode_erasures(
     patterns, the least recently used dropped first.
     The apply step checks the received symbols, packs only the chosen
     ones, and solves the chosen symbols' rows A of the Moore system for
-    the message.  The first decode of a set eliminates [A | b] with one
-    field inversion; the second eliminates [A | I] instead and keeps A^-1
-    on the instance, so every later decode of the set is A^-1 b, one
-    packed combine with no elimination and no inversion.  The kept sets
-    are bounded by _INVERSES_BYTES of packed inverses, the least recently
-    used dropped first.  The message is re-encoded (one packed combine
-    with the generator rows), and the message and the codeword are
-    unpacked once each: a repaired symbol is its codeword entry, which is
-    what its group's local code gives.
+    the message m and the codeword m G, one packed row [m | m G] that is
+    unpacked once.  The first decode of a set eliminates [A | b] with one
+    field inversion and re-encodes m (one packed combine with the
+    generator rows).  The second eliminates [A | I] instead and keeps the
+    rows [A^-1 | A^-1 G] on the instance, so every later decode of the set
+    is b [A^-1 | A^-1 G], one packed combine with no elimination, no
+    inversion and no re-encode.  The kept sets are bounded by
+    _INVERSES_BYTES of packed rows, the least recently used dropped first.
+    A repaired symbol is its codeword entry, which is what its group's
+    local code gives.
     Raises LengthMismatch when the pattern or the received symbols are
     malformed, and then Undecodable with the remaining rank when the
     pattern is unrecoverable.
@@ -613,14 +631,12 @@ def decode_erasures(
     if len(chosen) < k:
         raise Undecodable(len(chosen), k)
 
-    mk = _packing(field, k)
-    message = _solve_message(inst, chosen, [mk.pack_elem(received[i]) for i in chosen])
-    pk = _packing(field, inst.n)
-    bw, elem = pk.bw, pk.elem
-    codeword = pk.unpack(pk.combine([(message >> j * bw) & elem for j in range(k)], inst._gen_packed))
+    pk = _packing(field, k + inst.n)
+    word = pk.unpack(_solve_word(inst, chosen, [pk.pack_elem(received[i]) for i in chosen]))
+    message, codeword = word[:k], word[k:]
     if __debug__:
         q = field.q
         # A received coordinate need not be reduced mod q.
         agree = all(codeword[i] == (v := received[i]) or codeword[i] == tuple(x % q for x in v) for i in remaining)
         assert agree, "re-encode disagrees with a known symbol"
-    return DecodeResult(message=tuple(mk.unpack(message)), codeword=tuple(codeword), phase=phase, repaired_locally=repaired)
+    return DecodeResult(message=tuple(message), codeword=tuple(codeword), phase=phase, repaired_locally=repaired)

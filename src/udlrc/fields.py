@@ -264,6 +264,8 @@ class ExtField:
             if not _is_irreducible(modulus, self.q):
                 raise ValueError("modulus is reducible over the base field")
         self.modulus = modulus
+        # _packing's cache hashes the field on every lookup.
+        self._hash = hash(("ExtField", self.q, t, modulus))
         self.zero: ExtElem = (0,) * t
         self.one: ExtElem = ((1,) + (0,) * (t - 1))
         self.alpha: ExtElem = (-modulus[0] % self.q,) if t == 1 else ((0, 1) + (0,) * (t - 2))
@@ -349,7 +351,7 @@ class ExtField:
         )
 
     def __hash__(self) -> int:
-        return hash(("ExtField", self.q, self.t, self.modulus))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"ExtField(q={self.q}, t={self.t})"

@@ -39,6 +39,7 @@ from conftest import (
     THREE_SPEC,
     REVERSED_SPEC,
     SRC,
+    counting_cached,
     counting_method,
     load_workloads,
     one_point_moves,
@@ -47,6 +48,7 @@ from conftest import (
     ref_left_multiply,
     ref_local_generator,
     ref_punctured_code_profile,
+    ref_solve,
     usual_grid,
     without_asserts,
 )
@@ -88,6 +90,23 @@ def test_validate_spec_reference():
     assert spec.k_caps == (2, 3)
     assert spec.ordered_condition
     assert not REVERSED_SPEC.ordered_condition
+
+
+def test_a_spec_sums_its_length_once(monkeypatch):
+    # A spec keeps its length n as a class keeps its derived fields; the
+    # decodes read it (through CodeInstance.n) without summing the classes
+    # again, and equality, hashing and dataclasses.replace see only the
+    # fields.
+    counts = counting_cached(monkeypatch, LocalitySpec, ["n"])
+    spec = replace(REF_SPEC)
+    inst = build_code(spec)
+    rng = random.Random(3900)
+    pattern = ErasurePattern.from_erased(inst.n, (0,))
+    for _ in range(3):
+        decode_erasures(inst, _repair_decode(inst, rng, pattern), pattern)
+    assert counts["n"] == 1 and spec == REF_SPEC and hash(spec) == hash(REF_SPEC)
+    longer = replace(spec, classes=spec.classes + spec.classes[:1])
+    assert longer.n == spec.n + spec.classes[0].n and counts["n"] == 2
 
 
 def test_validate_spec_dimension_overflow():
@@ -564,18 +583,20 @@ def test_a_decode_makes_one_field_inversion(erased, phase, monkeypatch):
 
 @pytest.mark.parametrize("erased, phase", [((0, 5), "local"), ((0, 1, 2), "global")], ids=["local", "global"])
 def test_a_repeat_decode_is_one_packed_combine(erased, phase, monkeypatch):
-    # The second decode of an information set keeps the inverse of its Moore
-    # block, so the third solves no system: no field inversion, no
+    # The second decode of an information set keeps [A^-1 | A^-1 G] for its
+    # Moore block A, so the third solves no system: no field inversion, no
     # elimination and no packed row (1, 1 and 0 on a first or second decode).
-    # Its canon count is exact: the message combine and the re-encode each
-    # take one canon per pair of products, 3 + 3 (15 and 9 while the local
-    # pass repaired each symbol with its own canon, 21 and 15 at one canon
-    # per product).  It stays packed from the received symbols to the
-    # result: only the k chosen symbols are packed (every received one
-    # was), and only the message and the codeword are unpacked, as two rows
-    # (10/17/20/2 element, pack_elem, unpack_elem and unpack calls on the
-    # local set and 9/12/18/2 on the global one when each symbol went
-    # through ExtField.element and the message was re-encoded unpacked).
+    # Its canon count is exact: one combine gives the message and the
+    # codeword, one canon per pair of products, 3 (6 with a combine for the
+    # message and one for the re-encode, 15 and 9 while the local pass
+    # repaired each symbol with its own canon, 21 and 15 at one canon per
+    # product).  It stays packed from the received symbols to the result:
+    # only the k chosen symbols are packed (every received one was), and
+    # the message and the codeword are unpacked as one row (two rows before
+    # the re-encode was kept; 10/17/20/2 element, pack_elem, unpack_elem and
+    # unpack calls on the local set and 9/12/18/2 on the global one when
+    # each symbol went through ExtField.element and the message was
+    # re-encoded unpacked).
     inst = load_workloads().Repair(udlrc, 1).inst
     rng = random.Random(8)
     pattern = ErasurePattern.from_erased(inst.n, erased)
@@ -600,8 +621,8 @@ def test_a_repeat_decode_is_one_packed_combine(erased, phase, monkeypatch):
     result = decode_erasures(inst, received, pattern)
     assert result == expected and result.phase == phase and list(result.message) == message
     assert (powers.count(inst.field.q**inst.field.t - 2), len(eliminations), len(packs)) == (0, 0, 0)
-    assert len(canons) == 6
-    assert [len(calls) for calls in conversions] == [0, inst.k, 0, 2]
+    assert len(canons) == 3
+    assert [len(calls) for calls in conversions] == [0, inst.k, 0, 1]
     assert len(pattern.remaining) == {"local": 10, "global": 9}[phase]
 
 
@@ -610,12 +631,17 @@ def test_a_word_off_the_code_fails_the_re_encode_check():
     # One received coordinate altered, with 0 to 2 erasures on the
     # benchmark's [12,6] code: the decoded message re-encodes to a codeword
     # that disagrees with some received symbol, which the plain-run check
-    # compares block by block.
+    # compares block by block.  Each pattern is first decoded twice on a
+    # word of the code, so the altered word is decoded through its set's
+    # kept rows [A^-1 | A^-1 G], whose codeword part is the re-encode.
     inst = load_workloads().Repair(udlrc, 1).inst
     rng, q = random.Random(3200), inst.spec.q
     for _ in range(40):
-        codeword = encode(inst, [inst.field.random_element(rng) for _ in range(inst.k)])
         pattern = ErasurePattern.from_erased(inst.n, rng.sample(range(inst.n), rng.randint(0, 2)))
+        for _ in range(2):
+            decode_erasures(inst, _repair_decode(inst, rng, pattern), pattern)
+        assert inst._inverses[inst._plans[pattern.erased][1]] is not None
+        codeword = encode(inst, [inst.field.random_element(rng) for _ in range(inst.k)])
         received = {i: codeword[i] for i in pattern.remaining}
         i, j = rng.choice(pattern.remaining), rng.randrange(inst.spec.t)
         received[i] = tuple((v + rng.randrange(1, q)) % q if c == j else v for c, v in enumerate(received[i]))
@@ -624,16 +650,17 @@ def test_a_word_off_the_code_fails_the_re_encode_check():
 
 
 def test_kept_inverses_stay_within_their_budget(monkeypatch):
-    # The kept inverses are bounded by one module constant of packed bytes,
-    # 16 MiB: every one of the repair code's sets, each k^2 = 36 packed
-    # elements of 272 bits (15 slots of 18 bits, padded to whole bytes;
-    # 560 bits, slots of 37, while the fold left its slots unreduced).
-    # Lowered to three inverses, the map never holds more, drops the least
+    # The kept rows are bounded by one module constant of packed bytes,
+    # 16 MiB: every one of the repair code's sets, each k(k + n) = 108
+    # packed elements of 272 bits (15 slots of 18 bits, padded to whole
+    # bytes; k^2 = 36 while only A^-1 was kept, and 560 bits, slots of 37,
+    # while the fold left its slots unreduced).
+    # Lowered to three sets, the map never holds more, drops the least
     # recently used set, and every decode still equals the reference decode.
     assert construction._INVERSES_BYTES == 16 << 20
     inst = load_workloads().Repair(udlrc, 1).inst
-    bits = inst.k * inst.k * fields._packing(inst.field, inst.k).bw
-    assert bits == 9_792
+    bits = inst.k * (inst.k + inst.n) * fields._packing(inst.field, inst.k).bw
+    assert bits == 29_376
     monkeypatch.setattr(construction, "_INVERSES_BYTES", 3 * bits // 8 + 1)
     rng = random.Random(2600)
 
@@ -666,6 +693,34 @@ def test_kept_inverses_stay_within_their_budget(monkeypatch):
     fresh = replace(inst)
     for pattern in patterns[:5] * 2:
         assert decode(fresh, pattern) is None
+
+
+def test_kept_rows_are_the_inverse_and_its_codewords():
+    # After two decodes of a set, the instance keeps row i = [x | x G] for
+    # x = A^-1 e_i, A the set's Moore block (row s is column s of the
+    # generator G): the reference solve and the reference product give
+    # both halves.  On the repair code and on a copy with scaled points,
+    # which has the same sets on other Moore blocks.
+    inst = load_workloads().Repair(udlrc, 1).inst
+    field, k, n = inst.field, inst.k, inst.n
+    rng = random.Random(3800)
+    c = field.random_element(rng)
+    assert c not in (field.zero, field.one)
+    scaled = replace(inst, points=tuple(field.mul(c, y) for y in inst.points))
+    pk = fields._packing(field, k + n)
+    patterns = [p for p in _repair_patterns(inst, rng, 12) if erasure_decodable(inst, p)]
+    assert len(patterns) >= 6
+    for code in (inst, scaled):
+        for pattern in patterns:
+            for _ in range(2):
+                decode_erasures(code, _repair_decode(code, rng, pattern), pattern)
+            chosen = code._plans[pattern.erased][1]
+            block = code.gen.take_columns(chosen).transpose()
+            kept = code._inverses[chosen]
+            assert len(kept) == k
+            for i, row in enumerate(kept):
+                x = ref_solve(block, [field.one if j == i else field.zero for j in range(k)])
+                assert pk.unpack(row) == x + ref_left_multiply(code.gen, x)
 
 
 def _repair_decode(inst, rng, pattern):

@@ -160,6 +160,19 @@ def test_ext_field_rejects_reducible_modulus():
         ExtField(PrimeField(2), 2, (1, 0, 2))  # not monic once reduced
 
 
+def test_equal_fields_hash_equal_and_share_their_layouts():
+    # A field keeps its hash, taken from (q, t, modulus) once; two fields
+    # built apart, one on the default modulus and one on the same modulus
+    # given explicitly, hash equal and meet one cached layout.
+    for q, t in ((2, 4), (5, 8), (11, 60)):
+        a = ExtField(PrimeField(q), t)
+        b = ExtField(PrimeField(q), t, find_irreducible(q, t))
+        assert a is not b and a == b and hash(a) == hash(b) == hash(("ExtField", q, t, a.modulus))
+        assert fields._packing(a, 7) is fields._packing(b, 7)
+    other = ExtField(PrimeField(2), 4, (1, 1, 1, 1, 1))
+    assert other != ExtField(PrimeField(2), 4) and fields._packing(other, 7) is not fields._packing(ExtField(PrimeField(2), 4), 7)
+
+
 def test_gf8_multiplication_table_facts():
     f8 = ExtField(PrimeField(2), 3)
     a = f8.alpha
