@@ -57,22 +57,11 @@ from .construction import (
     encode_via_pipeline,
     erank,
     erasure_decodable,
-    lift_to_ext,
     mds_local_generator,
     validate_spec,
 )
 from .fields import ExtElem, ExtField, ModulusSearchTooLarge, PrimeField, find_irreducible, is_prime
-from .gabidulin import (
-    EvaluationPoints,
-    LinearizedPoly,
-    MessageTooLong,
-    RankDeficientPoints,
-    TooManyPoints,
-    default_points,
-    gabidulin_encode,
-    lin_eval,
-    moore_matrix,
-)
+from .gabidulin import LinearizedPoly, lin_eval, moore_matrix
 from .linalg import Matrix, SingularMatrix, base_rank
 from .specfile import (
     SpecFileError,

@@ -31,7 +31,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .fields import PRIME_CHECK_LIMIT, ExtElem, ExtField, PrimeField, _Packing, _packing, is_prime
-from .gabidulin import default_points, gabidulin_encode, moore_matrix
+from .gabidulin import LinearizedPoly, lin_eval, moore_matrix
 from .linalg import Matrix, _check_indices, _solve_packed
 
 
@@ -283,11 +283,6 @@ def mds_local_generator(r: int, delta: int, base: PrimeField) -> Matrix:
     return Matrix(base, [list(row) for row in zip(*columns)])
 
 
-def lift_to_ext(field: ExtField, base_matrix: Matrix) -> Matrix:
-    """Reinterpret a base-field matrix over the extension field."""
-    return Matrix(field, [[field.embed(v) for v in row] for row in base_matrix.rows])
-
-
 @dataclass(frozen=True)
 class CodeInstance:
     """A built code: group layout and per-symbol evaluation points.
@@ -383,10 +378,10 @@ class CodeInstance:
 def build_code(spec: LocalitySpec) -> CodeInstance:
     """Run the three construction steps on the points.
 
-    The precode points are the unit vectors e_0, ..., e_{n_gab - 1}
-    (default_points), so a group's points, its r precode points times its
-    class's local generator, are that generator's columns placed in the
-    group's precode coordinates: symbol x of a group at precode offset o
+    The precode points are the unit vectors e_0, ..., e_{n_gab - 1}, so a
+    group's points, its r precode points times its class's local
+    generator, are that generator's columns placed in the group's precode
+    coordinates: symbol x of a group at precode offset o
     gets column x in coordinates o..o+r-1 and zeros elsewhere.  The
     generator's entries lie in F_q, which the q-power map fixes, so every
     symbol is f(y_i) for the same F_q-linear f, and the generator
@@ -428,21 +423,31 @@ def encode(inst: CodeInstance, message: Sequence[ExtElem]) -> list[ExtElem]:
 
 
 def encode_via_pipeline(inst: CodeInstance, message: Sequence[ExtElem]) -> list[ExtElem]:
-    """The two-stage route: precode, then expand each group with its MDS code.
+    """The two-stage route on the instance's points: precode, then expand each group with its MDS code.
 
-    Agrees with encode() on every message, and refuses what it refuses;
-    both are kept so the agreement stays testable.
+    The precode values are the message's q-power polynomial f at each
+    group's first r points (on a built code, its unit vectors), and the
+    group's symbols are its class's local generator columns applied to them
+    over F_q.  That is f at every point of the group only where the group
+    keeps its local code (CodeInstance._local_groups), so a group that lost
+    it raises ValueError.  Wherever this answers it agrees with encode(),
+    and it refuses the messages encode() refuses; both are kept so the
+    agreement stays testable.
     """
     _check_message(inst, message)
     field = inst.field
-    precoded = gabidulin_encode(list(message), default_points(field, inst.spec.n_gab))
+    f = LinearizedPoly(field, tuple(message))
     out: list[ExtElem] = []
-    cursor = 0
-    for j in inst.layout.class_of:
-        c = inst.spec.classes[j]
-        local = lift_to_ext(field, mds_local_generator(c.r, c.delta, field.base))
-        out.extend(local.left_multiply(precoded[cursor : cursor + c.r]))
-        cursor += c.r
+    for l, group in enumerate(inst.layout.groups):
+        if l not in inst._local_groups:
+            raise ValueError(f"group {l} does not keep its local code: the two-stage route cannot encode it")
+        c = inst.spec.classes[inst.layout.class_of[l]]
+        heads = [lin_eval(f, inst.points[i]) for i in group[: c.r]]
+        for column in zip(*mds_local_generator(c.r, c.delta, field.base).rows):
+            acc = field.zero
+            for w, v in zip(column, heads):
+                acc = field.add(acc, field.scale(w, v))
+            out.append(acc)
     return out
 
 

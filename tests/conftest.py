@@ -27,7 +27,6 @@ from udlrc import (
     Matrix,
     PrimeField,
     RankDeficientGenerator,
-    RankDeficientPoints,
     SingularMatrix,
     TooLarge,
     TooManyClasses,
@@ -43,7 +42,7 @@ from udlrc import (
 from udlrc import analysis, cli
 from udlrc.analysis import DEFAULT_ORACLE_BUDGET
 from udlrc.bounds import PERMUTED_CLASS_LIMIT
-from udlrc.construction import build_layout, lift_to_ext
+from udlrc.construction import build_layout
 from udlrc.fields import _packing, _poly_divmod, _poly_gcd, _poly_trim
 from udlrc.gabidulin import moore_matrix
 
@@ -250,6 +249,11 @@ def monic_candidates(q, t, count=None):
         yield coeffs + [1]
 
 
+def lift(field, base_matrix):
+    """A base-field matrix read over the extension field."""
+    return Matrix(field, [[field.embed(v) for v in row] for row in base_matrix.rows])
+
+
 def ref_local_generator(r, delta, base):
     """The systematic [r + delta - 1, r, delta] generator over the base
     field as mds_local_generator built it before the Lagrange basis: the
@@ -274,7 +278,7 @@ def ref_build_rows(spec):
     cursor = 0
     for j in build_layout(spec).class_of:
         c = spec.classes[j]
-        local = lift_to_ext(field, ref_local_generator(c.r, c.delta, base))
+        local = lift(field, ref_local_generator(c.r, c.delta, base))
         block = precode_gen.take_columns(range(cursor, cursor + c.r)) @ local
         for row, brow in zip(rows, block.rows):
             row.extend(brow)
@@ -336,7 +340,7 @@ def ref_decode_erasures(inst, received, pattern):
         local = ref_local_generator(c.r, c.delta, field.base)
         present = [pos for pos, i in enumerate(group) if i in known][: c.r]
         coeffs = local.take_columns(present).inverse() @ local
-        values = lift_to_ext(field, coeffs).left_multiply([known[group[p]] for p in present])
+        values = lift(field, coeffs).left_multiply([known[group[p]] for p in present])
         for pos, i in enumerate(group):
             if i not in known:
                 known[i] = values[pos]
@@ -362,6 +366,10 @@ def ref_decode_erasures(inst, received, pattern):
     codeword = tuple(inst.gen.left_multiply(list(message)))
     assert all(codeword[i] == v for i, v in known.items()), "re-encode disagrees with a known symbol"
     return DecodeResult(message=message, codeword=codeword, phase=phase, repaired_locally=tuple(sorted(repaired)))
+
+
+class RankDeficientPoints(ValueError):
+    """ref_interpolate's points are dependent over the base field."""
 
 
 def ref_interpolate(field, pairs):

@@ -42,6 +42,7 @@ from conftest import (
     REVERSED_SPEC,
     cli_env,
     counting,
+    lift,
     load_workloads,
     one_point_moves,
     ref_block_walk,
@@ -130,7 +131,7 @@ def _weight_enumeration_distance(gen):
 
 
 def test_oracle_agrees_with_weight_enumeration():
-    from udlrc import ExtField, lift_to_ext, mds_local_generator, moore_matrix
+    from udlrc import ExtField, mds_local_generator, moore_matrix
 
     small = [
         mds_local_generator(2, 2, F5),
@@ -144,7 +145,7 @@ def test_oracle_agrees_with_weight_enumeration():
     pts = [f8.one, f8.alpha, f8.frobenius(f8.alpha)]
     small.append(moore_matrix(f8, pts, 2).transpose())
     binary_parity = Matrix(PrimeField(2), [[1, 0, 1], [0, 1, 1]])
-    small.append(lift_to_ext(f8, binary_parity))
+    small.append(lift(f8, binary_parity))
     for gen in small:
         assert min_distance_oracle(gen).d == _weight_enumeration_distance(gen)
 

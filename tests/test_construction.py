@@ -20,7 +20,6 @@ from udlrc import (
     Undecodable,
     base_rank,
     build_code,
-    default_points,
     decode_erasures,
     encode,
     encode_via_pipeline,
@@ -216,13 +215,9 @@ def test_build_reference_frozen_points(ref_instance):
         (0, 0, 0, 0, 1),
         (0, 0, 1, 2, 3),
     )
-    assert list(default_points(ref_instance.field, ref_instance.spec.n_gab)) == [
-        (1, 0, 0, 0, 0),
-        (0, 1, 0, 0, 0),
-        (0, 0, 1, 0, 0),
-        (0, 0, 0, 1, 0),
-        (0, 0, 0, 0, 1),
-    ]
+    # Each group's first r points are its precode points, the unit vectors.
+    heads = [ref_instance.points[i] for i in (0, 1, 4, 5, 6)]
+    assert heads == [tuple(int(i == j) for j in range(5)) for i in range(5)]
     assert ref_instance.layout.groups == ((0, 1, 2, 3), (4, 5, 6, 7))
     assert ref_instance.layout.class_of == (0, 1)
 
@@ -265,6 +260,36 @@ def test_encode_paths_agree(ref_instance, rng):
     for _ in range(100):
         message = [field.random_element(rng) for _ in range(4)]
         assert encode(ref_instance, message) == encode_via_pipeline(ref_instance, message)
+    # The two-stage route reads each group's first r points, so it agrees
+    # with encode on every built code and on a copy with its points scaled
+    # by one field element, whose groups keep their local codes.
+    root = Path(__file__).resolve().parent.parent
+    files = sorted((root / "perfbench" / "specs").glob("*.json")) + [root / "tests" / "specs" / "reach_n27.json"]
+    assert len(files) == 6
+    specs = list(usual_grid()) + [validate_spec(load_spec_file(path)[0]) for path in files]
+    for spec in specs:
+        inst = build_code(spec)
+        field = inst.field
+        c = field.random_element(rng)
+        while c in (field.zero, field.one):
+            c = field.random_element(rng)
+        scaled = replace(inst, points=tuple(field.mul(c, y) for y in inst.points))
+        message = [field.random_element(rng) for _ in range(inst.k)]
+        for code in (inst, scaled):
+            assert encode_via_pipeline(code, message) == encode(code, message), spec
+    assert len(specs) == 2298 + 6
+
+
+def test_encode_via_pipeline_refuses_a_group_that_lost_its_local_code(ref_instance):
+    # A moved point leaves its group's local code, where the precode values
+    # at the group's first r points no longer give its symbols.
+    field = ref_instance.field
+    message = [field.one] * ref_instance.k
+    for moved in one_point_moves(ref_instance, 20, random.Random(3)):
+        lost = [l for l in range(len(moved.layout.groups)) if l not in moved._local_groups]
+        assert lost
+        with pytest.raises(ValueError, match=f"group {lost[0]} does not keep its local code"):
+            encode_via_pipeline(moved, message)
 
 
 def test_every_symbol_is_an_evaluation_at_its_point(ref_instance, rng):

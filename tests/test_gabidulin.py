@@ -2,24 +2,20 @@ from itertools import combinations, product
 
 import pytest
 
-from udlrc import (
-    EvaluationPoints,
-    ExtField,
-    LinearizedPoly,
-    MessageTooLong,
-    PrimeField,
-    RankDeficientPoints,
-    TooManyPoints,
-    base_rank,
-    default_points,
-    gabidulin_encode,
-    lin_eval,
-    moore_matrix,
-)
-from conftest import ref_interpolate, ref_mul
+from udlrc import ExtField, LinearizedPoly, PrimeField, base_rank, lin_eval, moore_matrix
+from conftest import RankDeficientPoints, counting_method, ref_frobenius, ref_interpolate, ref_mul
 
 F8 = ExtField(PrimeField(2), 3)
 F55 = ExtField(PrimeField(5), 5)
+
+# The unit vectors e_0, ..., e_4 of GF(5^5): a built code's precode points.
+UNITS = [tuple(int(i == j) for j in range(5)) for i in range(5)]
+
+
+def precode(message, n):
+    """The message's q-power polynomial at the first n unit vectors."""
+    f = LinearizedPoly(F55, tuple(message))
+    return [lin_eval(f, y) for y in UNITS[:n]]
 
 
 def test_lin_eval_at_zero_and_identity(rng):
@@ -50,38 +46,33 @@ def test_evaluation_map_is_base_linear(rng):
         assert lhs == rhs
 
 
-def test_default_points():
-    assert list(default_points(F55, 1)) == [F55.one]
-    full = default_points(F55, 5)
-    assert base_rank(F55, list(full)) == 5
-    for n in range(1, 6):
-        assert base_rank(F55, list(default_points(F55, n))) == n
-    with pytest.raises(TooManyPoints):
-        default_points(F55, 6)
-    # In the polynomial basis alpha^i, i < t, is the unit vector e_i, so the
-    # points equal the powers of alpha taken by products.
+def test_lin_eval_takes_one_frobenius_per_coefficient_after_the_first(monkeypatch, rng):
+    calls = counting_method(monkeypatch, ExtField, "frobenius")
+    for k in range(1, 6):
+        f = LinearizedPoly(F55, tuple(F55.random_element(rng) for _ in range(k)))
+        x = F55.random_element(rng)
+        calls.clear()
+        value = lin_eval(f, x)
+        assert len(calls) == k - 1
+        terms = [ref_mul(F55, a, ref_frobenius(F55, x, i)) for i, a in enumerate(f.coeffs)]
+        assert value == tuple(sum(column) % 5 for column in zip(*terms))
+
+
+def test_unit_vectors_are_the_powers_of_alpha():
+    # In the polynomial basis alpha^i, i < t, is the unit vector e_i, so a
+    # built code's precode points equal the powers of alpha taken by products.
     fields = [F55, ExtField(PrimeField(7), 9), ExtField(PrimeField(7), 1), ExtField(PrimeField(3), 3, (1, 0, 2, 1))]
     for f in fields:
         powers = [f.one]
         for _ in range(f.t - 1):
             powers.append(ref_mul(f, powers[-1], f.alpha))
-        assert list(default_points(f, f.t)) == powers
-
-
-def test_evaluation_points_reject_dependence():
-    a = F8.alpha
-    with pytest.raises(RankDeficientPoints):
-        EvaluationPoints(F8, (a, a))
+        assert powers == [tuple(int(i == j) for j in range(f.t)) for i in range(f.t)]
 
 
 def test_encode_zero_message_and_single_symbol(rng):
-    pts = default_points(F55, 4)
-    assert gabidulin_encode([F55.zero] * 3, pts) == [F55.zero] * 4
+    assert precode([F55.zero] * 3, 4) == [F55.zero] * 4
     m = F55.random_element(rng)
-    one_point = EvaluationPoints(F55, (F55.one,))
-    assert gabidulin_encode([m], one_point) == [m]
-    with pytest.raises(MessageTooLong):
-        gabidulin_encode([F55.zero] * 5, pts)
+    assert precode([m], 1) == [m]
 
 
 def test_interpolate_known_gf8_system():
@@ -103,12 +94,11 @@ def test_interpolate_rejects_dependent_points():
 
 
 def test_round_trip_any_k_coordinates(rng):
-    pts = default_points(F55, 5)
     for _ in range(10):
         message = [F55.random_element(rng) for _ in range(3)]
-        codeword = gabidulin_encode(message, pts)
+        codeword = precode(message, 5)
         for subset in combinations(range(5), 3):
-            pairs = [(pts[i], codeword[i]) for i in subset]
+            pairs = [(UNITS[i], codeword[i]) for i in subset]
             assert ref_interpolate(F55, pairs).coeffs == tuple(message)
 
 
@@ -127,26 +117,24 @@ def test_moore_invertibility_iff_point_independence():
 
 
 def test_encode_is_linear_in_the_message(rng):
-    pts = default_points(F55, 4)
     for _ in range(20):
         m1 = [F55.random_element(rng) for _ in range(4)]
         m2 = [F55.random_element(rng) for _ in range(4)]
         c = F55.random_element(rng)
         mixed = [F55.add(a, F55.mul(c, b)) for a, b in zip(m1, m2)]
-        lhs = gabidulin_encode(mixed, pts)
-        c1 = gabidulin_encode(m1, pts)
-        c2 = gabidulin_encode(m2, pts)
+        lhs = precode(mixed, 4)
+        c1 = precode(m1, 4)
+        c2 = precode(m2, 4)
         rhs = [F55.add(a, F55.mul(c, b)) for a, b in zip(c1, c2)]
         assert lhs == rhs
 
 
 def test_erasure_property_random_messages(rng):
     # any k symbols of the codeword suffice: interpolation returns the message
-    pts = default_points(F55, 5)
     k = 4
     for _ in range(5):
         message = [F55.random_element(rng) for _ in range(k)]
-        codeword = gabidulin_encode(message, pts)
+        codeword = precode(message, 5)
         for subset in combinations(range(5), k):
-            pairs = [(pts[i], codeword[i]) for i in subset]
+            pairs = [(UNITS[i], codeword[i]) for i in subset]
             assert ref_interpolate(F55, pairs).coeffs == tuple(message)

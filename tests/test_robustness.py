@@ -477,13 +477,13 @@ F55 = u.ExtField(u.PrimeField(5), 5)
 # rule its siblings share.  The input is a call on the [8,4] reference code.
 MALFORMED = [
     ("base_rank", lambda inst: u.base_rank(u.PrimeField(5), [[1], [0, 0, 1]]), ValueError, "same length"),
-    ("EvaluationPoints", lambda inst: u.EvaluationPoints(F55, [(1, 0, 0), (0, 1, 0)]), ValueError,
-     "needs 5 coordinates, got 3"),
     ("encode_via_pipeline-short", lambda inst: u.encode_via_pipeline(inst, [(1, 2, 3)] + [F55.one] * 3),
      u.LengthMismatch, "message symbol 0 has 3 coordinates, not t = 5"),
     ("encode_via_pipeline-long", lambda inst: u.encode_via_pipeline(inst, [F55.one] * 3 + [(1,) * 7]),
      u.LengthMismatch, "message symbol 3 has 7 coordinates, not t = 5"),
     ("moore_matrix", lambda inst: u.moore_matrix(F55, [(1, 2, 3)], 3), ValueError, "needs 5 coordinates, got 3"),
+    ("moore_matrix-negative-ncols", lambda inst: u.moore_matrix(F55, [F55.one, F55.alpha], -1), ValueError,
+     "ncols >= 0, got -1"),
     ("LinearizedPoly", lambda inst: u.lin_eval(u.LinearizedPoly(F55, ((1, 2),)), F55.one), ValueError,
      "needs 5 coordinates, got 2"),
     ("erasure_decodable", lambda inst: u.erasure_decodable(inst, u.ErasurePattern.from_erased(4, [0])),
