@@ -76,13 +76,13 @@ def min_distance_oracle(code: CodeInstance | Matrix, budget: int = DEFAULT_ORACL
     The first set of the largest size n - d that the walk meets is the
     lexicographically first one, the witness of a size-by-size scan.
     Where no column before an index j shares a nonzero coordinate with a
-    column from j on (a block start: a built code's points place each
-    local group in its own precode coordinates), the columns from j on
-    form a direct summand, so the walk through the block from j is the
-    same whatever rank the walk may still gain, and one pass walks each
-    block once for every such rank.  Ranks inside a block are still found
-    by elimination, so the oracle stays exact on any points; points
-    without an interior block start are walked as one block.
+    column from j on (a block start, _Packing.block_starts: a built code's
+    points place each local group in its own precode coordinates), the
+    columns from j on form a direct summand, so the walk through the block
+    from j is the same whatever rank the walk may still gain, and one pass
+    walks each block once for every such rank.  Ranks inside a block are
+    still found by elimination (_Packing.clear), so the oracle stays exact
+    on any points; points without an interior block start are one block.
     """
     if isinstance(code, CodeInstance):
         pk, columns = code._point_packing, code._points_packed
@@ -103,54 +103,28 @@ def prefix_oracles(inst: CodeInstance, budget: int = DEFAULT_ORACLE_BUDGET) -> l
     return _walk(pk, columns, len(pk.echelon(columns, pk.length)), 1, inst.k, budget)
 
 
-def _block_starts(pk, columns) -> list[int]:
-    """The indices j, 0 and n included, at which no column before j is
-    nonzero at an element position where a column from j on is.
-
-    A canonical element is nonzero exactly when the sum of its t slots is;
-    one product spreads that sum into the element's slot t - 1, and adding
-    2^h - 1 to it (every sum is below 2^h) sets its bit h exactly when it
-    is nonzero, so a column's support is one such bit per element.
-    """
-    t, w, n = pk.t, pk.w, len(columns)
-    h = (t * (pk.q - 1)).bit_length()
-    units, spread = pk.units, sum(1 << (j * w) for j in range(t))
-    slots, ones, top = pk.slot * units, ((1 << h) - 1) * units, units << h
-    supports = [((((x * spread) >> ((t - 1) * w)) & slots) + ones) & top for x in columns]
-    after = [0] * (n + 1)
-    for j in range(n - 1, -1, -1):
-        after[j] = after[j + 1] | supports[j]
-    starts, before = [], 0
-    for j in range(n + 1):
-        if not before & after[j]:
-            starts.append(j)
-        if j < n:
-            before |= supports[j]
-    return starts
-
-
 def _walk(pk, columns, rank, first, k, budget):
     """The certificates at each of first .. k of the columns, packed by pk,
     of rank rank, in a list.
 
     One depth-first walk over the subsets of rank < k, each column taken
     before it is skipped, keeps every column's residual against the span
-    of the path: one pivot-scaled elimination step (as in _Packing.reduce)
-    per column when the path's rank grows, so a column is in the span
-    exactly when its residual is zero.
+    of the path: one pivot-scaled elimination step (_Packing.clear) per
+    column when the path's rank grows, so a column is in the span exactly
+    when its residual is zero.
 
-    At a block start j (_block_starts) every pivot so far is zero on the
-    columns from j on, so their residuals are the columns themselves, no
-    later pivot brings a skipped earlier column into the span, and rule
-    (b) needs only the current block's zeros.  So the walk through a block
-    is the same at every rank budget g left to it, and only what a path of
-    rank r appends at the block's end, the next block's first largest set
-    at g - r, depends on g.  One pass from the last block to the first
-    walks each block once, up to its largest budget (k - 1, or the count
-    of columns from j on, past which all budgets walk alike), and keeps
-    the first largest set at each budget: only a larger one replaces it.
-    Best sizes grow with g, so a branch is cut when it cannot outgrow the
-    best at the lowest budget at or above r that the block may be asked
+    At a block start j (_Packing.block_starts) every pivot so far is zero
+    on the columns from j on, so their residuals are the columns
+    themselves, no later pivot brings a skipped earlier column into the
+    span, and rule (b) needs only the current block's zeros.  So the walk
+    through a block is the same at every rank budget g left to it, and only
+    what a path of rank r appends at the block's end, the next block's
+    first largest set at g - r, depends on g.  One pass from the last block
+    to the first walks each block once, up to its largest budget (k - 1, or
+    the count of columns from j on, past which all budgets walk alike), and
+    keeps the first largest set at each budget: only a larger one replaces
+    it.  Best sizes grow with g, so a branch is cut when it cannot outgrow
+    the best at the lowest budget at or above r that the block may be asked
     for: first - 1 less the columns before the block, or 0.
     """
     n = len(columns)
@@ -160,8 +134,7 @@ def _walk(pk, columns, rank, first, k, budget):
         raise RankDeficientGenerator(f"generator rank below k={max(first, rank + 1)}")
     if not k:
         raise ValueError("k = 0: a code of dimension 0 has no rank-deficient symbol set")
-    starts = _block_starts(pk, columns)
-    elem, negq, canon, bw = pk.elem, pk.negq, pk.canon, pk.bw
+    starts = pk.block_starts(columns)
     path: list[int] = []
     tail = [(0, 0, ())]  # per budget: size, rank and set
     for j, e in reversed(list(zip(starts, starts[1:]))):
@@ -189,10 +162,7 @@ def _walk(pk, columns, rank, first, k, budget):
                 if not row:  # (a)
                     path.append(i)
                 elif r < cap:
-                    low = (row & -row).bit_length() - 1
-                    off = low - low % bw
-                    p = (row >> off) & elem
-                    grown = [canon(p * x + (negq - v) * row) if (v := (x >> off) & elem) else x for x in residuals]
+                    grown = pk.clear(residuals, row)
                     if grown[: i - j].count(0) == len(path):  # (b)
                         path.append(i)
                         visit(i + 1, r + 1, grown)

@@ -290,11 +290,11 @@ class CodeInstance:
     Symbol i is f(points[i]) for the message's q-power polynomial f, so
     the points are the code: gen is derived from them, and
     dataclasses.replace(inst, points=...) is the code on other points.
-    Two functions read the construction's structure as well:
-    decode_erasures, which counts as repaired locally only the symbols of
-    groups whose points keep their local code (checked per group), and
-    analysis.rank_deficiency_witness, which raises ValueError where the
-    points break its cover chain.
+    Three functions read the construction's structure too: decode_erasures
+    counts as repaired locally only the symbols of groups whose points keep
+    their local code (checked per group), encode_via_pipeline refuses a
+    group that lost it, and analysis.rank_deficiency_witness raises
+    ValueError where the points break its cover chain.
     """
 
     spec: LocalitySpec
@@ -361,9 +361,9 @@ class CodeInstance:
     @cached_property
     def _local_groups(self) -> frozenset[int]:
         """The groups whose points are their local generator's columns
-        applied to their first r points, as build_code places them: on
-        these alone every symbol is the group's local polynomial at its
-        locator, which decode_erasures' local phase reads."""
+        applied to their first r points, as build_code places them, so that
+        every symbol is the group's local polynomial at its locator: read by
+        decode_erasures' local phase and by encode_via_pipeline."""
         pk, points, q = self._point_packing, self._points_packed, self.spec.q
         out = set()
         for l, group in enumerate(self.layout.groups):
@@ -514,8 +514,7 @@ def _with_codeword(inst: CodeInstance, message: int) -> int:
     with the generator rows.  Every layout of one field has the same block
     width, so the shift places the codeword."""
     k, pk = inst.k, _packing(inst.field, inst.n)
-    bw, elem = pk.bw, pk.elem
-    return message | pk.combine([(message >> j * bw) & elem for j in range(k)], inst._gen_packed) << k * bw
+    return message | pk.combine(pk.columns([message], range(k)), inst._gen_packed) << k * pk.bw
 
 
 def _solve_word(inst: CodeInstance, chosen: tuple[int, ...], values: list[int]) -> int:
@@ -539,10 +538,9 @@ def _solve_word(inst: CodeInstance, chosen: tuple[int, ...], values: list[int]) 
         return _packing(field, k + n).combine(values, kept)
     # Symbol s's row of A is column s of the generator, packed k wide.
     pk = _packing(field, k + 1)
-    bw = pk.bw
-    solved = _solve_packed(pk, [row | v << k * bw for row, v in zip(pk.columns(inst._gen_packed, chosen), values)], k)
+    solved = _solve_packed(pk, [row | v << k * pk.bw for row, v in zip(pk.columns(inst._gen_packed, chosen), values)], k)
     # Each set in the map is charged its kept rows' packed size from its first decode on.
-    capacity = _INVERSES_BYTES * 8 // (k * (k + n) * bw)
+    capacity = _INVERSES_BYTES * 8 // (k * (k + n) * pk.bw)
     if capacity:
         while len(inverses) >= capacity:
             inverses.popitem(last=False)

@@ -8,12 +8,13 @@ vectors used for rank computations over the base field.  Everything is
 exact: no floats, no tolerances, and comparisons are plain equality.
 
 This module owns the one multiplication of F_(q^t): ExtField.mul and
-ExtField.pow, every matrix product and every elimination step, the field's
-set-up (x^q, the Frobenius step), the modulus search's Rabin test and the
-inverses of ExtField.inv and of every solve, a^-1 = a^(q^t - 2) in a group
-of order q^t - 1, run on the packed kernel below.  Only what divides
-polynomials stays on coefficient lists: the Rabin test's gcds and each
-layout's Barrett constant mu.
+ExtField.pow, every matrix product and every elimination step (the distance
+oracle's clearing step and block split included), the field's set-up (x^q,
+the Frobenius step), the modulus search's Rabin test and the inverses of
+ExtField.inv and of every solve, a^-1 = a^(q^t - 2) in a group of order
+q^t - 1, run on the packed kernel below, the one reader of its layout.
+Only what divides polynomials stays on coefficient lists: the Rabin test's
+gcds and each layout's Barrett constant mu.
 A packed row of L elements of F_(q^t) is one Python int: element j owns a
 block of bw bits starting at bit j*bw, 2t - 1 slots of W bits padded to
 whole bytes (a long row packs by joining those bytes and unpacks by slot
@@ -27,8 +28,7 @@ the high slots fold back through x^t mod the modulus (their quotient by the
 modulus reduced mod q in turn), and a last Barrett step makes the row
 canonical again; ExtField.mul is the one-element row.  The q-power map is
 F_q-linear and fixes F_q, so ExtField.frobenius is t small ints times the
-packed images alpha^(jq), built once per field, and one canon (repeated
-squaring took about log2(q) + popcount(q) products).
+packed images alpha^(jq), built once per field, and one canon.
 
 The slot bound: with canonical operands (coordinates <= q - 1), no slot
 of any intermediate reaches 2^W, so no slot ever carries into the next.
@@ -408,6 +408,8 @@ class _Packing:
         #   each slot's start, which must hold nothing of the next slot.
         # - A block's padding sits above its 2t - 1 slots, where no step
         #   writes, so the bounds do not depend on it.
+        # - block_starts adds 2^h - 1 to a sum of t coordinates, below 2^h
+        #   for h the bit length of t*c: bit h is set in the slot if h < W.
         v1 = t * c * c + t * q * c
         b = v1.bit_length()
         s = b + q.bit_length()
@@ -415,7 +417,7 @@ class _Packing:
         self.cb = cb = -(-c.bit_length() // 8)
         w = max((v1 * m).bit_length(), 8 * cb if t > 1 else 0)
         assert 2 * t * c * c + c <= v1 and (t - 1) * c * c + c <= v1
-        assert q << b <= 1 << s and v1 * m < 1 << w and (t == 1 or w >= 8 * cb)
+        assert q << b <= 1 << s and v1 * m < 1 << w and (t == 1 or w >= 8 * cb) and (t * c).bit_length() < w
         self.s, self.m = s, m
         self.step = -(-(2 * t - 1) * w // 8)
         self.bw = bw = 8 * self.step
@@ -514,18 +516,16 @@ class _Packing:
         data = [row.to_bytes(max(size, -(-row.bit_length() // 8)), "little") for row in rows]
         return [int.from_bytes(b"".join([d[c * step : c * step + step] for d in data]), "little") for c in picks]
 
-    def unpack(self, x: int, start: int = 0) -> list:
-        """Elements start.. of the canonical row x.
+    def unpack(self, x: int) -> list:
+        """The elements of the canonical row x.
 
         Slot position i of every element is read at once: x >> i*W in
         little-endian bytes holds coordinate i of element j in the cb bytes
         from byte j*bw/8, so one to_bytes and cb stepped slices per position
         give t columns, zipped into the elements."""
-        count, step = max(self.length - start, 0), self.step
-        x >>= start * self.bw
-        columns = []
+        columns, size, step = [], self.length * self.step, self.step
         for i in self.shifts:
-            data = (x >> i).to_bytes(count * step, "little")
+            data = (x >> i).to_bytes(size, "little")
             column = data[::step]
             for b in range(1, self.cb):
                 column = [v | u << 8 * b for v, u in zip(column, data[b::step])]
@@ -545,6 +545,40 @@ class _Packing:
             if v:
                 row = canon(((prow >> off) & elem) * row + (negq - v) * prow)
         return row
+
+    def clear(self, rows: Sequence[int], prow: int) -> list[int]:
+        """The rows with the column of prow's first nonzero block cleared by
+        reduce's step, each row already zero there kept as it is."""
+        elem, negq, canon = self.elem, self.negq, self.canon
+        low = (prow & -prow).bit_length() - 1
+        off = low - low % self.bw
+        p = (prow >> off) & elem
+        return [canon(p * x + (negq - v) * prow) if (v := (x >> off) & elem) else x for x in rows]
+
+    def block_starts(self, rows: Sequence[int]) -> list[int]:
+        """The indices j, 0 and len(rows) included, at which no row before j
+        is nonzero in a column where a row from j on is.
+
+        A canonical element is nonzero exactly when the sum of its t slots is;
+        one product spreads that sum into the element's slot t - 1, and adding
+        2^h - 1 to it (every sum is below 2^h, and h < W) sets its bit h exactly
+        when it is nonzero, so a row's support is one such bit per element.
+        """
+        t, w, n = self.t, self.w, len(rows)
+        h = (t * (self.q - 1)).bit_length()
+        units, spread = self.units, sum(1 << (j * w) for j in range(t))
+        slots, ones, top = self.slot * units, ((1 << h) - 1) * units, units << h
+        supports = [((((x * spread) >> ((t - 1) * w)) & slots) + ones) & top for x in rows]
+        after = [0] * (n + 1)
+        for j in range(n - 1, -1, -1):
+            after[j] = after[j + 1] | supports[j]
+        starts, before = [], 0
+        for j in range(n + 1):
+            if not before & after[j]:
+                starts.append(j)
+            if j < n:
+                before |= supports[j]
+        return starts
 
     def extend(self, basis: list[tuple], row: int, width: int) -> bool:
         """Reduce row against the basis and append it if a pivot is left in

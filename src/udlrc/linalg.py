@@ -102,7 +102,7 @@ class Matrix:
             raise ValueError(f"right-hand side length {len(right)} does not match {n}")
         aug = [list(r) + list(b) for r, b in zip(self.rows, right)]
         pk = _packing(self.field, len(aug[0]) if aug else 0)
-        return [pk.unpack(row, n) for row in _solve_packed(pk, map(pk.pack, aug), n)]
+        return [pk.unpack(row)[n:] for row in _solve_packed(pk, map(pk.pack, aug), n)]
 
     def solve(self, rhs: Sequence) -> list:
         """Solution of self @ x = rhs for a square invertible matrix."""

@@ -196,9 +196,9 @@ def ref_pack(pk, row):
     return x
 
 
-def ref_unpack(pk, x, start=0):
+def ref_unpack(pk, x):
     """_Packing.unpack as one shift of the whole row per element."""
-    return [pk.unpack_elem(x >> (j * pk.bw)) for j in range(start, pk.length)]
+    return [pk.unpack_elem(x >> (j * pk.bw)) for j in range(pk.length)]
 
 
 def ref_combine(pk, vector, packed_rows):
@@ -487,7 +487,7 @@ def ref_block_walk(pk, columns, rank, k, budget, memo=None):
     per column when the path's rank grows, so a column is in the span
     exactly when its residual is zero.
 
-    At a block start j (_block_starts) every pivot so far is zero on the
+    At a block start j (_Packing.block_starts) every pivot so far is zero on the
     columns from j on, so their residuals are the columns themselves, no
     later pivot brings a skipped earlier column into the span, and rule
     (b) needs only the current block's zeros.  The walk from j is then
@@ -506,7 +506,7 @@ def ref_block_walk(pk, columns, rank, k, budget, memo=None):
     if not k:
         raise AssertionError("unreachable: any k - 1 columns are rank deficient")
     memo = {} if memo is None else memo
-    starts = analysis._block_starts(pk, columns)
+    starts = pk.block_starts(columns)
     end_of = dict(zip(starts, starts[1:]))
     elem, negq, canon, bw = pk.elem, pk.negq, pk.canon, pk.bw
 

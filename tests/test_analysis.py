@@ -57,7 +57,7 @@ from conftest import (
     without_asserts,
 )
 from udlrc import fields
-from udlrc.analysis import _block_starts, _walk, prefix_oracles
+from udlrc.analysis import _walk, prefix_oracles
 from udlrc.linalg import base_rank
 
 F5 = PrimeField(5)
@@ -583,8 +583,8 @@ def test_block_walk_matches_the_residual_walk_on_perturbed_points(grid_instances
                 _walk(pk, columns, rank, inst.k, inst.k, inst.n)
             with pytest.raises(RankDeficientGenerator):
                 ref_residual_walk(pk, columns, rank, inst.k, inst.n)
-        starts = len(_block_starts(pk, columns))
-        built = len(_block_starts(pk, inst._points_packed))
+        starts = len(pk.block_starts(columns))
+        built = len(pk.block_starts(inst._points_packed))
         fewer += starts < built
         more += starts > built
     assert fewer > 300 and more > 100 and deficient > 10
@@ -689,7 +689,7 @@ def test_one_pass_matches_the_block_walk_on_random_matrices():
         with pytest.raises(RankDeficientGenerator, match=f"k={rank + 1}$"):
             ref_block_walk(pk, packed, rank, rank + 1, n)
         walks += rank
-        interior += len(_block_starts(pk, packed)) > 2
+        interior += len(pk.block_starts(packed)) > 2
     assert walks > 3000 and interior > 800 and seen == {2, 3, 4, 5, 7, 9, 25}
 
 
@@ -701,13 +701,13 @@ def _naive_block_starts(field, k, columns):
 
 
 def test_block_starts_are_the_splits_of_disjoint_supports():
-    # Over prime fields and GF(q^2), where a nonzero element may have a
-    # zero first slot, with zero columns and sparse ones.
+    # Over prime fields, GF(q^2), GF(7^9) and GF(11^60), where a nonzero
+    # element may have a zero first slot, with zero columns and sparse ones.
     from udlrc import ExtField
 
     rng = random.Random(20261102)
     primes = [PrimeField(2), PrimeField(3), F5, PrimeField(7)]
-    choices = primes + [ExtField(base, 2) for base in primes[:3]]
+    choices = primes + [ExtField(base, 2) for base in primes[:3]] + [ExtField(primes[3], 9), ExtField(PrimeField(11), 60)]
     interior = 0
     for _ in range(600):
         field = rng.choice(choices)
@@ -718,7 +718,7 @@ def test_block_starts_are_the_splits_of_disjoint_supports():
             at = rng.randint(0, k - width)
             columns.append([field.random_element(rng) if at <= e < at + width else field.zero for e in range(k)])
         pk = fields._packing(field, k)
-        starts = _block_starts(pk, [pk.pack(column) for column in columns])
+        starts = pk.block_starts([pk.pack(column) for column in columns])
         assert starts == _naive_block_starts(field, k, columns)
         interior += len(starts) > 2
     assert interior > 200
@@ -737,7 +737,7 @@ def test_walk_nests_through_at_most_a_hundred_blocks():
         unit = [0] * m
         unit[i] = 1
         columns += [pk.pack(unit), pk.pack([2 * v for v in unit])]
-    assert len(_block_starts(pk, columns)) == m + 1
+    assert len(pk.block_starts(columns)) == m + 1
     cert = _walk(pk, columns, m, 2, 2, 2 * m)[0]
     assert cert == ref_residual_walk(pk, columns, m, 2, 2 * m)
     assert (cert.d, cert.witness_rank) == (2 * m - 2, 1)

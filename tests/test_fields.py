@@ -439,8 +439,7 @@ def test_pack_and_unpack_match_the_one_loop_reference():
     # rows of 63, 64, 65 and 84 elements, on both sides of that switch.
     # The fields take one, two and three bytes per coordinate, and include
     # F_2, whose one slot (W = 5) is narrower than a byte, and extensions
-    # of degree 1, 2, 3, 5 and 20.  start runs up to n, and past it on an
-    # empty row.
+    # of degree 1, 2, 3, 5 and 20.
     rng = random.Random(20261019)
     choices = [PrimeField(5), PrimeField(2), PrimeField(257), PrimeField(65537), ExtField(PrimeField(7), 3),
                ExtField(PrimeField(2), 5), ExtField(PrimeField(251), 2), ExtField(PrimeField(257), 2),
@@ -464,8 +463,7 @@ def test_pack_and_unpack_match_the_one_loop_reference():
         pk = fields._packing(field, n)
         x = pk.pack(row)
         assert x == ref_pack(pk, row)
-        for start in (0, 1, rng.randint(0, n), max(0, n - 65), n):
-            assert pk.unpack(x, start) == ref_unpack(pk, x, start) == row[start:]
+        assert pk.unpack(x) == ref_unpack(pk, x) == row
         long += n > 64
         sparse += n > 64 and 0 < density < 0.5
     assert long > 500 and sparse > 150
@@ -541,6 +539,46 @@ def unreduced_fold_width(q, t):
     v2 = v1 + (t - 1) ** 2 * v1 * c * c
     s = v2.bit_length() + q.bit_length()
     return (v2 * ((1 << s) // q + 1)).bit_length()
+
+
+@pytest.mark.parametrize(
+    "q, t",
+    [(5, 1), (1000003, 1), (5, 8), (7, 9), (11, 60)],
+    ids=["F5", "F1000003", "GF(5^8)", "GF(7^9)", "GF(11^60)"],
+)
+def test_clear_is_reduce_against_a_one_entry_basis(q, t):
+    # clear takes the pivot column from prow's first nonzero block, which
+    # may lie past block 0, and leaves a row already zero there as it is.
+    # Each cleared row is reduce's against [(pivot offset, prow)], and in
+    # field arithmetic p * row - v * prow for the pivot p and the row's
+    # entry v under it.
+    field = PrimeField(q) if t == 1 else ExtField(PrimeField(q), t)
+    n = 6
+    pk = fields._packing(field, n)
+    rng = random.Random(q * 100 + t)
+    zero_rows = late_pivots = 0
+    for _ in range(40):
+        lead = rng.randrange(n)
+        prow = [field.zero] * lead + [field.random_element(rng) for _ in range(n - lead)]
+        if prow[lead] == field.zero:
+            prow[lead] = field.one
+        rows = [[field.random_element(rng) for _ in range(n)] for _ in range(rng.randint(0, 5))]
+        for row in rows:
+            if rng.random() < 0.3:
+                row[lead] = field.zero
+        packed = [pk.pack(row) for row in rows]
+        cleared = pk.clear(packed, pk.pack(prow))
+        assert cleared == [pk.reduce(x, [(lead * pk.bw, pk.pack(prow))]) for x in packed]
+        p = prow[lead]
+        for row, x, y in zip(rows, packed, cleared):
+            v = row[lead]
+            if v == field.zero:
+                assert y == x
+                zero_rows += 1
+            else:
+                assert pk.unpack(y) == [field.sub(field.mul(p, a), field.mul(v, b)) for a, b in zip(row, prow)]
+        late_pivots += lead > 0
+    assert zero_rows > 5 and late_pivots > 20
 
 
 def test_every_layout_pads_its_blocks_to_whole_bytes_and_keeps_its_slot_width():
