@@ -48,6 +48,7 @@ from .construction import (
     LocalGroupLayout,
     LocalityClass,
     LocalitySpec,
+    NotOnCode,
     SpecInvalid,
     Undecodable,
     build_code,

@@ -67,112 +67,161 @@ def min_distance_oracle(code: CodeInstance | Matrix, budget: int = DEFAULT_ORACL
     is walked over its points as length-t rows over F_q.  A Matrix is
     walked over the columns of its reduced basis over its own field (row
     operations keep every column subset's rank; unit pivot columns skip
-    most elimination steps).  Either is one walk (_walk at first = k) over
-    the subsets of rank < k in combinations order.  A largest such set is
-    closed, as a column in its span would join it at the same rank, so two
-    rules cut only branches without one: (a) a column in the path's span is
-    taken, never skipped; (b) a path whose span holds a column it skipped is
-    dropped.  So is a branch that cannot outgrow the largest set so far.
-    The first set of the largest size n - d that the walk meets is the
-    lexicographically first one, the witness of a size-by-size scan.
-    Where no column before an index j shares a nonzero coordinate with a
-    column from j on (a block start, _Packing.block_starts: a built code's
-    points place each local group in its own precode coordinates), the
-    columns from j on form a direct summand, so the walk through the block
-    from j is the same whatever rank the walk may still gain, and one pass
-    walks each block once for every such rank.  Ranks inside a block are
-    still found by elimination (_Packing.clear), so the oracle stays exact
-    on any points; points without an interior block start are one block.
+    most elimination steps).  Either is one _walk at first = k: a knapsack
+    over the tables of the columns' distinct blocks, the direct summands
+    that _Packing.block_starts finds (a built code's points place each
+    local group in its own precode coordinates; points without an
+    interior block start are one block).  The witness is the first set of
+    the largest size n - d in combinations order, the one a size-by-size
+    scan gives, and every rank is found by elimination, so the oracle is
+    exact on any points.
     """
     if isinstance(code, CodeInstance):
-        pk, columns = code._point_packing, code._points_packed
-        return _walk(pk, columns, len(pk.echelon(columns, pk.length)), code.k, code.k, budget)[0]
+        return _walk(code._point_packing, code._points_packed, code.k, code.k, budget)[0]
     n, k = code.ncols, code.nrows
     pn = _packing(code.field, n)
     rows = [row for _, row in pn.reduced(map(pn.pack, code.rows), n)]
-    return _walk(_packing(code.field, k), pn.columns(rows, range(n)), len(rows), k, k, budget)[0]
+    return _walk(_packing(code.field, k), pn.columns(rows, range(n)), k, k, budget, rank=len(rows))[0]
 
 
-def prefix_oracles(inst: CodeInstance, budget: int = DEFAULT_ORACLE_BUDGET) -> list[DistanceCertificate]:
+def prefix_oracles(
+    inst: CodeInstance, budget: int = DEFAULT_ORACLE_BUDGET, *, tables: dict | None = None
+) -> list[DistanceCertificate]:
     """min_distance_oracle of the code on inst's points at each k = 1 .. inst.k.
 
-    A block's walk is the same at every k, so one pass over the blocks
-    serves them all.
+    A block's table serves every k, so one knapsack pass serves them all.
+    tables, when given, keeps each distinct block's rank and table for
+    later calls, keyed by the field and the block's columns shifted down to
+    its lowest coordinate: a memo, so the certificates are the same with or
+    without it, and one dict may serve codes over different fields.
     """
-    pk, columns = inst._point_packing, inst._points_packed
-    return _walk(pk, columns, len(pk.echelon(columns, pk.length)), 1, inst.k, budget)
+    return _walk(inst._point_packing, inst._points_packed, 1, inst.k, budget, tables)
 
 
-def _walk(pk, columns, rank, first, k, budget):
+def _walk(pk, columns, first, k, budget, tables=None, rank=None):
     """The certificates at each of first .. k of the columns, packed by pk,
-    of rank rank, in a list.
+    in a list.
 
-    One depth-first walk over the subsets of rank < k, each column taken
-    before it is skipped, keeps every column's residual against the span
-    of the path: one pivot-scaled elimination step (_Packing.clear) per
-    column when the path's rank grows, so a column is in the span exactly
-    when its residual is zero.
+    The columns split at _Packing.block_starts into blocks, each keyed by
+    the field and its columns shifted down (_Packing.lowered).  A block's
+    rank R_b is its echelon's, or rank, when the caller has it, for a lone
+    block; R is their sum.  The other blocks take at most R - R_b, so a
+    block is asked only budgets max(0, first - 1 - (R - R_b)) ..
+    min(k - 1, R_b), and each distinct block is walked once over them
+    (_block_table).  tables, when given, keeps the ranks and tables.
 
-    At a block start j (_Packing.block_starts) every pivot so far is zero
-    on the columns from j on, so their residuals are the columns
-    themselves, no later pivot brings a skipped earlier column into the
-    span, and rule (b) needs only the current block's zeros.  So the walk
-    through a block is the same at every rank budget g left to it, and only
-    what a path of rank r appends at the block's end, the next block's
-    first largest set at g - r, depends on g.  One pass from the last block
-    to the first walks each block once, up to its largest budget (k - 1, or
-    the count of columns from j on, past which all budgets walk alike), and
-    keeps the first largest set at each budget: only a larger one replaces
-    it.  Best sizes grow with g, so a branch is cut when it cannot outgrow
-    the best at the lowest budget at or above r that the block may be asked
-    for: first - 1 less the columns before the block, or 0.
+    The blocks are direct summands, so a set's rank is the sum of its
+    parts' ranks, and the largest set of rank at most g comes from a
+    knapsack, from the last block to the first: best[g] is the largest
+    |e| + tail[g - rank(e)] over the block's entries e.  The first such
+    set in combinations order has the first block part in the walk's
+    order, so the entries are tried in that order and only a larger sum
+    replaces the best.  Each budget links to its entry and to the tail's
+    budget, and a witness is built once per returned k.
     """
     n = len(columns)
     if n > budget:
         raise TooLarge(f"n={n} exceeds the enumeration budget {budget}")
-    if rank < k:
-        raise RankDeficientGenerator(f"generator rank below k={max(first, rank + 1)}")
+    tables = {} if tables is None else tables
+    starts = pk.block_starts(columns)
+    blocks = []
+    for j, e in zip(starts, starts[1:]):
+        block = pk.lowered(columns[j:e])
+        key = (pk.q, pk.modulus, block)
+        memo = tables.get(key)
+        if memo is None:
+            own = rank if rank is not None and e - j == n else len(pk.echelon(block, pk.length))
+            tables[key] = memo = (own, {})
+        blocks.append((j, block, memo))
+    total = sum(memo[0] for _, _, memo in blocks)
+    if total < k:
+        raise RankDeficientGenerator(f"generator rank below k={max(first, total + 1)}")
     if not k:
         raise ValueError("k = 0: a code of dimension 0 has no rank-deficient symbol set")
-    starts = pk.block_starts(columns)
-    path: list[int] = []
-    tail = [(0, 0, ())]  # per budget: size, rank and set
-    for j, e in reversed(list(zip(starts, starts[1:]))):
-        least, cap, last = max(0, first - 1 - j), min(k - 1, n - j), len(tail) - 1
-        best = [(-1,)] * (cap + 1)
-
-        def visit(i, r, residuals):
-            taken = len(path)
-            while True:
-                size, floor = len(path), max(r, least)
-                if size > best[floor][0]:
-                    found, g = (size, r, tuple(path)), floor
-                    while g <= cap and size > best[g][0]:
-                        best[g] = found
-                        g += 1
-                if size + n - i <= best[floor][0]:
-                    break
-                if i == e:
-                    for g in range(floor, cap + 1):
-                        rest = tail[min(g - r, last)]
-                        if size + rest[0] > best[g][0]:
-                            best[g] = (size + rest[0], r + rest[1], tuple(path) + rest[2])
-                    break
-                row = residuals[i - j]
-                if not row:  # (a)
-                    path.append(i)
-                elif r < cap:
-                    grown = pk.clear(residuals, row)
-                    if grown[: i - j].count(0) == len(path):  # (b)
-                        path.append(i)
-                        visit(i + 1, r + 1, grown)
-                        path.pop()
-                i += 1
-            del path[taken:]
-
-        visit(j, 0, columns[j:e])
+    levels = []
+    # Per budget: size and rank, then the block part and the tail's budget.
+    tail = [(0, 0)] * k
+    after = 0
+    for j, block, (own, walked) in reversed(blocks):
+        span = max(0, first - 1 - total + own), min(k - 1, own)
+        entries = walked.get(span)
+        if entries is None:
+            walked[span] = entries = _block_table(pk, block, own, *span)
+        after += own
+        best = [None] * k
+        for g in range(max(0, first - 1 - total + after), k):
+            top = -1
+            for size, r, part in entries:
+                if r <= g and size + (rest := tail[g - r])[0] > top:
+                    top = size + rest[0]
+                    best[g] = (top, r + rest[1], part, g - r)
+        levels.append((j, best))
         tail = best
-    return [DistanceCertificate(n - size, witness, gain) for size, gain, witness in tail[first - 1 :]]
+    certs = []
+    for g in range(first - 1, k):
+        size, gain = tail[g][:2]
+        witness: list[int] = []
+        link = g
+        for j, best in reversed(levels):
+            _, _, part, link = best[link]
+            witness += [j + i for i in part]
+        certs.append(DistanceCertificate(n - size, tuple(witness), gain))
+    return certs
+
+
+def _block_table(pk, block, rank, least, most):
+    """The table of a block of rank rank: at each budget g = least .. most,
+    the first largest set of its columns of rank at most g, as distinct
+    entries (size, rank, indices) in the walk's order, where a set that
+    extends another comes first.  At budget rank it is the whole block.
+
+    Below rank, one depth-first walk over the subsets, each column taken
+    before it is skipped, keeps every column's residual against the span
+    of the path: one pivot-scaled elimination step (clear, bound once per
+    walk by _Packing.clearing) per column when the path's rank grows, so
+    a column is in the span exactly when its residual is zero.  A largest
+    set of rank at most g is closed, as a column in its span would join it
+    at the same rank, so two rules cut only branches without one: (a) a
+    column in the path's span is taken, never skipped; (b) a path whose
+    span holds a column it skipped is dropped.  Each budget keeps the first
+    largest set: only a larger one replaces it.  Best sizes grow with g, so
+    a branch is cut when it cannot outgrow the best at its rank or least,
+    whichever is more.
+    """
+    m, cap, clear = len(block), min(most, rank - 1), pk.clearing()
+    path: list[int] = []
+    best = [(-1,)] * (cap + 1)
+
+    def visit(i, r, residuals):
+        taken = len(path)
+        while True:
+            size, floor = len(path), max(r, least)
+            if size > best[floor][0]:
+                found, g = (size, r, tuple(path)), floor
+                while g <= cap and size > best[g][0]:
+                    best[g] = found
+                    g += 1
+            # At i == m this always breaks: best[floor] holds size by now.
+            if size + m - i <= best[floor][0]:
+                break
+            row = residuals[i]
+            if not row:  # (a)
+                path.append(i)
+            elif r < cap:
+                grown = clear(residuals, row)
+                if grown[:i].count(0) == len(path):  # (b)
+                    path.append(i)
+                    visit(i + 1, r + 1, grown)
+                    path.pop()
+            i += 1
+        del path[taken:]
+
+    if least <= cap:
+        visit(0, 0, block)
+    entries = list(dict.fromkeys(best[least:]))
+    if most == rank:
+        entries.append((m, rank, tuple(range(m))))
+    return sorted(entries, key=lambda entry: (*entry[2], m))
 
 
 @dataclass(frozen=True)

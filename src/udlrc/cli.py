@@ -386,6 +386,9 @@ def cmd_sweep(args, report) -> str:
         return "budget-exceeded"
     choices = list(product(rs, deltas, ms))
     rows = 0
+    # The oracle's block ranks and tables, shared by every class tuple: the
+    # groups of one class choice are the same block wherever they sit.
+    tables: dict = {}
     for position, picks in _kept_tuples(choices, s, args.q):
         classes, ns, n_gabs, labels = zip(*(facts(*choices[i]) for i in picks))
         n, n_gab, label = sum(ns), sum(n_gabs), ";".join(labels)
@@ -395,7 +398,9 @@ def cmd_sweep(args, report) -> str:
         rows += len(table)
         # A built code's points do not depend on k, so one build serves every k of the table.
         inst = build_code(LocalitySpec(classes, len(table), args.q, n_gab)) if table and n <= budget else None
-        oracle = ["-"] * len(table) if inst is None else [str(cert.d) for cert in prefix_oracles(inst, budget)]
+        oracle = ["-"] * len(table)
+        if inst is not None:
+            oracle = [str(cert.d) for cert in prefix_oracles(inst, budget, tables=tables)]
         n_text = str(n)
         for (k, dim, cap, pivot, permuted, older), oracle_text in zip(table, oracle):
             if older is None:

@@ -60,6 +60,10 @@ class LengthMismatch(ValueError):
     """Vector length inconsistent with the code dimensions."""
 
 
+class NotOnCode(ValueError):
+    """Received symbols that no codeword of the code agrees with."""
+
+
 class Undecodable(Exception):
     """Erasure pattern whose remaining symbols no longer span the message."""
 
@@ -610,7 +614,10 @@ def decode_erasures(
     local code gives.
     Raises LengthMismatch when the pattern or the received symbols are
     malformed, and then Undecodable with the remaining rank when the
-    pattern is unrecoverable.
+    pattern is unrecoverable.  The codeword is compared with every received
+    symbol, in every mode, and NotOnCode is raised when one differs: the
+    chosen symbols decode to the only codeword that agrees with them, so
+    then no codeword agrees with all the received symbols.
     """
     field, k = inst.field, inst.k
     _check_pattern(inst, pattern)
@@ -637,9 +644,9 @@ def decode_erasures(
     pk = _packing(field, k + inst.n)
     word = pk.unpack(_solve_word(inst, chosen, [pk.pack_elem(received[i]) for i in chosen]))
     message, codeword = word[:k], word[k:]
-    if __debug__:
-        q = field.q
+    q = field.q
+    for i in remaining:
         # A received coordinate need not be reduced mod q.
-        agree = all(codeword[i] == (v := received[i]) or codeword[i] == tuple(x % q for x in v) for i in remaining)
-        assert agree, "re-encode disagrees with a known symbol"
+        if codeword[i] != (v := received[i]) and codeword[i] != tuple(x % q for x in v):
+            raise NotOnCode(f"received symbol {i} disagrees with the codeword the chosen symbols decode to")
     return DecodeResult(message=tuple(message), codeword=tuple(codeword), phase=phase, repaired_locally=repaired)

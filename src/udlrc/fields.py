@@ -9,10 +9,11 @@ exact: no floats, no tolerances, and comparisons are plain equality.
 
 This module owns the one multiplication of F_(q^t): ExtField.mul and
 ExtField.pow, every matrix product and every elimination step (the distance
-oracle's clearing step and block split included), the field's set-up (x^q,
-the Frobenius step), the modulus search's Rabin test and the inverses of
-ExtField.inv and of every solve, a^-1 = a^(q^t - 2) in a group of order
-q^t - 1, run on the packed kernel below, the one reader of its layout.
+oracle's clearing step, block split and block keys included), the field's
+set-up (x^q, the Frobenius step), the modulus search's Rabin test and the
+inverses of ExtField.inv and of every solve, a^-1 = a^(q^t - 2) in a group
+of order q^t - 1, run on the packed kernel below, the one reader of its
+layout.
 Only what divides polynomials stays on coefficient lists: the Rabin test's
 gcds and each layout's Barrett constant mu.
 A packed row of L elements of F_(q^t) is one Python int: element j owns a
@@ -385,6 +386,9 @@ class _Packing:
         t = 1 if modulus is None else len(modulus) - 1
         self.q, self.t, self.length = q, t, length
         self.tuples = modulus is not None
+        # With q, this names the field, and every layout of one field packs
+        # an element alike, so (q, modulus) keys packed rows of any length.
+        self.modulus = None if modulus is None else tuple(modulus)
         c = q - 1
         # Largest slot value at each step, every operand canonical (<= c):
         # - A step forms p * row + (q - v) * prow, p the pivot of prow and v
@@ -546,14 +550,19 @@ class _Packing:
                 row = canon(((prow >> off) & elem) * row + (negq - v) * prow)
         return row
 
-    def clear(self, rows: Sequence[int], prow: int) -> list[int]:
-        """The rows with the column of prow's first nonzero block cleared by
-        reduce's step, each row already zero there kept as it is."""
-        elem, negq, canon = self.elem, self.negq, self.canon
-        low = (prow & -prow).bit_length() - 1
-        off = low - low % self.bw
-        p = (prow >> off) & elem
-        return [canon(p * x + (negq - v) * prow) if (v := (x >> off) & elem) else x for x in rows]
+    def clearing(self):
+        """clear(rows, prow): the rows with the column of prow's first nonzero
+        block cleared by reduce's step, each row already zero there kept as
+        it is.  The layout is read once here, not at every step."""
+        elem, negq, canon, bw = self.elem, self.negq, self.canon, self.bw
+
+        def clear(rows: Sequence[int], prow: int) -> list[int]:
+            low = (prow & -prow).bit_length() - 1
+            off = low - low % bw
+            p = (prow >> off) & elem
+            return [canon(p * x + (negq - v) * prow) if (v := (x >> off) & elem) else x for x in rows]
+
+        return clear
 
     def block_starts(self, rows: Sequence[int]) -> list[int]:
         """The indices j, 0 and len(rows) included, at which no row before j
@@ -579,6 +588,17 @@ class _Packing:
             if j < n:
                 before |= supports[j]
         return starts
+
+    def lowered(self, rows: Sequence[int]) -> tuple[int, ...]:
+        """The rows shifted down by the columns below their lowest nonzero
+        one, so rows that differ only in the offset of their columns give
+        the same tuple."""
+        support = 0
+        for x in rows:
+            support |= x
+        low = (support & -support).bit_length() - 1
+        off = max(0, low - low % self.bw)
+        return tuple([x >> off for x in rows])
 
     def extend(self, basis: list[tuple], row: int, width: int) -> bool:
         """Reduce row against the basis and append it if a pivot is left in

@@ -557,6 +557,68 @@ def ref_block_walk(pk, columns, rank, k, budget, memo=None):
     return DistanceCertificate(d=n - size, witness=witness, witness_rank=witness_rank)
 
 
+def ref_one_pass_walk(pk, columns, rank, first, k, budget):
+    """analysis._walk as it was before it walked each distinct block once:
+    the certificates at each of first .. k of the columns, packed by pk, of
+    rank rank, in a list.
+
+    One pass from the last block (_Packing.block_starts) to the first walks
+    each block once, up to its largest budget (k - 1, or the count of
+    columns from the block on), and keeps the first largest set at each
+    budget.  A path of rank r that reaches the block's end appends the
+    next block's first largest set at g - r, so each later block is walked
+    again inside every earlier one's walk, at every budget it could be
+    asked for.
+    """
+    n = len(columns)
+    if n > budget:
+        raise TooLarge(f"n={n} exceeds the enumeration budget {budget}")
+    if rank < k:
+        raise RankDeficientGenerator(f"generator rank below k={max(first, rank + 1)}")
+    if not k:
+        raise ValueError("k = 0: a code of dimension 0 has no rank-deficient symbol set")
+    starts = pk.block_starts(columns)
+    clear = pk.clearing()
+    path: list[int] = []
+    tail = [(0, 0, ())]  # per budget: size, rank and set
+    for j, e in reversed(list(zip(starts, starts[1:]))):
+        least, cap, last = max(0, first - 1 - j), min(k - 1, n - j), len(tail) - 1
+        best = [(-1,)] * (cap + 1)
+
+        def visit(i, r, residuals):
+            taken = len(path)
+            while True:
+                size, floor = len(path), max(r, least)
+                if size > best[floor][0]:
+                    found, g = (size, r, tuple(path)), floor
+                    while g <= cap and size > best[g][0]:
+                        best[g] = found
+                        g += 1
+                if size + n - i <= best[floor][0]:
+                    break
+                if i == e:
+                    for g in range(floor, cap + 1):
+                        rest = tail[min(g - r, last)]
+                        if size + rest[0] > best[g][0]:
+                            best[g] = (size + rest[0], r + rest[1], tuple(path) + rest[2])
+                    break
+                row = residuals[i - j]
+                if not row:  # (a)
+                    path.append(i)
+                elif r < cap:
+                    grown = clear(residuals, row)
+                    if grown[: i - j].count(0) == len(path):  # (b)
+                        path.append(i)
+                        visit(i + 1, r + 1, grown)
+                        path.pop()
+                i += 1
+            del path[taken:]
+
+        visit(j, 0, columns[j:e])
+        tail = best
+    return [DistanceCertificate(n - size, witness, gain) for size, gain, witness in tail[first - 1 :]]
+
+
 def ref_point_oracles(inst, budget, ks):
     """ref_walk at each k of ks on the instance's packed points."""
     pk, columns = inst._point_packing, inst._points_packed

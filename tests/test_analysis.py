@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import inspect
 import io
 import random
@@ -46,6 +47,7 @@ from conftest import (
     load_workloads,
     one_point_moves,
     ref_block_walk,
+    ref_one_pass_walk,
     ref_first_deficient,
     ref_locality_witness_search,
     ref_point_oracles,
@@ -172,10 +174,10 @@ def test_oracle_matches_scan_on_sweep_rows(monkeypatch):
 
     checked = []
 
-    def differential(inst, budget):
+    def differential(inst, budget, tables):
         # prefix_oracles walks the points at every k; the code at k has
         # the first k rows of inst.gen as its generator.
-        certs = prefix_oracles(inst, budget)
+        certs = prefix_oracles(inst, budget, tables=tables)
         for k, cert in enumerate(certs, 1):
             prefix = dataclasses.replace(inst.gen, rows=inst.gen.rows[:k])
             assert cert == _scan_oracle(prefix) == _reduced_basis_oracle(prefix)
@@ -292,22 +294,24 @@ def test_oracle_work_on_the_large_reference_code(gf7_9, monkeypatch):
     # reduced basis 6,250, the size-by-size walk over the points 654 (the
     # bound was 8,000), the residual walk over all the columns 419 (the
     # bound was 460), the walk memoized at block starts 151 (the bound was
-    # 200), and one pass over the blocks makes 87.
+    # 200), one pass over the blocks 87 (the bound was 100), and one walk
+    # per distinct block makes 33.
     calls = _count_canon(monkeypatch)
     assert min_distance_oracle(gf7_9).d == 6
-    assert 0 < len(calls) <= 100
+    assert 0 < len(calls) <= 40
 
 
 def test_prefix_oracles_walk_each_block_once_for_all_k(gf7_9, monkeypatch):
-    # One pass over the blocks serves k = 1 .. 6: 87 canon calls (225
-    # when the six walks shared a memo of block extensions), against 383
-    # for six separate oracle calls.
+    # One knapsack over the block tables serves k = 1 .. 6: 33 canon calls,
+    # against 160 for six separate oracle calls.  One pass over the blocks
+    # made 87 (the bound was 100) against 383, and six walks sharing a
+    # memo of block extensions 225.
     calls = _count_canon(monkeypatch)
     certs = prefix_oracles(gf7_9)
     shared = len(calls)
     calls.clear()
     assert [min_distance_oracle(_at_k(gf7_9, k)) for k in range(1, gf7_9.k + 1)] == certs
-    assert 0 < shared <= 100 < len(calls)
+    assert 0 < shared <= 40 < len(calls)
 
 
 N22_SPEC = LocalitySpec(
@@ -326,11 +330,12 @@ def n22():
 def test_oracle_work_on_the_n22_code(n22, monkeypatch):
     # The size-by-size walk made 16,363 canon calls here, the residual
     # walk over all the columns 1,095 (the bound was 1,200), the walk
-    # memoized at block starts 380 (the bound was 500), and one pass over
-    # the blocks makes 152.
+    # memoized at block starts 380 (the bound was 500), one pass over the
+    # blocks 152 (the bound was 180), and one walk per distinct block
+    # makes 41.
     calls = _count_canon(monkeypatch)
     assert (n22.n, min_distance_oracle(n22, 22).d) == (22, distance_bound_udlrc(N22_SPEC).value)
-    assert 0 < len(calls) <= 180
+    assert 0 < len(calls) <= 50
 
 
 REACH_N27 = Path(__file__).resolve().parent / "specs" / "reach_n27.json"
@@ -339,26 +344,28 @@ REACH_N27 = Path(__file__).resolve().parent / "specs" / "reach_n27.json"
 def test_oracle_work_on_the_n27_code(monkeypatch):
     # The size-by-size walk made 780,975 canon calls on this [27,10] code,
     # the residual walk over all the columns 101,353, the walk memoized at
-    # block starts 1,150 (the bound was 1,500), and one pass over the
-    # blocks makes 325.
+    # block starts 1,150 (the bound was 1,500), one pass over the blocks
+    # 325 (the bound was 400), and one walk per distinct block makes 144.
     spec = load_spec_file(REACH_N27)[0]
     inst = build_code(validate_spec(spec))
     calls = _count_canon(monkeypatch)
     assert min_distance_oracle(inst, 27).d == distance_bound_udlrc(spec).value == 12
-    assert 0 < len(calls) <= 400
+    assert 0 < len(calls) <= 170
 
 
 @pytest.mark.parametrize(
     "name, n, d, bound",
-    [("reach_n84.json", 84, 19, 1300), ("reach_n230.json", 230, 53, 3500)],
+    [("reach_n84.json", 84, 19, 150), ("reach_n230.json", 230, 53, 150)],
     ids=["n84", "n230"],
 )
 def test_oracle_work_on_the_large_reach_codes(name, n, d, bound, monkeypatch):
     # The walk memoized at block starts walked each block once per rank
     # budget: 10,577 canon calls on the [84,40] code and 83,002 on the
     # [230,100] code, each block rank at most 4.  One pass over the blocks
-    # makes 1,074 and 2,940, and one prefix_oracles call as many (24,734
-    # and 172,522 with the shared memo).
+    # made 1,074 and 2,940 (the bounds were 1,300 and 3,500), and one
+    # prefix_oracles call as many (24,734 and 172,522 with the shared
+    # memo).  One walk per distinct block makes 121 on each, the blocks'
+    # echelons included, and one prefix_oracles call as many.
     spec = load_spec_file(REACH_N27.parent / name)[0]
     inst = build_code(validate_spec(spec))
     calls = _count_canon(monkeypatch)
@@ -427,9 +434,9 @@ def _sweep_instances():
 
     insts = []
 
-    def record(inst, budget):
+    def record(inst, budget, tables):
         insts.append(inst)
-        return prefix_oracles(inst, budget)
+        return prefix_oracles(inst, budget, tables=tables)
 
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()):
         mp.setattr(cli, "prefix_oracles", record)
@@ -514,7 +521,7 @@ def test_residual_walk_on_random_matrices():
         packed = [pk.pack(col) for col in columns]
         rank = len(pk.echelon(packed, k))
         for j in range(1, rank + 1):
-            assert _walk(pk, packed, rank, j, j, len(packed))[0] == ref_walk(pk, packed, rank, j, len(packed))
+            assert _walk(pk, packed, j, j, len(packed))[0] == ref_walk(pk, packed, rank, j, len(packed))
             walks += 1
         if rank < k:
             for oracle in (min_distance_oracle, _reduced_basis_oracle):
@@ -580,7 +587,7 @@ def test_block_walk_matches_the_residual_walk_on_perturbed_points(grid_instances
         if rank < inst.k:
             deficient += 1
             with pytest.raises(RankDeficientGenerator):
-                _walk(pk, columns, rank, inst.k, inst.k, inst.n)
+                _walk(pk, columns, inst.k, inst.k, inst.n)
             with pytest.raises(RankDeficientGenerator):
                 ref_residual_walk(pk, columns, rank, inst.k, inst.n)
         starts = len(pk.block_starts(columns))
@@ -680,17 +687,149 @@ def test_one_pass_matches_the_block_walk_on_random_matrices():
         packed = [pk.pack(column) for column in columns]
         n, rank = len(packed), len(pk.echelon(packed, k))
         certs = _block_walks(pk, packed, rank, range(1, rank + 1), n)
-        assert [_walk(pk, packed, rank, j, j, n)[0] for j in range(1, rank + 1)] == certs
+        assert [_walk(pk, packed, j, j, n, rank=rank)[0] for j in range(1, rank + 1)] == certs
         if rank:  # a pass to k = 0 is refused with a ValueError, as one walk at k = 0 is
-            assert _walk(pk, packed, rank, 1, rank, n) == certs
+            assert _walk(pk, packed, 1, rank, n) == certs
         # A pass up to k = rank + 2 refuses at the first k past the rank.
         with pytest.raises(RankDeficientGenerator, match=f"k={rank + 1}$"):
-            _walk(pk, packed, rank, 1, rank + 2, n)
+            _walk(pk, packed, 1, rank + 2, n)
         with pytest.raises(RankDeficientGenerator, match=f"k={rank + 1}$"):
             ref_block_walk(pk, packed, rank, rank + 1, n)
         walks += rank
         interior += len(pk.block_starts(packed)) > 2
     assert walks > 3000 and interior > 800 and seen == {2, 3, 4, 5, 7, 9, 25}
+
+
+def _one_pass(inst, top):
+    """ref_one_pass_walk at every k = 1 .. top on the instance's points."""
+    pk, columns = inst._point_packing, inst._points_packed
+    return ref_one_pass_walk(pk, columns, len(pk.echelon(columns, pk.length)), 1, top, inst.n)
+
+
+def test_block_tables_match_the_one_pass_walk_on_the_grid(grid_instances):
+    # Every grid code, in one prefix_oracles call for every k up to its own
+    # and in one oracle call at it: the knapsack over its distinct blocks'
+    # tables gives the one-pass walk's size, witness and witness rank.
+    walks = 0
+    for inst in grid_instances:
+        certs = _one_pass(inst, inst.k)
+        assert prefix_oracles(inst) == certs
+        assert min_distance_oracle(inst) == certs[-1]
+        walks += inst.k
+    assert walks == 6878
+
+
+def test_block_tables_match_the_one_pass_walk_on_moved_points(grid_instances):
+    # One point of each grid code at k = n_gab replaced by a random element
+    # of its field, twice: the moved point's coordinates mostly merge
+    # blocks, so the code's blocks differ from its class's.  The same
+    # certificates at every k.
+    rng = random.Random(20261105)
+    full = [inst for inst in grid_instances if inst.k == inst.spec.n_gab]
+    merged = 0
+    for inst in full:
+        for moved in one_point_moves(inst, 2, rng):
+            certs = _one_pass(moved, inst.k)
+            assert prefix_oracles(moved) == certs
+            assert [min_distance_oracle(_at_k(moved, k)) for k in range(1, inst.k + 1)] == certs
+            pk = moved._point_packing
+            merged += len(pk.block_starts(moved._points_packed)) < len(pk.block_starts(inst._points_packed))
+    assert len(full) == 490 and merged > 900
+
+
+def test_block_tables_match_the_one_pass_walk_on_the_benchmark_and_reach_codes():
+    # The benchmark's certify codes and the three reach codes, up to
+    # [230,100] with 50 groups, at every k.
+    paths = [*sorted(load_workloads().SPEC_DIR.glob("*.json")), *sorted(REACH_N27.parent.glob("*.json"))]
+    assert len(paths) == 8
+    for path in paths:
+        inst = build_code(validate_spec(load_spec_file(path)[0]))
+        certs = _one_pass(inst, inst.k)
+        assert prefix_oracles(inst, inst.n) == certs
+        assert min_distance_oracle(inst, inst.n) == certs[-1]
+
+
+def test_block_tables_match_the_one_pass_walk_on_dense_random_matrices():
+    # Seeded dense generators over GF(2), GF(3), GF(5), GF(7) and GF(9),
+    # mostly one block: every walk at one k and one pass for every k up to
+    # the rank, and the generator's oracle against the one-pass walk over
+    # its reduced basis.
+    from udlrc import ExtField
+
+    rng = random.Random(20261106)
+    primes = [PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)]
+    choices = [*primes, ExtField(primes[1], 2)]
+    walks = full = 0
+    for _ in range(300):
+        field = rng.choice(choices)
+        k, n = rng.randint(1, 5), rng.randint(1, 10)
+        columns = [[field.random_element(rng) for _ in range(k)] for _ in range(n)]
+        pk = fields._packing(field, k)
+        packed = [pk.pack(column) for column in columns]
+        rank = len(pk.echelon(packed, k))
+        certs = ref_one_pass_walk(pk, packed, rank, 1, rank, n) if rank else []
+        assert [_walk(pk, packed, j, j, n)[0] for j in range(1, rank + 1)] == certs
+        if rank:
+            assert _walk(pk, packed, 1, rank, n) == certs
+        # A pass past the rank refuses at its first k, as the one-pass walk does.
+        with pytest.raises(RankDeficientGenerator, match=f"k={rank + 1}$"):
+            _walk(pk, packed, 1, rank + 1, n)
+        with pytest.raises(RankDeficientGenerator, match=f"k={rank + 1}$"):
+            ref_one_pass_walk(pk, packed, rank, 1, rank + 1, n)
+        walks += rank
+        if rank == k:
+            gen = Matrix(field, [list(row) for row in zip(*columns)])
+            pn = fields._packing(field, n)
+            reduced = [row for _, row in pn.reduced(map(pn.pack, gen.rows), n)]
+            assert min_distance_oracle(gen) == ref_one_pass_walk(pk, pn.columns(reduced, range(n)), k, k, k, n)[0]
+            full += 1
+    assert walks > 600 and full > 200
+
+
+def test_one_tables_dict_serves_codes_over_different_fields(grid_instances):
+    # Points packed alike over F_5 and F_7 (coordinates below 5, and the
+    # same block width) are one key's columns but for the field.  The third
+    # point is the sum of the first two over F_5 only, and the fourth is in
+    # the span of the first two over F_7 only, so the largest sets of rank
+    # 2 differ.  One dict shared by these codes and by grid codes over both
+    # fields, in an interleaved order, gives every code the certificates a
+    # fresh dict gives it.
+    spec = LocalitySpec(classes=(LocalityClass.from_groups(3, 2, 1),), k=3, q=5, t=3)
+    built = build_code(validate_spec(spec))
+    points = ((1, 2, 3), (4, 1, 2), (0, 3, 0), (0, 0, 1))
+    pair = [dataclasses.replace(built, spec=dataclasses.replace(spec, q=q), points=points) for q in (5, 7)]
+    assert pair[0]._points_packed == pair[1]._points_packed
+    assert [min_distance_oracle(inst).witness for inst in pair] == [(0, 1, 2), (0, 1, 3)]
+    rng = random.Random(20261107)
+    codes = [*pair, *rng.sample(grid_instances, 200)]
+    rng.shuffle(codes)
+    assert {inst.spec.q for inst in codes} == {5, 7}
+    shared: dict = {}
+    for inst in codes + codes:
+        assert prefix_oracles(inst, tables=shared) == prefix_oracles(inst, tables={}) == prefix_oracles(inst)
+    # Over GF(25) modulo x^2 + 2 and modulo x^2 + 3 the columns (1, x) and
+    # (x, 2) pack alike, and their determinant 2 - x^2 is -1 and 0.
+    layouts = [fields._Packing(5, modulus, 2) for modulus in ((2, 0, 1), (3, 0, 1))]
+    columns = [layouts[0].pack(column) for column in (((1, 0), (0, 1)), ((0, 1), (2, 0)))]
+    assert columns == [layouts[1].pack(column) for column in (((1, 0), (0, 1)), ((0, 1), (2, 0)))]
+    assert _walk(layouts[0], columns, 2, 2, 2, shared) == [DistanceCertificate(1, (0,), 1)]
+    with pytest.raises(RankDeficientGenerator):
+        _walk(layouts[1], columns, 2, 2, 2, shared)
+
+
+def test_the_oracle_sweep_walks_three_block_tables(monkeypatch):
+    # The benchmark's oracle sweep: 17 class tuples of the classes (1, 2, 1),
+    # (2, 2, 1) and (3, 2, 1), sharing one dict, walk one table per class.
+    # Before the tables each tuple walked its own 47 blocks in all.
+    from udlrc import cli
+
+    workloads = load_workloads()
+    oracles = counting(monkeypatch, "prefix_oracles")
+    tables = counting(monkeypatch, "_block_table")
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(workloads.Sweep.ORACLE) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == workloads.GOLDEN["sweep"]["oracle"]
+    assert (len(oracles), len(tables)) == (17, 3)
 
 
 def _naive_block_starts(field, k, columns):
@@ -738,7 +877,7 @@ def test_walk_nests_through_at_most_a_hundred_blocks():
         unit[i] = 1
         columns += [pk.pack(unit), pk.pack([2 * v for v in unit])]
     assert len(pk.block_starts(columns)) == m + 1
-    cert = _walk(pk, columns, m, 2, 2, 2 * m)[0]
+    cert = _walk(pk, columns, 2, 2, 2 * m)[0]
     assert cert == ref_residual_walk(pk, columns, m, 2, 2 * m)
     assert (cert.d, cert.witness_rank) == (2 * m - 2, 1)
 

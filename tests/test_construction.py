@@ -15,6 +15,7 @@ from udlrc import (
     LinearizedPoly,
     LocalityClass,
     LocalitySpec,
+    NotOnCode,
     PrimeField,
     SpecInvalid,
     Undecodable,
@@ -651,27 +652,42 @@ def test_a_repeat_decode_is_one_packed_combine(erased, phase, monkeypatch):
     assert len(pattern.remaining) == {"local": 10, "global": 9}[phase]
 
 
-@pytest.mark.skipif(not __debug__, reason="the re-encode check is an assert, stripped under python -O")
-def test_a_word_off_the_code_fails_the_re_encode_check():
-    # One received coordinate altered, with 0 to 2 erasures on the
-    # benchmark's [12,6] code: the decoded message re-encodes to a codeword
-    # that disagrees with some received symbol, which the plain-run check
-    # compares block by block.  Each pattern is first decoded twice on a
-    # word of the code, so the altered word is decoded through its set's
-    # kept rows [A^-1 | A^-1 G], whose codeword part is the re-encode.
+def _off_code_refusals():
+    """The count of NotOnCode refusals over 40 words off the code: one
+    received coordinate altered, with 0 to 2 erasures on the benchmark's
+    [12,6] code.  Each pattern is first decoded twice on a word of the
+    code, so the altered word is decoded through its set's kept rows
+    [A^-1 | A^-1 G], whose codeword part is the re-encode."""
     inst = load_workloads().Repair(udlrc, 1).inst
     rng, q = random.Random(3200), inst.spec.q
+    refused = 0
     for _ in range(40):
         pattern = ErasurePattern.from_erased(inst.n, rng.sample(range(inst.n), rng.randint(0, 2)))
         for _ in range(2):
             decode_erasures(inst, _repair_decode(inst, rng, pattern), pattern)
-        assert inst._inverses[inst._plans[pattern.erased][1]] is not None
+        if inst._inverses[inst._plans[pattern.erased][1]] is None:
+            raise AssertionError("the set's rows were not kept")
         codeword = encode(inst, [inst.field.random_element(rng) for _ in range(inst.k)])
         received = {i: codeword[i] for i in pattern.remaining}
         i, j = rng.choice(pattern.remaining), rng.randrange(inst.spec.t)
         received[i] = tuple((v + rng.randrange(1, q)) % q if c == j else v for c, v in enumerate(received[i]))
-        with pytest.raises(AssertionError, match="^re-encode disagrees with a known symbol$"):
+        try:
             decode_erasures(inst, received, pattern)
+        except NotOnCode as exc:
+            refused += str(exc).endswith("disagrees with the codeword the chosen symbols decode to")
+    return refused
+
+
+def test_a_word_off_the_code_fails_the_re_encode_check():
+    # The decoded codeword is compared with every received symbol block by
+    # block, and a difference raises NotOnCode.  The check was an assert
+    # until it ran in every mode: under python -O a word off the code then
+    # returned a codeword that disagreed with a received symbol.
+    assert _off_code_refusals() == 40
+
+
+def test_a_word_off_the_code_is_refused_without_asserts():
+    assert without_asserts("test_construction", "_off_code_refusals") == 40
 
 
 def test_kept_inverses_stay_within_their_budget(monkeypatch):

@@ -547,14 +547,16 @@ def unreduced_fold_width(q, t):
     ids=["F5", "F1000003", "GF(5^8)", "GF(7^9)", "GF(11^60)"],
 )
 def test_clear_is_reduce_against_a_one_entry_basis(q, t):
-    # clear takes the pivot column from prow's first nonzero block, which
-    # may lie past block 0, and leaves a row already zero there as it is.
+    # clear, the step clearing() binds, takes the pivot column from prow's
+    # first nonzero block, which may lie past block 0, and leaves a row
+    # already zero there as it is.
     # Each cleared row is reduce's against [(pivot offset, prow)], and in
     # field arithmetic p * row - v * prow for the pivot p and the row's
     # entry v under it.
     field = PrimeField(q) if t == 1 else ExtField(PrimeField(q), t)
     n = 6
     pk = fields._packing(field, n)
+    clear = pk.clearing()
     rng = random.Random(q * 100 + t)
     zero_rows = late_pivots = 0
     for _ in range(40):
@@ -567,7 +569,7 @@ def test_clear_is_reduce_against_a_one_entry_basis(q, t):
             if rng.random() < 0.3:
                 row[lead] = field.zero
         packed = [pk.pack(row) for row in rows]
-        cleared = pk.clear(packed, pk.pack(prow))
+        cleared = clear(packed, pk.pack(prow))
         assert cleared == [pk.reduce(x, [(lead * pk.bw, pk.pack(prow))]) for x in packed]
         p = prow[lead]
         for row, x, y in zip(rows, packed, cleared):
@@ -579,6 +581,31 @@ def test_clear_is_reduce_against_a_one_entry_basis(q, t):
                 assert pk.unpack(y) == [field.sub(field.mul(p, a), field.mul(v, b)) for a, b in zip(row, prow)]
         late_pivots += lead > 0
     assert zero_rows > 5 and late_pivots > 20
+
+
+@pytest.mark.parametrize(
+    "q, t",
+    [(5, 1), (1000003, 1), (5, 8), (7, 9), (11, 60)],
+    ids=["F5", "F1000003", "GF(5^8)", "GF(7^9)", "GF(11^60)"],
+)
+def test_lowered_rows_are_the_rows_moved_to_their_lowest_nonzero_column(q, t):
+    # Rows whose lowest nonzero column is c, placed at columns c.. of a
+    # longer layout, lower to the rows placed from column 0; rows that are
+    # all zero stay as they are.
+    field = PrimeField(q) if t == 1 else ExtField(PrimeField(q), t)
+    n = 7
+    pk = fields._packing(field, n)
+    rng = random.Random(q * 1000 + t)
+    for _ in range(30):
+        width, at = rng.randint(1, 4), rng.randint(0, 3)
+        rows = [[field.random_element(rng) for _ in range(width)] for _ in range(rng.randint(1, 4))]
+        rows[0][0] = field.one
+        zero = [field.zero]
+        assert pk.lowered([pk.pack(zero * at + row + zero * (n - at - width)) for row in rows]) == tuple(
+            pk.pack(row) for row in rows
+        )
+        assert pk.lowered([0] * len(rows)) == (0,) * len(rows)
+    assert pk.lowered([]) == ()
 
 
 def test_every_layout_pads_its_blocks_to_whole_bytes_and_keeps_its_slot_width():
