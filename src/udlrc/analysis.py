@@ -49,7 +49,7 @@ def grank(gen: Matrix, symbols: Iterable[int]) -> int:
     return gen.take_columns(sorted(set(symbols))).rank()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DistanceCertificate:
     """Exact minimum distance with the largest rank-deficient set as witness."""
 
@@ -116,8 +116,9 @@ def _walk(pk, columns, first, k, budget, tables=None, rank=None):
     |e| + tail[g - rank(e)] over the block's entries e.  The first such
     set in combinations order has the first block part in the walk's
     order, so the entries are tried in that order and only a larger sum
-    replaces the best.  Each budget links to its entry and to the tail's
-    budget, and a witness is built once per returned k.
+    replaces the best.  Each budget links to its entry, its indices moved
+    to the block's start once per call, and to the tail's budget, and a
+    witness is built once per returned k.
     """
     n = len(columns)
     if n > budget:
@@ -148,6 +149,8 @@ def _walk(pk, columns, first, k, budget, tables=None, rank=None):
         if entries is None:
             walked[span] = entries = _block_table(pk, block, own, *span)
         after += own
+        if j:
+            entries = [(size, r, tuple([j + i for i in part])) for size, r, part in entries]
         best = [None] * k
         for g in range(max(0, first - 1 - total + after), k):
             top = -1
@@ -155,16 +158,16 @@ def _walk(pk, columns, first, k, budget, tables=None, rank=None):
                 if r <= g and size + (rest := tail[g - r])[0] > top:
                     top = size + rest[0]
                     best[g] = (top, r + rest[1], part, g - r)
-        levels.append((j, best))
+        levels.append(best)
         tail = best
     certs = []
     for g in range(first - 1, k):
         size, gain = tail[g][:2]
         witness: list[int] = []
         link = g
-        for j, best in reversed(levels):
+        for best in reversed(levels):
             _, _, part, link = best[link]
-            witness += [j + i for i in part]
+            witness += part
         certs.append(DistanceCertificate(n - size, tuple(witness), gain))
     return certs
 

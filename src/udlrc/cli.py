@@ -350,6 +350,13 @@ def _kept_tuples(choices, s: int, q: int):
     return walk(0, (), -inf, inf)
 
 
+class _Text(dict):
+    """str of each int, made at its first lookup: one per sweep call."""
+
+    def __missing__(self, value: int) -> str:
+        return self.setdefault(value, str(value))
+
+
 def cmd_sweep(args, report) -> str:
     if args.q >= PRIME_CHECK_LIMIT:
         raise SpecFileError(f"--q {args.q} is not below {PRIME_CHECK_LIMIT}, the primality test's limit")
@@ -389,6 +396,7 @@ def cmd_sweep(args, report) -> str:
     # The oracle's block ranks and tables, shared by every class tuple: the
     # groups of one class choice are the same block wherever they sit.
     tables: dict = {}
+    text = _Text()
     for position, picks in _kept_tuples(choices, s, args.q):
         classes, ns, n_gabs, labels = zip(*(facts(*choices[i]) for i in picks))
         n, n_gab, label = sum(ns), sum(n_gabs), ";".join(labels)
@@ -400,15 +408,14 @@ def cmd_sweep(args, report) -> str:
         inst = build_code(LocalitySpec(classes, len(table), args.q, n_gab)) if table and n <= budget else None
         oracle = ["-"] * len(table)
         if inst is not None:
-            oracle = [str(cert.d) for cert in prefix_oracles(inst, budget, tables=tables)]
-        n_text = str(n)
+            oracle = [text[cert.d] for cert in prefix_oracles(inst, budget, tables=tables)]
+        n_text, add = text[n], report.rows.append
         for (k, dim, cap, pivot, permuted, older), oracle_text in zip(table, oracle):
             if older is None:
                 older_text = relation = "-"
             else:
-                older_text, relation = str(older), "tighter" if cap < older else ("equal" if cap == older else "looser")
-            cells = (str(k), n_text, str(dim), str(cap), str(pivot), str(permuted), older_text, relation, oracle_text)
-            report.rows.append(("row", label, *cells))
+                older_text, relation = text[older], "tighter" if cap < older else ("equal" if cap == older else "looser")
+            add(("row", label, text[k], n_text, text[dim], text[cap], text[pivot], text[permuted], older_text, relation, oracle_text))
         if len(table) < n_gab:
             return "budget-exceeded"
     # The combinations after the last kept tuple, all filtered out.

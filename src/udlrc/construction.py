@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .fields import PRIME_CHECK_LIMIT, ExtElem, ExtField, PrimeField, _Packing, _packing, is_prime
+from .fields import PRIME_CHECK_LIMIT, ExtElem, ExtField, PrimeField, _Packing, _packing
 from .gabidulin import LinearizedPoly, lin_eval, moore_matrix
 from .linalg import Matrix, _check_indices, _solve_packed
 
@@ -168,6 +168,11 @@ class LocalitySpec:
     def n(self) -> int:
         return sum(c.n for c in self.classes)
 
+    @cached_property
+    def base(self) -> PrimeField:
+        """F_q, whose primality test validate_spec runs once per spec."""
+        return PrimeField(self.q)
+
     @property
     def n_gab(self) -> int:
         """Precode length sum m_j * r_j; requires whole groups in every class."""
@@ -195,8 +200,10 @@ def validate_spec(spec: LocalitySpec) -> LocalitySpec:
     """
     if spec.q >= PRIME_CHECK_LIMIT:
         raise SpecInvalid(f"base field size q={spec.q} is not below {PRIME_CHECK_LIMIT}, the primality test's limit")
-    if not is_prime(spec.q):
-        raise SpecInvalid(f"base field size must be prime, got q={spec.q}")
+    try:
+        spec.base
+    except ValueError:
+        raise SpecInvalid(f"base field size must be prime, got q={spec.q}") from None
     for j, c in enumerate(spec.classes, 1):
         if not c.has_whole_groups:
             raise SpecInvalid(
@@ -271,20 +278,26 @@ def _lagrange_weights(present: Sequence[int], pos: int, q: int) -> list[int]:
     return weights
 
 
+def _local_columns(r: int, delta: int, q: int) -> list[tuple[int, ...]]:
+    """The systematic [r + delta - 1, r, delta] generator's columns over F_q: unit
+    vectors on the first r locators, then the Lagrange weights of 0..r-1 at each later one."""
+    units = [(0,) * x + (1,) + (0,) * (r - 1 - x) for x in range(r)]
+    return units + [tuple(_lagrange_weights(range(r), x, q)) for x in range(r, r + delta - 1)]
+
+
 def mds_local_generator(r: int, delta: int, base: PrimeField) -> Matrix:
     """Systematic [r + delta - 1, r, delta] generator over the base field.
 
     Evaluation code of polynomials of degree < r at the locators
     0, 1, ..., r + delta - 2, in the basis that is systematic on the first
     r locators: column x holds the Lagrange weights of the locators
-    0..r-1 at x.  Needs r >= 1, delta >= 2 and q >= r + delta - 1
-    distinct locators.
+    0..r-1 at x (_local_columns).  Needs r >= 1, delta >= 2 and
+    q >= r + delta - 1 distinct locators.
     """
     w = LocalityClass.from_groups(r, delta, 1).width
     if base.q < w:
         raise FieldTooSmall(f"a length-{w} local code needs q >= {w}, got q={base.q}")
-    columns = [_lagrange_weights(range(r), x, base.q) for x in range(w)]
-    return Matrix(base, [list(row) for row in zip(*columns)])
+    return Matrix(base, [list(row) for row in zip(*_local_columns(r, delta, base.q))])
 
 
 @dataclass(frozen=True)
@@ -315,7 +328,7 @@ class CodeInstance:
         need no modulus; the generator, the codec and build's modulus row
         build the field, through the same modulus search.
         """
-        return ExtField(PrimeField(self.spec.q), self.spec.t)
+        return ExtField(self.spec.base, self.spec.t)
 
     @property
     def n(self) -> int:
@@ -354,11 +367,11 @@ class CodeInstance:
     @cached_property
     def _point_packing(self) -> _Packing:
         """The layout of a point's coordinate vector: t wide over F_q."""
-        return _packing(PrimeField(self.spec.q), self.spec.t)
+        return _packing(self.spec.base, self.spec.t)
 
     @cached_property
     def _points_packed(self) -> list[int]:
-        """The points packed by _point_packing; every point rank is taken on them."""
+        """The points packed by _point_packing (build_code places a built code's); ranks are taken on them."""
         pk = self._point_packing
         return [pk.pack(y) for y in self.points]
 
@@ -368,13 +381,14 @@ class CodeInstance:
         applied to their first r points, as build_code places them, so that
         every symbol is the group's local polynomial at its locator: read by
         decode_erasures' local phase and by encode_via_pipeline."""
-        pk, points, q = self._point_packing, self._points_packed, self.spec.q
+        pk, points, classes = self._point_packing, self._points_packed, self.spec.classes
+        columns = [_local_columns(c.r, c.delta, self.spec.q) for c in classes]
         out = set()
         for l, group in enumerate(self.layout.groups):
-            r = self.spec.classes[self.layout.class_of[l]].r
-            head = [points[i] for i in group[:r]]
+            j = self.layout.class_of[l]
+            head = [points[i] for i in group[: classes[j].r]]
             # The weights are ints mod q, their own packed form on this prime layout.
-            if all(pk.combine(_lagrange_weights(range(r), x, q), head) == points[i] for x, i in enumerate(group)):
+            if all(pk.combine(column, head) == points[i] for column, i in zip(columns[j], group)):
                 out.add(l)
         return frozenset(out)
 
@@ -384,28 +398,29 @@ def build_code(spec: LocalitySpec) -> CodeInstance:
 
     The precode points are the unit vectors e_0, ..., e_{n_gab - 1}, so a
     group's points, its r precode points times its class's local
-    generator, are that generator's columns placed in the group's precode
-    coordinates: symbol x of a group at precode offset o
-    gets column x in coordinates o..o+r-1 and zeros elsewhere.  The
+    generator, are that generator's columns (_local_columns) placed in the
+    group's precode coordinates: symbol x of a group at precode offset o
+    gets column x in coordinates o..o+r-1 and zeros elsewhere, and its
+    packed point is the class's packed column x shifted up by o.  The
     generator's entries lie in F_q, which the q-power map fixes, so every
     symbol is f(y_i) for the same F_q-linear f, and the generator
     (CodeInstance.gen) is the q-power tower of the points.  No extension
     field is built here: the points are tuples over F_q.
     """
     validate_spec(spec)
-    base = PrimeField(spec.q)
-    layout = build_layout(spec)
-    columns = [list(zip(*mds_local_generator(c.r, c.delta, base).rows)) for c in spec.classes]
-
-    zero = (0,) * spec.t
-    points: list[ExtElem] = []
-    offset = 0
-    for j in layout.class_of:
-        r = spec.classes[j].r
-        points.extend(zero[:offset] + column + zero[offset + r :] for column in columns[j])
-        offset += r
-
-    return CodeInstance(spec=spec, layout=layout, points=tuple(points))
+    layout, pk = build_layout(spec), _packing(spec.base, spec.t)
+    zero, points, packed, offset = (0,) * spec.t, [], [], 0
+    for c in spec.classes:
+        columns = _local_columns(c.r, c.delta, spec.q)
+        rows = [pk.pack(column) for column in columns]
+        for _ in range(c.groups):
+            points += [zero[:offset] + column + zero[offset + c.r :] for column in columns]
+            packed += pk.shifted(rows, offset)
+            offset += c.r
+    inst = CodeInstance(spec=spec, layout=layout, points=tuple(points))
+    # A cached property reads the instance dict first.
+    vars(inst).update(_point_packing=pk, _points_packed=packed)
+    return inst
 
 
 def _check_message(inst: CodeInstance, message: Sequence[ExtElem]) -> None:
@@ -441,13 +456,14 @@ def encode_via_pipeline(inst: CodeInstance, message: Sequence[ExtElem]) -> list[
     _check_message(inst, message)
     field = inst.field
     f = LinearizedPoly(field, tuple(message))
+    columns = [_local_columns(c.r, c.delta, field.q) for c in inst.spec.classes]
     out: list[ExtElem] = []
     for l, group in enumerate(inst.layout.groups):
         if l not in inst._local_groups:
             raise ValueError(f"group {l} does not keep its local code: the two-stage route cannot encode it")
-        c = inst.spec.classes[inst.layout.class_of[l]]
-        heads = [lin_eval(f, inst.points[i]) for i in group[: c.r]]
-        for column in zip(*mds_local_generator(c.r, c.delta, field.base).rows):
+        j = inst.layout.class_of[l]
+        heads = [lin_eval(f, inst.points[i]) for i in group[: inst.spec.classes[j].r]]
+        for column in columns[j]:
             acc = field.zero
             for w, v in zip(column, heads):
                 acc = field.add(acc, field.scale(w, v))

@@ -589,6 +589,10 @@ class _Packing:
                 before |= supports[j]
         return starts
 
+    def shifted(self, rows: Iterable[int], offset: int) -> list[int]:
+        """The rows moved up by offset columns, as if packed after offset zeros."""
+        return [x << offset * self.bw for x in rows]
+
     def lowered(self, rows: Sequence[int]) -> tuple[int, ...]:
         """The rows shifted down by the columns below their lowest nonzero
         one, so rows that differ only in the offset of their columns give

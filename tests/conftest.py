@@ -264,6 +264,38 @@ def ref_local_generator(r, delta, base):
     return vand.take_columns(range(r)).inverse() @ vand
 
 
+def ref_local_columns(r, delta, q):
+    """The local generator's columns as build_code took them before it wrote
+    the unit vectors itself: the Lagrange weights of the locators 0..r-1 at
+    every locator x < r + delta - 1, each column a tuple."""
+    columns = []
+    for x in range(r + delta - 1):
+        column = []
+        for p in range(r):
+            num = den = 1
+            for o in range(r):
+                if o != p:
+                    num, den = num * (x - o) % q, den * (p - o) % q
+            column.append(num * pow(den, -1, q) % q)
+        columns.append(tuple(column))
+    return columns
+
+
+def ref_local_groups(inst):
+    """The groups each of whose points is its class's ref_local_columns
+    column applied, coordinate by coordinate mod q, to the group's first r
+    points: CodeInstance._local_groups on the tuple points."""
+    q, out = inst.spec.q, set()
+    for l, group in enumerate(inst.layout.groups):
+        c = inst.spec.classes[inst.layout.class_of[l]]
+        heads = [inst.points[i] for i in group[: c.r]]
+        applied = [tuple(sum(w * y[a] for w, y in zip(column, heads)) % q for a in range(inst.spec.t))
+                   for column in ref_local_columns(c.r, c.delta, q)]
+        if applied == [tuple(v % q for v in inst.points[i]) for i in group]:
+            out.add(l)
+    return frozenset(out)
+
+
 def ref_build_rows(spec):
     """Generator rows of build_code as built before it started from the
     points: the precode Moore matrix on the powers of alpha (through

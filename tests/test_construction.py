@@ -32,7 +32,7 @@ from udlrc import (
     min_distance_oracle,
     validate_spec,
 )
-from udlrc.construction import _lagrange_weights
+from udlrc.construction import _lagrange_weights, _local_columns
 from conftest import (
     REF_SPEC,
     SINGLE_SPEC,
@@ -46,7 +46,9 @@ from conftest import (
     ref_build_rows,
     ref_decode_erasures,
     ref_left_multiply,
+    ref_local_columns,
     ref_local_generator,
+    ref_local_groups,
     ref_punctured_code_profile,
     ref_solve,
     usual_grid,
@@ -193,15 +195,68 @@ def test_mds_local_generator_refuses_what_a_locality_class_refuses(r, delta, mes
 
 def test_mds_local_generator_is_the_vandermonde_route():
     # The Lagrange columns equal the Vandermonde matrix times the inverse of
-    # its first r columns, on every (r, delta) a prime q <= 13 admits.
+    # its first r columns, on every (r, delta) a prime q <= 13 admits, and
+    # the local columns (unit vectors on the first r locators, then the
+    # weights) equal the weights at every locator, as build_code took them.
     checked = 0
     for q in (2, 3, 5, 7, 11, 13):
         base = PrimeField(q)
         for w in range(2, q + 1):
             for r in range(1, w):
                 assert mds_local_generator(r, w - r + 1, base) == ref_local_generator(r, w - r + 1, base), (q, r, w)
+                assert _local_columns(r, w - r + 1, q) == ref_local_columns(r, w - r + 1, q), (q, r, w)
                 checked += 1
     assert checked == 168
+
+
+def _spec_files():
+    """The benchmark's five certify specs and the three reach specs."""
+    root = Path(__file__).resolve().parent.parent
+    return sorted((root / "perfbench" / "specs").glob("*.json")) + sorted((root / "tests" / "specs").glob("*.json"))
+
+
+def test_local_groups_read_the_local_columns():
+    # Every grid code at k = n_gab with three one-point moves each, and the
+    # three reach codes: the groups that keep their local code are those
+    # ref_local_groups finds.  Almost every move (of 1,470) takes a group
+    # out of its local code.
+    rng = random.Random(4201)
+    reach = [build_code(validate_spec(load_spec_file(path)[0])) for path in _spec_files()[-3:]]
+    lost = 0
+    for spec in usual_grid():
+        if spec.k == spec.n_gab:
+            inst = build_code(spec)
+            assert inst._local_groups == ref_local_groups(inst) == frozenset(range(len(inst.layout.groups)))
+            for moved in one_point_moves(inst, 3, rng):
+                assert moved._local_groups == ref_local_groups(moved)
+                lost += len(moved._local_groups) < len(inst.layout.groups)
+    for inst in reach:
+        assert inst._local_groups == ref_local_groups(inst) == frozenset(range(len(inst.layout.groups)))
+    assert [len(inst.layout.groups) for inst in reach] == [50, 6, 18] and lost > 1400
+
+
+def test_build_packs_the_points_it_places():
+    # build_code packs each class's columns once and shifts them to each
+    # group's offset: the points packed one by one, on every grid code, the
+    # benchmark's certify codes and the reach codes.
+    specs = [*usual_grid(), *(validate_spec(load_spec_file(path)[0]) for path in _spec_files())]
+    for spec in specs:
+        inst = build_code(spec)
+        pk = inst._point_packing
+        assert inst._points_packed == [pk.pack(y) for y in inst.points], spec
+    assert len(specs) == 2298 + 8
+
+
+def test_a_replaced_code_packs_its_own_points(ref_instance):
+    # dataclasses.replace starts a fresh instance, so the moved points are
+    # packed from themselves, not taken from the built code.
+    pk = ref_instance._point_packing
+    moves = 0
+    for moved in one_point_moves(ref_instance, 20, random.Random(4202)):
+        assert "_points_packed" not in vars(moved)
+        assert moved._points_packed == [pk.pack(y) for y in moved.points]
+        moves += moved._points_packed != ref_instance._points_packed
+    assert moves == 20
 
 
 def test_build_reference_frozen_points(ref_instance):

@@ -1,13 +1,15 @@
 """The machine-format reports the benchmark checks, pinned in process to the
 sha256 digests recorded in perfbench/golden.json, and all seven once more
 under python -O; the codec's encode and decode reports, plain and under
-python -O; the oracle sweep's builds, the bounds-only sweep's tables,
+python -O; the oracle sweep's builds, local generator matrices, Lagrange
+weights, packs and primality tests, the bounds-only sweep's tables,
 classes, class caps and precondition errors, and certify's point walks,
 grank calls and cover traces, counted; certify and the oracle sweep shown
 to build no generator and no extension field; certify past the default
 budget at n = 27 and n = 84, and the codec's reports on those two specs;
-and the `bounds` reports on the benchmark's spec
-files and on an 8-class spec, pinned to their recorded digests.
+the `bounds` reports on the benchmark's spec files and on an 8-class
+spec, and a long-column sweep's text and machine reports, pinned to their
+recorded digests.
 """
 
 import contextlib
@@ -21,7 +23,7 @@ import time
 import pytest
 
 from conftest import SRC, cli_env, counting, counting_cached, counting_method, load_workloads
-from udlrc import CodeInstance, ExtField, LocalityClass, bounds, build_code, cli, fields
+from udlrc import CodeInstance, ExtField, LocalityClass, Matrix, bounds, build_code, cli, construction, fields
 
 workloads = load_workloads()
 CERTIFY_SPECS = ("ref", "ref_full", "three", "reversed", "gf7_9")
@@ -55,6 +57,47 @@ def test_oracle_sweep_builds_once_per_class_tuple(monkeypatch):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == workloads.GOLDEN["sweep"]["oracle"]
     oracled = [line for line in out.getvalue().splitlines() if line.startswith("row\t(") and not line.endswith("\t-")]
     assert (len(built), sum(built), len(oracled)) == (17, 80, 80)
+
+
+def test_oracle_sweep_builds_no_matrix_and_packs_each_class_once(monkeypatch):
+    # Counts: the oracle sweep's 17 codes have 34 classes, 94 class columns
+    # and 127 points.  When build_code read each class's columns off a local
+    # generator Matrix (34), it took the Lagrange weights at every locator
+    # (94) and packed every point (127).  The columns are unit vectors on
+    # the first r locators, so each (r, 2) class takes one weight list, and
+    # each class's columns are packed once.  q is tested for primality once
+    # per call and once per spec (52 tests when each build made F_q three
+    # times).
+    matrices = counting_method(monkeypatch, Matrix, "__init__")
+    weights = counting_method(monkeypatch, construction, "_lagrange_weights")
+    packs = counting_method(monkeypatch, fields._Packing, "pack")
+    primes = counting_method(monkeypatch, fields, "is_prime")
+    for module in (construction, cli):
+        monkeypatch.setattr(module, "is_prime", fields.is_prime, raising=False)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(workloads.Sweep.ORACLE) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == workloads.GOLDEN["sweep"]["oracle"]
+    assert (len(matrices), len(weights), len(primes)) == (0, 34, 18) and len(packs) <= 94
+
+
+# A long column: one class with up to 1,000 groups, cut by the work cap
+# after 9,860 rows with values up to n = 280; the oracle fills its first 15
+# rows.  Recorded before the sweep turned each distinct value into text
+# once per call.
+LONG_COLUMN = ["sweep", "--q", "5", "--classes", "1", "--r", "1", "--delta", "2", "--m", "1:1000", "--budget", "10"]
+LONG_COLUMN_DIGESTS = {
+    "text": "9d26c821fd33c54a7373e7765dccdb02b9c86e74a11518b37581c953ce841f07",
+    "machine": "fb6350c1ad57e50e6dac1de49cf3faf739aecef0b030902f0e01776daacd3bf8",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(LONG_COLUMN_DIGESTS))
+def test_long_column_sweep_matches_recorded_digest(fmt):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main([*LONG_COLUMN, "--format", fmt]) == cli.EXIT_BUDGET
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == LONG_COLUMN_DIGESTS[fmt]
 
 
 def test_certify_and_the_oracle_sweep_build_no_generator(monkeypatch):
@@ -119,12 +162,16 @@ def test_table_sweep_computes_each_class_cap_once(monkeypatch):
     assert max(counts.values()) <= 12
 
 
-@pytest.mark.parametrize("name, expected", [("ref", (1, 1, 0, 2, 1)), ("gf7_9", (1, 1, 0, 3, 1))], ids=["ref", "gf7_9"])
+@pytest.mark.parametrize("name, expected", [("ref", (1, 1, 0, 2, 0, 8)), ("gf7_9", (1, 1, 0, 3, 0, 10))], ids=["ref", "gf7_9"])
 def test_certify_computes_each_fact_once(name, expected, monkeypatch):
     # Counts: one oracle call, whose one walk is certify's only point walk
     # (the distance-optimal check reads the oracle's d), the witness reads
     # the cover traces and class ranks certify already holds, and every
     # rank is read off the points, packed once, so no generator is ranked.
+    # build_code packs each class's columns once (8 and 10 packs for 8 and
+    # 14 points) and places the packed points, so nothing packs them again;
+    # when CodeInstance._points_packed packed every point, it was computed
+    # once here and made 8 and 14 packs.
     # Before the residual walk the oracle walked once per size, 4 and 5
     # top-level walks here.  When the ranks went through the generator the
     # walk, grank and trace counts were (4, 8, 2) and (5, 13, 3), and when
@@ -134,11 +181,12 @@ def test_certify_computes_each_fact_once(name, expected, monkeypatch):
     granks = counting(monkeypatch, "grank")
     traces = counting(monkeypatch, "class_cover_trace")
     packed = counting_cached(monkeypatch, CodeInstance, ["_points_packed"])
+    packs = counting_method(monkeypatch, fields._Packing, "pack")
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(["certify", "--spec", str(workloads.SPEC_DIR / f"{name}.json"), "--format", "machine"]) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == workloads.GOLDEN["certify"][name]
-    assert (len(oracles), len(walks), len(granks), len(traces), packed["_points_packed"]) == expected
+    assert (len(oracles), len(walks), len(granks), len(traces), packed["_points_packed"], len(packs)) == expected
 
 
 REACH_SPEC = SRC.parent / "tests" / "specs" / "reach_n27.json"
