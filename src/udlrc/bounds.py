@@ -8,8 +8,10 @@ below the Singleton value n - k + 1.
 The dist-cap formula is one closed form: with pivot p behind head classes H
 of ranks summing to lo and slack n_j - rank_j to slack, it is
 n + 1 - slack - k - floor((k - lo - 1) / r_p) * (delta_p - 1) for k in (lo,
-lo + rank_p].  _cap_core evaluates it at one k after the pivot search, and
-bounds_table at every k of every (H, p); see bounds_table for cost.
+lo + rank_p].  _cap_core evaluates it at one k after the pivot search.
+bounds_table reads every k of every (H, p) off a BoundsFold, which adds one
+class at a time and keeps, per head cap sum, the longest head; see
+BoundsFold for cost.
 """
 
 from __future__ import annotations
@@ -200,34 +202,91 @@ def permuted_tightest_bound(spec: LocalitySpec) -> BoundReport:
     return BoundReport("dist-cap-permuted", value, pivot, terms, tuple(i + 1 for i in perm))
 
 
+class BoundsFold:
+    """The dist-cap and permuted columns of a class prefix, built one class
+    at a time; bounds_table folds its classes in order, and sweep shares
+    each prefix's fold among the tuples that start with it.
+
+    Write k0 = k - 1.  The pair (H, p) of head set H and pivot p gives
+    n - N_H - G_p(k0 - lo_H) at each k0 in [lo_H, lo_H + cap_p), where N_H
+    and lo_H are the head's length and cap sum and
+    G_p(j) = j + floor(j / r_p) * (delta_p - 1) depends on the pivot alone.
+    A fold keeps the reaches n minus each value, which do not depend on n:
+    given[k0] of the order given and pivots[k0] its 1-based pivot; best[k0],
+    the largest over every pair within the prefix (permuted = n - best);
+    heads[L], the largest N_H over the head sets with lo_H = L.  Adding c
+    makes best max(best[k0], best[k0 - cap_c] + n_c,
+    max_L heads[L] + G_c(k0 - L)): c behind the head of a pair, or c the
+    pivot.  A step costs one pass over cap_c entries per head cap sum, of
+    which a prefix of s classes has at most 2^s; folding a tuple's classes
+    one per step costs at most sum_j 2^(j-1) * cap_j integer steps, where
+    one closed form per (H, p) took 2^(s-1) * sum_p cap_p.
+    """
+
+    __slots__ = ("s", "n", "dim", "given", "pivots", "best", "heads")
+
+    def __init__(self) -> None:
+        self.s = self.n = self.dim = 0
+        self.given: list[int] = []
+        self.pivots: list[int] = []
+        self.best: list[int] = []
+        self.heads = {0: 0}
+
+    def add(self, c: LocalityClass, limit: int) -> BoundsFold:
+        """The fold of this prefix followed by c, its columns cut at limit
+        entries; limit is at most the one this prefix was folded at."""
+        if self.s == PERMUTED_CLASS_LIMIT:
+            raise TooManyClasses(f"permutation search capped at {PERMUTED_CLASS_LIMIT} classes, got {self.s + 1}")
+        n_c, cap, r, step = c.n, c.k_cap, c.r, c.delta - 1
+        fold = BoundsFold.__new__(BoundsFold)
+        fold.s, fold.n, fold.dim = self.s + 1, self.n + n_c, self.dim + cap
+        size = fold.dim if fold.dim < limit else max(0, limit)
+        tail = size - self.dim if size > self.dim else 0  # the entries c pivots in the order given
+        gains = [j + j // r * step for j in range(cap if cap < size else size)]  # G_c
+        fold.given = self.given[:size] + [self.n + g for g in gains[:tail]]
+        fold.pivots = self.pivots[:size] + [fold.s] * tail
+        before = self.best[:size]
+        best = fold.best = before + [-1] * tail  # -1: below every reach
+        if size > cap:  # c behind the head of a pair
+            for k0, reach in enumerate(before[: size - cap], cap):
+                if reach + n_c > best[k0]:
+                    best[k0] = reach + n_c
+        heads = fold.heads = self.heads.copy()
+        for lo, head in self.heads.items():
+            if lo < size:  # c the pivot
+                for k0, g in enumerate(gains[: size - lo], lo):
+                    if head + g > best[k0]:
+                        best[k0] = head + g
+            if lo + cap < limit and head + n_c > heads.get(lo + cap, -1):
+                heads[lo + cap] = head + n_c
+        return fold
+
+
+def unequal_r_column(classes: Sequence[LocalityClass], last_k: int) -> list[int] | None:
+    """distance_bound_unequal_r at each k from 1 to last_k, or None where
+    its preconditions fail."""
+    rs = [c.r for c in classes]
+    if any(c.delta != 2 for c in classes) or rs != sorted(rs):
+        return None
+    ns = [c.n for c in classes]
+    return [value for value, _ in _unequal_r_core(sum(ns), _unequal_r_counts(ns, rs), rs, range(1, last_k + 1))]
+
+
 def bounds_table(classes: Sequence[LocalityClass], last_k: int) -> list[tuple[int, ...]]:
     """Rows (k, dim-cap, dist-cap, its pivot, permuted, unequal-r or None)
     for one class tuple at every k from 1 to last_k, equal to what
     dimension_bound, distance_bound_udlrc, permuted_tightest_bound and
-    distance_bound_unequal_r give.  Each pair (H, p) fills its k in
-    (lo, lo + cap_p] by the closed form: 2^(s-1) * sum_p cap_p integer steps.
+    distance_bound_unequal_r give: the BoundsFold of its classes, each step
+    cut at last_k.
     """
-    ns, caps = [c.n for c in classes], [c.k_cap for c in classes]
-    rs, deltas = [c.r for c in classes], [c.delta for c in classes]
-    n, dim = sum(ns), sum(caps)
+    n, dim = sum(c.n for c in classes), sum(c.k_cap for c in classes)
     if last_k > dim:
-        raise _over_dimension_cap(last_k, caps)
-    column = [None] * last_k
-    permuted = [n] * last_k  # above every value, each at most n - k + 1
-    for mask, (lo, slack) in enumerate(_head_sums(ns, caps)):
-        if lo >= last_k:
-            continue
-        for p, cap in enumerate(caps):
-            if not mask >> p & 1:
-                r, step, top = rs[p], deltas[p] - 1, n - slack
-                given = mask == (1 << p) - 1  # every class before p: the order given
-                for k in range(lo, min(lo + cap, last_k)):  # k + 1 is the dimension
-                    value = top - k - (k - lo) // r * step
-                    if value < permuted[k]:
-                        permuted[k] = value
-                    if given:
-                        column[k] = (value, p + 1)
-    older = [None] * last_k
-    if deltas.count(2) == len(deltas) and rs == sorted(rs):
-        older = [value for value, _ in _unequal_r_core(n, _unequal_r_counts(ns, rs), rs, range(1, last_k + 1))]
-    return [(k, dim, *pair, best, old) for k, pair, best, old in zip(range(1, last_k + 1), column, permuted, older)]
+        raise _over_dimension_cap(last_k, [c.k_cap for c in classes])
+    fold = BoundsFold()
+    for c in classes:
+        fold = fold.add(c, last_k)
+    older = unequal_r_column(classes, last_k) or [None] * last_k
+    return [
+        (k, dim, n - given, pivot, n - best, old)
+        for k, given, pivot, best, old in zip(range(1, last_k + 1), fold.given, fold.pivots, fold.best, older)
+    ]

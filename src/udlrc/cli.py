@@ -30,7 +30,7 @@ import argparse
 import random
 import sys
 from functools import cache
-from itertools import product
+from itertools import product, repeat
 from math import inf, prod
 
 from .analysis import (
@@ -45,15 +45,16 @@ from .analysis import (
 )
 from .bounds import (
     PERMUTED_CLASS_LIMIT,
+    BoundsFold,
     DimensionInfeasible,
     PreconditionViolated,
     TooManyClasses,
-    bounds_table,
     dimension_bound,
     distance_bound_rdelta,
     distance_bound_udlrc,
     distance_bound_unequal_r,
     permuted_tightest_bound,
+    unequal_r_column,
 )
 from .construction import (
     ErasurePattern,
@@ -374,9 +375,9 @@ def cmd_sweep(args, report) -> str:
     ms = _parse_range(args.m, "m")
 
     @cache
-    def facts(r: int, d: int, m: int) -> tuple[LocalityClass, int, int, str]:
-        """One choice's class, n_j, n_gab_j and label, built on first use."""
-        return LocalityClass.from_groups(r, d, m), m * (r + d - 1), m * r, f"({r},{d},{m})"
+    def facts(r: int, d: int, m: int) -> tuple[LocalityClass, str]:
+        """One choice's class and label, built on first use."""
+        return LocalityClass.from_groups(r, d, m), f"({r},{d},{m})"
 
     s = args.classes
     budget = _nonnegative(args.budget, "--budget")
@@ -397,26 +398,45 @@ def cmd_sweep(args, report) -> str:
     # groups of one class choice are the same block wherever they sit.
     tables: dict = {}
     text = _Text()
+    # folds[d] is the bounds fold of the first d classes of the tuple before,
+    # so a tuple folds only the classes after the prefix it shares with it.
+    folds, before = [BoundsFold()], (-1,) * s
     for position, picks in _kept_tuples(choices, s, args.q):
-        classes, ns, n_gabs, labels = zip(*(facts(*choices[i]) for i in picks))
-        n, n_gab, label = sum(ns), sum(n_gabs), ";".join(labels)
         # The combinations up to this one, filtered or kept, and the rows so
         # far count against the cap; once they reach it the table is empty.
-        table = bounds_table(classes, min(n_gab, SWEEP_ROW_LIMIT - position - 1 - rows))
-        rows += len(table)
+        # No later tuple has more room, so the folds made here serve them.
+        room = SWEEP_ROW_LIMIT - position - 1 - rows
+        if room <= 0:
+            return "budget-exceeded"
+        shared = 0
+        while picks[shared] == before[shared]:  # kept tuples differ
+            shared += 1
+        del folds[shared + 1 :]
+        classes, labels = zip(*(facts(*choices[i]) for i in picks))
+        for c in classes[shared:]:
+            folds.append(folds[-1].add(c, room))
+        before, fold = picks, folds[-1]
+        # Each class's cap is m * r, so the fold's dim is n_gab.
+        n, n_gab, label = fold.n, fold.dim, ";".join(labels)
+        last_k = min(n_gab, room)
+        rows += last_k
         # A built code's points do not depend on k, so one build serves every k of the table.
-        inst = build_code(LocalitySpec(classes, len(table), args.q, n_gab)) if table and n <= budget else None
-        oracle = ["-"] * len(table)
-        if inst is not None:
+        oracle = repeat("-")
+        if n <= budget:
+            inst = build_code(LocalitySpec(classes, last_k, args.q, n_gab))
             oracle = [text[cert.d] for cert in prefix_oracles(inst, budget, tables=tables)]
-        n_text, add = text[n], report.rows.append
-        for (k, dim, cap, pivot, permuted, older), oracle_text in zip(table, oracle):
-            if older is None:
+        older = unequal_r_column(classes, last_k) or repeat(None)
+        n_text, dim_text, add = text[n], text[n_gab], report.rows.append
+        for k, given, pivot, best, old, oracle_text in zip(
+            range(1, last_k + 1), fold.given, fold.pivots, fold.best, older, oracle
+        ):
+            cap = n - given
+            if old is None:
                 older_text = relation = "-"
             else:
-                older_text, relation = text[older], "tighter" if cap < older else ("equal" if cap == older else "looser")
-            add(("row", label, text[k], n_text, text[dim], text[cap], text[pivot], text[permuted], older_text, relation, oracle_text))
-        if len(table) < n_gab:
+                older_text, relation = text[old], "tighter" if cap < old else ("equal" if cap == old else "looser")
+            add(("row", label, text[k], n_text, dim_text, text[cap], text[pivot], text[n - best], older_text, relation, oracle_text))
+        if last_k < n_gab:
             return "budget-exceeded"
     # The combinations after the last kept tuple, all filtered out.
     if len(choices) ** s + rows > SWEEP_ROW_LIMIT:

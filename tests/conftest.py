@@ -862,7 +862,7 @@ def ref_cmd_sweep(args, report):
         n = sum(m * (r + d - 1) for r, d, m in combo)
         n_gab = sum(m * r for r, _, m in combo)
         label = ";".join(f"({r},{d},{m})" for r, d, m in combo)
-        table = cli.bounds_table(classes, min(n_gab, cli.SWEEP_ROW_LIMIT - work))
+        table = ref_bounds_table(classes, min(n_gab, cli.SWEEP_ROW_LIMIT - work))
         rows += len(table)
         work += len(table)
         inst = build_code(LocalitySpec(classes, len(table), args.q, n_gab)) if table and n <= budget else None

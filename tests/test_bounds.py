@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import count, product
 
 import pytest
 
@@ -20,6 +20,7 @@ from udlrc import (
     permuted_tightest_bound,
 )
 import udlrc.bounds as bounds_module
+from udlrc.bounds import BoundsFold
 from conftest import (
     REF_SPEC,
     REF_FULL_SPEC,
@@ -358,15 +359,21 @@ def _ragged_tuples(count_by_s):
             yield tuple(LocalityClass(r=rng.randint(1, 4), delta=rng.randint(2, 4), n=rng.randint(1, 12)) for _ in range(s))
 
 
-def test_bounds_table_matches_the_per_row_core():
+def _differential_tuples():
+    """The benchmark's table grid, seeded ragged tuples of 1 to 8 classes,
+    and the same ragged classes at delta = 2 and sorted by r, where the
+    unequal-r column applies."""
     grid = list(_sweep_tuples(7, 3, range(1, 4), range(2, 4), range(1, 3)))
     ragged = list(_ragged_tuples(((1, 20), (2, 30), (3, 30), (4, 20), (5, 10), (6, 5), (7, 3), (8, 2))))
+    unequal = [tuple(sorted((LocalityClass(c.r, 2, c.n) for c in classes), key=lambda c: c.r)) for classes in ragged]
+    return grid, ragged, unequal
+
+
+def test_bounds_table_matches_the_per_row_core():
+    grid, ragged, unequal = _differential_tuples()
     assert sum(any(c.k_cap == 0 for c in classes) for classes in ragged) > 30
-    # The same ragged classes at delta = 2 and sorted by r, where the
-    # unequal-r column applies.
-    ragged += [tuple(sorted((LocalityClass(c.r, 2, c.n) for c in classes), key=lambda c: c.r)) for classes in ragged]
     unequal_r = 0
-    for classes in grid + ragged:
+    for classes in grid + ragged + unequal:
         dim = sum(c.k_cap for c in classes)
         for last_k in range(-1, dim + 1):
             assert bounds_table(classes, last_k) == ref_bounds_table(classes, last_k), (classes, last_k)
@@ -375,6 +382,49 @@ def test_bounds_table_matches_the_per_row_core():
             with pytest.raises(DimensionInfeasible):
                 table(classes, dim + 1)
     assert unequal_r == 211
+
+
+def _fold_rows(fold):
+    """The (k, dim-cap, dist-cap, pivot, permuted) rows of a fold's columns,
+    which are cut to one length."""
+    assert len(fold.given) == len(fold.pivots) == len(fold.best)
+    return [
+        (k, fold.dim, fold.n - given, pivot, fold.n - best)
+        for k, given, pivot, best in zip(count(1), fold.given, fold.pivots, fold.best)
+    ]
+
+
+def test_fold_matches_the_per_row_core_at_every_depth():
+    # Every prefix classes[:d] folded two ways at each last_k: each step
+    # cut at last_k, as bounds_table folds, and the last step alone cut at
+    # last_k after steps cut at the whole tuple's dim, as sweep extends a
+    # prefix folded for a tuple with more room.
+    grid, ragged, unequal = _differential_tuples()
+    checked = 0
+    for classes in grid + ragged + unequal:
+        dims = [sum(c.k_cap for c in classes[:d]) for d in range(len(classes) + 1)]
+        wide = [BoundsFold()]
+        for c in classes:
+            wide.append(wide[-1].add(c, dims[-1]))
+        for d in range(1, len(classes) + 1):
+            assert (wide[d].n, wide[d].dim) == (sum(c.n for c in classes[:d]), dims[d])
+            for last_k in range(-1, dims[d] + 1):
+                expected = [row[:5] for row in ref_bounds_table(classes[:d], last_k)]
+                cut = BoundsFold()
+                for c in classes[:d]:
+                    cut = cut.add(c, last_k)
+                assert _fold_rows(cut) == expected, (classes[:d], last_k)
+                assert _fold_rows(wide[d - 1].add(classes[d - 1], last_k)) == expected, (classes[:d], last_k)
+                checked += 1
+    assert checked == 14582
+
+
+def test_fold_refuses_a_ninth_class():
+    fold = BoundsFold()
+    for _ in range(8):
+        fold = fold.add(LocalityClass.from_groups(1, 2, 1), 0)
+    with pytest.raises(TooManyClasses):
+        fold.add(LocalityClass.from_groups(1, 2, 1), 0)
 
 
 def test_bounds_table_refuses_nine_classes():

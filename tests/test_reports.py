@@ -120,11 +120,13 @@ def test_certify_and_the_oracle_sweep_build_no_generator(monkeypatch):
 
 def test_table_sweep_works_only_on_the_kept_tuples(monkeypatch):
     # Counts, not timings: the benchmark's bounds-only table keeps 320 of
-    # the 1,728 class tuples over 12 (r, delta, m) choices.  When the sweep
-    # looped over every combination it built a class per class of each kept
-    # tuple (960), and bounds_table raised and caught the unequal-r
-    # precondition on each tuple failing it.
-    tables = counting(monkeypatch, "bounds_table")
+    # the 1,728 class tuples over 12 (r, delta, m) choices, and folds each
+    # kept prefix once: 12 + 72 + 320 = 404 steps, where one bounds_table
+    # call per tuple folded 960.  When the sweep looped over every
+    # combination it built a class per class of each kept tuple (960), and
+    # bounds_table raised and caught the unequal-r precondition on each
+    # tuple failing it.
+    steps = counting_method(monkeypatch, bounds.BoundsFold, "add")
     built = []
     from_groups = LocalityClass.from_groups.__func__
 
@@ -145,12 +147,12 @@ def test_table_sweep_works_only_on_the_kept_tuples(monkeypatch):
     with contextlib.redirect_stdout(out):
         assert cli.main(workloads.Sweep.TABLE) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == workloads.GOLDEN["sweep"]["table"]
-    assert (len(tables), len(raised)) == (320, 0)
+    assert (len(steps), len(raised)) == (404, 0)
     assert len(built) <= 12
 
 
 def test_table_sweep_computes_each_class_cap_once(monkeypatch):
-    # The table's 320 bounds_table calls read the caps of at most 12
+    # The table's 404 fold steps read the caps of at most 12
     # distinct classes, each computed once (960 k_cap computations, each
     # through width, p, rem and m_ceil, when they were plain properties).
     counts = counting_cached(monkeypatch, LocalityClass, ("width", "p", "rem", "m_ceil", "k_cap"))

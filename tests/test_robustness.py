@@ -206,13 +206,19 @@ def test_sweep_refuses_invalid_range_values(argv, message, capsys):
         (_sweep(5, 2, "1:3", "2", "1:2", "--budget", "10"), "ok"),
         (_sweep(7, 3, "1:2", "2:3", "1", "--budget", "10"), "ok"),
         (_sweep(5, 2, "1", "2", "1:97", "--budget", "10"), "budget-exceeded"),
+        # Sibling tuples that repeat an (r, delta) at another m, so the fold
+        # of their shared prefix serves both, and the cap cuts the table of
+        # (1,2,3);(1,2,2);(2,2,3);(2,2,2) after 7 of its 15 rows.
+        (_sweep(7, 4, "1:3", "2", "1:3"), "budget-exceeded"),
     ],
     ids=["table", "four-classes", "cut-in-table", "cut-filtered", "cut-kept", "cut-after-last-kept", "all-filtered-cut",
-         "all-filtered", "empty-range", "too-many-choices", "oracle", "oracle-three-classes", "oracle-cut"],
+         "all-filtered", "empty-range", "too-many-choices", "oracle", "oracle-three-classes", "oracle-cut", "cut-siblings"],
 )
 def test_sweep_matches_the_product_loop(argv, status, fmt, capsys):
-    # The walk over the kept tuples against the loop over every combination,
-    # with the work cap reached at each kind of place ("cut-...").
+    # The walk over the kept tuples, folding each kept prefix once, against
+    # the loop over every combination with each tuple's table from
+    # ref_bounds_table, with the work cap reached at each kind of place
+    # ("cut-...").
     argv = [*argv, "--format", fmt]
     code = cli.main(argv)
     out = capsys.readouterr().out
