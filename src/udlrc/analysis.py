@@ -84,31 +84,27 @@ def min_distance_oracle(code: CodeInstance | Matrix, budget: int = DEFAULT_ORACL
     return _walk(_packing(code.field, k), pn.columns(rows, range(n)), k, k, budget, rank=len(rows))[0]
 
 
-def prefix_oracles(
-    inst: CodeInstance, budget: int = DEFAULT_ORACLE_BUDGET, *, tables: dict | None = None
-) -> list[DistanceCertificate]:
+def prefix_oracles(inst: CodeInstance, budget: int = DEFAULT_ORACLE_BUDGET) -> list[DistanceCertificate]:
     """min_distance_oracle of the code on inst's points at each k = 1 .. inst.k.
 
     A block's table serves every k, so one knapsack pass serves them all.
-    tables, when given, keeps each distinct block's rank and table for
-    later calls, keyed by the field and the block's columns shifted down to
-    its lowest coordinate: a memo, so the certificates are the same with or
-    without it, and one dict may serve codes over different fields.
+    sweep calls it on one-group codes, whose certificates give the group
+    tables it folds.
     """
-    return _walk(inst._point_packing, inst._points_packed, 1, inst.k, budget, tables)
+    return _walk(inst._point_packing, inst._points_packed, 1, inst.k, budget)
 
 
-def _walk(pk, columns, first, k, budget, tables=None, rank=None):
+def _walk(pk, columns, first, k, budget, rank=None):
     """The certificates at each of first .. k of the columns, packed by pk,
     in a list.
 
     The columns split at _Packing.block_starts into blocks, each keyed by
-    the field and its columns shifted down (_Packing.lowered).  A block's
-    rank R_b is its echelon's, or rank, when the caller has it, for a lone
-    block; R is their sum.  The other blocks take at most R - R_b, so a
-    block is asked only budgets max(0, first - 1 - (R - R_b)) ..
-    min(k - 1, R_b), and each distinct block is walked once over them
-    (_block_table).  tables, when given, keeps the ranks and tables.
+    its columns shifted down (_Packing.lowered): one call has one field.
+    A block's rank R_b is its echelon's, or rank, when the caller has it,
+    for a lone block; R is their sum.  The other blocks take at most
+    R - R_b, so a block is asked only budgets max(0, first - 1 - (R - R_b))
+    .. min(k - 1, R_b), and each distinct block is walked once over them
+    (_block_table).
 
     The blocks are direct summands, so a set's rank is the sum of its
     parts' ranks, and the largest set of rank at most g comes from a
@@ -123,18 +119,16 @@ def _walk(pk, columns, first, k, budget, tables=None, rank=None):
     n = len(columns)
     if n > budget:
         raise TooLarge(f"n={n} exceeds the enumeration budget {budget}")
-    tables = {} if tables is None else tables
     starts = pk.block_starts(columns)
+    # Each distinct block's rank, and its table once it is walked.
+    ranks, tables = {}, {}
     blocks = []
     for j, e in zip(starts, starts[1:]):
         block = pk.lowered(columns[j:e])
-        key = (pk.q, pk.modulus, block)
-        memo = tables.get(key)
-        if memo is None:
-            own = rank if rank is not None and e - j == n else len(pk.echelon(block, pk.length))
-            tables[key] = memo = (own, {})
-        blocks.append((j, block, memo))
-    total = sum(memo[0] for _, _, memo in blocks)
+        if block not in ranks:
+            ranks[block] = rank if rank is not None and e - j == n else len(pk.echelon(block, pk.length))
+        blocks.append((j, block))
+    total = sum(ranks[block] for _, block in blocks)
     if total < k:
         raise RankDeficientGenerator(f"generator rank below k={max(first, total + 1)}")
     if not k:
@@ -143,11 +137,10 @@ def _walk(pk, columns, first, k, budget, tables=None, rank=None):
     # Per budget: size and rank, then the block part and the tail's budget.
     tail = [(0, 0)] * k
     after = 0
-    for j, block, (own, walked) in reversed(blocks):
-        span = max(0, first - 1 - total + own), min(k - 1, own)
-        entries = walked.get(span)
+    for j, block in reversed(blocks):
+        own, entries = ranks[block], tables.get(block)
         if entries is None:
-            walked[span] = entries = _block_table(pk, block, own, *span)
+            tables[block] = entries = _block_table(pk, block, own, max(0, first - 1 - total + own), min(k - 1, own))
         after += own
         if j:
             entries = [(size, r, tuple([j + i for i in part])) for size, r, part in entries]

@@ -18,7 +18,10 @@ inputs, byte-identical output.
 The oracle budget (largest n the distance oracle will enumerate) is
 --budget alone: default 20 for certify, off (0) for sweep.  certify reads d
 from the code's own oracle walk only: its distance-optimal row passes
-exactly when that d reaches the ceiling.
+exactly when that d reaches the ceiling.  sweep's oracle-d on a tuple with
+n at most the budget is a max-plus fold of its groups' tables, one oracle
+walk per (r, delta) on the one-group code (_add_groups); it builds no
+tuple's code.
 certify and sweep read a built code's points and never build its
 generator: a symbol set's rank is min(k, F_q-rank of its points).  No
 point has a nonzero coordinate past n_gab, so both build at t = n_gab.
@@ -351,6 +354,28 @@ def _kept_tuples(choices, s: int, q: int):
     return walk(0, (), -inf, inf)
 
 
+def _add_groups(reach: list[int], sizes: list[int], m: int, limit: int) -> list[int]:
+    """reach after m more groups whose table is sizes, cut at limit entries.
+
+    reach[g] is the largest set of a class prefix's symbols with point rank
+    at most g, up to the prefix's dim D, where it is the whole prefix, so a
+    list cut short of D + 1 entries was cut at a limit at least this one.
+    sizes[j] is the same for one group of rank r = len(sizes) - 1.  The
+    groups sit in their own precode coordinates, so a set's rank is the sum
+    of its groups' ranks and each group is a max-plus step:
+    reach'[g] = max over j <= min(g, r) of reach[g - j] + sizes[j], where a
+    j below g - D gains nothing over j = g - D.
+    """
+    r = len(sizes) - 1
+    for _ in range(m):
+        last = len(reach) - 1
+        reach = [
+            max(reach[g - j] + sizes[j] for j in range(max(0, g - last), min(g, r) + 1))
+            for g in range(min(last + 1 + r, limit))
+        ]
+    return reach
+
+
 class _Text(dict):
     """str of each int, made at its first lookup: one per sweep call."""
 
@@ -379,6 +404,14 @@ def cmd_sweep(args, report) -> str:
         """One choice's class and label, built on first use."""
         return LocalityClass.from_groups(r, d, m), f"({r},{d},{m})"
 
+    @cache
+    def group_sizes(r: int, d: int) -> list[int]:
+        """The table of one (r, d) group: at each g = 0 .. r, the largest
+        set of its symbols with point rank at most g, from the oracle on
+        the one-group code at k = g + 1 and the whole group at g = r."""
+        inst = build_code(LocalitySpec((LocalityClass.from_groups(r, d, 1),), r, args.q, r))
+        return [inst.n - cert.d for cert in prefix_oracles(inst, budget)] + [inst.n]
+
     s = args.classes
     budget = _nonnegative(args.budget, "--budget")
     # The q rule drops choices unchecked, so each range's least value is
@@ -394,13 +427,11 @@ def cmd_sweep(args, report) -> str:
         return "budget-exceeded"
     choices = list(product(rs, deltas, ms))
     rows = 0
-    # The oracle's block ranks and tables, shared by every class tuple: the
-    # groups of one class choice are the same block wherever they sit.
-    tables: dict = {}
     text = _Text()
     # folds[d] is the bounds fold of the first d classes of the tuple before,
-    # so a tuple folds only the classes after the prefix it shares with it.
-    folds, before = [BoundsFold()], (-1,) * s
+    # so a tuple folds only the classes after the prefix it shares with it;
+    # reaches[d] is its oracle fold, made for tuples with n <= budget only.
+    folds, reaches, before = [BoundsFold()], [[0]], (-1,) * s
     for position, picks in _kept_tuples(choices, s, args.q):
         # The combinations up to this one, filtered or kept, and the rows so
         # far count against the cap; once they reach it the table is empty.
@@ -411,7 +442,7 @@ def cmd_sweep(args, report) -> str:
         shared = 0
         while picks[shared] == before[shared]:  # kept tuples differ
             shared += 1
-        del folds[shared + 1 :]
+        del folds[shared + 1 :], reaches[shared + 1 :]
         classes, labels = zip(*(facts(*choices[i]) for i in picks))
         for c in classes[shared:]:
             folds.append(folds[-1].add(c, room))
@@ -420,11 +451,14 @@ def cmd_sweep(args, report) -> str:
         n, n_gab, label = fold.n, fold.dim, ";".join(labels)
         last_k = min(n_gab, room)
         rows += last_k
-        # A built code's points do not depend on k, so one build serves every k of the table.
+        # The tuple's code is the direct sum of its groups, so its oracle d
+        # at k is n minus its reach at k - 1; every prefix of a tuple with
+        # n <= budget has n <= budget, and each is folded once.
         oracle = repeat("-")
         if n <= budget:
-            inst = build_code(LocalitySpec(classes, last_k, args.q, n_gab))
-            oracle = [text[cert.d] for cert in prefix_oracles(inst, budget, tables=tables)]
+            for r, d, m in (choices[i] for i in picks[len(reaches) - 1 :]):
+                reaches.append(_add_groups(reaches[-1], group_sizes(r, d), m, room))
+            oracle = [text[n - size] for size in reaches[-1][:last_k]]
         older = unequal_r_column(classes, last_k) or repeat(None)
         n_text, dim_text, add = text[n], text[n_gab], report.rows.append
         for k, given, pivot, best, old, oracle_text in zip(
@@ -483,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--r", required=True, help="locality range, INT or LO:HI")
     p_sweep.add_argument("--delta", required=True, help="local distance range, INT or LO:HI")
     p_sweep.add_argument("--m", required=True, help="group count range, INT or LO:HI")
-    p_sweep.add_argument("--budget", type=int, default=0, help="oracle build budget per row (default 0: off)")
+    p_sweep.add_argument("--budget", type=int, default=0, help="largest n whose rows get the oracle (default 0: off)")
     p_sweep.add_argument("--format", choices=("text", "machine"), default="text")
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -169,25 +169,16 @@ def test_oracle_matches_scan_on_instances(all_instances, reversed_instance):
         assert min_distance_oracle(inst.gen) == _scan_oracle(inst.gen)
 
 
-def test_oracle_matches_scan_on_sweep_rows(monkeypatch):
-    from udlrc import cli
-
-    checked = []
-
-    def differential(inst, budget, tables):
-        # prefix_oracles walks the points at every k; the code at k has
-        # the first k rows of inst.gen as its generator.
-        certs = prefix_oracles(inst, budget, tables=tables)
-        for k, cert in enumerate(certs, 1):
-            prefix = dataclasses.replace(inst.gen, rows=inst.gen.rows[:k])
-            assert cert == _scan_oracle(prefix) == _reduced_basis_oracle(prefix)
-            checked.append(prefix.ncols)
-        return certs
-
-    monkeypatch.setattr(cli, "prefix_oracles", differential)
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(load_workloads().Sweep.ORACLE) == 0
-    assert len(checked) == 80 and max(checked) <= 10
+def test_oracle_matches_scan_on_sweep_rows():
+    # Each oracle-d the benchmark's oracle sweep prints, against the scan
+    # and the reduced-basis oracle on the generator of its row's code,
+    # built from the row's classes at its k.
+    rows = _oracle_sweep_rows()
+    for classes, k, n_gab, d in rows:
+        gen = build_code(LocalitySpec(classes, k, 5, n_gab)).gen
+        scan = _scan_oracle(gen)
+        assert scan.d == d and scan == _reduced_basis_oracle(gen)
+    assert len(rows) == 80 and max(sum(c.n for c in classes) for classes, *_ in rows) <= 10
 
 
 def test_oracle_matches_scan_on_random_generators():
@@ -427,21 +418,30 @@ def test_row_mixed_grid_generators_take_the_generic_path(grid_instances):
     assert mixed_count == 300
 
 
-def _sweep_instances():
-    """The instances the benchmark's oracle sweep hands to prefix_oracles,
-    one per class tuple, each built at the last k of its table."""
+def _oracle_sweep_rows():
+    """(classes, k, n_gab, oracle-d) of each row of the benchmark's oracle
+    sweep (q = 5) that prints an oracle-d."""
     from udlrc import cli
 
-    insts = []
+    argv = load_workloads().Sweep.ORACLE
+    assert argv[argv.index("--q") + 1] == "5"
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(argv) == 0
+    rows = []
+    for line in out.getvalue().splitlines():
+        cells = line.split("\t")
+        if cells[0] == "row" and cells[1].startswith("(") and cells[-1] != "-":
+            choices = [map(int, label.strip("()").split(",")) for label in cells[1].split(";")]
+            classes = tuple(LocalityClass.from_groups(*choice) for choice in choices)
+            rows.append((classes, int(cells[2]), int(cells[4]), int(cells[-1])))
+    return rows
 
-    def record(inst, budget, tables):
-        insts.append(inst)
-        return prefix_oracles(inst, budget, tables=tables)
 
-    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()):
-        mp.setattr(cli, "prefix_oracles", record)
-        assert cli.main(load_workloads().Sweep.ORACLE) == 0
-    return insts
+def _sweep_instances():
+    """The benchmark's oracle sweep's class tuples with an oracle-d, one
+    code each, built at the last k of its table."""
+    last = {classes: (k, n_gab) for classes, k, n_gab, _ in _oracle_sweep_rows()}
+    return [build_code(LocalitySpec(classes, k, 5, n_gab)) for classes, (k, n_gab) in last.items()]
 
 
 def _at_k(inst, k):
@@ -786,50 +786,35 @@ def test_block_tables_match_the_one_pass_walk_on_dense_random_matrices():
     assert walks > 600 and full > 200
 
 
-def test_one_tables_dict_serves_codes_over_different_fields(grid_instances):
-    # Points packed alike over F_5 and F_7 (coordinates below 5, and the
-    # same block width) are one key's columns but for the field.  The third
-    # point is the sum of the first two over F_5 only, and the fourth is in
-    # the span of the first two over F_7 only, so the largest sets of rank
-    # 2 differ.  One dict shared by these codes and by grid codes over both
-    # fields, in an interleaved order, gives every code the certificates a
-    # fresh dict gives it.
-    spec = LocalitySpec(classes=(LocalityClass.from_groups(3, 2, 1),), k=3, q=5, t=3)
-    built = build_code(validate_spec(spec))
-    points = ((1, 2, 3), (4, 1, 2), (0, 3, 0), (0, 0, 1))
-    pair = [dataclasses.replace(built, spec=dataclasses.replace(spec, q=q), points=points) for q in (5, 7)]
-    assert pair[0]._points_packed == pair[1]._points_packed
-    assert [min_distance_oracle(inst).witness for inst in pair] == [(0, 1, 2), (0, 1, 3)]
-    rng = random.Random(20261107)
-    codes = [*pair, *rng.sample(grid_instances, 200)]
-    rng.shuffle(codes)
-    assert {inst.spec.q for inst in codes} == {5, 7}
-    shared: dict = {}
-    for inst in codes + codes:
-        assert prefix_oracles(inst, tables=shared) == prefix_oracles(inst, tables={}) == prefix_oracles(inst)
+def test_the_walk_reads_the_modulus():
     # Over GF(25) modulo x^2 + 2 and modulo x^2 + 3 the columns (1, x) and
     # (x, 2) pack alike, and their determinant 2 - x^2 is -1 and 0.
     layouts = [fields._Packing(5, modulus, 2) for modulus in ((2, 0, 1), (3, 0, 1))]
     columns = [layouts[0].pack(column) for column in (((1, 0), (0, 1)), ((0, 1), (2, 0)))]
     assert columns == [layouts[1].pack(column) for column in (((1, 0), (0, 1)), ((0, 1), (2, 0)))]
-    assert _walk(layouts[0], columns, 2, 2, 2, shared) == [DistanceCertificate(1, (0,), 1)]
+    assert _walk(layouts[0], columns, 2, 2, 2) == [DistanceCertificate(1, (0,), 1)]
     with pytest.raises(RankDeficientGenerator):
-        _walk(layouts[1], columns, 2, 2, 2, shared)
+        _walk(layouts[1], columns, 2, 2, 2)
 
 
 def test_the_oracle_sweep_walks_three_block_tables(monkeypatch):
-    # The benchmark's oracle sweep: 17 class tuples of the classes (1, 2, 1),
-    # (2, 2, 1) and (3, 2, 1), sharing one dict, walk one table per class.
-    # Before the tables each tuple walked its own 47 blocks in all.
+    # The benchmark's oracle sweep: 17 class tuples of the classes (1, 2, m),
+    # (2, 2, m) and (3, 2, m) fold one group table per (r, delta), each the
+    # oracle on a one-group code, one walk of one block.  Each tuple's
+    # code was built and its blocks split and keyed, 17 prefix_oracles
+    # calls sharing one dict of these 3 tables, before the fold; before the
+    # tables each tuple walked its own 47 blocks in all.
     from udlrc import cli
 
     workloads = load_workloads()
+    built = counting(monkeypatch, "build_code", lambda spec: [(c.r, c.delta, c.groups) for c in spec.classes])
     oracles = counting(monkeypatch, "prefix_oracles")
-    tables = counting(monkeypatch, "_block_table")
+    tables = counting(monkeypatch, "_block_table", lambda pk, block, *rest: len(block))
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert cli.main(workloads.Sweep.ORACLE) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == workloads.GOLDEN["sweep"]["oracle"]
-    assert (len(oracles), len(tables)) == (17, 3)
+    assert built == [[(1, 2, 1)], [(2, 2, 1)], [(3, 2, 1)]]
+    assert (len(oracles), tables) == (3, [2, 3, 4])
 
 
 def _naive_block_starts(field, k, columns):

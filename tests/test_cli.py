@@ -355,8 +355,9 @@ def test_sweep_row_limit_exits_five(workdir):
 
 
 # sha256 of each `--help` text at COLUMNS=80, recorded before the parser's
-# flags were declared once per group of commands; argparse's layout is that
-# of Python 3.11.
+# flags were declared once per group of commands (sweep's again when its
+# --budget help came to say which rows get the oracle); argparse's layout
+# is that of Python 3.11.
 HELP_DIGESTS = {
     "udlrc": "754d232b493d4925e7f69269ab9d9c22bb86bce1eb5fa1f155aefd34aba72922",
     "bounds": "b2781ec1e1f8b5ba88577c1c9f333c4e6800e16591431b7a4858a86d551a97b3",
@@ -364,7 +365,7 @@ HELP_DIGESTS = {
     "encode": "439a03c5bd1f1e7d6f22fc7874cfd29dee280ea11bc7d4609ee53bfa953255c3",
     "decode": "76e4d70e04bda6e6cf738fdc6852d9fbaadf51abc2b5c8d910daa504e7f73b59",
     "certify": "7098282bdcf5e55a73e5c2c840d2f20e8ae93ec75a2277e3066d6e4d4cb946f3",
-    "sweep": "787d579fea7af40526fc6eb21d705009f3110e230e58e4e68271575dff86464c",
+    "sweep": "866f8720bcab348bc18a6cedc60b35813667e807deb8e89ca61fe809e9b4c2b5",
 }
 
 

@@ -47,27 +47,32 @@ def test_report_matches_recorded_digest(key, argv):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == workloads.GOLDEN[group][name]
 
 
-def test_oracle_sweep_builds_once_per_class_tuple(monkeypatch):
+def test_oracle_sweep_builds_once_per_group_table(monkeypatch):
     # A count, not a timing: the benchmark's oracle sweep has 80 oracle rows
-    # in 17 class tuples, and builds each tuple's code once, at its last k.
+    # in 17 class tuples over the (r, delta) pairs (1, 2), (2, 2) and
+    # (3, 2), and builds one one-group code per pair, at k = r, for its
+    # group table (it built each tuple's code once, at its last k: 17
+    # builds at 80 k in all).
     built = counting(monkeypatch, "build_code", lambda spec: spec.k)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(workloads.Sweep.ORACLE) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == workloads.GOLDEN["sweep"]["oracle"]
     oracled = [line for line in out.getvalue().splitlines() if line.startswith("row\t(") and not line.endswith("\t-")]
-    assert (len(built), sum(built), len(oracled)) == (17, 80, 80)
+    assert (built, len(oracled)) == ([1, 2, 3], 80)
 
 
 def test_oracle_sweep_builds_no_matrix_and_packs_each_class_once(monkeypatch):
-    # Counts: the oracle sweep's 17 codes have 34 classes, 94 class columns
-    # and 127 points.  When build_code read each class's columns off a local
-    # generator Matrix (34), it took the Lagrange weights at every locator
-    # (94) and packed every point (127).  The columns are unit vectors on
-    # the first r locators, so each (r, 2) class takes one weight list, and
-    # each class's columns are packed once.  q is tested for primality once
-    # per call and once per spec (52 tests when each build made F_q three
-    # times).
+    # Counts: the oracle sweep's 3 one-group codes have 3 classes and 9
+    # class columns and points.  When it built its 17 tuple codes (34
+    # classes, 94 class columns, 127 points) it took 34 weight lists, at
+    # most 94 packs and 18 primality tests; when build_code read each
+    # class's columns off a local generator Matrix (34), it took the
+    # Lagrange weights at every locator (94) and packed every point (127).
+    # The columns are unit vectors on the first r locators, so each (r, 2)
+    # class takes one weight list, and each class's columns are packed
+    # once.  q is tested for primality once per call and once per spec (52
+    # tests when each of 17 builds made F_q three times).
     matrices = counting_method(monkeypatch, Matrix, "__init__")
     weights = counting_method(monkeypatch, construction, "_lagrange_weights")
     packs = counting_method(monkeypatch, fields._Packing, "pack")
@@ -78,7 +83,7 @@ def test_oracle_sweep_builds_no_matrix_and_packs_each_class_once(monkeypatch):
     with contextlib.redirect_stdout(out):
         assert cli.main(workloads.Sweep.ORACLE) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == workloads.GOLDEN["sweep"]["oracle"]
-    assert (len(matrices), len(weights), len(primes)) == (0, 34, 18) and len(packs) <= 94
+    assert (len(matrices), len(weights), len(primes), len(packs)) == (0, 3, 4, 9)
 
 
 # A long column: one class with up to 1,000 groups, cut by the work cap
@@ -114,7 +119,7 @@ def test_certify_and_the_oracle_sweep_build_no_generator(monkeypatch):
     for argv in argvs:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0
-    assert len(built) == len(CERTIFY_SPECS) + 17
+    assert len(built) == len(CERTIFY_SPECS) + 3
     assert all("gen" not in vars(inst) for inst in built)
 
 
@@ -275,24 +280,26 @@ def test_reach_codec_report_matches_recorded_digest(name):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
-def test_oracle_sweep_walks_once_per_class_tuple(monkeypatch):
-    # The oracle sweep builds 17 codes, one per class tuple, and one pass
-    # over each code's blocks serves every k of its table (one walk per k,
-    # 80 in all, when the walks shared a memo of block extensions).
+def test_oracle_sweep_walks_once_per_group_table(monkeypatch):
+    # The oracle sweep builds 3 one-group codes, one per (r, delta), and
+    # one pass over each serves every g of its group table; the tuples'
+    # rows come from the fold of those tables (17 builds and 17 walks, one
+    # per class tuple, before the fold; one walk per k, 80 in all, when the
+    # walks shared a memo of block extensions).
     walks = counting(monkeypatch, "_walk")
     built = counting(monkeypatch, "build_code")
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(workloads.Sweep.ORACLE) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == workloads.GOLDEN["sweep"]["oracle"]
-    assert len(walks) == len(built) == 17
+    assert len(walks) == len(built) == 3
 
 
 def test_certify_and_the_oracle_sweep_build_no_extension_field(monkeypatch):
     # Every check certify and the oracle sweep run reads point ranks over
     # F_q, so no modulus is searched and no GF(q^t) is built on the five
-    # benchmark specs and the sweep's 17 codes; each built one cost 20 to
-    # 35 microseconds per certify.
+    # benchmark specs and the sweep's 3 one-group codes; each built one cost
+    # 20 to 35 microseconds per certify.
     searches = []
     search = fields.find_irreducible
 
@@ -316,7 +323,7 @@ def test_certify_and_the_oracle_sweep_build_no_extension_field(monkeypatch):
             assert cli.main(argv) == 0
         group = "certify" if key in CERTIFY_SPECS else "sweep"
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == workloads.GOLDEN[group][key]
-    assert (len(built), searches, inits) == (len(CERTIFY_SPECS) + 17, [], [])
+    assert (len(built), searches, inits) == (len(CERTIFY_SPECS) + 3, [], [])
     assert all("field" not in vars(inst) for inst in built)
 
 

@@ -15,7 +15,7 @@ from itertools import product
 import pytest
 
 import udlrc as u
-from conftest import ref_cmd_sweep
+from conftest import counting, ref_cmd_sweep
 from udlrc import cli
 from udlrc.analysis import OrderedConditionRequired, TooLarge
 from udlrc.bounds import DimensionInfeasible, TooManyClasses
@@ -227,6 +227,42 @@ def test_sweep_matches_the_product_loop(argv, status, fmt, capsys):
     assert (code, out) == (cli.STATUS_CODES[status], report.render())
 
 
+def test_oracle_fold_matches_the_per_tuple_oracle_on_random_sweeps(capsys):
+    # 40 seeded `sweep --budget` runs, q in {5, 7, 11}, s <= 3 and budgets
+    # 4-14 in text and machine format, every fifth with a long m range that
+    # the work cap cuts, against ref_cmd_sweep, which builds each tuple's
+    # code and reads its oracle-d from prefix_oracles.  A class wider than
+    # the budget is in no tuple with n <= budget, so it gets no group
+    # table: no _block_table call walks a block wider than the budget.
+    rng = random.Random(2044)
+    statuses, oracled, wide = [], 0, 0
+    for case in range(40):
+        q, budget, fmt = rng.choice((5, 7, 11)), rng.randint(4, 14), rng.choice(("text", "machine"))
+        if case % 5 == 0:
+            s, r, delta, m = rng.randint(1, 2), (1, 1), (2, 2), (1, rng.randint(150, 200))
+        else:
+            s, lo, dlo = rng.randint(1, 3), rng.randint(1, 4), rng.randint(2, 5)
+            r, delta, m = (lo, lo + rng.randint(0, 2)), (dlo, dlo + rng.randint(0, 2)), (1, rng.randint(1, 3))
+        ranges = [f"{lo}:{hi}" for lo, hi in (r, delta, m)]
+        argv = _sweep(q, s, *ranges, "--budget", str(budget), "--format", fmt)
+        with pytest.MonkeyPatch.context() as mp:
+            widths = counting(mp, "_block_table", lambda pk, block, *rest: len(block))
+            code = cli.main(argv)
+        out = capsys.readouterr().out
+        report = cli.Report("sweep", fmt)
+        status = ref_cmd_sweep(cli.build_parser().parse_args(argv), report)
+        report.add("status", status)
+        assert (code, out) == (cli.STATUS_CODES[status], report.render())
+        assert all(width <= budget for width in widths)
+        statuses.append(status)
+        oracled += sum(row[-1] != "-" for row in report.rows if row[0] == "row" and row[1].startswith("("))
+        # A choice that fits q is kept, repeated in every class.
+        choice_widths = [i + j - 1 for i, j in product(range(r[0], r[1] + 1), range(delta[0], delta[1] + 1))]
+        wide += any(budget < width <= q for width in choice_widths)
+    assert statuses.count("budget-exceeded") >= 8 and statuses.count("ok") >= 20
+    assert oracled > 200 and wide >= 8
+
+
 def _ref_kept_tuples(choices, s, q):
     """Every combination of product(range(len(choices)), repeat=s) with its
     position, kept when r is nondecreasing, delta nonincreasing and
@@ -288,16 +324,24 @@ def test_sweep_work_cap_stops_a_long_column(capsys):
 
 def test_sweep_work_cap_builds_only_the_rows_it_prints(monkeypatch, capsys):
     # The work cap cuts the table of (1,2,3);(1,2,2) after 3 of its 5 rows,
-    # so its code is built at k = 3; every tuple is built once, at the last
-    # row it prints.  The report is the one recorded with a build per row.
-    built = []
-    build_code = cli.build_code
+    # so its reach is folded to 3 entries; every other tuple with
+    # n <= budget folds its rows and one entry more, the whole tuple, and
+    # each prefix is folded once.  The one (r, delta) pair is one group
+    # table, built at k = r = 1.  The report is the one recorded with a
+    # build per row.
+    built, folds = [], []
+    build_code, add_groups = cli.build_code, cli._add_groups
 
     def counted_build(spec):
         built.append((spec.k, spec.n_gab))
         return build_code(spec)
 
+    def counted_add(reach, sizes, m, limit):
+        folds.append(add_groups(reach, sizes, m, limit))
+        return folds[-1]
+
     monkeypatch.setattr(cli, "build_code", counted_build)
+    monkeypatch.setattr(cli, "_add_groups", counted_add)
     code = cli.main(_sweep(5, 2, "1", "2", "1:97", "--budget", "10", "--format", "machine"))
     out = capsys.readouterr().out
     assert code == 5
@@ -306,8 +350,10 @@ def test_sweep_work_cap_builds_only_the_rows_it_prints(monkeypatch, capsys):
     last_k = {}
     for row in oracled:
         last_k[row[1]] = int(row[2])
-    assert [k for k, _ in built] == list(last_k.values())
-    assert built[-1] == (3, 5) and oracled[-1][1] == "(1,2,3);(1,2,2)"
+    # Prefix (1,2,a), then each (1,2,a);(1,2,b) with 2a + 2b <= 10 in turn.
+    assert [len(reach) for reach in folds] == [2, 3, 4, 5, 6, 3, 4, 5, 6, 4, 5, 3]
+    assert list(last_k.values()) == [2, 3, 4, 5, 3, 4, 5, 4, 3]
+    assert built == [(1, 1)] and oracled[-1][1] == "(1,2,3);(1,2,2)"
 
 
 def test_field_setup_over_the_search_limit_exits_five(tmp_path, capsys):
